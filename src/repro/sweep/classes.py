@@ -29,9 +29,13 @@ class EquivalenceClasses:
     ``#members - #classes``, since every class contributes ``size - 1``),
     and a lazy max-heap work queue serves :meth:`best_splittable` — the
     class a SAT phase should attack next — without re-sorting every class
-    on every query.  Heap entries are ``(-size, first_member, class_id)``
-    snapshots; mutated classes are re-pushed and stale snapshots discarded
-    on pop, so ``best_splittable`` always agrees with ``splittable()[0]``.
+    on every query.  Heap entries are ``(-size, first_member, class_id,
+    version)`` snapshots.  Every mutation of a class bumps its version
+    stamp and pushes exactly one snapshot of its new state, so a snapshot
+    is current iff its version is the class's latest; superseded ones are
+    discarded on pop and never re-pushed.  Classes only ever shrink, so a
+    class that drops below two members loses its stamp for good, and the
+    stamped ids are exactly the splittable classes.
     """
 
     def __init__(
@@ -59,7 +63,9 @@ class EquivalenceClasses:
         self._phase: dict[int, int] = {uid: 0 for uid in member_list}
         self._next_class = 1
         self.refinements = 0
-        self._work: list[tuple[int, int, int]] = []
+        # Version stamp of every splittable class (size >= 2), keyed by id.
+        self._version: dict[int, int] = {}
+        self._work: list[tuple[int, int, int, int]] = []
         if len(member_list) >= 2:
             self._push_work(0)
 
@@ -106,11 +112,7 @@ class EquivalenceClasses:
 
     def splittable(self) -> list[list[int]]:
         """Classes that still need work (size >= 2), largest first."""
-        result = [
-            sorted(members)
-            for members in self._classes.values()
-            if len(members) >= 2
-        ]
+        result = [sorted(self._classes[class_id]) for class_id in self._version]
         result.sort(key=lambda c: (-len(c), c[0]))
         return result
 
@@ -142,30 +144,34 @@ class EquivalenceClasses:
     # Work queue
     # ------------------------------------------------------------------
     def _push_work(self, class_id: int) -> None:
+        """Record a mutation of ``class_id``: new version, one snapshot."""
         members = self._classes.get(class_id)
-        if members is not None and len(members) >= 2:
-            heapq.heappush(
-                self._work, (-len(members), min(members), class_id)
-            )
+        if members is None or len(members) < 2:
+            self._version.pop(class_id, None)  # never splittable again
+            return
+        version = self._version.get(class_id, 0) + 1
+        self._version[class_id] = version
+        heapq.heappush(
+            self._work, (-len(members), min(members), class_id, version)
+        )
 
     def best_splittable(self) -> Optional[list[int]]:
         """``splittable()[0]`` served from the work queue, or ``None``.
 
-        Amortized O(log #classes) per call: every class mutation pushes at
-        most one snapshot, and each snapshot is popped at most once.
+        Amortized O(log #pushes) per call, plus sorting the returned
+        class: every mutation pushes exactly one snapshot, and a
+        superseded snapshot is popped once and dropped.  It must never be
+        re-pushed — the mutation already queued the current state, and a
+        duplicate per call would make draining a class of *n* members cost
+        O(n^2) pushes.
         """
         work = self._work
+        version = self._version
         while work:
-            neg_size, first, class_id = work[0]
-            members = self._classes.get(class_id)
-            if members is None or len(members) < 2:
-                heapq.heappop(work)  # resolved or shrunk to a singleton
-                continue
-            if -neg_size != len(members) or first != min(members):
-                heapq.heappop(work)  # stale snapshot; requeue current state
-                self._push_work(class_id)
-                continue
-            return sorted(members)
+            _, _, class_id, stamp = work[0]
+            if version.get(class_id) == stamp:
+                return sorted(self._classes[class_id])
+            heapq.heappop(work)  # superseded by a later mutation
         return None
 
     # ------------------------------------------------------------------
@@ -183,10 +189,8 @@ class EquivalenceClasses:
             return 0
         mask = width_mask(width)
         splits = 0
-        for class_id in list(self._classes):
+        for class_id in sorted(self._version):
             members = self._classes[class_id]
-            if len(members) < 2:
-                continue
             groups: dict[int, list[int]] = {}
             phases: dict[int, int] = {}
             for uid in members:
@@ -233,11 +237,11 @@ class EquivalenceClasses:
         if uid not in self._class_of:
             raise SweepError(f"node {uid} is not tracked")
         class_id = self._class_of.pop(uid)
-        self._classes[class_id].discard(uid)
-        if not self._classes[class_id]:
+        members = self._classes[class_id]
+        members.discard(uid)
+        if not members:
             del self._classes[class_id]
-        else:
-            self._push_work(class_id)
+        self._push_work(class_id)
         del self._phase[uid]
 
     def isolate(self, uid: int) -> None:

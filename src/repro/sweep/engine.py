@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from repro.core.compiled import adapt_backend
 from repro.core.generator import BaseVectorGenerator
@@ -268,6 +268,13 @@ class SweepResult:
 SweepObserver = Callable[[str, int, int], None]
 
 
+def _representative(cls: list[int], levels: Mapping[int, int]) -> int:
+    """A class's representative: its shallowest member (cheapest miter
+    cones), ties broken by lowest id — ``cls`` is sorted ascending, and
+    ``min`` keeps the first of equal keys."""
+    return min(cls, key=levels.__getitem__)
+
+
 class SweepEngine:
     """Drives simulation-based class refinement and SAT resolution."""
 
@@ -498,6 +505,7 @@ class SweepEngine:
         compiled = self._compiled
         start = time.perf_counter()
         with tracer.span("phase", phase="sat"):
+            levels = self.network.levels()
             try:
                 while True:
                     if budget is not None and budget.expired():
@@ -516,12 +524,8 @@ class SweepEngine:
                         if not pending:
                             break
                         cls = pending[0]
-                    # Representative: shallowest member (cheapest miter cones).
-                    rep = min(
-                        cls, key=lambda uid: (self.network.level(uid), uid)
-                    )
-                    others = [uid for uid in cls if uid != rep]
-                    member = others[0]
+                    rep = _representative(cls, levels)
+                    member = cls[1] if cls[0] == rep else cls[0]
                     complemented = classes.phase(rep) != classes.phase(member)
                     outcome, vector = self._journaled_attempt(
                         checker, metrics, rep, member, complemented, rung=0
@@ -842,10 +846,10 @@ class SweepEngine:
         and the merge order.
         """
         per_class_cap = 1 << min(wave_index, 16)
-        network = self.network
+        levels = self.network.levels()
         wave: list[tuple[int, int, bool]] = []
         for cls in classes.splittable():
-            rep = min(cls, key=lambda uid: (network.level(uid), uid))
+            rep = _representative(cls, levels)
             rep_phase = classes.phase(rep)
             others = [uid for uid in cls if uid != rep]
             for member in others[:per_class_cap]:
@@ -854,7 +858,7 @@ class SweepEngine:
                 )
         wave.sort(
             key=lambda pair: (
-                max(network.level(pair[0]), network.level(pair[1])),
+                max(levels[pair[0]], levels[pair[1]]),
                 pair[0],
                 pair[1],
             )

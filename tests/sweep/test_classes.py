@@ -1,11 +1,13 @@
 """Equivalence classes: refinement, cost (Eq. 5), phases, bookkeeping."""
 
+import heapq
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sweep.classes as classes_module
 from repro.errors import SweepError
 from repro.network import NetworkBuilder
 from repro.sweep import EquivalenceClasses
@@ -213,6 +215,34 @@ class TestWorkQueue:
             splittable = classes.splittable()
             expected = splittable[0] if splittable else None
             assert classes.best_splittable() == expected, step
+
+    def test_draining_a_big_class_pushes_linearly(self, monkeypatch):
+        """One snapshot per mutation: draining a class of n members must not
+        re-push superseded snapshots (that costs O(n^2) pushes)."""
+        from repro.benchgen import sweep_instance
+
+        net = sweep_instance("cps")
+        gates = [node.uid for node in net.nodes() if node.is_gate][:300]
+        assert len(gates) >= 200
+        pushes = []
+
+        class CountingHeapq:
+            heappop = staticmethod(heapq.heappop)
+
+            @staticmethod
+            def heappush(heap, item):
+                pushes.append(item)
+                heapq.heappush(heap, item)
+
+        monkeypatch.setattr(classes_module, "heapq", CountingHeapq)
+        classes = EquivalenceClasses(net, members=gates)
+        drained = 0
+        while (cls := classes.best_splittable()) is not None:
+            assert cls == classes.splittable()[0]
+            classes.remove_member(cls[1])
+            drained += 1
+        assert drained == len(gates) - 1
+        assert len(pushes) <= len(gates) + 1
 
     def test_splittable_members(self):
         net, nodes = toy_network(num_gates=6)

@@ -187,6 +187,29 @@ class TestEngineVariants:
             )
         assert traces[0] == traces[1]
 
+    def test_compiled_matches_reference_on_stack(self):
+        """A putontop stack grows classes the toy networks never reach;
+        the work queue must still pick exactly ``splittable()[0]``."""
+        from repro.benchgen import sweep_instance
+
+        net = sweep_instance("cps", copies=2)
+        traces = []
+        for mode in ("compiled", "reference"):
+            result = SweepEngine(
+                net,
+                make_generator("RandS", net, seed=0),
+                SweepConfig(seed=0, engine=mode),
+            ).run()
+            traces.append(
+                (
+                    result.metrics.sat_calls,
+                    result.equivalences,
+                    result.classes.all_classes(),
+                )
+            )
+        assert traces[0][0] > 0
+        assert traces[0] == traces[1]
+
     def test_unknown_engine_rejected(self):
         from repro.errors import SweepError
 
