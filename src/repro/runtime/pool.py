@@ -61,7 +61,7 @@ import queue as queue_mod
 import signal
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.errors import SweepError
 from repro.network.network import Network
@@ -70,6 +70,9 @@ from repro.runtime.budget import Budget
 from repro.runtime.supervise import RetryPolicy, WorkerSupervisor
 from repro.sat.solver import SatResult
 from repro.simulation.patterns import InputVector
+
+if TYPE_CHECKING:
+    from repro.sat.tape import CnfTape
 
 #: Virtual shard count.  Fixed (never derived from the worker count) so the
 #: trajectory is identical for any ``jobs``; raising it increases available
@@ -104,6 +107,7 @@ class PairVerdict:
 
 def _worker_main(
     network: Network,
+    tape: Optional["CnfTape"],
     conflict_limit: Optional[int],
     incremental: bool,
     sat_backend: str,
@@ -146,6 +150,7 @@ def _worker_main(
                 conflict_limit=conflict_limit,
                 incremental=incremental,
                 sat_backend=sat_backend,
+                tape=tape,
             )
             checkers[shard] = checker
         conflicts_before = checker.stats.conflicts
@@ -172,7 +177,11 @@ class CheckerPool:
 
     Each worker holds the incremental checkers of the shards routed to it
     over a read-only copy of the network (inherited copy-on-write under
-    ``fork``, pickled under ``spawn``).
+    ``fork``, pickled under ``spawn``).  When the checkers encode cones in
+    the C core, the parent lowers the network into its
+    :class:`~repro.sat.tape.CnfTape` once, before starting any worker, and
+    the workers share that tape (and the ISOP covers behind it) instead of
+    each lowering the network again.
 
     Args:
         retry_policy: Bounded-retry/backoff policy for pairs lost inside a
@@ -210,7 +219,14 @@ class CheckerPool:
             raise SweepError(f"shards must be >= 1, got {shards}")
         self.jobs = jobs
         self.shards = shards
+        # Imported here: repro.sat.tape loads the SAT core, whose build
+        # machinery lives in this package.
+        from repro.sat.tape import CnfTape, stream_encoding_available
+
         self._network = network
+        self._tape = None
+        if stream_encoding_available(sat_backend):
+            self._tape = CnfTape(network)
         self._conflict_limit = conflict_limit
         self._incremental = incremental
         self._sat_backend = sat_backend
@@ -256,6 +272,7 @@ class CheckerPool:
             target=_worker_main,
             args=(
                 self._network,
+                self._tape,
                 self._conflict_limit,
                 self._incremental,
                 self._sat_backend,
@@ -336,11 +353,38 @@ class CheckerPool:
             )
             message_of[task_id] = message
             self._task_queues[worker].put(message)
-        pending_fences: dict[int, list[int]] = {}
+        #: fence id -> (worker index, tasks in flight when it was sent).
+        pending_fences: dict[int, tuple[int, list[int]]] = {}
         outstanding = set(position)
         #: Lost tasks awaiting their backoff: (due monotonic time, task_id).
         deferred: list[tuple[float, int]] = []
         deferred_ids: set[int] = set()
+
+        def charge_lost(lost: Sequence[int]) -> None:
+            """Charge one attempt to each task lost inside a dead worker:
+            re-dispatch it after its backoff, or degrade it to UNKNOWN (below,
+            never fabricated) once the retry budget is spent."""
+            for task_id in lost:
+                if task_id not in outstanding or task_id in deferred_ids:
+                    continue
+                attempts[task_id] += 1
+                check = message_of[task_id]
+                delay = self._supervisor.should_retry(
+                    (check[3], check[4]), attempts[task_id]
+                )
+                if delay is None:
+                    outstanding.discard(task_id)
+                    continue
+                deferred.append((time.monotonic() + delay, task_id))
+                deferred_ids.add(task_id)
+                if self._tracer.enabled:
+                    self._tracer.event(
+                        "pool.redispatch",
+                        rep=check[3],
+                        member=check[4],
+                        attempt=attempts[task_id],
+                    )
+
         while outstanding:
             if budget is not None and budget.time_expired():
                 break  # outstanding work is abandoned, degraded to UNKNOWN
@@ -348,7 +392,7 @@ class CheckerPool:
                 now = time.monotonic()
                 due = [t for d, t in deferred if d <= now]
                 if due:
-                    deferred = [(d, t) for d, t in deferred if t not in due]
+                    deferred[:] = [(d, t) for d, t in deferred if t not in due]
                     for task_id in due:
                         if task_id not in outstanding:
                             continue
@@ -360,7 +404,8 @@ class CheckerPool:
                 message = self._result_queue.get(timeout=self.POLL_INTERVAL)
             except queue_mod.Empty:
                 self._reap_dead(
-                    owner, outstanding, pending_fences, deferred_ids
+                    owner, outstanding, pending_fences, deferred_ids,
+                    charge_lost,
                 )
                 self._supervisor.check_heartbeats(
                     {
@@ -375,31 +420,10 @@ class CheckerPool:
                 self._supervisor.heartbeat(message[1])
                 continue
             if kind == "fence":
-                lost = pending_fences.pop(message[1], ())
-                for task_id in lost:
-                    # Submitted before the fence, no answer by the time the
-                    # replacement reached it: lost inside the dead worker.
-                    if task_id not in outstanding or task_id in deferred_ids:
-                        continue
-                    attempts[task_id] += 1
-                    check = message_of[task_id]
-                    delay = self._supervisor.should_retry(
-                        (check[3], check[4]), attempts[task_id]
-                    )
-                    if delay is None:
-                        # Retry budget exhausted: degraded below, never
-                        # fabricated.
-                        outstanding.discard(task_id)
-                    else:
-                        deferred.append((time.monotonic() + delay, task_id))
-                        deferred_ids.add(task_id)
-                        if self._tracer.enabled:
-                            self._tracer.event(
-                                "pool.redispatch",
-                                rep=check[3],
-                                member=check[4],
-                                attempt=attempts[task_id],
-                            )
+                # Submitted before the fence, no answer by the time the
+                # replacement reached it: lost inside the dead worker.
+                _, lost = pending_fences.pop(message[1], (None, ()))
+                charge_lost(lost)
                 continue
             _, task_id, outcome, values, conflicts, sat_time, props = message
             if task_id not in outstanding:
@@ -425,18 +449,30 @@ class CheckerPool:
         self,
         owner: dict[int, int],
         outstanding: set[int],
-        pending_fences: dict[int, list[int]],
+        pending_fences: dict[int, tuple[int, list[int]]],
         deferred_ids: set[int],
+        charge_lost: Callable[[Sequence[int]], None],
     ) -> None:
         """Respawn dead workers; fence to find which tasks died with them.
 
         Tasks already sitting in the backoff queue are excluded from the
         fence candidates — they are not in flight, so the fence cannot
         prove anything about them (and must not double-charge a retry).
+        A worker that died with one of its fences unanswered (a
+        replacement that died before reading it) never will answer it, so
+        the tasks that fence covers are charged as lost right away;
+        otherwise a worker dying at startup would be respawned forever.
         """
         for index, process in enumerate(self._processes):
             if process.is_alive():
                 continue
+            unanswered = [
+                fence_id
+                for fence_id, (worker, _) in pending_fences.items()
+                if worker == index
+            ]
+            for fence_id in unanswered:
+                charge_lost(pending_fences.pop(fence_id)[1])
             self.worker_failures += 1
             if self._chaos_kill_pair is not None:
                 self._chaos_deaths += 1
@@ -445,12 +481,15 @@ class CheckerPool:
             self._spawn(index)
             fence_id = self._fence_seq
             self._fence_seq += 1
-            pending_fences[fence_id] = [
-                task_id
-                for task_id in outstanding
-                if owner.get(task_id) == index
-                and task_id not in deferred_ids
-            ]
+            pending_fences[fence_id] = (
+                index,
+                [
+                    task_id
+                    for task_id in outstanding
+                    if owner.get(task_id) == index
+                    and task_id not in deferred_ids
+                ],
+            )
             self._task_queues[index].put(("fence", fence_id))
 
     # ------------------------------------------------------------------

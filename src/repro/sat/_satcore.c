@@ -27,6 +27,11 @@
  * copied from solver.py; double arithmetic (VSIDS decay/rescale, cap
  * growth) matches CPython's float semantics because both are IEEE-754.
  *
+ * The same library holds the cone encoder the compiled backend feeds the
+ * solver with (the last section): a C rendering of the reference Tseitin
+ * encoder over a lowered network tape, whose clause stream the solver
+ * takes in one sat_add_clauses call.
+ *
  * The library is self-contained C99 compiled at import time by
  * repro.sat.compiled (no Python.h); the only callback is the optional
  * budget deadline poll, invoked every BUDGET_CHECK_INTERVAL propagations.
@@ -340,7 +345,9 @@ int sat_new_var(Solver *s) {
     return var;
 }
 
-static int ensure_vars(Solver *s, int32_t var) {
+/* Create variables num_vars+1 .. var in ascending order (no-op when they
+ * exist); 1 on success, 0 on allocation failure. */
+int sat_ensure_vars(Solver *s, int32_t var) {
     while (s->num_vars < var) {
         if (sat_new_var(s) < 0) return 0;
     }
@@ -757,7 +764,7 @@ int sat_add_clause(Solver *s, const int32_t *dimacs, int32_t n) {
          * early tautology/satisfied return skips the rest — exactly the
          * reference's behavior (var creation order feeds the branching
          * heap, so it is trajectory-relevant). */
-        if (!ensure_vars(s, var)) return -1;
+        if (!sat_ensure_vars(s, var)) return -1;
         int32_t *stamp = s->lit_stamp; /* may have been reallocated */
         int32_t ilit = (var << 1) | (lit < 0 ? 1 : 0);
         if (stamp[ilit ^ 1] == gen) return 1; /* tautology */
@@ -785,6 +792,25 @@ int sat_add_clause(Solver *s, const int32_t *dimacs, int32_t n) {
     }
     attach_clause(s, buf->data, (int32_t)buf->len, -1);
     return 1;
+}
+
+/* Add a stream of 0-terminated clauses ([lit, .., 0, lit, .., 0, ...]) in
+ * one call.  Each clause goes through sat_add_clause, so variables are
+ * created and clauses simplified exactly as with one call per clause.
+ * Like the reference's add_cnf, a clause that makes the solver
+ * inconsistent does not stop the rest.  Returns 1 when every clause was
+ * added cleanly, 0 when the solver became inconsistent, -1 on error. */
+int sat_add_clauses(Solver *s, const int32_t *stream, int64_t len) {
+    int ok = 1;
+    int64_t start = 0;
+    for (int64_t i = 0; i < len; i++) {
+        if (stream[i]) continue;
+        int rc = sat_add_clause(s, stream + start, (int32_t)(i - start));
+        if (rc < 0) return -1;
+        if (!rc) ok = 0;
+        start = i + 1;
+    }
+    return ok;
 }
 
 /* ------------------------------------------------------------------ */
@@ -818,7 +844,7 @@ int sat_solve(Solver *s, const int32_t *assumptions_dimacs, int32_t n_assumption
     for (int32_t i = 0; i < n_assumptions; i++) {
         int32_t var = assumptions_dimacs[i] < 0 ? -assumptions_dimacs[i]
                                                 : assumptions_dimacs[i];
-        if (!ensure_vars(s, var)) return -1;
+        if (!sat_ensure_vars(s, var)) return -1;
     }
     /* Assumption literals, internal encoding (var_cap is settled now). */
     veci assum = {0, 0, 0};
@@ -945,4 +971,163 @@ void sat_get_stats(Solver *s, int64_t *out) {
     out[7] = s->arena_bytes;
     out[8] = s->arena_gcs;
     out[9] = s->arena_words_reclaimed;
+}
+
+/* ------------------------------------------------------------------ */
+/* Cone encoder over a lowered network tape                            */
+/* ------------------------------------------------------------------ */
+/* A C rendering of TseitinEncoder.encode_cone (src/repro/sat/tseitin.py)
+ * over the flat tape repro.sat.tape.CnfTape lowers a network into.  Nodes
+ * are numbered 0..n-1 in the network's topological order; node d's
+ * record, at records[offsets[d]], is
+ *
+ *     kind, template offset, fanin count, fanins (node numbers)...
+ *
+ * and a table's clause template, at templates[offset], is
+ *
+ *     clause count, then per clause: literal count, literal codes
+ *     (fanin position << 1 | cube value), output sign.
+ *
+ * Encoding a root walks its not-yet-encoded cone, numbers the new nodes
+ * in topological order and appends their clauses to a stream of
+ * 0-terminated clauses that sat_add_clauses takes whole.  Variables,
+ * clause order and literal order are those of the reference encoder. */
+
+#define NODE_PI 0
+#define NODE_FALSE 1
+#define NODE_TRUE 2
+#define NODE_GATE 3
+
+typedef struct {
+    const int32_t *offsets;
+    const int32_t *records;
+    const int32_t *templates;
+    int32_t *node_var;  /* per node: its variable, 0 = not encoded */
+    int32_t num_vars;
+    veci stream;        /* every clause encoded since the last reset */
+    veci encoded;       /* nodes encoded since the last reset, in order */
+    veci stack;         /* cone walk scratch */
+} Encoder;
+
+/* The tape buffers and node_var (one zeroed int32 per node) stay owned by
+ * the caller and must outlive the encoder. */
+Encoder *enc_new(const int32_t *offsets, const int32_t *records,
+                 const int32_t *templates, int32_t *node_var) {
+    Encoder *e = (Encoder *)calloc(1, sizeof(Encoder));
+    if (!e) return NULL;
+    e->offsets = offsets;
+    e->records = records;
+    e->templates = templates;
+    e->node_var = node_var;
+    return e;
+}
+
+void enc_free(Encoder *e) {
+    if (!e) return;
+    free(e->stream.data);
+    free(e->encoded.data);
+    free(e->stack.data);
+    free(e);
+}
+
+static int cmp_int32(const void *pa, const void *pb) {
+    int32_t a = *(const int32_t *)pa;
+    int32_t b = *(const int32_t *)pb;
+    return (a > b) - (a < b);
+}
+
+/* Encode the cone of node `root`; returns its variable, -1 on allocation
+ * failure.  The walk stops at encoded nodes (their cones are encoded
+ * already); node_var marks a node of the cone under construction with -1
+ * until its variable is assigned. */
+int32_t enc_encode_cone(Encoder *e, int32_t root) {
+    int32_t *node_var = e->node_var;
+    if (node_var[root] > 0) return node_var[root];
+    const int32_t *offsets = e->offsets;
+    const int32_t *records = e->records;
+    int64_t first = e->encoded.len;
+    veci *stack = &e->stack;
+    stack->len = 0;
+    if (!veci_push(stack, root)) return -1;
+    while (stack->len) {
+        int32_t node = stack->data[--stack->len];
+        if (node_var[node]) continue;
+        node_var[node] = -1;
+        if (!veci_push(&e->encoded, node)) return -1;
+        const int32_t *rec = records + offsets[node];
+        int32_t fanins = rec[2];
+        if (!veci_reserve(stack, stack->len + fanins)) return -1;
+        memcpy(stack->data + stack->len, rec + 3, (size_t)fanins * sizeof(int32_t));
+        stack->len += fanins;
+    }
+    int32_t *fresh = e->encoded.data + first;
+    int64_t count = e->encoded.len - first;
+    qsort(fresh, (size_t)count, sizeof(int32_t), cmp_int32);
+    veci *out = &e->stream;
+    for (int64_t i = 0; i < count; i++) {
+        int32_t node = fresh[i];
+        int32_t var = ++e->num_vars;
+        node_var[node] = var;
+        const int32_t *rec = records + offsets[node];
+        int32_t kind = rec[0];
+        if (kind == NODE_PI) continue;
+        if (kind != NODE_GATE) {
+            if (!veci_push2(out, kind == NODE_TRUE ? var : -var, 0)) return -1;
+            continue;
+        }
+        const int32_t *fanin = rec + 3;
+        const int32_t *t = e->templates + rec[1];
+        int32_t clauses = *t++;
+        for (int32_t c = 0; c < clauses; c++) {
+            int32_t lits = *t++;
+            if (!veci_reserve(out, out->len + lits + 2)) return -1;
+            int32_t *dst = out->data + out->len;
+            for (int32_t k = 0; k < lits; k++) {
+                int32_t code = *t++;
+                int32_t v = node_var[fanin[code >> 1]];
+                *dst++ = (code & 1) ? -v : v;
+            }
+            *dst++ = *t++ ? var : -var;
+            *dst = 0;
+            out->len += lits + 2;
+        }
+    }
+    return node_var[root];
+}
+
+/* A variable no node owns (the incremental checker's miter selectors). */
+int32_t enc_new_var(Encoder *e) { return ++e->num_vars; }
+
+int32_t enc_num_vars(Encoder *e) { return e->num_vars; }
+
+/* Forget every encoded node and clause: the state of a fresh encoder. */
+static void enc_reset(Encoder *e) {
+    for (int64_t i = 0; i < e->encoded.len; i++) e->node_var[e->encoded.data[i]] = 0;
+    e->encoded.len = 0;
+    e->stream.len = 0;
+    e->num_vars = 0;
+}
+
+/* The query-pure instance of pair_miter: from a reset encoder, the cones
+ * of a then b, then two clauses asserting they differ (or, with
+ * `complement`, that they agree).  Returns 0, or -1 on allocation
+ * failure. */
+int enc_miter(Encoder *e, int32_t a, int32_t b, int complement) {
+    enc_reset(e);
+    int32_t var_a = enc_encode_cone(e, a);
+    if (var_a < 0) return -1;
+    int32_t var_b = enc_encode_cone(e, b);
+    if (var_b < 0) return -1;
+    int32_t sign = complement ? -1 : 1;
+    if (!veci_push2(&e->stream, var_a, sign * var_b) || !veci_push(&e->stream, 0))
+        return -1;
+    if (!veci_push2(&e->stream, -var_a, -sign * var_b) || !veci_push(&e->stream, 0))
+        return -1;
+    return 0;
+}
+
+/* The clause stream and its length in int32 words (NULL while empty). */
+const int32_t *enc_stream(Encoder *e, int64_t *len) {
+    *len = e->stream.len;
+    return e->stream.data;
 }

@@ -32,10 +32,17 @@ explicit):
 
 The core itself is ``_satcore.c``, compiled on first import with the
 system C compiler (result cached by source hash, so the build runs once
-per machine) and driven through ``ctypes``.  When no compiler is
-available — or ``REPRO_SATCORE=python`` forces it — the "compiled"
-backend falls back to the reference :class:`~repro.sat.solver.CdclSolver`
-itself: identical results at 30-50x fewer propagations per second (on a
+per machine) and driven through ``ctypes``.  The same library also
+encodes the cones the solver checks: :mod:`repro.sat.tape` lowers a
+network into a flat tape, the C cone encoder turns a root's new cone
+into a stream of clauses (the reference
+:class:`~repro.sat.tseitin.TseitinEncoder`'s variables and clauses, in
+its order), and the solver takes a whole stream in one
+``sat_add_clauses`` call; ``sat_ensure_vars`` creates a batch of
+variables in one call.  When no compiler is available — or
+``REPRO_SATCORE=python`` forces it — the "compiled" backend falls back to
+the reference :class:`~repro.sat.solver.CdclSolver` and the Python
+encoder: identical results at 30-50x fewer propagations per second (on a
 2-vCPU Xeon: 104k vs 3.27M/s on the perf harness's SAT microbench, 32k vs
 1.58M/s on php(8,7) plus three random 3-SAT instances).  ``SAT_CORE`` says
 which core is active in this process.
@@ -101,8 +108,12 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.sat_num_vars.restype = ctypes.c_int
     lib.sat_ok.argtypes = [handle]
     lib.sat_ok.restype = ctypes.c_int
+    lib.sat_ensure_vars.argtypes = [handle, ctypes.c_int32]
+    lib.sat_ensure_vars.restype = ctypes.c_int
     lib.sat_add_clause.argtypes = [handle, i32p, ctypes.c_int32]
     lib.sat_add_clause.restype = ctypes.c_int
+    lib.sat_add_clauses.argtypes = [handle, ctypes.c_void_p, ctypes.c_int64]
+    lib.sat_add_clauses.restype = ctypes.c_int
     lib.sat_solve.argtypes = [
         handle,
         i32p,
@@ -122,6 +133,24 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.sat_model_valid.restype = ctypes.c_int
     lib.sat_get_stats.argtypes = [handle, ctypes.POINTER(ctypes.c_int64)]
     lib.sat_get_stats.restype = None
+    # Cone encoder (driven by repro.sat.tape.ConeEncoder).
+    address = ctypes.c_void_p
+    lib.enc_new.argtypes = [address, address, address, i32p]
+    lib.enc_new.restype = handle
+    lib.enc_free.argtypes = [handle]
+    lib.enc_free.restype = None
+    lib.enc_encode_cone.argtypes = [handle, ctypes.c_int32]
+    lib.enc_encode_cone.restype = ctypes.c_int32
+    lib.enc_new_var.argtypes = [handle]
+    lib.enc_new_var.restype = ctypes.c_int32
+    lib.enc_num_vars.argtypes = [handle]
+    lib.enc_num_vars.restype = ctypes.c_int32
+    lib.enc_miter.argtypes = [
+        handle, ctypes.c_int32, ctypes.c_int32, ctypes.c_int
+    ]
+    lib.enc_miter.restype = ctypes.c_int
+    lib.enc_stream.argtypes = [handle, ctypes.POINTER(ctypes.c_int64)]
+    lib.enc_stream.restype = ctypes.c_void_p
 
 
 #: Build / load / corrupt-cache-recovery machinery, shared with the
@@ -205,8 +234,9 @@ class CArenaCdclSolver:
         return var
 
     def _ensure_vars(self, var: int) -> None:
-        while self.num_vars < var:
-            self.new_var()
+        # One C call creates every missing variable, in ascending order.
+        if not self._lib.sat_ensure_vars(self._handle, var):
+            raise MemoryError("satcore variable allocation failed")
 
     @property
     def num_vars(self) -> int:

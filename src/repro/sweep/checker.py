@@ -7,8 +7,15 @@ Two modes:
   a fresh selector literal and solves under that assumption.  Learnt
   clauses persist across queries — the trick that makes SAT sweeping
   practical (and what MiniSat-inside-ABC does).
-* **Fresh**: a new solver and cone encoding per query; slower but simpler,
-  kept for cross-checking the incremental path.
+* **Fresh** (query-pure): a new solver and cone encoding per query, so a
+  verdict depends on the pair alone; journaled and served runs use it.
+
+On the C core (the ``compiled`` backend with ``SAT_CORE == "c"`` and no
+explicit solver factory) both modes encode cones in C from a
+:class:`~repro.sat.tape.CnfTape` and ship each query's new clauses to the
+solver in one bulk call; otherwise the Python
+:class:`~repro.sat.tseitin.TseitinEncoder` encodes and clauses are added
+one at a time.  Both give the same variables, clauses and verdicts.
 
 Robustness: each query honours an optional :class:`Budget` (deadline,
 conflict, and SAT-call caps), and a :class:`TransientSolverError` from the
@@ -27,6 +34,7 @@ from repro.network.network import Network
 from repro.runtime.budget import Budget
 from repro.sat.compiled import solver_class
 from repro.sat.solver import CdclSolver, SatResult
+from repro.sat.tape import CnfTape, ConeEncoder, stream_encoding_available
 from repro.sat.tseitin import TseitinEncoder, pair_miter
 from repro.simulation.patterns import InputVector
 
@@ -54,7 +62,14 @@ class CheckerStats:
 
 
 class PairChecker:
-    """Answers "are these two nodes equivalent?" queries."""
+    """Answers "are these two nodes equivalent?" queries.
+
+    Args:
+        tape: The network already lowered for the C cone encoder (a
+            :class:`~repro.runtime.pool.CheckerPool` lowers it once before
+            starting its workers); lowered on the first query otherwise.
+            Ignored when the Python encoder runs.
+    """
 
     def __init__(
         self,
@@ -65,6 +80,7 @@ class PairChecker:
         solver_factory: Optional[Callable[[], CdclSolver]] = None,
         max_retries: int = 2,
         sat_backend: str = "compiled",
+        tape: Optional[CnfTape] = None,
     ):
         self.network = network
         self.conflict_limit = conflict_limit
@@ -74,14 +90,27 @@ class PairChecker:
         # An explicit factory (fault injection, cross-checking) wins; the
         # backend name otherwise picks the compiled or reference solver.
         self._solver_factory = solver_factory or solver_class(sat_backend)
+        #: Cones are encoded in C only for solvers that take its clause
+        #: stream: the C core, built by the backend rather than a factory.
+        self._streamed = solver_factory is None and stream_encoding_available(
+            sat_backend
+        )
+        self._tape = tape
         self.stats = CheckerStats()
         #: Solver counters accumulated across fresh-mode queries (the
         #: per-query solvers are otherwise discarded with their stats).
         self._fresh_stats: dict = {}
+        #: The encoder of the incremental solver, or the C encoder reused
+        #: (reset per query) by query-pure checks; the C one is created on
+        #: the first query, so an unused checker never lowers its network.
+        self._encoder = None
         if incremental:
             self._solver = self._solver_factory()
-            self._encoder = TseitinEncoder(network)
-            self._clauses_loaded = 0
+            if not self._streamed:
+                self._encoder = TseitinEncoder(network)
+            #: Encoded clauses already added to the solver: a count of
+            #: ``cnf.clauses``, or of stream words on the C path.
+            self._shipped = 0
 
     @property
     def solver_stats(self) -> dict:
@@ -168,15 +197,29 @@ class PairChecker:
         dead solver; they were retired anyway, so dropping them is safe.
         """
         self._solver = self._solver_factory()
-        self._clauses_loaded = 0
+        self._shipped = 0
+
+    def _cone_encoder(self) -> ConeEncoder:
+        """The C encoder, created (and the network lowered) on first use."""
+        if self._encoder is None:
+            if self._tape is None:
+                self._tape = CnfTape(self.network)
+            self._encoder = ConeEncoder(self._tape)
+        return self._encoder
 
     # ------------------------------------------------------------------
     def _check_fresh(
         self, node_a: int, node_b: int, complement: bool, limit: Optional[int]
     ) -> tuple[SatResult, Optional[InputVector]]:
-        cnf, encoder = pair_miter(self.network, node_a, node_b, complement)
-        solver = self._solver_factory()
-        solver.add_cnf(cnf)
+        if self._streamed:
+            encoder = self._cone_encoder()
+            encoder.miter(node_a, node_b, complement)
+            solver = self._solver_factory()
+            encoder.load_into(solver)
+        else:
+            cnf, encoder = pair_miter(self.network, node_a, node_b, complement)
+            solver = self._solver_factory()
+            solver.add_cnf(cnf)
         result = solver.solve(conflict_limit=limit, budget=self.budget)
         self.stats.conflicts += solver.stats.get("conflicts", 0)
         self.stats.propagations += solver.stats.get("propagations", 0)
@@ -190,16 +233,26 @@ class PairChecker:
     def _check_incremental(
         self, node_a: int, node_b: int, complement: bool, limit: Optional[int]
     ) -> tuple[SatResult, Optional[InputVector]]:
-        var_a = self._encoder.encode_cone(node_a)
-        var_b = self._encoder.encode_cone(node_b)
-        # Ship newly produced Tseitin clauses to the solver.
-        clauses = self._encoder.cnf.clauses
-        while self._clauses_loaded < len(clauses):
-            self._solver.add_clause(clauses[self._clauses_loaded])
-            self._clauses_loaded += 1
-        # Allocate the selector from the shared CNF so later cone encodings
-        # never reuse its index (the solver sizes itself from the clauses).
-        selector = self._encoder.cnf.new_var()
+        if self._streamed:
+            encoder = self._cone_encoder()
+            var_a = encoder.encode_cone(node_a)
+            var_b = encoder.encode_cone(node_b)
+            # Ship the stream's unshipped tail in one call.
+            self._shipped = encoder.ship(self._solver, self._shipped)
+            selector = encoder.new_var()
+        else:
+            encoder = self._encoder
+            var_a = encoder.encode_cone(node_a)
+            var_b = encoder.encode_cone(node_b)
+            # Ship newly produced Tseitin clauses to the solver.
+            clauses = encoder.cnf.clauses
+            while self._shipped < len(clauses):
+                self._solver.add_clause(clauses[self._shipped])
+                self._shipped += 1
+            # Allocate the selector from the shared CNF so later cone
+            # encodings never reuse its index (the solver sizes itself
+            # from the clauses).
+            selector = encoder.cnf.new_var()
         if complement:
             # Under the selector, assert the nodes are EQUAL (SAT would
             # refute the complement-equivalence candidate).
@@ -219,7 +272,7 @@ class PairChecker:
         self.stats.propagations += after.get("propagations", 0) - before_props
         vector = None
         if result is SatResult.SAT:
-            vector = self._encoder.model_to_vector(self._solver.model())
+            vector = encoder.model_to_vector(self._solver.model())
         # Retire the selector so this miter never constrains later queries.
         self._solver.add_clause([-selector])
         return result, vector

@@ -1,12 +1,19 @@
 """CheckerPool: canonical-order verdicts, supervised retry, budgets."""
 
+import os
+import random
+import time
+
 import pytest
 
 from repro.errors import SweepError
 from repro.network import NetworkBuilder
 from repro.runtime import Budget, CheckerPool, RetryPolicy
+from repro.runtime import pool as pool_module
 from repro.sat.solver import SatResult
 from repro.simulation.simulator import Simulator
+from repro.sweep.cec import union_network
+from tests.conftest import random_network
 
 
 def triple_network():
@@ -134,6 +141,34 @@ class TestFaults:
         assert sat.outcome is SatResult.SAT and not sat.degraded
         assert comp.outcome is SatResult.UNSAT and not comp.degraded
 
+    def test_workers_dying_at_startup_degrade_instead_of_hanging(
+        self, monkeypatch
+    ):
+        """Every replacement dies before reading its fence: the fenced
+        tasks are charged as lost at the next reap, so the call returns
+        all-degraded once the retry budget is spent (it used to respawn
+        forever)."""
+        if "fork" not in pool_module.multiprocessing.get_all_start_methods():
+            pytest.skip("the exiting worker is a closure: needs fork")
+        monkeypatch.setattr(
+            pool_module, "_worker_main", lambda *args: os._exit(1)
+        )
+        net, nodes = triple_network()
+        pairs = standard_pairs(nodes)[:2]
+        # The deadline only bounds a regression; the call must not need it.
+        budget = Budget(seconds=60)
+        start = time.monotonic()
+        with CheckerPool(
+            net, 2, retry_policy=RetryPolicy(max_retries=2, backoff_base=0.01)
+        ) as pool:
+            verdicts = pool.check_pairs(pairs, budget=budget)
+            stats = pool.supervision_stats
+        assert time.monotonic() - start < 30
+        assert not budget.time_expired()
+        assert all(v.degraded for v in verdicts)
+        assert all(v.outcome is SatResult.UNKNOWN for v in verdicts)
+        assert stats["retries"] == len(pairs) * 2
+
     def test_expired_deadline_degrades_outstanding_pairs(self):
         net, nodes = triple_network()
         with CheckerPool(net, 2) as pool:
@@ -163,3 +198,43 @@ class TestRouting:
             for rep, member in [(3, 4), (3, 5), (10, 99)]:
                 assert one.shard_of(rep, member) == four.shard_of(rep, member)
                 assert 0 <= one.shard_of(rep, member) < one.shards
+
+
+class TestStartMethods:
+    def test_spawn_workers_match_fork(self, monkeypatch):
+        """Under ``spawn`` the workers unpickle the network and its lowered
+        tape instead of inheriting them; verdicts must not change."""
+        if "fork" not in pool_module.multiprocessing.get_all_start_methods():
+            pytest.skip("compares spawn against fork")
+        base = random_network(seed=5, num_gates=20)
+        net, _ = union_network(base, base)
+        gates = [n.uid for n in net.gates()]
+        rng = random.Random(5)
+        pairs = [
+            (*sorted(rng.sample(gates, 2)), rng.random() < 0.3)
+            for _ in range(12)
+        ]
+
+        def run(method):
+            with CheckerPool(net, 2) as pool:
+                assert pool._ctx.get_start_method() == method
+                return [
+                    (
+                        v.outcome,
+                        None if v.vector is None else v.vector.values,
+                        v.conflicts,
+                        v.propagations,
+                        v.degraded,
+                    )
+                    for v in pool.check_pairs(pairs)
+                ]
+
+        forked = run("fork")
+        monkeypatch.setattr(
+            pool_module.multiprocessing,
+            "get_all_start_methods",
+            lambda: ["spawn"],
+        )
+        spawned = run("spawn")
+        assert spawned == forked
+        assert not any(v[4] for v in spawned)
