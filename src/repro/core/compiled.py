@@ -38,8 +38,8 @@ side of the paper:
 Algorithm-1 control flow and consumes the RNG in exactly the reference
 order, so vectors, survivors, reports, and whole sweep trajectories are
 **bit-identical** to :class:`~repro.core.generator.SimGenGenerator` (the
-property suite in ``tests/core/test_compiled_kernel.py`` and the perfbench
-identity gate both enforce this).
+property suite in ``tests/core/test_compiled_kernel.py`` and a CI identity
+smoke both enforce this).
 """
 
 from __future__ import annotations
@@ -330,7 +330,7 @@ def transition_cache_info() -> dict:
 
 
 def clear_transition_cache() -> None:
-    """Drop every shared transition table (perf-harness cold starts).
+    """Drop every shared transition table, so the next lowering starts cold.
 
     The hit/miss/eviction counters are lifetime-monotonic and survive
     clears.

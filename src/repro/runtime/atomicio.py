@@ -1,8 +1,8 @@
 """Crash-safe file writes (temp file + fsync + ``os.replace``).
 
-Result artifacts — reduced networks, ``BENCH_perf.json``, experiment JSON,
-CEC verdict reports — must never be observable half-written: a reader (or
-a resumed session) that finds the file at all must find a complete one.
+Result artifacts — reduced networks, experiment JSON, CEC verdict
+reports — must never be observable half-written: a reader (or a resumed
+session) that finds the file at all must find a complete one.
 The standard recipe used here:
 
 1. write the full payload to a temp file *in the destination directory*

@@ -5,7 +5,8 @@ own Python list, watch lists in a dict, and per-variable state in parallel
 lists accessed through small methods.  Per propagation that costs a dict
 probe, a bound-method call per literal value check, and a tuple allocation
 per surviving watcher — the interpreter overhead dominates once the SAT
-phase is the hot loop (BENCH_perf.json: ~70% of `RandS` wall time).
+phase is the hot loop (about 70% of a `RandS` sweep's wall time on the
+reference solver).
 
 This module rebuilds the same search around the memory hierarchy instead
 (what MiniSat does in C, and what the sst-sat hardware port makes
@@ -43,14 +44,15 @@ variables in one call.  When no compiler is available — or
 ``REPRO_SATCORE=python`` forces it — the "compiled" backend falls back to
 the reference :class:`~repro.sat.solver.CdclSolver` and the Python
 encoder: identical results at 30-50x fewer propagations per second (on a
-2-vCPU Xeon: 104k vs 3.27M/s on the perf harness's SAT microbench, 32k vs
-1.58M/s on php(8,7) plus three random 3-SAT instances).  ``SAT_CORE`` says
-which core is active in this process.
+2-vCPU Xeon: 104k vs 3.27M/s on near-threshold 3-SAT and pigeonhole
+instances, 32k vs 1.58M/s on php(8,7) plus three random 3-SAT
+instances).  ``SAT_CORE`` says which core is active in this process.
 
 The C core is **bit-identical** to the reference: same verdicts, models,
 conflict / propagation / decision counts, learnt-clause trajectories, and
 budget expiry points.  The differential-fuzz suite under ``tests/sat/``
-and the perf harness's work-count identity assertion hold it to that.
+and the sweep-level identity tests under ``tests/sweep/`` hold it to
+that.
 """
 
 from __future__ import annotations

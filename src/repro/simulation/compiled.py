@@ -133,7 +133,7 @@ def tape_cache_info() -> dict:
 
 
 def clear_tape_cache() -> None:
-    """Drop every cached tape (perf-harness cold starts).
+    """Drop every cached tape, so the next compile starts cold.
 
     Counters are lifetime-monotonic and survive clears.
     """

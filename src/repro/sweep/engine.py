@@ -69,8 +69,8 @@ class SweepConfig:
     #: ``"reference"`` keeps the original dict-walking simulator and the
     #: one-full-network-pass-per-disproof resimulation.  Both produce
     #: bit-identical classes, cost histories, and SAT-call counts (the
-    #: perf harness cross-checks this); reference exists as the measured
-    #: baseline and for debugging.
+    #: pinned trajectories in ``tests/sweep/test_engine.py`` check this);
+    #: reference is the test oracle and a debugging aid.
     engine: str = "compiled"
     #: SimGen generator backend: ``"batch"`` / ``"compiled"`` /
     #: ``"reference"`` swap the provided generator to the matching twin

@@ -11,8 +11,6 @@ Commands operate on BLIF or .bench files (format chosen by extension):
 * ``cec     <a> <b>``                  — equivalence check two netlists
 * ``putontop <in> -o <out> -n N``      — stack N copies (&putontop)
 * ``gen     <benchmark> -o <out>``     — emit a suite benchmark as a file
-* ``bench   [--quick]``                — perf regression harness
-                                          (writes ``BENCH_perf.json``)
 * ``trace   <file.jsonl>``             — analyze / validate a structured
                                           trace recorded with ``--trace``
 * ``serve   [--port N] [--cache F]``   — persistent sweep/CEC daemon with
@@ -471,28 +469,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 1 if result["verdict"] == "different" else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # Imported lazily: the harness pulls in the whole experiment stack.
-    from repro.experiments.perfbench import main as bench_main
-
-    forwarded = []
-    if args.quick:
-        forwarded.append("--quick")
-    forwarded += [
-        "-o", args.output,
-        "--seed", str(args.seed),
-        "--repeats", str(args.repeats),
-    ]
-    if args.min_speedup is not None:
-        forwarded += ["--min-speedup", str(args.min_speedup)]
-    if args.baseline is not None:
-        forwarded += [
-            "--baseline", args.baseline,
-            "--max-regression", str(args.max_regression),
-        ]
-    return bench_main(forwarded)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.tools", description="SimGen netlist utilities"
@@ -703,29 +679,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.set_defaults(fn=_cmd_submit)
 
-    p = sub.add_parser("bench", help="sweep performance regression harness")
-    p.add_argument("--quick", action="store_true", help="CI smoke subset")
-    p.add_argument("-o", "--output", default="BENCH_perf.json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--repeats", type=int, default=3,
-        help="cold runs per variant row; the fastest is reported",
-    )
-    p.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="fail unless end-to-end speedup vs seed reaches this factor",
-    )
-    p.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="committed BENCH_perf.json to gate speedup ratios against",
-    )
-    p.add_argument(
-        "--max-regression", type=float, default=0.25,
-        help="allowed fractional speedup drop vs --baseline (default 0.25)",
-    )
-    p.set_defaults(fn=_cmd_bench)
 
     args = parser.parse_args(argv)
     try:

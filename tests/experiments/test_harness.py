@@ -1,5 +1,7 @@
 """Experiment harnesses on a tiny configuration (fast smoke coverage)."""
 
+import time
+
 import pytest
 
 from repro.core.strategies import STRATEGY_NAMES
@@ -58,6 +60,54 @@ class TestTable1:
         assert "Table 1" in text
         assert "AI+DC+MFFC" in text
         assert "paper" in text.lower()
+
+
+class SlowGenerator:
+    """Delegates to a real generator, sleeping a fixed time per call."""
+
+    DELAY = 0.02
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def generate(self, targets):
+        time.sleep(self.DELAY)
+        return self._inner.generate(targets)
+
+
+class TestRuntimeColumns:
+    """The runtime columns time the guided simulation stage: generation
+    plus simulation, as the paper's Table 1 and Figs. 5-6 do."""
+
+    def test_generation_time_counts(self, monkeypatch):
+        from repro.experiments import runner as runner_module
+
+        real = runner_module.make_generator
+
+        def slow_make_generator(strategy, network, **kwargs):
+            generator = real(strategy, network, **kwargs)
+            if strategy == "AI+DC+MFFC":
+                return SlowGenerator(generator)
+            return generator
+
+        monkeypatch.setattr(
+            runner_module, "make_generator", slow_make_generator
+        )
+        config = ExperimentConfig(
+            benchmarks=("dec",), iterations=4, random_width=8,
+            vectors_per_iteration=2,
+        )
+        result = run_table1(config, ExperimentRunner(config))
+        slept = config.iterations * SlowGenerator.DELAY
+        slow = result.runs[("dec", "AI+DC+MFFC")]
+        revs = result.runs[("dec", "RevS")]
+        assert slow.sim_time >= slept
+        # One benchmark, one seed: the aggregate row times the RevS
+        # runtime is the slowed strategy's runtime in seconds.
+        assert result.aggregate_runtime["AI+DC+MFFC"] * revs.sim_time >= slept
 
 
 class TestTable2:

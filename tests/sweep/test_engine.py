@@ -247,3 +247,89 @@ class TestEngineVariants:
         engine._flush_cex(result.classes, result.metrics)
         assert not engine._pending_cex
         assert result.classes.cost() <= before
+
+
+#: (benchmark, strategy, putontop copies) -> (SAT calls, final cost,
+#: vectors simulated, sweep signature) of a seed-0 sweep with default
+#: settings.  Recorded when the seed-era code, the reference engines and
+#: the compiled and batch paths were last cross-checked to agree on every
+#: row; each path must keep following these trajectories.
+TRAJECTORY_PINS = {
+    ("cps", "RandS", 1): (70, 84, 722, "2ccbee9590032a8a0eff783ef87404dc"),
+    ("cps", "AI+DC+MFFC", 1): (69, 87, 99, "60b5b98967f40a6bdb5f1848f30fc7d1"),
+    ("b14_C", "RandS", 1): (8, 8, 707, "cd58aa0ba3e8b8ca47f313f3cbb8f09d"),
+    ("b14_C", "AI+DC+MFFC", 1): (8, 8, 72, "011ebfedb6672e1ac14fc17e0a2277af"),
+    ("alu4", "RandS", 1): (0, 0, 704, "b9445324aca4a5697ef9a17ba45fae96"),
+    ("alu4", "AI+DC+MFFC", 1): (0, 0, 64, "b9445324aca4a5697ef9a17ba45fae96"),
+    ("apex2", "RevS", 1): (0, 0, 96, "776ee688396185de62ec9e54f34ec2a5"),
+    ("apex2", "AI+DC+MFFC", 1): (0, 0, 100, "ebcdb20bc6597da7fc7edfa0b922cfd3"),
+    ("priority", "RevS", 1): (0, 0, 80, "a7521be6b566afb40de2b12fe3b349a9"),
+    ("priority", "AI+DC+MFFC", 1): (0, 0, 91, "efeb41cea9f8e13c8bcee57ce27a480f"),
+    ("cps", "AI+DC+MFFC", 2): (261, 278, 118, "22b59cb91906b1feee830b951cb7fa93"),
+    ("b14_C", "RandS", 2): (24, 25, 711, "ae7c46299191e7f2bd4582ecd4225ec1"),
+}
+#: The rows cheap enough to replay on the all-reference path.
+QUICK_ROWS = list(TRAJECTORY_PINS)[:4]
+
+
+def row_id(row):
+    benchmark, strategy, copies = row
+    return f"{benchmark}-{strategy}-x{copies}"
+
+
+class TestTrajectoryPins:
+    """Seed-0 sweeps of suite circuits follow the pinned trajectories."""
+
+    @staticmethod
+    def _sweep(benchmark, strategy, copies, **config):
+        from repro.benchgen import sweep_instance
+
+        net = sweep_instance(benchmark, copies=copies)
+        engine = SweepEngine(
+            net,
+            make_generator(strategy, net, seed=0),
+            SweepConfig(seed=0, **config),
+        )
+        return net, engine.run()
+
+    def _pin(self, row, **config):
+        from repro.runtime.journal import sweep_signature
+
+        net, result = self._sweep(*row, **config)
+        metrics = result.metrics
+        return (
+            metrics.sat_calls,
+            metrics.final_cost,
+            metrics.vectors_simulated,
+            sweep_signature(net, result),
+        )
+
+    @pytest.mark.parametrize("row", list(TRAJECTORY_PINS), ids=row_id)
+    def test_fast_path(self, row):
+        assert self._pin(row) == TRAJECTORY_PINS[row]
+
+    @pytest.mark.parametrize("row", QUICK_ROWS, ids=row_id)
+    def test_reference_path(self, row):
+        pin = self._pin(
+            row,
+            engine="reference",
+            simgen_backend="reference",
+            sat_backend="reference",
+        )
+        assert pin == TRAJECTORY_PINS[row]
+
+    def test_pooled_path_merges_like_serial(self):
+        """The pool visits pairs in waves, so its SAT-call count differs
+        by design; the merges, classes, proofs and cost history may not."""
+        projections = []
+        for jobs in (1, 2):
+            _, result = self._sweep("cps", "AI+DC+MFFC", 2, jobs=jobs)
+            projections.append(
+                (
+                    sorted(result.equivalences),
+                    sorted(map(tuple, result.classes.all_classes())),
+                    result.metrics.proven,
+                    result.metrics.cost_history,
+                )
+            )
+        assert projections[0] == projections[1]
