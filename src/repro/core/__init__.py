@@ -7,15 +7,7 @@ themselves for fine-grained control.
 
 from repro.core.assignment import Assignment, Conflict
 from repro.core.batch import BatchSimGenGenerator
-from repro.core.compiled import (
-    GENERATOR_BACKENDS,
-    CompiledSimGenGenerator,
-    CompiledSimGenKernel,
-    KernelConflict,
-    adapt_backend,
-    clear_transition_cache,
-    transition_cache_info,
-)
+from repro.core.compiled import clear_transition_cache, transition_cache_info
 from repro.core.decision import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
@@ -45,14 +37,18 @@ from repro.core.outgold import (
 from repro.core.random_gen import OneDistanceGenerator, RandomGenerator
 from repro.core.reverse import ReverseSimGenerator
 from repro.core.satgen import SatCexGenerator
-from repro.core.strategies import SIMGEN, STRATEGY_NAMES, factory, make_generator
+from repro.core.strategies import (
+    GENERATOR_BACKENDS,
+    SIMGEN,
+    STRATEGY_NAMES,
+    factory,
+    make_generator,
+)
 
 __all__ = [
     "Assignment",
     "BaseVectorGenerator",
     "BatchSimGenGenerator",
-    "CompiledSimGenGenerator",
-    "CompiledSimGenKernel",
     "Conflict",
     "DEFAULT_ALPHA",
     "DEFAULT_BETA",
@@ -65,7 +61,6 @@ __all__ = [
     "ImplicationEngine",
     "ImplicationOutcome",
     "ImplicationStrategy",
-    "KernelConflict",
     "OneDistanceGenerator",
     "RandomGenerator",
     "SatCexGenerator",
@@ -74,7 +69,6 @@ __all__ = [
     "STRATEGY_NAMES",
     "SimGenGenerator",
     "TargetedVectorGenerator",
-    "adapt_backend",
     "alternating_outgold",
     "classes_cost",
     "clear_transition_cache",

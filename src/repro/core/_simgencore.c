@@ -1,22 +1,25 @@
 /* SimGen lane core: Algorithm 1's per-target inner loop in C.
  *
- * The compiled Python kernel (repro/core/compiled.py) already lowered the
- * assignment, implication fixpoint, and decision commit onto dense slot
- * arrays; this file is the same machine once more, in C, so the batch
- * generation driver (repro/core/batch.py) can retire whole targets per
- * call instead of paying interpreter cost per examination.  The contract
- * is *bit-identity*: every counter bump, every queue push, every trail
- * entry happens in exactly the order of CompiledSimGenKernel — the Python
- * driver owns everything that consumes the RNG, and this core suspends (a
- * "bounce", SG_NEED_RNG) whenever a decision needs a roulette/choice
- * draw.  The caller draws from the Python Random and resumes; the
- * suspended state machine continues exactly where it stopped, with no
- * double counting.  Transition-table states are resolved lazily *in C*
- * (sg_resolve_forced / sg_resolve_decision, verbatim ports of the Python
- * _TransitionTable.resolve / resolve_decision): resolution is a pure
- * integer function of the packed state and the rows, so doing it here
- * rather than bouncing into Python preserves bit-identity while removing
- * the dominant per-state round-trip cost.
+ * repro/core/batch.py lowers a network straight into this core: dense
+ * slots in topological order, each with its fanin slots and examiners
+ * (the node, then its fanouts), plus one transition table per distinct
+ * gate function.  The assignment is a flat value array and a trail; each
+ * gate's pin state is one packed index, (output + 1) * 4**k +
+ * (known_mask << k) + known_values, kept up to date incrementally, so an
+ * examination is a single table lookup.  The batch generation driver
+ * retires whole targets per call instead of paying interpreter cost per
+ * examination.  The contract is *bit-identity* with the reference
+ * engines (ImplicationEngine, DecisionEngine and SimGenGenerator in
+ * repro/core): every counter bump, every queue push, every trail entry
+ * happens in exactly their order.  The Python driver owns everything
+ * that consumes the RNG, and this core suspends (a "bounce",
+ * SG_NEED_RNG) whenever a decision needs a roulette/choice draw.  The
+ * caller draws from the Python Random and resumes; the suspended state
+ * machine continues exactly where it stopped, with no double counting.
+ * Transition-table states are resolved lazily (sg_resolve_forced /
+ * sg_resolve_decision, ports of ImplicationEngine._examine_state and
+ * DecisionEngine.candidate_rows): resolution is a pure integer function
+ * of the packed state and the rows, so it needs no round trip to Python.
  *
  * One core holds ONE assignment state (values/trail/packed gate state).
  * Lane parallelism lives a level up: the batch driver runs attempts
@@ -397,10 +400,11 @@ static int32_t pool_append(int32_t **pool, int32_t *len, int32_t *cap,
     return off;
 }
 
-/* Lazily resolve one packed implication state — the fused single pass of
- * _TransitionTable.resolve, ported verbatim (same row order via the
- * output filter, same early "nothing forced" exits, same advanced-mode
- * meet).  Stores into fref; returns 0, or -1 on allocation failure. */
+/* Lazily resolve one packed implication state: what
+ * ImplicationEngine._examine_state forces, in one fused pass over the
+ * rows (same row order, same single-match and "nothing forced" results,
+ * same advanced-mode meet of Definition 4.1).  Stores into fref; returns
+ * 0, or -1 on allocation failure. */
 static int sg_resolve_forced(SgCore *h, SgTable *t, int64_t index) {
     int32_t k = t->k;
     int32_t output = (int32_t)(index / t->stride) - 1;
@@ -423,7 +427,7 @@ static int sg_resolve_forced(SgCore *h, SgTable *t, int64_t index) {
     int32_t base_out = 0;
     int64_t forced_mask = 0;
     int out_agree = output < 0;
-    int dead = 0; /* an early "forced = ()" return of the scalar resolve */
+    int dead = 0; /* an early "nothing forced" return of _examine_state */
     for (int32_t r = 0; r < t->n_rows; r++) {
         if (output >= 0 && t->row_out[r] != output)
             continue;
@@ -480,10 +484,10 @@ static int sg_resolve_forced(SgCore *h, SgTable *t, int64_t index) {
     return 0;
 }
 
-/* Lazily resolve one packed decision state — _TransitionTable's
- * resolve_decision, fused into one pass (the early break only trims the
- * useful list; the conflict test needs just "any match").  Stores into
- * dref; returns 0, or -1 on allocation failure. */
+/* Lazily resolve one packed decision state: the candidate rows of
+ * DecisionEngine.candidate_rows as row indices, in one pass (the early
+ * break only trims the useful list; the conflict test needs just "any
+ * match").  Stores into dref; returns 0, or -1 on allocation failure. */
 static int sg_resolve_decision(SgCore *h, SgTable *t, int64_t index) {
     int32_t k = t->k;
     int32_t output = (int32_t)(index / t->stride) - 1;
@@ -521,7 +525,7 @@ static int sg_resolve_decision(SgCore *h, SgTable *t, int64_t index) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Assignment primitives (bit-for-bit the Python kernel's _set/_unwind) */
+/* Assignment primitives: assign/unwind keep the packed states current */
 /* ------------------------------------------------------------------ */
 
 static void sg_assign_slot(SgCore *h, int32_t slot, int32_t value) {
@@ -560,22 +564,14 @@ static void sg_unwind_to(SgCore *h, int32_t mark) {
 
 void sg_reset(void *hp) {
     SgCore *h = (SgCore *)hp;
-    /* Like kernel.reset(): unwind everything, NO reverted accounting. */
+    /* A fresh Assignment per attempt: unwind everything, NO reverted
+     * accounting. */
     sg_unwind_to(h, 0);
     h->phase = PH_IDLE;
     while (h->q_head != h->q_tail) {
         h->queued[h->queue[h->q_head]] = 0;
         h->q_head = (h->q_head + 1) % h->q_cap;
     }
-}
-
-int32_t sg_read_trail(void *hp, int32_t *slots, int8_t *vals) {
-    SgCore *h = (SgCore *)hp;
-    for (int32_t t = 0; t < h->trail_len; t++) {
-        slots[t] = h->trail[t];
-        vals[t] = h->values[h->trail[t]];
-    }
-    return h->trail_len;
 }
 
 /* Write the requested slots' current values into out (-1 unassigned). */
@@ -768,7 +764,8 @@ static int32_t sg_run(SgCore *h) {
             int r = sg_propagate(h);
             if (r < 0)
                 return SG_ERROR;
-            /* Close the propagate stats window (the scalar `finally`). */
+            /* Close the propagate stats window (ImplicationEngine.propagate's
+             * `finally`). */
             h->counters[C_PROP_CALLS]++;
             h->counters[C_EXAMINATIONS] += h->prop_examined;
             h->counters[C_FORCED] += h->prop_assigned;

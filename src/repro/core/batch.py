@@ -1,26 +1,28 @@
-"""Batch SimGen backend: lane-parallel guided-vector generation.
+"""Batch SimGen: Algorithm 1 on a C lane core, verified 64 vectors a word.
 
-The compiled kernel (PR 5) made one guided vector cheap; this module makes
-*batches* of them cheap.  Two independent ideas compose, and it is worth
-being precise about why the obvious third one is off the table:
+:class:`BatchSimGenGenerator` is the fast path of every SimGen strategy
+(paper §6.2); :class:`~repro.core.generator.SimGenGenerator` and its
+reference engines are the oracle it must match bit for bit.  Two ideas
+compose, and it is worth being precise about why the obvious third one is
+off the table:
 
 **Why decisions stay scalar.**  Algorithm 1's attempts are hard-serialized
 on one ``random.Random``: attempt ``i+1``'s target sample, every roulette
 draw inside it, and its free-PI completion all read RNG state that only
 exists after attempt ``i`` has fully finished.  Advancing 64 *generation
 fixpoints* in true lockstep would have to interleave those draws and so
-cannot be bit-identical to the scalar kernel — and bit-identity is the
+cannot be bit-identical to the reference loop — and bit-identity is the
 acceptance gate of every backend seam in this repository.  The lane
 dimension therefore lives where the trajectory is already width-agnostic:
 
-* **the inner loop drops to C** — :mod:`repro.core` ships
+* **the inner loop runs in C** — :mod:`repro.core` ships
   ``_simgencore.c``, a resumable Algorithm-1 core that retires whole
   targets per call (propagate fixpoints, transition-table resolution,
   candidate picks, row commits, trail reverts) and *bounces* back to
   Python only at the single point that must stay there for bit-identity:
-  RNG draws.  The packed per-gate state, worklist order, lazy table
-  resolution, and every counter bump replicate
-  :class:`~repro.core.compiled.CompiledSimGenKernel` exactly;
+  RNG draws.  Its worklist order, state resolution, and every counter
+  bump replicate :class:`~repro.core.implication.ImplicationEngine` and
+  :class:`~repro.core.decision.DecisionEngine` exactly;
 
 * **verification becomes 64-wide** — instead of simulating each candidate
   vector alone (``run_words`` with width 1), finished attempts park in
@@ -29,20 +31,26 @@ dimension therefore lives where the trajectory is already width-agnostic:
   ``p``).  Because the Algorithm-1 loop needs each vector's skip verdict
   before it knows whether to *stop*, parked lanes are **speculative**:
   the driver checkpoints the RNG/rotation/report/stats state before every
-  attempt, and when a flush reveals that the scalar loop would have
+  attempt, and when a flush reveals that the reference loop would have
   stopped earlier, it rewinds to that attempt's checkpoint — the RNG is
   restored with ``setstate``, over-speculated reports are dropped, and
   shared stats dicts are rolled back, so the observable trajectory is
-  byte-identical to ``--simgen-backend compiled``.
+  byte-identical to ``--simgen-backend reference``.
+
+The network is lowered straight into the core (:class:`_SgCore`): one pass
+over the topological order gives every node a dense slot, and each
+distinct gate function is handed over once from the shared table cache
+of :mod:`repro.core.compiled`.
 
 Lanes that resolve without simulation (the skip criterion already failed
 on the claimed values) mask out before the flush and are counted in
 ``simgen.batch.masked_lane_steps``; per-flush live-lane widths feed the
 ``simgen.batch.lanes_active`` histogram.
 
-When no C toolchain is available (or ``REPRO_SIMGENCORE=python``), the
-driver keeps the speculative 64-wide verification but runs each attempt
-on the pure-Python compiled kernel — identical results, slower.
+When the core cannot run — no C toolchain (or ``REPRO_SIMGENCORE=python``),
+a gate wider than :data:`SG_MAX_K`, or an outgold strategy a checkpoint
+cannot rewind — the generator runs the inherited reference Algorithm 1:
+identical results, about 10x slower generation.
 """
 
 from __future__ import annotations
@@ -52,11 +60,15 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-import repro.core.compiled as _compiled_mod
-from repro.core.compiled import CompiledSimGenGenerator, _TransitionTable
-from repro.core.decision import DEFAULT_ALPHA, DEFAULT_BETA, DecisionStrategy
-from repro.core.generator import GenerationReport
-from repro.core.implication import ImplicationStrategy
+from repro.core.compiled import _TransitionTable, transition_table
+from repro.core.decision import (
+    DEFAULT_ALPHA,
+    DEFAULT_BETA,
+    DecisionEngine,
+    DecisionStrategy,
+)
+from repro.core.generator import GenerationReport, SimGenGenerator
+from repro.core.implication import ImplicationEngine, ImplicationStrategy
 from repro.core.outgold import (
     OutgoldStrategy,
     alternating_outgold,
@@ -66,6 +78,7 @@ from repro.core.outgold import (
 from repro.errors import GenerationError
 from repro.network.network import Network
 from repro.runtime.cbuild import CoreLoader
+from repro.simulation.compiled import CompiledSimulator
 from repro.simulation.patterns import InputVector
 
 #: Verification lane width — one 64-bit simulator word.
@@ -73,8 +86,14 @@ LANES = 64
 
 #: Largest gate arity the C core compiles transition tables for (the
 #: ``fref``/``dref`` arrays are ``3 * 4**k`` ints per distinct function).
-#: Networks above it fall back to the pure-Python attempt path.
+#: Networks above it run the reference Algorithm 1.
 SG_MAX_K = 8
+
+#: Total cap on cached roulette weight lists of one core.  Overflow
+#: clears the whole cache (weights are a deterministic function of the
+#: gate state, so trajectories are unaffected) and counts the dropped
+#: entries in ``stats["weights_evictions"]``.
+WEIGHTS_CACHE_CAP = 1 << 16
 
 # Status codes of the C core (keep in sync with _simgencore.c).
 _DONE = 0
@@ -108,8 +127,6 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.sg_set_mailbox.restype = None
     lib.sg_reset.argtypes = [ctypes.c_void_p]
     lib.sg_reset.restype = None
-    lib.sg_read_trail.argtypes = [ctypes.c_void_p, p_i32, p_i8]
-    lib.sg_read_trail.restype = i32
     lib.sg_read_values.argtypes = [ctypes.c_void_p, p_i32, i32, p_i8]
     lib.sg_read_values.restype = None
     lib.sg_read_trail_pis.argtypes = [ctypes.c_void_p, p_i32, p_i8]
@@ -128,7 +145,8 @@ _LOADER = CoreLoader(
     env_var="REPRO_SIMGENCORE",
     configure=_configure,
     describe="compiled SimGen lane core",
-    fallback="the pure-Python compiled kernel (identical results, slower)",
+    fallback="the reference SimGen engines (identical results, about 10x "
+    "slower generation)",
 )
 
 _LIB = _LOADER.load()
@@ -138,18 +156,28 @@ SIMGEN_CORE = "c" if _LIB is not None else "python"
 
 
 class _SgCore:
-    """ctypes wrapper around one ``_simgencore`` instance.
+    """One network lowered into a ``_simgencore`` instance.
 
-    Built from a :class:`CompiledSimGenKernel`'s already-lowered arrays, so
-    the C core is structurally identical to the scalar kernel by
-    construction (same slots, same examiner order, same shared transition
-    tables).
+    A single pass over ``network.topological_order()`` gives every node a
+    dense slot and hands the core its PI flag, its fanin slots, and its
+    examiners — the node itself, then its fanouts, the reference
+    worklist order.  Each distinct gate function goes in once, from the
+    shared table cache.  The fanins and packed rows come from the
+    implication engine, which has already lowered them per gate.
+
+    The Python side keeps what the RNG bounce needs: the slot maps, the
+    Equation-4 priority of every row, and the bounded roulette-weights
+    cache.  :attr:`stats` is published as ``simgen.kernel.*``.
     """
 
     __slots__ = (
         "_lib",
         "_handle",
-        "tables",
+        "uids",
+        "slot_of",
+        "priorities",
+        "weights",
+        "stats",
         "info",
         "indices",
         "_trail_slots",
@@ -158,61 +186,102 @@ class _SgCore:
         "_last_counters",
     )
 
-    def __init__(self, lib: ctypes.CDLL, kernel):
-        n = len(kernel._uids)
+    def __init__(
+        self,
+        lib: ctypes.CDLL,
+        network: Network,
+        implication: ImplicationEngine,
+        decision: DecisionEngine,
+    ):
+        order = network.topological_order()
+        n = len(order)
         self._lib = lib
-        self._handle = lib.sg_new(n)
-        if not self._handle:
+        self._handle = handle = lib.sg_new(n)
+        if not handle:
             raise MemoryError("sg_new failed")
-        #: Shared Python tables by C table id (keeps the dedup map's
-        #: ``id()`` keys stable while the core is being built).
-        self.tables: list[_TransitionTable] = []
-        table_ids: dict[int, int] = {}
+        #: Slot -> uid (topological order) and its inverse.
+        self.uids = order
+        self.slot_of = slot_of = {uid: s for s, uid in enumerate(order)}
+        #: Per slot: Equation-4 priority of each packed row; None for PIs,
+        #: constants, and random decisions (which never score rows).
+        self.priorities: list[Optional[list[float]]] = [None] * n
+        #: (slot, state index) -> roulette weights, bounded by
+        #: :data:`WEIGHTS_CACHE_CAP`.
+        self.weights: dict[tuple[int, int], list[float]] = {}
+        advanced = implication.strategy is ImplicationStrategy.ADVANCED
+        score_rows = decision.strategy is not DecisionStrategy.RANDOM
+        use_mffc = decision.strategy is DecisionStrategy.DC_MFFC
+        alpha, beta, mffc = decision.alpha, decision.beta, decision._mffc
+        gate_info = implication._gate_info
+        examiners = implication._examiners
+        # Keyed by the table object itself, which keeps every table alive
+        # (and its identity unique) while the core is being built.
+        table_ids: dict[_TransitionTable, int] = {}
         max_rows = 1
-        i32, i64, i8 = ctypes.c_int32, ctypes.c_int64, ctypes.c_int8
-        for slot in range(n):
-            table = kernel._tables[slot]
-            if table is None:
+        i32 = ctypes.c_int32
+        for slot, uid in enumerate(order):
+            exam = [slot_of[e] for e in examiners[uid]]
+            info = gate_info[uid]
+            if info is None:  # PI or constant
                 tid, k, fan_arr = -1, 0, None
+                is_pi = network.node(uid).is_pi
             else:
-                tid = table_ids.get(id(table))
+                fanins, rows, _ = info
+                k = len(fanins)
+                if k > SG_MAX_K:
+                    raise GenerationError(
+                        f"gate arity {k} exceeds the core's {SG_MAX_K}"
+                    )
+                table = transition_table(rows, k, advanced)
+                tid = table_ids.get(table)
                 if tid is None:
-                    rows = table.rows
-                    n_rows = len(rows)
                     tid = lib.sg_add_table(
-                        self._handle,
-                        table.k,
-                        n_rows,
-                        int(table.advanced),
-                        (i64 * n_rows)(*[r[0] for r in rows]),
-                        (i64 * n_rows)(*[r[1] for r in rows]),
-                        (i8 * n_rows)(*[r[2] for r in rows]),
+                        handle, table.k, len(table.rows), int(table.advanced),
+                        table.masks, table.values, table.outputs,
                     )
                     if tid < 0:
                         raise GenerationError("simgen core rejected a table")
-                    table_ids[id(table)] = tid
-                    self.tables.append(table)
-                    max_rows = max(max_rows, n_rows)
-                fanins = kernel._fanins[slot]
-                k = len(fanins)
-                fan_arr = (i32 * k)(*fanins)
-            exam = kernel._examiners[slot]
-            exam_arr = (i32 * max(1, len(exam)))(*exam)
+                    table_ids[table] = tid
+                    max_rows = max(max_rows, len(rows))
+                fan_arr = (i32 * k)(*[slot_of[f] for f in fanins])
+                is_pi = False
+                if score_rows:
+                    priorities: list[float] = []
+                    for mask, _vals, _out in rows:
+                        # Exact float-op order of DecisionEngine.priority:
+                        # the weights must be bit-equal for the roulette to
+                        # draw identically.
+                        value = alpha * (k - mask.bit_count())
+                        if use_mffc:
+                            rank = 0.0
+                            for i in range(k):
+                                if (mask >> i) & 1:
+                                    rank += mffc.depth(fanins[i])
+                            value += beta * rank
+                        priorities.append(value)
+                    self.priorities[slot] = priorities
             if lib.sg_set_node(
-                self._handle, slot, tid, int(kernel._is_pi[slot]),
-                fan_arr, k, exam_arr, len(exam),
+                handle, slot, tid, int(is_pi), fan_arr, k,
+                (i32 * len(exam))(*exam), len(exam),
             ) != 0:
                 raise GenerationError("simgen core rejected a node")
-        if lib.sg_finalize(self._handle) != 0:
+        if lib.sg_finalize(handle) != 0:
             raise GenerationError("simgen core finalize failed")
         #: Bounce mailboxes, written by C and read here without extra calls.
-        self.info = (i64 * 8)()
+        self.info = (ctypes.c_int64 * 8)()
         self.indices = (i32 * max_rows)()
-        lib.sg_set_mailbox(self._handle, self.info, self.indices)
+        lib.sg_set_mailbox(handle, self.info, self.indices)
         self._trail_slots = (i32 * n)()
-        self._trail_vals = (i8 * n)()
-        self._counter_buf = (i64 * 8)()
+        self._trail_vals = (ctypes.c_int8 * n)()
+        self._counter_buf = (ctypes.c_int64 * 8)()
         self._last_counters = [0] * 8
+        #: Published as ``simgen.kernel.*``.
+        self.stats = {
+            "compiled_nodes": n,
+            "transition_tables": len(table_ids),
+            "reverted_assignments": 0,
+            "weights_evictions": 0,
+        }
 
     def __del__(self):  # pragma: no cover - interpreter teardown order
         handle = getattr(self, "_handle", None)
@@ -227,19 +296,7 @@ class _SgCore:
     def reset(self) -> None:
         self._lib.sg_reset(self._handle)
 
-    def start_target(self, slot: int, gold: int) -> int:
-        return self._lib.sg_start_target(self._handle, slot, gold)
-
-    def resume_rng(self, chosen_row: int) -> int:
-        return self._lib.sg_resume_rng(self._handle, chosen_row)
-
     # -- reads --------------------------------------------------------
-    def read_trail(self) -> tuple[list[int], list[int]]:
-        n = self._lib.sg_read_trail(
-            self._handle, self._trail_slots, self._trail_vals
-        )
-        return self._trail_slots[:n], self._trail_vals[:n]
-
     def read_trail_pis(self) -> tuple[list[int], list[int]]:
         """Assigned-PI trail entries only (slots, values), trail order."""
         n = self._lib.sg_read_trail_pis(
@@ -305,15 +362,16 @@ class _BatchTelemetry:
         self.lane_occupancy: list[int] = []
 
 
-class BatchSimGenGenerator(CompiledSimGenGenerator):
-    """SimGen with lane-batched verification and a C Algorithm-1 core.
+class BatchSimGenGenerator(SimGenGenerator):
+    """SimGen with a C Algorithm-1 core and lane-batched verification.
 
-    A drop-in for :class:`CompiledSimGenGenerator`: same constructor, same
-    RNG order, bit-identical vectors/reports/stats — the differential
-    suite in ``tests/core/test_batch_kernel.py`` enforces it per lane.
+    A drop-in for :class:`SimGenGenerator`: same constructor, same RNG
+    order, bit-identical vectors, reports and implication/decision stats —
+    the differential suite in ``tests/core/test_batch_kernel.py`` enforces
+    it.  :attr:`kernel` is the lowered C core, or ``None`` when the core
+    cannot run; every call then takes the inherited reference path.
     """
 
-    backend = "batch"
     LANES = LANES
 
     def __init__(
@@ -339,49 +397,48 @@ class BatchSimGenGenerator(CompiledSimGenGenerator):
             alpha,
             beta,
         )
+        # Verification through the tape-compiled simulator: values are
+        # bit-identical to the reference Simulator, only faster.
+        self._verifier = CompiledSimulator(network)
         self.batch = _BatchTelemetry()
-        #: Speculation needs every RNG consumer of the attempt loop to be
-        #: rewindable through ``self.rng``; the stateless builtin outgold
-        #: strategies are, arbitrary stateful callables may not be.
-        self._speculate = outgold_strategy in (
-            alternating_outgold,
-            level_alternating_outgold,
-        )
-        self._core: Optional[_SgCore] = None
-        if _LIB is not None and self._core_supported():
-            try:
-                self._core = _SgCore(_LIB, self.kernel)
-            except (GenerationError, MemoryError):
-                self._core = None
         #: uid -> (level, uid) sort key, built lazily (see _order_targets).
         self._order_key: Optional[dict[int, tuple[int, int]]] = None
+        self.kernel: Optional[_SgCore] = None
+        # Speculation needs every RNG consumer of the attempt loop to be
+        # rewindable through ``self.rng``; the stateless builtin outgold
+        # strategies are, arbitrary stateful callables may not be.
+        if _LIB is not None and outgold_strategy in (
+            alternating_outgold,
+            level_alternating_outgold,
+        ):
+            try:
+                self.kernel = _SgCore(
+                    _LIB, network, self.implication, self.decision
+                )
+            except (GenerationError, MemoryError):
+                pass  # e.g. a gate wider than SG_MAX_K: the reference path runs
 
     def _order_targets(self, outgold: Mapping[int, int]) -> list[int]:
         """Algorithm 1 line 2, with the sort keys precomputed once.
 
-        Identical ordering to the scalar ``_order_targets`` — same
+        Identical ordering to the reference ``_order_targets`` — same
         ``(level, uid)`` tuples, same ``reverse`` sort — but the per-call
         lambda/level lookups collapse to one dict ``__getitem__``.
         """
         keys = self._order_key
         if keys is None:
-            level = self.network.level
-            keys = {uid: (level(uid), uid) for uid in self.kernel._uids}
+            keys = {
+                uid: (level, uid)
+                for uid, level in self.network.levels().items()
+            }
             self._order_key = keys
         return sorted(outgold, key=keys.__getitem__, reverse=True)
 
-    def _core_supported(self) -> bool:
-        kernel = self.kernel
-        return all(
-            fanins is None or len(fanins) <= SG_MAX_K
-            for fanins in kernel._fanins
-        )
-
     # ------------------------------------------------------------------
-    # Speculative generate loop (the scalar loop, lanes ahead)
+    # Speculative generate loop (the reference loop, lanes ahead)
     # ------------------------------------------------------------------
     def generate(self, classes: Sequence[Sequence[int]]) -> list[InputVector]:
-        if not self._speculate:
+        if self.kernel is None:
             return super().generate(classes)
         splittable = [c for c in classes if len(c) >= 2]
         splittable.sort(key=len, reverse=True)
@@ -440,12 +497,12 @@ class BatchSimGenGenerator(CompiledSimGenGenerator):
         )
 
     def _rewind(self, chk: _Checkpoint) -> None:
-        """Undo over-speculated attempts: the scalar loop stopped earlier."""
+        """Undo over-speculated attempts: the reference loop stopped earlier."""
         self.rng.setstate(chk.rng_state)
         self._rotation = chk.rotation
         del self.reports[chk.n_reports:]
-        # The stats dicts are shared with the reference engines and the
-        # kernel: restore them in place.
+        # The stats dicts are the ones the engine publishes: restore them
+        # in place.
         self.implication.stats.update(chk.impl)
         self.decision.stats.update(chk.dec)
         self.kernel.stats.update(chk.kernel)
@@ -457,94 +514,74 @@ class BatchSimGenGenerator(CompiledSimGenGenerator):
         self, outgold: Mapping[int, int], chk: _Checkpoint
     ) -> _PendingAttempt:
         report = GenerationReport(vector=None)
-        core = self._core
-        if core is not None:
-            core.reset()
-            for target in self._order_targets(outgold):
-                self._run_target_core(target, outgold[target], report)
-            self._fold_core_counters()
-            slot_of = self.kernel._slot_of
-            target_vals = core.values_of([slot_of[uid] for uid in outgold])
-            # Unassigned reads back as -1, which never equals a gold bit —
-            # exactly `assigned.get(uid) == gold` on the scalar path.
-            claimed = [
-                uid
-                for uid, value in zip(outgold, target_vals)
-                if value == outgold[uid]
-            ]
-            uids = self.kernel._uids
-            pi_slots, pi_trail_vals = core.read_trail_pis()
-            pi_vals = {
-                uids[slot]: value
-                for slot, value in zip(pi_slots, pi_trail_vals)
-            }
-        else:
-            kernel = self.kernel
-            kernel.reset()
-            for target in self._order_targets(outgold):
-                self._process_target_compiled(target, outgold[target], report)
-            claimed = [
-                uid for uid, gold in outgold.items()
-                if kernel.value(uid) == gold
-            ]
-            pi_vals = kernel.pi_values()
+        core = self.kernel
+        core.reset()
+        for target in self._order_targets(outgold):
+            self._run_target_core(target, outgold[target], report)
+        self._fold_core_counters()
+        slot_of = core.slot_of
+        target_vals = core.values_of([slot_of[uid] for uid in outgold])
+        # Unassigned reads back as -1, which never equals a gold bit —
+        # exactly `assignment.value(uid) == gold` on the reference path.
+        claimed = [
+            uid
+            for uid, value in zip(outgold, target_vals)
+            if value == outgold[uid]
+        ]
         if {outgold[uid] for uid in claimed} != {0, 1}:
             report.vector = None
             report.skipped = True
             report.survivors = claimed
             return _PendingAttempt(report, chk, False, None, None)
-        candidate = InputVector(pi_vals)
+        uids = core.uids
+        pi_slots, pi_trail_vals = core.read_trail_pis()
+        candidate = InputVector(
+            {uids[slot]: value for slot, value in zip(pi_slots, pi_trail_vals)}
+        )
         full = candidate.completed(self.network.pis, self.rng)
         return _PendingAttempt(report, chk, True, outgold, full)
 
     def _run_target_core(
         self, target: int, gold: int, report: GenerationReport
     ) -> None:
-        core = self._core
-        kernel = self.kernel
+        core = self.kernel
         # Direct library calls: the wrapper frames cost more than the
         # calls themselves at ~3k bounces per generate().
         handle = core._handle
-        status = core._lib.sg_start_target(
-            handle, kernel._slot_of[target], gold
-        )
+        status = core._lib.sg_start_target(handle, core.slot_of[target], gold)
         rng = self.rng
         info = core.info
         indices_buf = core.indices
         resume = core._lib.sg_resume_rng
         randrange = rng.randrange
         random_draw = rng.random
-        all_weights = kernel._weights
+        weights_cache = core.weights
         random_rows = self.decision.strategy is DecisionStrategy.RANDOM
         while status == _NEED_RNG:
             slot, index, count = info[0], info[1], info[2]
             if random_rows:
                 chosen = rng.choice(indices_buf[:count])
             else:
-                # Exact twin of CompiledSimGenKernel.decide's scored
-                # path: same cached weights, same float-op order, same
-                # roulette — the draws must be bit-equal.
-                cache = all_weights[slot]
-                weights = cache.get(index)
+                # Exact twin of DecisionEngine.decide's scored path: same
+                # float-op order, same roulette — the draws must be
+                # bit-equal.
+                weights = weights_cache.get((slot, index))
                 if weights is None:
-                    table_priorities = kernel._priorities[slot]
+                    row_priorities = core.priorities[slot]
                     priorities = [
-                        table_priorities[i] for i in indices_buf[:count]
+                        row_priorities[i] for i in indices_buf[:count]
                     ]
                     low = min(priorities)
                     span = max(priorities) - low
                     floor = 0.1 + 0.05 * span
                     weights = [p - low + floor for p in priorities]
-                    kernel._weights_entries += 1
-                    # Module attribute read, not an import-time bind:
-                    # the cap is patchable exactly like the scalar path.
-                    if (
-                        kernel._weights_entries
-                        > _compiled_mod.WEIGHTS_CACHE_CAP
-                    ):
-                        kernel._evict_weights()
-                    cache[index] = weights
-                # roulette_select inlined: every cached weight carries the
+                    weights_cache[(slot, index)] = weights
+                    # Module attribute read at call time, so the cap stays
+                    # patchable.
+                    if len(weights_cache) > WEIGHTS_CACHE_CAP:
+                        core.stats["weights_evictions"] += len(weights_cache)
+                        weights_cache.clear()
+                # roulette_select inlined: every weight carries the
                 # `0.1 + 0.05 * span` floor, so its 1e-9 epsilon clamp is
                 # the identity and the draw sequence is unchanged.
                 top = max(weights)
@@ -562,13 +599,13 @@ class BatchSimGenGenerator(CompiledSimGenGenerator):
             report.conflicts += 1
 
     def _fold_core_counters(self) -> None:
-        """Fold the C core's counter deltas into the shared stats dicts.
+        """Fold the C core's counter deltas into the published stats dicts.
 
-        Keeps ``simgen.implication.* / simgen.decision.* /
-        simgen.kernel.*`` backend-invariant: the registry sees one stream
-        whether the attempt ran in C or in Python.
+        ``simgen.implication.*`` and ``simgen.decision.*`` stay
+        backend-invariant: the C core counts exactly what the reference
+        engines count.
         """
-        d = self._core.counter_deltas()
+        d = self.kernel.counter_deltas()
         impl = self.implication.stats
         impl["propagate_calls"] += d[0]
         impl["examinations"] += d[1]
@@ -590,7 +627,7 @@ class BatchSimGenGenerator(CompiledSimGenGenerator):
 
         Returns ``(progress, discarded)``: whether any vector was
         committed, and how many speculative attempts were rolled back
-        because the scalar loop would already have stopped.
+        because the reference loop would already have stopped.
         """
         vpi = self.vectors_per_iteration
         stats = self.batch.stats
@@ -623,7 +660,7 @@ class BatchSimGenGenerator(CompiledSimGenGenerator):
         progress = False
         for i, rec in enumerate(pending):
             if len(vectors) >= vpi:
-                # The scalar loop exits before this attempt: everything
+                # The reference loop exits before this attempt: everything
                 # from here on never happened.
                 discarded = len(pending) - i
                 self._rewind(rec.chk)

@@ -179,9 +179,6 @@ class SimGenGenerator(TargetedVectorGenerator):
     """
 
     name = "simgen"
-    #: Engine seam identifier (see ``repro.core.compiled.adapt_backend``);
-    #: the compiled/batch subclasses override it.
-    backend = "reference"
 
     def __init__(
         self,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.compiled import GENERATOR_BACKENDS, CompiledSimGenGenerator
+from repro.core.batch import BatchSimGenGenerator
 from repro.core.decision import DecisionStrategy
 from repro.core.generator import BaseVectorGenerator, SimGenGenerator
 from repro.core.implication import ImplicationStrategy
@@ -29,6 +29,10 @@ from repro.core.random_gen import RandomGenerator
 from repro.core.reverse import ReverseSimGenerator
 from repro.errors import GenerationError
 from repro.network.network import Network
+
+#: SimGen backend names accepted by :func:`make_generator` and
+#: ``--simgen-backend``.
+GENERATOR_BACKENDS = ("batch", "reference")
 
 #: Canonical order used by Table 1.
 STRATEGY_NAMES = ("RevS", "SI+RD", "AI+RD", "AI+DC", "AI+DC+MFFC")
@@ -62,17 +66,17 @@ def make_generator(
         vectors_per_iteration: Vectors emitted per guided iteration.
         max_targets: Target-node cap per vector for targeted generators.
         simgen_backend: ``"batch"`` (default) runs the SimGen variants on
-            the lane-batched driver of :mod:`repro.core.batch` (C inner
-            loop + 64-wide speculative verification); ``"compiled"`` on the
-            array-lowered Python kernel of :mod:`repro.core.compiled`;
-            ``"reference"`` keeps the dict-walking engines.  Trajectories
-            are bit-identical across all three; only speed differs.
-            Ignored for non-SimGen generators.
+            :class:`~repro.core.batch.BatchSimGenGenerator` (C inner loop +
+            64-wide speculative verification, or the reference engines
+            where the C core cannot run); ``"reference"`` runs the
+            reference engines of :class:`SimGenGenerator`.  Trajectories
+            are bit-identical across both; only speed differs.  Ignored
+            for non-SimGen generators.
     """
     if simgen_backend not in GENERATOR_BACKENDS:
         raise GenerationError(
             f"unknown simgen backend {simgen_backend!r} "
-            "(use 'batch', 'compiled', or 'reference')"
+            "(use 'batch' or 'reference')"
         )
     key = name.strip().lower()
     if key == "rands":
@@ -93,14 +97,7 @@ def make_generator(
         )
     if key == "simgen":
         key = SIMGEN.lower()
-    if simgen_backend == "batch":
-        from repro.core.batch import BatchSimGenGenerator
-
-        cls = BatchSimGenGenerator
-    elif simgen_backend == "compiled":
-        cls = CompiledSimGenGenerator
-    else:
-        cls = SimGenGenerator
+    cls = BatchSimGenGenerator if simgen_backend == "batch" else SimGenGenerator
     for config_name, (impl, dec) in _SIMGEN_CONFIGS.items():
         if key == config_name.lower():
             return cls(

@@ -9,7 +9,8 @@ machine, loaded through ``ctypes``, and *optional* — when no compiler or
 writable cache directory is available the caller falls back to pure
 Python with identical trajectories: the SAT backend to the reference
 :class:`~repro.sat.solver.CdclSolver` (30-50x fewer propagations per
-second), the SimGen batch driver to the scalar compiled kernel.  This
+second), the SimGen batch generator to the reference engines (about 10x
+slower generation).  This
 module is that contract, factored out of :mod:`repro.sat.compiled` so
 every core shares one implementation of the corner cases:
 

@@ -85,18 +85,15 @@ FINGERPRINT_FIELDS = (
 def generator_label(generator) -> str:
     """Backend-invariant label of a guided-vector generator.
 
-    The batch/compiled/reference generator twins produce bit-identical
-    trajectories, so the label strips the backend prefixes — a journal
-    recorded under one backend resumes under any other.  (Until the
-    ``Batch`` prefix was stripped too, a journal written under the
-    *default* lane-batched backend refused to resume under
-    ``--simgen-backend compiled``/``reference`` despite identical
-    trajectories.)
+    The batch and reference SimGen generators produce bit-identical
+    trajectories, so the label strips the ``Batch`` prefix — a journal
+    recorded under one backend resumes under the other.  (Journals from
+    before the ``compiled`` backend was removed stored the same stripped
+    label, so they still resume.)
     """
     if generator is None:
         return "none"
-    name = type(generator).__name__
-    return name.removeprefix("Batch").removeprefix("Compiled")
+    return type(generator).__name__.removeprefix("Batch")
 
 
 def config_fingerprint(config, generator=None) -> dict:

@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
-from repro.core.compiled import adapt_backend
 from repro.core.generator import BaseVectorGenerator
 from repro.errors import SweepError, TransientSimulationError
 from repro.network.network import Network
@@ -72,12 +71,6 @@ class SweepConfig:
     #: pinned trajectories in ``tests/sweep/test_engine.py`` check this);
     #: reference is the test oracle and a debugging aid.
     engine: str = "compiled"
-    #: SimGen generator backend: ``"batch"`` / ``"compiled"`` /
-    #: ``"reference"`` swap the provided generator to the matching twin
-    #: (bit-identical trajectories, see :mod:`repro.core.compiled` and
-    #: :mod:`repro.core.batch`); ``None`` keeps it as constructed.
-    #: Non-SimGen generators are unaffected.
-    simgen_backend: Optional[str] = None
     #: SAT solver backend for the equivalence queries: ``"compiled"`` runs
     #: the C arena-backed CDCL core (:mod:`repro.sat.compiled`, loaded via
     #: ctypes), ``"reference"`` the original
@@ -289,11 +282,7 @@ class SweepEngine:
     ):
         self.network = network
         self.config = config or SweepConfig()
-        self.generator = (
-            adapt_backend(generator, self.config.simgen_backend)
-            if self.config.simgen_backend is not None
-            else generator
-        )
+        self.generator = generator
         if self.config.engine not in ("compiled", "reference"):
             raise SweepError(
                 f"unknown engine {self.config.engine!r} "

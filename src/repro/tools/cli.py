@@ -514,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
         help="record a structured JSONL trace of the run",
     )
     p.add_argument(
-        "--simgen-backend", choices=("batch", "compiled", "reference"),
+        "--simgen-backend", choices=("batch", "reference"),
         default="batch", dest="simgen_backend",
         help="guided-vector kernel (trajectories identical; batch is fastest)",
     )
@@ -560,7 +560,7 @@ def main(argv: list[str] | None = None) -> int:
         help="record a structured JSONL trace of the run",
     )
     p.add_argument(
-        "--simgen-backend", choices=("batch", "compiled", "reference"),
+        "--simgen-backend", choices=("batch", "reference"),
         default="batch", dest="simgen_backend",
         help="guided-vector kernel (trajectories identical; batch is fastest)",
     )
@@ -666,7 +666,7 @@ def main(argv: list[str] | None = None) -> int:
         help="fetch the job's structured trace into this file",
     )
     p.add_argument(
-        "--simgen-backend", choices=("batch", "compiled", "reference"),
+        "--simgen-backend", choices=("batch", "reference"),
         default="batch", dest="simgen_backend",
     )
     p.add_argument(

@@ -1,19 +1,23 @@
-"""Batch SimGen backend vs the compiled kernel: exact equivalence.
+"""Batch SimGen generator vs the reference engines: exact equivalence.
 
-The lane-batched driver of :mod:`repro.core.batch` runs Algorithm 1's
-inner loop in C and verifies finished attempts up to 64 per simulator
-word, speculating past each attempt and rewinding when the scalar loop
-would have stopped earlier.  Its contract is the same as every backend
-seam in this repository: *bit-identical* trajectories, not merely
-functional equivalence.  The differential suite here drives batch and
-compiled generators with the same networks, seeds, and sweep schedules
-and requires identical vectors, reports, survivor lists, RNG end states,
-and implication/decision/kernel stats streams.
+The batch generator of :mod:`repro.core.batch` runs Algorithm 1's inner
+loop on a C core lowered straight from the network, and verifies
+finished attempts up to 64 per simulator word, speculating past each
+attempt and rewinding when the reference loop would have stopped
+earlier.  Its contract is the same as every backend seam in this
+repository: *bit-identical* trajectories, not merely functional
+equivalence.  The differential suite here drives the batch generator and
+the reference :class:`~repro.core.generator.SimGenGenerator` with the
+same networks, seeds, and sweep schedules and requires identical
+vectors, reports, survivor lists, RNG end states, and
+implication/decision stats streams.
 
 Lane-masking edge cases are pinned separately: a flush whose lanes all
 retired pre-verify must not touch the simulator, a single live lane must
 verify alone, and a mid-batch quota fill must rewind the over-speculated
-lanes exactly to their checkpoints.
+lanes exactly to their checkpoints.  Where the C core cannot run, the
+generator takes the reference path; the fallback tests pin that it stays
+identical.
 """
 
 import pytest
@@ -21,10 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.batch as batch_mod
+from repro.benchgen.suite import sweep_instance
 from repro.core import make_generator
 from repro.core.batch import BatchSimGenGenerator, _PendingAttempt
-from repro.core.compiled import CompiledSimGenGenerator
-from repro.core.generator import GenerationReport
+from repro.core.generator import GenerationReport, SimGenGenerator
 from repro.core.outgold import (
     alternating_outgold,
     level_alternating_outgold,
@@ -34,6 +38,12 @@ from repro.sweep import SweepConfig, SweepEngine
 from tests.conftest import random_network
 
 SIMGEN_STRATEGIES = ("AI+DC+MFFC", "AI+DC", "AI+RD", "SI+RD")
+
+#: The lane machinery (speculation, flushes, rewinds) runs only on the C
+#: core; without it the generator is the reference generator.
+needs_c_core = pytest.mark.skipif(
+    batch_mod.SIMGEN_CORE != "c", reason="no SimGen C core in this process"
+)
 
 
 # ----------------------------------------------------------------------
@@ -56,13 +66,26 @@ def freeze_reports(gen):
     ]
 
 
-def sweep_trace(net, strategy, backend, seed, vpi=4, iterations=6):
+def run_trace(net, gen, seed, iterations=6):
     """Everything observable about one guided sweep, frozen for comparison.
 
-    Includes the shared stats dicts: the batch backend folds its C-core
-    counters into the same implication/decision/kernel streams the scalar
-    kernel feeds, so they must match number for number.
+    Includes the implication/decision stats dicts: the C core folds its
+    counters into the same streams the reference engines feed, so they
+    must match number for number.
     """
+    engine = SweepEngine(net, gen, SweepConfig(seed=seed, iterations=iterations))
+    classes, metrics = engine.run_simulation_phase()
+    return (
+        classes.all_classes(),
+        metrics.cost_history,
+        freeze_reports(gen),
+        gen.rng.getstate(),
+        dict(gen.implication.stats),
+        dict(gen.decision.stats),
+    )
+
+
+def sweep_trace(net, strategy, backend, seed, vpi=4, iterations=6):
     gen = make_generator(
         strategy,
         net,
@@ -70,17 +93,10 @@ def sweep_trace(net, strategy, backend, seed, vpi=4, iterations=6):
         simgen_backend=backend,
         vectors_per_iteration=vpi,
     )
-    engine = SweepEngine(net, gen, SweepConfig(seed=seed, iterations=iterations))
-    classes, metrics = engine.run_simulation_phase()
-    return gen, (
-        classes.all_classes(),
-        metrics.cost_history,
-        freeze_reports(gen),
-        gen.rng.getstate(),
-        dict(gen.implication.stats),
-        dict(gen.decision.stats),
-        dict(gen.kernel.stats),
-    )
+    if backend == "batch" and batch_mod._LIB is not None:
+        # The differential must exercise the C core wherever it loads.
+        assert gen.kernel is not None
+    return gen, run_trace(net, gen, seed, iterations)
 
 
 def two_real_attempts(net, seed, vpi=1):
@@ -112,7 +128,7 @@ def two_real_attempts(net, seed, vpi=1):
 
 
 # ----------------------------------------------------------------------
-# Differential identity: batch == compiled, bit for bit
+# Differential identity: batch == reference, bit for bit
 # ----------------------------------------------------------------------
 
 class TestBatchIdentity:
@@ -120,8 +136,21 @@ class TestBatchIdentity:
     def test_sweep_trajectory_identical(self, strategy):
         net = random_network(seed=21, num_inputs=6, num_gates=24)
         _, batch = sweep_trace(net, strategy, "batch", seed=5)
-        _, compiled = sweep_trace(net, strategy, "compiled", seed=5)
-        assert batch == compiled
+        _, reference = sweep_trace(net, strategy, "reference", seed=5)
+        assert batch == reference
+
+    @pytest.mark.parametrize("strategy", SIMGEN_STRATEGIES)
+    def test_six_input_lut_circuit_identical(self, strategy):
+        """``random_network`` gates have at most 4 inputs; the log2
+        suite circuit mapped to 6-LUTs puts the core's k = 5 and k = 6
+        tables on the differential too (it decides at dozens of them
+        under every strategy)."""
+        net = sweep_instance("log2")
+        assert max(len(n.fanins) for n in net.gates()) == 6
+        _, batch = sweep_trace(net, strategy, "batch", seed=3)
+        _, reference = sweep_trace(net, strategy, "reference", seed=3)
+        assert batch == reference
+        assert reference[-1]["rows_committed"] > 0
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -139,16 +168,18 @@ class TestBatchIdentity:
         _, batch = sweep_trace(
             net, "AI+DC+MFFC", "batch", seed=sweep_seed, iterations=4
         )
-        _, compiled = sweep_trace(
-            net, "AI+DC+MFFC", "compiled", seed=sweep_seed, iterations=4
+        _, reference = sweep_trace(
+            net, "AI+DC+MFFC", "reference", seed=sweep_seed, iterations=4
         )
-        assert batch == compiled
+        assert batch == reference
 
     @pytest.mark.parametrize("jobs", (1, 4))
     def test_full_sweep_identical_across_backends(self, jobs):
         """End-to-end gate: the full sweep (guided phase + pooled SAT
         phase) lands on the same verdicts, classes, and integer counters
-        whichever generator backend ran."""
+        whichever generator backend ran.  ``simgen.batch.*`` and
+        ``simgen.kernel.*`` describe the C core and have no reference
+        counterpart."""
         net = random_network(seed=31, num_inputs=6, num_gates=26)
 
         def run(backend):
@@ -160,7 +191,8 @@ class TestBatchIdentity:
             counters = {
                 k: v
                 for k, v in engine.registry.as_dict().items()
-                if not k.endswith("_s") and not k.startswith("simgen.batch")
+                if not k.endswith("_s")
+                and not k.startswith(("simgen.batch", "simgen.kernel"))
             }
             return (
                 result.equivalences,
@@ -172,7 +204,7 @@ class TestBatchIdentity:
                 counters,
             )
 
-        assert run("batch") == run("compiled")
+        assert run("batch") == run("reference")
 
     def test_level_alternating_outgold_identical(self):
         """The other speculation-eligible builtin outgold strategy."""
@@ -180,34 +212,30 @@ class TestBatchIdentity:
 
         def run(cls):
             gen = cls(net, seed=7, outgold_strategy=level_alternating_outgold)
-            engine = SweepEngine(net, gen, SweepConfig(seed=7, iterations=5))
-            classes, metrics = engine.run_simulation_phase()
-            return (
-                classes.all_classes(),
-                metrics.cost_history,
-                freeze_reports(gen),
-                gen.rng.getstate(),
-            )
+            return run_trace(net, gen, seed=7, iterations=5)
 
-        batch = run(BatchSimGenGenerator)
-        assert batch == run(CompiledSimGenGenerator)
+        assert run(BatchSimGenGenerator) == run(SimGenGenerator)
 
     def test_skip_heavy_runs_identical_through_trailing_flush(self):
         """Seeds whose attempts mostly mask out exhaust the attempt budget
         with lanes still parked; the trailing flush must resolve them and
-        stay on the scalar trajectory."""
+        stay on the reference trajectory."""
         for seed in (1, 2, 3, 4):
             net = random_network(seed=seed, num_inputs=5, num_gates=18)
             gen, batch = sweep_trace(net, "AI+DC+MFFC", "batch", seed=seed)
-            _, compiled = sweep_trace(net, "AI+DC+MFFC", "compiled", seed=seed)
-            assert batch == compiled
-            assert gen.batch.stats["masked_lane_steps"] > 0
+            _, reference = sweep_trace(
+                net, "AI+DC+MFFC", "reference", seed=seed
+            )
+            assert batch == reference
+            if batch_mod.SIMGEN_CORE == "c":
+                assert gen.batch.stats["masked_lane_steps"] > 0
 
 
 # ----------------------------------------------------------------------
 # Lane masking and speculation edge cases
 # ----------------------------------------------------------------------
 
+@needs_c_core
 class TestLaneMasking:
     def test_all_lanes_masked_flush_never_touches_simulator(self):
         """Lanes whose skip criterion already failed on the claimed values
@@ -236,11 +264,13 @@ class TestLaneMasking:
     def test_single_live_lane_verifies_alone(self):
         """``vectors_per_iteration=1`` keeps the flush width at one: every
         verification word carries a single live lane, and the trajectory
-        still matches the scalar kernel."""
+        still matches the reference generator."""
         net = random_network(seed=2, num_inputs=6, num_gates=22)
         gen, batch = sweep_trace(net, "AI+DC+MFFC", "batch", seed=2, vpi=1)
-        _, compiled = sweep_trace(net, "AI+DC+MFFC", "compiled", seed=2, vpi=1)
-        assert batch == compiled
+        _, reference = sweep_trace(
+            net, "AI+DC+MFFC", "reference", seed=2, vpi=1
+        )
+        assert batch == reference
         assert gen.batch.lane_occupancy
         assert all(width == 1 for width in gen.batch.lane_occupancy)
 
@@ -273,36 +303,36 @@ class TestLaneMasking:
 # ----------------------------------------------------------------------
 
 class TestFallbackPaths:
+    """Where the C core cannot run, the generator runs the inherited
+    reference Algorithm 1; each case must reproduce the reference
+    generator's trajectory, RNG end state, and stats."""
+
     def test_pure_python_attempt_path_identical(self, monkeypatch):
         """With no loaded core (no toolchain, ``REPRO_SIMGENCORE=python``)
-        the driver keeps the speculative flushing but runs attempts on the
-        pure-Python compiled kernel — identical trajectory."""
+        every attempt runs on the reference engines."""
         net = random_network(seed=17, num_inputs=5, num_gates=20)
-        gen_c, with_core = sweep_trace(net, "AI+DC+MFFC", "batch", seed=4)
-        assert gen_c._core is not None, "C core expected in this environment"
+        _, reference = sweep_trace(net, "AI+DC+MFFC", "reference", seed=4)
         monkeypatch.setattr(batch_mod, "_LIB", None)
-        gen_py, without_core = sweep_trace(net, "AI+DC+MFFC", "batch", seed=4)
-        assert gen_py._core is None
-        assert without_core == with_core
-        # The lane machinery still ran (speculation is core-agnostic).
-        assert gen_py.batch.stats["lane_attempts"] > 0
+        gen, fallback = sweep_trace(net, "AI+DC+MFFC", "batch", seed=4)
+        assert isinstance(gen, BatchSimGenGenerator)
+        assert gen.kernel is None
+        assert gen.batch.stats["lane_attempts"] == 0
+        assert fallback == reference
 
     def test_oversized_arity_falls_back_silently(self, monkeypatch):
         """Gates wider than ``SG_MAX_K`` can't be lowered into the C
-        tables; the generator quietly keeps the Python attempt path."""
-        monkeypatch.setattr(batch_mod, "SG_MAX_K", 0)
+        tables; the generator quietly runs the reference path."""
         net = random_network(seed=17, num_inputs=5, num_gates=20)
+        _, reference = sweep_trace(net, "AI+DC+MFFC", "reference", seed=4)
+        monkeypatch.setattr(batch_mod, "SG_MAX_K", 0)
         gen = make_generator("AI+DC+MFFC", net, seed=4, simgen_backend="batch")
-        assert gen._core is None
-        _, fallback = sweep_trace(net, "AI+DC+MFFC", "batch", seed=4)
-        monkeypatch.undo()
-        _, compiled = sweep_trace(net, "AI+DC+MFFC", "compiled", seed=4)
-        assert fallback == compiled
+        assert gen.kernel is None
+        assert run_trace(net, gen, seed=4) == reference
 
     def test_stateful_outgold_disables_speculation_not_identity(self):
         """Arbitrary outgold callables may hold state the RNG checkpoint
-        cannot rewind, so the driver falls back to the scalar generate
-        loop — still bit-identical to the compiled generator."""
+        cannot rewind, so the generator runs the reference loop — still
+        bit-identical to the reference generator."""
         net = random_network(seed=23, num_inputs=5, num_gates=18)
 
         def custom_outgold(network, targets):
@@ -310,17 +340,10 @@ class TestFallbackPaths:
 
         def run(cls):
             gen = cls(net, seed=6, outgold_strategy=custom_outgold)
-            engine = SweepEngine(net, gen, SweepConfig(seed=6, iterations=5))
-            classes, metrics = engine.run_simulation_phase()
-            return gen, (
-                classes.all_classes(),
-                metrics.cost_history,
-                freeze_reports(gen),
-                gen.rng.getstate(),
-            )
+            return gen, run_trace(net, gen, seed=6, iterations=5)
 
         gen, batch = run(BatchSimGenGenerator)
-        assert not gen._speculate
+        assert gen.kernel is None
         assert gen.batch.stats["lane_attempts"] == 0
-        _, compiled = run(CompiledSimGenGenerator)
-        assert batch == compiled
+        _, reference = run(SimGenGenerator)
+        assert batch == reference

@@ -1,49 +1,43 @@
-"""Compiled SimGen kernel vs the reference engines: exact equivalence.
+"""The SimGen table cache, the bounded caches, and the backend seam.
 
-The kernel of :mod:`repro.core.compiled` re-implements Assignment +
-ImplicationEngine + DecisionEngine on dense slot arrays; its contract is
-*bit-identical* behaviour, not merely functional equivalence.  The property
-suite here drives both implementations with the same random networks, pin
-states, and RNGs, and requires:
+:mod:`repro.core.compiled` keeps one packed transition table per distinct
+gate function, shared by every C core a process builds; the cache is
+LRU-bounded, thread-safe, and counts hits, misses and evictions for its
+whole lifetime.  A core lowered from that cache must stay on the
+reference trajectory whatever state the cache is in — cold, warm from an
+earlier core, or evicting under a tiny cap while the core is lowered —
+and must fold its work into the reference engines' stats dicts.  The
+other SimGen caches — the implication memo, the decision rows cache, and
+the batch generator's roulette weights — are bounded too: evictions must
+count, and must never change a trajectory.
 
-* identical implication fixpoints (conflict flag, forced values, and the
-  *order* values were assigned in);
-* identical candidate-row sets for decisions;
-* identical decisions given equal RNGs (same draws, same commits);
-* identical generated vectors, reports, and sweep trajectories end to end.
-
-Cache bounding (implication memo, decision rows cache, kernel roulette
-weights) is exercised separately: evictions must count, and must never
-change a trajectory.
+The lane machinery of the batch generator (speculation, flushes,
+rewinds) is the subject of ``tests/core/test_batch_kernel.py``.
 """
 
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.batch as batch_mod
 import repro.core.compiled as compiled_mod
 from repro.core import make_generator
 from repro.core.assignment import Assignment
-from repro.core.compiled import (
-    CompiledSimGenGenerator,
-    CompiledSimGenKernel,
-    KernelConflict,
-    adapt_backend,
-)
-from repro.core.decision import DecisionEngine, DecisionStrategy
-from repro.core.generator import SimGenGenerator
-from repro.core.implication import ImplicationEngine, ImplicationStrategy
-from repro.core.assignment import Conflict
+from repro.core.batch import BatchSimGenGenerator
+from repro.core.decision import DecisionEngine
+from repro.core.implication import ImplicationEngine
 from repro.errors import GenerationError
 from repro.sweep import SweepConfig, SweepEngine
 from tests.conftest import random_network
+from tests.core.test_batch_kernel import (
+    SIMGEN_STRATEGIES,
+    needs_c_core,
+    sweep_trace,
+)
 
-
-# ----------------------------------------------------------------------
-# Drivers
-# ----------------------------------------------------------------------
 
 def seed_values(net, seed, count=3):
     """A deterministic handful of (uid, value) seed assignments."""
@@ -53,228 +47,76 @@ def seed_values(net, seed, count=3):
     return [(uid, rng.randint(0, 1)) for uid in picks]
 
 
-def reference_propagate(net, strategy, seeds):
-    """(conflict, ordered assignment items, stats) via the reference pair."""
-    assignment = Assignment(net)
-    engine = ImplicationEngine(net, strategy)
-    for uid, value in seeds:
-        try:
-            assignment.assign(uid, value)
-        except Conflict:
-            return True, None, engine.stats
-    outcome = engine.propagate(assignment, [uid for uid, _ in seeds])
-    if outcome.conflict:
-        return True, None, engine.stats
-    return False, list(assignment.as_dict().items()), engine.stats
-
-
-def kernel_propagate(net, strategy, seeds):
-    """The same run through :class:`CompiledSimGenKernel`."""
-    kernel = CompiledSimGenKernel(net, implication_strategy=strategy)
-    for uid, value in seeds:
-        try:
-            kernel.assign_uid(uid, value)
-        except KernelConflict:
-            return True, None, kernel.impl_stats
-    conflict, _ = kernel.propagate_uids([uid for uid, _ in seeds])
-    if conflict:
-        return True, None, kernel.impl_stats
-    return False, list(kernel.as_dict().items()), kernel.impl_stats
-
-
 # ----------------------------------------------------------------------
-# Implication fixpoint identity
+# Generator / sweep identity through the shared table cache
 # ----------------------------------------------------------------------
 
-class TestImplicationIdentity:
-    @settings(max_examples=60, deadline=None)
-    @given(net_seed=st.integers(0, 1 << 16), pin_seed=st.integers(0, 1 << 16))
-    def test_advanced_fixpoint_matches_reference(self, net_seed, pin_seed):
-        net = random_network(seed=net_seed, num_inputs=4, num_gates=10)
-        seeds = seed_values(net, pin_seed)
-        ref = reference_propagate(net, ImplicationStrategy.ADVANCED, seeds)
-        com = kernel_propagate(net, ImplicationStrategy.ADVANCED, seeds)
-        # Conflict flag, every forced value, and the assignment ORDER.
-        assert ref[0] == com[0]
-        assert ref[1] == com[1]
-        # Work accounting matches too (same examinations, same forcings).
-        for key in ("propagate_calls", "examinations", "forced_assignments"):
-            assert ref[2][key] == com[2][key]
-
-    @settings(max_examples=40, deadline=None)
-    @given(net_seed=st.integers(0, 1 << 16), pin_seed=st.integers(0, 1 << 16))
-    def test_simple_fixpoint_matches_reference(self, net_seed, pin_seed):
-        net = random_network(seed=net_seed, num_inputs=4, num_gates=10)
-        seeds = seed_values(net, pin_seed)
-        ref = reference_propagate(net, ImplicationStrategy.SIMPLE, seeds)
-        com = kernel_propagate(net, ImplicationStrategy.SIMPLE, seeds)
-        assert ref[0] == com[0]
-        assert ref[1] == com[1]
-
-    @settings(max_examples=25, deadline=None)
-    @given(net_seed=st.integers(0, 1 << 16), pin_seed=st.integers(0, 1 << 16))
-    def test_checkpoint_revert_restores_packed_state(self, net_seed, pin_seed):
-        """Reverting must restore values AND the packed state indices."""
-        net = random_network(seed=net_seed, num_inputs=4, num_gates=10)
-        kernel = CompiledSimGenKernel(net)
-        before = (list(kernel._values), list(kernel._state))
-        marker = kernel.checkpoint()
-        for uid, value in seed_values(net, pin_seed):
-            try:
-                kernel.assign_uid(uid, value)
-            except KernelConflict:
-                break
-        kernel.propagate_uids([])
-        kernel.revert(marker)
-        assert (list(kernel._values), list(kernel._state)) == before
-        assert len(kernel) == 0
-
-
-# ----------------------------------------------------------------------
-# Decision identity
-# ----------------------------------------------------------------------
-
-class TestDecisionIdentity:
-    @settings(max_examples=40, deadline=None)
-    @given(net_seed=st.integers(0, 1 << 16), pin_seed=st.integers(0, 1 << 16))
-    def test_candidate_rows_match_reference(self, net_seed, pin_seed):
-        net = random_network(seed=net_seed, num_inputs=4, num_gates=10)
-        seeds = seed_values(net, pin_seed)
-
-        assignment = Assignment(net)
-        engine = ImplicationEngine(net)
-        decision = DecisionEngine(net)
-        kernel = CompiledSimGenKernel(net)
-        for uid, value in seeds:
-            try:
-                ref_fresh = assignment.assign(uid, value)
-            except Conflict:
-                ref_fresh = None
-            try:
-                com_fresh = kernel.assign_uid(uid, value)
-            except KernelConflict:
-                com_fresh = None
-            assert ref_fresh == com_fresh
-            if ref_fresh is None:
-                return
-        uids = [uid for uid, _ in seeds]
-        conflict_ref = engine.propagate(assignment, uids).conflict
-        conflict_com, _ = kernel.propagate_uids(uids)
-        assert conflict_ref == conflict_com
-        if conflict_ref:
-            return
-        for node in net.nodes():
-            if node.is_pi or node.is_const:
-                continue
-            ref_rows = decision.candidate_rows(assignment, node.uid)
-            com_rows = kernel.candidate_rows_uid(node.uid)
-            if ref_rows is None:
-                assert com_rows is None
-                continue
-            assert com_rows == [
-                (r.cube.mask, r.cube.values, r.output) for r in ref_rows
-            ]
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        net_seed=st.integers(0, 1 << 16),
-        pin_seed=st.integers(0, 1 << 16),
-        rng_seed=st.integers(0, 1 << 16),
-        strategy=st.sampled_from(list(DecisionStrategy)),
-    )
-    def test_decide_matches_reference(
-        self, net_seed, pin_seed, rng_seed, strategy
-    ):
-        """Equal RNGs must draw the same row and commit the same pins."""
-        net = random_network(seed=net_seed, num_inputs=4, num_gates=10)
-        seeds = seed_values(net, pin_seed, count=2)
-
-        assignment = Assignment(net)
-        decision = DecisionEngine(net, strategy, rng=random.Random(rng_seed))
-        kernel = CompiledSimGenKernel(net, decision_strategy=strategy)
-        kernel_rng = random.Random(rng_seed)
-        try:
-            for uid, value in seeds:
-                assignment.assign(uid, value)
-                kernel.assign_uid(uid, value)
-        except (Conflict, KernelConflict):
-            return
-        for node in net.nodes():
-            if node.is_pi or node.is_const:
-                continue
-            result = decision.decide(assignment, node.uid)
-            conflict, committed = kernel.decide(
-                kernel.slot(node.uid), kernel_rng
-            )
-            assert result.conflict == conflict
-            assert [
-                (kernel._uids[slot], kernel._values[slot])
-                for slot in committed
-            ] == result.assigned
-            assert list(assignment.as_dict().items()) == list(
-                kernel.as_dict().items()
-            )
-        assert decision.rng.getstate() == kernel_rng.getstate()
-
-
-# ----------------------------------------------------------------------
-# Generator / sweep identity
-# ----------------------------------------------------------------------
-
-SIMGEN_STRATEGIES = ("AI+DC+MFFC", "AI+DC", "AI+RD", "SI+RD")
-
-
-def sweep_trace(net, strategy, backend, seed):
-    gen = make_generator(strategy, net, seed=seed, simgen_backend=backend)
-    engine = SweepEngine(net, gen, SweepConfig(seed=seed, iterations=6))
-    classes, metrics = engine.run_simulation_phase()
-    reports = [
-        (
-            r.skipped,
-            r.survivors,
-            r.implications,
-            r.decisions,
-            r.conflicts,
-            None
-            if r.vector is None
-            else tuple(sorted(r.vector.values.items())),
+def lowered_trace(net, strategy, seed, cap=None, iterations=6):
+    """(trace, new cache evictions) of a batch sweep whose core is lowered
+    from a cold table cache, capped at ``cap`` tables while it lowers."""
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(compiled_mod, "TRANSITION_CACHE_CAP", cap)
+        compiled_mod.clear_transition_cache()
+        before = compiled_mod.transition_cache_info()["evictions"]
+        _, trace = sweep_trace(
+            net, strategy, "batch", seed=seed, iterations=iterations
         )
-        for r in gen.reports
-    ]
-    return (
-        classes.all_classes(),
-        metrics.cost_history,
-        reports,
-        gen.rng.getstate(),
-    )
+        after = compiled_mod.transition_cache_info()["evictions"]
+    return trace, after - before
 
 
 class TestGeneratorIdentity:
     @pytest.mark.parametrize("strategy", SIMGEN_STRATEGIES)
     def test_sweep_trajectory_identical(self, strategy):
+        """Cold, warm and evicting lowerings all land on the reference
+        trace.  Under a one-table cap a gate function seen again after
+        its eviction is a new table object, so the core receives
+        duplicate (equal) tables — which must not matter."""
         net = random_network(seed=21, num_inputs=6, num_gates=24)
-        assert sweep_trace(net, strategy, "compiled", seed=5) == sweep_trace(
-            net, strategy, "reference", seed=5
-        )
+        _, reference = sweep_trace(net, strategy, "reference", seed=5)
+        cold, _ = lowered_trace(net, strategy, seed=5)
+        _, warm = sweep_trace(net, strategy, "batch", seed=5)
+        evicting, evictions = lowered_trace(net, strategy, seed=5, cap=1)
+        assert cold == warm == evicting == reference
+        if batch_mod.SIMGEN_CORE == "c":
+            assert evictions > 0
 
     @settings(max_examples=12, deadline=None)
-    @given(net_seed=st.integers(0, 1 << 12), run_seed=st.integers(0, 1 << 12))
-    def test_random_networks_trajectory_identical(self, net_seed, run_seed):
+    @given(
+        net_seed=st.integers(0, 1 << 12),
+        run_seed=st.integers(0, 1 << 12),
+        strategy=st.sampled_from(SIMGEN_STRATEGIES),
+        cap=st.sampled_from((None, 1, 2)),
+    )
+    def test_random_networks_trajectory_identical(
+        self, net_seed, run_seed, strategy, cap
+    ):
         net = random_network(seed=net_seed, num_inputs=5, num_gates=16)
-        assert sweep_trace(
-            net, "AI+DC+MFFC", "compiled", seed=run_seed
-        ) == sweep_trace(net, "AI+DC+MFFC", "reference", seed=run_seed)
+        batch, _ = lowered_trace(net, strategy, seed=run_seed, cap=cap)
+        _, reference = sweep_trace(net, strategy, "reference", seed=run_seed)
+        assert batch == reference
 
     def test_stats_shared_with_reference_engines(self):
-        """The kernel folds its work into the reference stats dicts."""
+        """The C core folds its work into the reference engines' stats
+        dicts, and those are what the engine publishes as
+        ``simgen.implication.*`` and ``simgen.decision.*``."""
         net = random_network(seed=3, num_inputs=5, num_gates=16)
         gen = make_generator("AI+DC+MFFC", net, seed=1)
-        assert isinstance(gen, CompiledSimGenGenerator)
-        assert gen.kernel.impl_stats is gen.implication.stats
-        assert gen.kernel.dec_stats is gen.decision.stats
-        SweepEngine(net, gen, SweepConfig(seed=1, iterations=3)).run()
-        assert gen.implication.stats["propagate_calls"] > 0
-        assert gen.decision.stats["decisions"] > 0
+        assert isinstance(gen, BatchSimGenGenerator)
+        if batch_mod.SIMGEN_CORE == "c":
+            assert gen.kernel is not None
+        impl, dec = gen.implication.stats, gen.decision.stats
+        engine = SweepEngine(net, gen, SweepConfig(seed=1, iterations=3))
+        engine.run()
+        assert gen.implication.stats is impl
+        assert gen.decision.stats is dec
+        assert impl["propagate_calls"] > 0
+        assert dec["decisions"] > 0
+        published = engine.registry.as_dict()
+        for prefix, stats in (("implication", impl), ("decision", dec)):
+            for key, value in stats.items():
+                assert published.get(f"simgen.{prefix}.{key}", 0) == value
 
 
 # ----------------------------------------------------------------------
@@ -284,43 +126,10 @@ class TestGeneratorIdentity:
 class TestBackendSelection:
     def test_make_generator_rejects_unknown_backend(self):
         net = random_network(seed=1)
-        with pytest.raises(GenerationError, match="unknown simgen backend"):
-            make_generator("AI+DC+MFFC", net, simgen_backend="vectorized")
-
-    def test_adapt_backend_rejects_unknown_backend(self):
-        net = random_network(seed=1)
-        gen = make_generator("AI+DC+MFFC", net, seed=1)
-        with pytest.raises(GenerationError, match="unknown simgen backend"):
-            adapt_backend(gen, "jit")
-
-    def test_adapt_backend_passthrough(self):
-        net = random_network(seed=1)
-        assert adapt_backend(None, "compiled") is None
-        rands = make_generator("RandS", net, seed=1)
-        assert adapt_backend(rands, "reference") is rands
-        gen = make_generator("AI+DC+MFFC", net, seed=1)
-        assert gen.backend == "batch"  # the default backend
-        assert adapt_backend(gen, "batch") is gen
-        compiled = make_generator(
-            "AI+DC+MFFC", net, seed=1, simgen_backend="compiled"
-        )
-        assert adapt_backend(compiled, "compiled") is compiled
-
-    def test_adapt_backend_roundtrip_preserves_trajectory(self):
-        net = random_network(seed=9, num_inputs=5, num_gates=16)
-
-        def run(gen):
-            engine = SweepEngine(net, gen, SweepConfig(seed=2, iterations=4))
-            classes, metrics = engine.run_simulation_phase()
-            return classes.all_classes(), metrics.cost_history
-
-        compiled = make_generator("AI+DC+MFFC", net, seed=2)
-        swapped = adapt_backend(compiled, "reference")
-        assert isinstance(swapped, SimGenGenerator)
-        assert not isinstance(swapped, CompiledSimGenGenerator)
-        assert swapped.rng is compiled.rng
-        baseline = run(make_generator("AI+DC+MFFC", net, seed=2))
-        assert run(swapped) == baseline
+        # "compiled" named the removed Python kernel.
+        for backend in ("vectorized", "compiled"):
+            with pytest.raises(GenerationError, match="unknown simgen backend"):
+                make_generator("AI+DC+MFFC", net, simgen_backend=backend)
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +178,7 @@ class TestBoundedCaches:
         """The shared transition-table cache is LRU-bounded: hits reinsert
         (the hot tail survives an insert past the cap), the coldest entry
         is evicted, and the lifetime eviction counter climbs.  Eviction
-        only drops the cache's reference — kernels built earlier keep
+        only drops the cache's reference — cores built earlier keep
         their tables."""
         monkeypatch.setattr(compiled_mod, "TRANSITION_CACHE_CAP", 2)
         compiled_mod.clear_transition_cache()
@@ -389,49 +198,39 @@ class TestBoundedCaches:
         assert info["evictions"] - base >= 2
         # The evicted table object itself is untouched for live holders.
         assert b.rows == rows and b.k == 2
+        assert list(b.masks) == [1] and list(b.outputs) == [0]
 
+    @needs_c_core
     def test_transition_cache_shared_across_kernels(self):
-        """Two kernels over the same network share table objects (the
-        cache key is the gate function, not the gate)."""
+        """Two generators over the same network lower every gate function
+        through the shared cache: the second one only hits (the cache key
+        is the gate function, not the gate)."""
         compiled_mod.clear_transition_cache()
         net = random_network(seed=4, num_inputs=5, num_gates=16)
-        first = CompiledSimGenKernel(net)
-        second = CompiledSimGenKernel(net)
-        assert first._tables and len(first._tables) == len(second._tables)
-        for x, y in zip(first._tables, second._tables):
-            assert x is y
+        first = make_generator("AI+DC+MFFC", net, seed=1)
+        after_first = compiled_mod.transition_cache_info()
+        second = make_generator("AI+DC+MFFC", net, seed=2)
+        after_second = compiled_mod.transition_cache_info()
+        tables = first.kernel.stats["transition_tables"]
+        assert 0 < tables == second.kernel.stats["transition_tables"]
+        assert after_first["size"] == tables
+        assert after_second["size"] == tables
+        assert after_second["misses"] == after_first["misses"]
+        assert after_second["hits"] - after_first["hits"] == len(
+            list(net.gates())
+        )
 
+    @needs_c_core
     def test_kernel_weights_eviction_counts_and_preserves_trajectory(
         self, monkeypatch
     ):
-        """With the weights cache capped at zero every decide evicts; the
-        roulette still replays identical floats, so the sweep trace is
-        unchanged."""
+        """With the weights cache capped at zero every roulette evicts;
+        the recomputed weights are identical floats, so the sweep trace
+        still matches the reference generator."""
         net = random_network(seed=3, num_inputs=6, num_gates=20)
-        baseline = sweep_trace(net, "AI+DC+MFFC", "compiled", seed=3)
-        monkeypatch.setattr(compiled_mod, "WEIGHTS_CACHE_CAP", 0)
-        gen = make_generator("AI+DC+MFFC", net, seed=3)
-        engine = SweepEngine(net, gen, SweepConfig(seed=3, iterations=6))
-        classes, metrics = engine.run_simulation_phase()
-        reports = [
-            (
-                r.skipped,
-                r.survivors,
-                r.implications,
-                r.decisions,
-                r.conflicts,
-                None
-                if r.vector is None
-                else tuple(sorted(r.vector.values.items())),
-            )
-            for r in gen.reports
-        ]
-        trace = (
-            classes.all_classes(),
-            metrics.cost_history,
-            reports,
-            gen.rng.getstate(),
-        )
+        _, baseline = sweep_trace(net, "AI+DC+MFFC", "reference", seed=3)
+        monkeypatch.setattr(batch_mod, "WEIGHTS_CACHE_CAP", 0)
+        gen, trace = sweep_trace(net, "AI+DC+MFFC", "batch", seed=3)
         assert trace == baseline
         assert gen.kernel.stats["weights_evictions"] > 0
 
@@ -442,8 +241,6 @@ class TestTransitionCacheConcurrency:
     def test_concurrent_sessions_conserve_counters(self):
         """hits + misses == lookups under contention, and every miss is a
         real construction (no lost updates from read-modify-write races)."""
-        import threading
-
         compiled_mod.clear_transition_cache()
         before = compiled_mod.transition_cache_info()
         distinct = [((1, 1, 0),), ((1, 0, 0),), ((3, 3, 0),), ((2, 2, 1),)]

@@ -243,14 +243,9 @@ class TestGeneratorLabel:
         class BatchSimGenGenerator:
             pass
 
-        class CompiledSimGenGenerator:
-            pass
-
         labels = {
             generator_label(cls())
-            for cls in (
-                SimGenGenerator, BatchSimGenGenerator, CompiledSimGenGenerator
-            )
+            for cls in (SimGenGenerator, BatchSimGenGenerator)
         }
         assert labels == {"SimGenGenerator"}
         assert generator_label(None) == "none"
@@ -272,6 +267,6 @@ class TestGeneratorLabel:
                 ),
                 sort_keys=True,
             )
-            for backend in ("batch", "compiled", "reference")
+            for backend in ("batch", "reference")
         }
         assert len(prints) == 1

@@ -13,6 +13,7 @@ The accounting model (docs/OBSERVABILITY.md):
 
 import pytest
 
+from repro.core.batch import SIMGEN_CORE
 from repro.core.strategies import factory, make_generator
 from repro.runtime import Budget
 from repro.sat.solver import SatResult
@@ -173,7 +174,7 @@ class TestGenerationAccounting:
         ):
             assert 0.0 <= gen_s <= iter_s + 1e-9
 
-    @pytest.mark.parametrize("backend", ("batch", "compiled", "reference"))
+    @pytest.mark.parametrize("backend", ("batch", "reference"))
     def test_invariant_holds_on_every_backend(self, backend):
         _, result = self.run_simgen(1, backend=backend)
         metrics = result.metrics
@@ -182,6 +183,9 @@ class TestGenerationAccounting:
             sum(metrics.generation_times), abs=1e-9
         )
 
+    @pytest.mark.skipif(
+        SIMGEN_CORE != "c", reason="lane counters need the SimGen C core"
+    )
     def test_batch_counters_surface_in_registry(self):
         engine, _ = self.run_simgen(1, backend="batch")
         snapshot = engine.registry.as_dict()

@@ -281,21 +281,23 @@ class TestTrajectoryPins:
     """Seed-0 sweeps of suite circuits follow the pinned trajectories."""
 
     @staticmethod
-    def _sweep(benchmark, strategy, copies, **config):
+    def _sweep(benchmark, strategy, copies, simgen_backend="batch", **config):
         from repro.benchgen import sweep_instance
 
         net = sweep_instance(benchmark, copies=copies)
         engine = SweepEngine(
             net,
-            make_generator(strategy, net, seed=0),
+            make_generator(
+                strategy, net, seed=0, simgen_backend=simgen_backend
+            ),
             SweepConfig(seed=0, **config),
         )
         return net, engine.run()
 
-    def _pin(self, row, **config):
+    def _pin(self, row, simgen_backend="batch", **config):
         from repro.runtime.journal import sweep_signature
 
-        net, result = self._sweep(*row, **config)
+        net, result = self._sweep(*row, simgen_backend=simgen_backend, **config)
         metrics = result.metrics
         return (
             metrics.sat_calls,

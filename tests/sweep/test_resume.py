@@ -151,11 +151,11 @@ class TestCliCrashResume:
 class TestCrossBackendResume:
     """A journal is keyed by trajectory, not by kernel implementation.
 
-    The batch/compiled/reference SimGen backends produce bit-identical
-    trajectories, so a journal recorded under one must replay under any
+    The batch and reference SimGen backends produce bit-identical
+    trajectories, so a journal recorded under one must replay under the
     other.  (The fingerprint's generator label once kept the ``Batch``
     prefix, so journals written under the *default* backend refused to
-    resume under ``--simgen-backend compiled``/``reference``.)
+    resume under ``--simgen-backend reference``.)
     """
 
     def backend_sweep(self, net, journal_path, backend, resume=False):
@@ -169,7 +169,7 @@ class TestCrossBackendResume:
         finally:
             journal.close()
 
-    @pytest.mark.parametrize("resume_backend", ["compiled", "reference"])
+    @pytest.mark.parametrize("resume_backend", ["reference"])
     def test_batch_journal_replays_under_other_backends(
         self, tmp_path, resume_backend
     ):
