@@ -29,9 +29,9 @@ Verdicts are keyed by ``(sig(rep), sig(member), complemented, limit)``
 using the structural node signatures of :mod:`repro.transforms.strash` —
 never by uids, which depend on construction order.  Journaled runs force
 *query-pure* SAT checking (a fresh solver and cone encoding per query, see
-``SweepConfig.incremental_sat``), so a verdict — including its
-counterexample model and conflict count — is a pure function of the pair's
-cone structure.  Two consequences:
+``SweepEngine.open_solver``), so a verdict — including its counterexample
+model and conflict count — is a pure function of the pair's cone
+structure.  Two consequences:
 
 * **Resume identity**: replaying a prefix of verdicts and re-solving the
   rest reproduces the uninterrupted trajectory bit-for-bit.
@@ -39,10 +39,12 @@ cone structure.  Two consequences:
   sharing is sound — identical cones encode to identical CNF and yield
   identical verdicts *and models*.
 
-UNKNOWN verdicts are journaled only when they are deterministic: reached
-at the pair's nominal conflict limit with no budget expiry, transient
-fault, or worker-loss degradation involved (callers enforce this; see
-``SweepEngine``).
+:meth:`SweepEngine.answer <repro.sweep.engine.SweepEngine.answer>`, the
+one caller, records each fresh verdict before it is merged — never a
+*degraded* one, and an UNKNOWN only when reached at the pair's nominal
+conflict limit, so every journaled UNKNOWN is deterministic.
+Counterexamples are stored as ``[pi_index, bit]`` pairs; one that does not
+fit the bound network means the journal cannot be trusted.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ from repro.transforms.strash import network_signature, node_signatures
 JOURNAL_VERSION = 1
 
 #: Sweep-config fields a journal is keyed on.  Execution-shape knobs
-#: (``jobs``, ``sat_shards``, backends, tracer, budget) are deliberately
-#: absent: verdicts are query-pure, so a journal recorded at ``--jobs 4``
-#: replays under ``--jobs 1`` (and vice versa).
+#: (``jobs``, backends, tracer, budget) are deliberately absent: verdicts
+#: are query-pure, so a journal recorded at ``--jobs 4`` replays under
+#: ``--jobs 1`` (and vice versa).
 FINGERPRINT_FIELDS = (
     "seed",
     "random_rounds",
@@ -75,11 +77,16 @@ FINGERPRINT_FIELDS = (
     "include_pis",
     "match_complements",
     "sat_conflict_limit",
-    "resimulate_cex",
-    "cex_batch_width",
     "max_escalations",
     "escalation_factor",
 )
+
+#: Two former config fields, now fixed engine policy: counterexamples are
+#: always resimulated, in flushes of at most 64 vectors
+#: (``repro.sweep.engine.CEX_BATCH_WIDTH``).  They stay in the fingerprint
+#: with those values, so journals and persisted verdict caches written
+#: while they were fields still resume.
+FIXED_FINGERPRINT = {"resimulate_cex": True, "cex_batch_width": 64}
 
 
 def generator_label(generator) -> str:
@@ -104,8 +111,27 @@ def config_fingerprint(config, generator=None) -> dict:
     :meth:`VerdictJournal.bind` refuses a mismatch.
     """
     fingerprint = {name: getattr(config, name) for name in FINGERPRINT_FIELDS}
+    fingerprint.update(FIXED_FINGERPRINT)
     fingerprint["generator"] = generator_label(generator)
     return fingerprint
+
+
+def decode_vector(pairs, pis: list[int]) -> Optional[InputVector]:
+    """A stored ``[[pi_index, bit], ...]`` counterexample on ``pis``, or
+    ``None`` when an entry does not fit: an index outside ``0 <= index <
+    len(pis)`` (a negative one would pick a PI from the end) or a bit
+    other than 0/1."""
+    values = {}
+    try:
+        for index, bit in pairs:
+            if type(index) is not int or not 0 <= index < len(pis):
+                return None
+            if bit not in (0, 1):
+                return None
+            values[pis[index]] = int(bit)
+    except (TypeError, ValueError):
+        return None
+    return InputVector(values)
 
 
 @dataclass(slots=True)
@@ -402,9 +428,14 @@ class VerdictJournal:
     def _decode_vector(self, pairs) -> Optional[InputVector]:
         if pairs is None:
             return None
-        return InputVector(
-            {self._pis[index]: int(bit) for index, bit in pairs}
-        )
+        vector = decode_vector(pairs, self._pis)
+        if vector is None:
+            raise JournalError(
+                f"journal {self._path}: counterexample {pairs!r} does not "
+                f"fit the network's {len(self._pis)} PIs — the journal "
+                "cannot be trusted (delete it to start over)"
+            )
+        return vector
 
     def _append(self, payload: dict) -> None:
         self._handle.write(_encode_line(payload))

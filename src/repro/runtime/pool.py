@@ -3,7 +3,8 @@
 SAT sweeping spends its SAT phase on *independent* pair queries, which makes
 it embarrassingly parallel — the headline win of hybrid sweeping engines
 (PAPERS.md: arXiv:2501.14740).  This module provides the worker pool the
-sweep engine and CEC fall back on when ``jobs > 1``.
+sweep engine opens for its SAT phase (and CEC for its fallback miters)
+when ``jobs > 1``.
 
 Determinism contract
 --------------------
@@ -24,6 +25,10 @@ any worker count**.  Two mechanisms guarantee it:
   verdicts in dispatch order regardless of completion order; the engine
   merges them in that order and absorbs all counterexamples through one
   batched resimulation.
+
+:meth:`CheckerPool.check_pairs` is also the in-process
+:class:`~repro.sweep.checker.PairChecker`'s interface, so the engine
+answers every pair query through one seam, whichever back end solves it.
 
 Fault tolerance and supervision
 -------------------------------
@@ -83,20 +88,24 @@ DEFAULT_SHARDS = 16
 
 @dataclass(slots=True)
 class PairVerdict:
-    """One worker answer, merged by the parent in dispatch order."""
+    """One pair answer — from a pool worker, the in-process checker, or a
+    journal replay — merged by the engine in dispatch order."""
 
     outcome: SatResult
     vector: Optional[InputVector]
     #: CDCL conflicts the query consumed (charged to the parent's budget).
     conflicts: int
-    #: Solver wall-clock seconds inside the worker.
+    #: Solver wall-clock seconds of the answering clock (the worker's, or
+    #: the in-process checker's; 0.0 for a replay).
     sat_time: float
     #: Unit propagations the query consumed (folded into the parent's
     #: ``sat.solver.propagations`` counter).
     propagations: int = 0
-    #: True when no worker answer exists (worker death past the retry
-    #: budget, or budget expiry); the outcome is then UNKNOWN — degraded,
-    #: never fabricated.
+    #: True when no deterministic answer exists: a pair lost to worker
+    #: death past the retry budget or abandoned at budget expiry, or an
+    #: in-process UNKNOWN cut short by budget expiry or an exhausted
+    #: solver retry.  The outcome is then UNKNOWN — degraded, never
+    #: fabricated — and the verdict is never journaled.
     degraded: bool = False
     #: Conflict limit actually applied to the query (the parent may have
     #: tightened the nominal limit to the budget's remaining headroom);
@@ -153,21 +162,19 @@ def _worker_main(
                 tape=tape,
             )
             checkers[shard] = checker
-        conflicts_before = checker.stats.conflicts
-        props_before = checker.stats.propagations
-        time_before = checker.stats.sat_time
-        outcome, vector = checker.check(
-            rep, member, complemented, conflict_limit=limit
+        (verdict,) = checker.check_pairs(
+            [(rep, member, complemented)], [limit]
         )
+        vector = verdict.vector
         result_queue.put(
             (
                 "done",
                 task_id,
-                outcome.value,
+                verdict.outcome.value,
                 None if vector is None else dict(vector.values),
-                checker.stats.conflicts - conflicts_before,
-                checker.stats.sat_time - time_before,
-                checker.stats.propagations - props_before,
+                verdict.conflicts,
+                verdict.sat_time,
+                verdict.propagations,
             )
         )
 
@@ -184,6 +191,10 @@ class CheckerPool:
     each lowering the network again.
 
     Args:
+        budget: The run's budget (parent-side only, never shipped to a
+            worker): polled for its deadline while collecting, its conflict
+            headroom tightens each dispatched limit at call granularity,
+            and every answered pair is charged to it.
         retry_policy: Bounded-retry/backoff policy for pairs lost inside a
             dead worker (``None`` = default :class:`RetryPolicy`; pass
             ``RetryPolicy(max_retries=0)`` for the legacy
@@ -203,7 +214,6 @@ class CheckerPool:
         self,
         network: Network,
         jobs: int,
-        shards: int = DEFAULT_SHARDS,
         conflict_limit: Optional[int] = 20000,
         incremental: bool = True,
         sat_backend: str = "compiled",
@@ -212,13 +222,17 @@ class CheckerPool:
         retry_policy: Optional[RetryPolicy] = None,
         heartbeat_interval: float = 5.0,
         tracer=None,
+        budget: Optional[Budget] = None,
     ):
         if jobs < 1:
             raise SweepError(f"jobs must be >= 1, got {jobs}")
-        if shards < 1:
-            raise SweepError(f"shards must be >= 1, got {shards}")
         self.jobs = jobs
-        self.shards = shards
+        self.shards = DEFAULT_SHARDS
+        self._budget = budget
+        #: Worker-clock seconds and solver counters of every answered pair,
+        #: folded once by whoever closes the pool.
+        self.worker_sat_time = 0.0
+        self._solver_stats = {"conflicts": 0, "propagations": 0}
         # Imported here: repro.sat.tape loads the SAT core, whose build
         # machinery lives in this package.
         from repro.sat.tape import CnfTape, stream_encoding_available
@@ -298,12 +312,17 @@ class CheckerPool:
         pairs_redispatched) for registry export."""
         return dict(self._supervisor.stats)
 
+    @property
+    def solver_stats(self) -> dict:
+        """Conflicts and propagations the workers reported for answered
+        pairs (``sat.solver.*``; the parent has no solver of its own)."""
+        return dict(self._solver_stats)
+
     # ------------------------------------------------------------------
     def check_pairs(
         self,
         pairs: Sequence[tuple[int, int, bool]],
         limits: Optional[Sequence[Optional[int]]] = None,
-        budget: Optional[Budget] = None,
     ) -> list[PairVerdict]:
         """Check ``(rep, member, complemented)`` pairs concurrently.
 
@@ -311,17 +330,17 @@ class CheckerPool:
         order.  Pairs lost to a dead worker are re-dispatched under the
         retry policy; a pair whose answer never arrives — retry budget
         exhausted, or the run's deadline — is returned as degraded
-        ``UNKNOWN``.
+        ``UNKNOWN``.  Each answered pair is charged to the budget once the
+        call's answers are all in.
 
         Args:
             limits: Optional per-pair conflict-limit overrides (escalation
                 ladders pass the rung's limit); ``None`` entries mean the
                 pool-wide limit.
-            budget: Polled for its deadline while collecting; conflict
-                headroom tightens each dispatched limit at wave granularity.
         """
         if self._closed:
             raise SweepError("pool is closed")
+        budget = self._budget
         count = len(pairs)
         if self._tracer.enabled:
             self._tracer.event("pool.dispatch", count=count)
@@ -438,11 +457,18 @@ class CheckerPool:
                 propagations=props,
                 limit=applied_limit[task_id],
             )
-        for offset in range(count):
-            if verdicts[offset] is None:
+        for offset, verdict in enumerate(verdicts):
+            if verdict is None:
                 verdicts[offset] = PairVerdict(
                     SatResult.UNKNOWN, None, 0, 0.0, degraded=True
                 )
+                continue
+            self.worker_sat_time += verdict.sat_time
+            self._solver_stats["conflicts"] += verdict.conflicts
+            self._solver_stats["propagations"] += verdict.propagations
+            if budget is not None:
+                budget.charge_sat_call()
+                budget.charge_conflicts(verdict.conflicts)
         return verdicts  # type: ignore[return-value]
 
     def _reap_dead(

@@ -22,9 +22,11 @@ Two classes:
 * :class:`CacheSession` — a per-job adapter exposing the
   ``VerdictJournal`` interface (``bind`` / ``lookup`` / ``record`` /
   ``consume_stats``), so :class:`~repro.sweep.engine.SweepEngine` and the
-  CEC flow plug into the cache with **zero engine changes**: replayed
-  verdicts are byte-identical to fresh ones because they travel the same
-  replay path PR 7 proved byte-identical for ``--resume``.
+  CEC flow plug into the cache with **zero engine changes**: every pair
+  query of a job, sweep or CEC fallback, serial or pooled, goes through
+  :meth:`SweepEngine.answer <repro.sweep.engine.SweepEngine.answer>`,
+  the same replay path ``--resume`` uses, so replayed verdicts are
+  byte-identical to fresh ones.
 
 Cache keys
 ----------
@@ -36,6 +38,8 @@ signatures come from strash.  Counterexample vectors are stored
 positionally (PI-list index), which transfers across networks: a
 signature match implies the cone reads the same PI *positions* in any
 network that produces it (PI signatures hash their interface position).
+A stored vector that does not fit the session's PI list is a miss: the
+cache is advisory, so it never replays a counterexample it cannot place.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from repro.runtime.journal import (
     ReplayRecord,
     _encode_line,
     _parse_line,
+    decode_vector,
 )
 from repro.sat.solver import SatResult
 from repro.simulation.patterns import InputVector
@@ -302,10 +307,10 @@ class CacheSession:
 
     Passed as ``SweepConfig.journal``, which (a) forces query-pure SAT —
     the precondition for sound cross-job verdict sharing — and (b) routes
-    every pair query through ``lookup`` / ``record`` on the engine's
-    existing replay-partition paths (serial, pooled, escalation, CEC
-    fallback).  Per-session counters separate this job's traffic from the
-    store's lifetime totals.
+    every pair query through ``lookup`` / ``record`` in
+    :meth:`SweepEngine.answer <repro.sweep.engine.SweepEngine.answer>`.
+    Per-session counters separate this job's traffic from the store's
+    lifetime totals.
     """
 
     def __init__(self, store: VerdictCache):
@@ -356,12 +361,15 @@ class CacheSession:
         if payload is None:
             self._stats["misses"] += 1
             return None
-        vector = self._decode_vector(payload.get("v"))
-        if vector is None and payload.get("v") is not None:
-            # Positional decode failed against this network's PI list —
-            # treat as a miss rather than replaying a wrong model.
-            self._stats["misses"] += 1
-            return None
+        vector = None
+        if payload.get("v") is not None:
+            vector = decode_vector(payload["v"], self._pis)
+            if vector is None:
+                # The stored vector does not fit this network's PI list:
+                # the cache is advisory, so a miss rather than replaying
+                # a wrong model.
+                self._stats["misses"] += 1
+                return None
         self._stats["replayed_verdicts"] += 1
         return ReplayRecord(
             outcome=SatResult(payload["o"]),
@@ -401,7 +409,7 @@ class CacheSession:
             return True
         return False
 
-    # -- vector codec (positional, as in VerdictJournal) ---------------
+    # -- vector encoding (positional, as in VerdictJournal) ------------
     def _encode_vector(self, vector: Optional[InputVector]):
         if vector is None:
             return None
@@ -416,16 +424,6 @@ class CacheSession:
             pairs.append([index, int(bit)])
         pairs.sort()
         return pairs
-
-    def _decode_vector(self, pairs) -> Optional[InputVector]:
-        if pairs is None:
-            return None
-        values = {}
-        for index, bit in pairs:
-            if index >= len(self._pis):
-                return None
-            values[self._pis[index]] = int(bit)
-        return InputVector(values)
 
     # -- stats + lifecycle ---------------------------------------------
     @property

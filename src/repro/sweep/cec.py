@@ -3,9 +3,10 @@
 CEC of two circuits (paper §2.2): place both over shared PIs in one
 *union* network, sweep it so internal equivalences are proven cheaply and
 internal differences are disproven by simulation, then resolve each output
-pair — by the sweep's verdict when available, by a SAT call through a
-:class:`PairChecker` otherwise (so every fallback call shares the sweep's
-metric accounting and budget).
+pair — by the sweep's verdict when available, by a fallback SAT call
+otherwise.  The fallback miters are answered by the sweep engine's own
+verdict seam (:meth:`SweepEngine.answer`), so they share the sweep's
+journal, metric accounting and budget for any worker count.
 
 Verdicts are tri-state: a run cut short by a :class:`Budget` deadline or
 an interrupt reports the unresolved outputs ``"unknown"`` and sets
@@ -23,11 +24,8 @@ from repro.core.generator import BaseVectorGenerator
 from repro.errors import SweepError
 from repro.network.network import Network
 from repro.obs import NULL_TRACER
-from repro.runtime.pool import CheckerPool
-from repro.runtime.supervise import RetryPolicy
 from repro.sat.solver import SatResult
 from repro.simulation.patterns import InputVector, PatternBatch
-from repro.sweep.checker import PairChecker
 from repro.sweep.engine import SweepConfig, SweepEngine, SweepMetrics
 
 
@@ -142,22 +140,6 @@ def _check_equivalence_traced(
     comp_proven = {(a, b) for a, b, comp in sweep.equivalences if comp}
     comp_proven |= {(b, a) for a, b in comp_proven}
 
-    # Fallback miter calls go through a PairChecker so sat_calls AND
-    # sat_time are tracked uniformly with the sweep's own SAT phase (and
-    # the incremental solver is reused across output pairs).  With
-    # ``jobs > 1`` the unresolved pairs go to a CheckerPool batch instead.
-    checker = None
-    if config.jobs == 1:
-        checker = PairChecker(
-            union,
-            conflict_limit=config.sat_conflict_limit,
-            incremental=engine._incremental,
-            budget=budget,
-            solver_factory=config.solver_factory,
-            max_retries=config.solver_retries,
-            sat_backend=config.sat_backend,
-        )
-
     result = CecResult(equivalent=True, metrics=sweep.metrics)
     #: One lazily simulated total vector, shared by every complement-proven
     #: pair (any input distinguishes complements).
@@ -191,6 +173,7 @@ def _check_equivalence_traced(
             return True
         return False
 
+    metrics = sweep.metrics
     pending: list[tuple[str, int, int]] = []
     fallback_calls = 0
     try:
@@ -198,139 +181,51 @@ def _check_equivalence_traced(
             for name, node_a, node_b in pairs:
                 if resolve_from_sweep(name, node_a, node_b):
                     continue
-                if sweep.metrics.interrupted or (
+                if metrics.interrupted or (
                     budget is not None and budget.expired()
                 ):
                     result.outputs[name] = "unknown"
                     result.equivalent = False
                     continue
-                if config.jobs > 1:
-                    # Defer to one concurrent batch of fallback miters;
-                    # the verdicts merge below in PO order, so the
-                    # counterexample (the first differing PO) is
-                    # worker-count-invariant.
-                    pending.append((name, node_a, node_b))
-                    continue
-                # The checker clock owns the window; charge_attempt keeps
-                # ``sat_time == sum(sat_time_per_attempt)`` through the
-                # fallback path too (the sweep's own accounting
-                # invariant).  Fallback miters ride the verdict journal
-                # like any sweep pair (keys are structural, so the PO
-                # cones replay on resume).
-                outcome, vector = engine._journaled_attempt(
-                    checker, sweep.metrics, node_a, node_b, False, rung=0
-                )
-                sweep.metrics.sat_calls += 1
-                fallback_calls += 1
-                if outcome is SatResult.UNSAT:
+                pending.append((name, node_a, node_b))
+        if pending:
+            # One SAT back end answers every fallback miter, through the
+            # sweep's verdict seam: journal replay, budget and one timer
+            # owner per attempt (``sat_time == sum(sat_time_per_attempt)``)
+            # as for any sweep pair; the wall window goes to
+            # ``sat_phase_time``.  Verdicts merge in PO order, so the
+            # counterexample (the first differing PO) is
+            # worker-count-invariant.
+            queries = [(a, b, False, 0) for _, a, b in pending]
+            start = time.perf_counter()
+            with tracer.span("phase", phase="cec.sat"):
+                solver = engine.open_solver(union)
+                try:
+                    verdicts = engine.answer(solver, queries, metrics)
+                finally:
+                    engine.close_solver(solver, metrics)
+                    metrics.sat_phase_time += time.perf_counter() - start
+            fallback_calls = len(verdicts)
+            metrics.sat_calls += fallback_calls
+            for (name, _, _), verdict in zip(pending, verdicts):
+                if verdict.outcome is SatResult.UNSAT:
                     result.outputs[name] = "equal"
-                elif outcome is SatResult.SAT:
+                elif verdict.outcome is SatResult.SAT:
                     result.outputs[name] = "different"
                     result.equivalent = False
                     if result.counterexample is None:
-                        result.counterexample = vector
+                        result.counterexample = verdict.vector
                 else:
                     result.outputs[name] = "unknown"
                     result.equivalent = False
-        if pending:
-            # One coordinator wall window for the whole fallback batch
-            # (``sat_phase_time``); each verdict's worker-clock seconds are
-            # charged exactly once via ``charge_attempt`` — never both, so
-            # the old double count (wall window + per-attempt seconds) is
-            # structurally impossible.
-            fallback_start = time.perf_counter()
-            with tracer.span("phase", phase="cec.sat"):
-                pending_pairs = [(a, b, False) for _, a, b in pending]
-                replayed, dispatch, _ = engine._journal_partition(
-                    pending_pairs
-                )
-                pooled = []
-                if dispatch:
-                    with CheckerPool(
-                        union,
-                        config.jobs,
-                        shards=config.sat_shards,
-                        conflict_limit=config.sat_conflict_limit,
-                        incremental=engine._incremental,
-                        sat_backend=config.sat_backend,
-                        chaos_kill_pair=config.chaos_kill_pair,
-                        chaos_kill_limit=config.chaos_kill_limit,
-                        retry_policy=RetryPolicy(
-                            max_retries=config.pair_retry_limit,
-                            seed=config.seed,
-                        ),
-                        tracer=tracer,
-                    ) as pool:
-                        pooled = pool.check_pairs(dispatch, budget=budget)
-                        sweep.metrics.worker_failures += pool.worker_failures
-                        engine._fold_session_stats(pool=pool)
-                pooled_iter = iter(pooled)
-                verdicts = [
-                    replayed[offset]
-                    if offset in replayed
-                    else next(pooled_iter)
-                    for offset in range(len(pending))
-                ]
-                for offset, ((name, node_a, node_b), verdict) in enumerate(
-                    zip(pending, verdicts)
-                ):
-                    if offset not in replayed:
-                        engine._journal_pooled(
-                            node_a,
-                            node_b,
-                            False,
-                            verdict,
-                            rung=0,
-                            nominal=config.sat_conflict_limit,
-                        )
-                    engine._merge_verdict_time(sweep.metrics, verdict, rung=0)
-                    sweep.metrics.sat_calls += 1
-                    fallback_calls += 1
-                    if budget is not None and not verdict.degraded:
-                        budget.charge_sat_call()
-                        budget.charge_conflicts(verdict.conflicts)
-                    if tracer.enabled:
-                        tracer.event(
-                            "sat.call",
-                            rep=node_a,
-                            member=node_b,
-                            complement=False,
-                            verdict=verdict.outcome.value,
-                            conflicts=verdict.conflicts,
-                            rung=0,
-                            po=name,
-                            degraded=verdict.degraded,
-                            dur=verdict.sat_time,
-                        )
-                    if verdict.outcome is SatResult.UNSAT:
-                        result.outputs[name] = "equal"
-                    elif verdict.outcome is SatResult.SAT:
-                        result.outputs[name] = "different"
-                        result.equivalent = False
-                        if result.counterexample is None:
-                            result.counterexample = verdict.vector
-                    else:
-                        result.outputs[name] = "unknown"
-                        result.equivalent = False
-                sweep.metrics.sat_phase_time += (
-                    time.perf_counter() - fallback_start
-                )
     except KeyboardInterrupt:
-        sweep.metrics.interrupted = True
+        metrics.interrupted = True
         for name, _, _ in pairs:
             if name not in result.outputs:
                 result.outputs[name] = "unknown"
                 result.equivalent = False
 
-    if checker is not None:
-        # calls/sat_time were charged per attempt above (one timer owner);
-        # only the retry counter and solver stats are folded in here.
-        sweep.metrics.solver_retries += checker.stats.retries
-        engine.registry.inc_many("sat.solver", checker.solver_stats)
     result.conclusive = "unknown" not in result.outputs.values()
-    # Fallback-path journal activity (replays/appends since the sweep's own
-    # fold) lands in the registry before the counters dump.
-    engine._fold_session_stats()
     engine.registry.inc_many(
         "cec",
         {

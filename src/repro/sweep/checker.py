@@ -21,17 +21,22 @@ Robustness: each query honours an optional :class:`Budget` (deadline,
 conflict, and SAT-call caps), and a :class:`TransientSolverError` from the
 solver is retried with a *fresh* solver a bounded number of times before
 the query degrades to UNKNOWN — never to a fabricated verdict.
+
+:meth:`PairChecker.check_pairs` gives the checker the interface of
+:class:`~repro.runtime.pool.CheckerPool`, so the sweep engine answers
+every pair query through one seam, in process or pooled.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.errors import TransientSolverError
 from repro.network.network import Network
 from repro.runtime.budget import Budget
+from repro.runtime.pool import PairVerdict
 from repro.sat.compiled import solver_class
 from repro.sat.solver import CdclSolver, SatResult
 from repro.sat.tape import CnfTape, ConeEncoder, stream_encoding_available
@@ -121,6 +126,47 @@ class PairChecker:
         return dict(self._fresh_stats)
 
     # ------------------------------------------------------------------
+    def check_pairs(
+        self,
+        pairs: Sequence[tuple[int, int, bool]],
+        limits: Optional[Sequence[Optional[int]]] = None,
+    ) -> list[PairVerdict]:
+        """Answer ``(rep, member, complemented)`` pairs in order, in process,
+        with :meth:`CheckerPool.check_pairs
+        <repro.runtime.pool.CheckerPool.check_pairs>`'s interface.
+
+        An UNKNOWN cut short by budget expiry or an exhausted solver retry
+        comes back ``degraded``, like a pair lost to a dead pool worker: it
+        has no deterministic verdict.
+        """
+        stats = self.stats
+        verdicts = []
+        for offset, (rep, member, complemented) in enumerate(pairs):
+            limit = self.conflict_limit
+            if limits is not None and limits[offset] is not None:
+                limit = limits[offset]
+            seconds, conflicts = stats.sat_time, stats.conflicts
+            propagations, retries = stats.propagations, stats.retries
+            outcome, vector = self.check(
+                rep, member, complemented, conflict_limit=limit
+            )
+            degraded = outcome is SatResult.UNKNOWN and (
+                stats.retries - retries > self.max_retries
+                or (self.budget is not None and self.budget.expired())
+            )
+            verdicts.append(
+                PairVerdict(
+                    outcome,
+                    vector,
+                    stats.conflicts - conflicts,
+                    stats.sat_time - seconds,
+                    propagations=stats.propagations - propagations,
+                    degraded=degraded,
+                    limit=limit,
+                )
+            )
+        return verdicts
+
     def check(
         self,
         node_a: int,

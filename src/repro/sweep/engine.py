@@ -10,7 +10,10 @@ The flow mirrors a sweeping tool like ABC's fraiging:
 3. **SAT phase**: for every remaining class, candidate pairs are checked
    with the CDCL solver; UNSAT proves equivalence, SAT yields a
    counterexample vector that is simulated back to split further classes
-   (the feedback arrow of Figure 2).
+   (the feedback arrow of Figure 2).  Every pair query — serial or pooled,
+   base pass or escalation ladder, sweep or CEC fallback — is answered
+   through :meth:`SweepEngine.answer`, which replays and appends the
+   verdict journal and charges the run's metrics.
 
 The engine measures exactly what the paper reports: per-iteration cost,
 simulation runtime, SAT calls, and SAT runtime.
@@ -29,7 +32,7 @@ from repro.network.network import Network
 from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.runtime.budget import Budget
 from repro.runtime.journal import config_fingerprint
-from repro.runtime.pool import DEFAULT_SHARDS, CheckerPool, PairVerdict
+from repro.runtime.pool import CheckerPool, PairVerdict
 from repro.runtime.supervise import RetryPolicy
 from repro.sat.compiled import SAT_BACKENDS
 from repro.sat.solver import SatResult
@@ -38,6 +41,23 @@ from repro.simulation.patterns import InputVector, PatternBatch
 from repro.simulation.simulator import Simulator
 from repro.sweep.checker import PairChecker
 from repro.sweep.classes import EquivalenceClasses
+
+#: Max pending counterexamples per resimulation flush.  Pending vectors are
+#: always flushed before the classes are next consulted, so batching never
+#: changes results; wider batches form when several counterexamples are
+#: queued back-to-back (a pooled wave, or
+#: :meth:`SweepEngine.queue_counterexample`).
+CEX_BATCH_WIDTH = 64
+#: Recompile the resimulation tape onto the surviving splittable members'
+#: cones when their count falls below this fraction of the previously
+#: compiled target set (geometric, so amortized free).
+RESIM_RECOMPILE_FACTOR = 0.5
+#: Bounded retries for a transiently failing simulator batch before the
+#: refinement is skipped (sound: classes just stay coarser).
+SIM_RETRIES = 3
+#: Bounded fresh-solver retries for a transiently failing SAT query before
+#: it degrades to UNKNOWN.
+SOLVER_RETRIES = 2
 
 
 @dataclass(slots=True)
@@ -58,18 +78,13 @@ class SweepConfig:
     match_complements: bool = False
     #: CDCL conflict budget per equivalence query (None = unbounded).
     sat_conflict_limit: Optional[int] = 20000
-    #: Feed SAT counterexamples back into simulation (Figure 2 feedback).
-    resimulate_cex: bool = True
-    #: One persistent solver with selector-guarded miters (ABC-style); the
-    #: fresh-solver-per-query mode exists for cross-checking.
-    incremental_sat: bool = True
-    #: ``"compiled"`` simulates through the tape-compiled engine with
-    #: batched counterexample resimulation over cone-restricted tapes;
-    #: ``"reference"`` keeps the original dict-walking simulator and the
-    #: one-full-network-pass-per-disproof resimulation.  Both produce
-    #: bit-identical classes, cost histories, and SAT-call counts (the
-    #: pinned trajectories in ``tests/sweep/test_engine.py`` check this);
-    #: reference is the test oracle and a debugging aid.
+    #: ``"compiled"`` simulates through the tape-compiled engine, and
+    #: resimulates counterexamples over cone-restricted tapes;
+    #: ``"reference"`` through the original dict-walking simulator.  The
+    #: simulator is all it picks: both produce bit-identical classes, cost
+    #: histories, and SAT-call counts (the pinned trajectories in
+    #: ``tests/sweep/test_engine.py`` check this); reference is the test
+    #: oracle and a debugging aid.
     engine: str = "compiled"
     #: SAT solver backend for the equivalence queries: ``"compiled"`` runs
     #: the C arena-backed CDCL core (:mod:`repro.sat.compiled`, loaded via
@@ -81,16 +96,6 @@ class SweepConfig:
     #: propagations per second.  An explicit ``solver_factory`` overrides
     #: the backend choice.
     sat_backend: str = "compiled"
-    #: Max pending counterexamples per resimulation flush.  Pending
-    #: vectors are always flushed before the classes are next consulted,
-    #: so batching never changes results; wider batches form when several
-    #: counterexamples are queued back-to-back (e.g. via
-    #: :meth:`SweepEngine.queue_counterexample`).
-    cex_batch_width: int = 64
-    #: Recompile the resimulation tape onto the surviving splittable
-    #: members' cones when their count falls below this fraction of the
-    #: previously compiled target set (geometric => amortized-free).
-    resim_recompile_factor: float = 0.5
     #: Run-level resource budget (deadline / total conflicts / total SAT
     #: calls).  ``None`` keeps the run unbounded and bit-identical to an
     #: unbudgeted sweep; with a budget, expiry stops the run gracefully
@@ -109,23 +114,14 @@ class SweepConfig:
     #: Wrapper applied to every simulator the engine builds (fault seam;
     #: see :class:`repro.runtime.faults.FaultySimulator`).
     simulator_wrapper: Optional[Callable[[object], object]] = None
-    #: Bounded retries for a transiently failing simulator batch before
-    #: the refinement is skipped (sound: classes just stay coarser).
-    sim_retries: int = 3
-    #: Bounded fresh-solver retries for a transiently failing SAT query
-    #: before it degrades to UNKNOWN.
-    solver_retries: int = 2
-    #: Worker processes for the SAT phase.  1 (default) is the in-process
-    #: serial path, bit-identical to previous releases.  >1 dispatches
+    #: Worker processes for the SAT phase.  1 (default) checks one pair at
+    #: a time in process, greedily from the largest class.  >1 dispatches
     #: independent pairs in level-ordered waves to a
     #: :class:`~repro.runtime.pool.CheckerPool` and merges verdicts in
     #: canonical dispatch order; the trajectory is then bit-identical for
     #: *any* worker count (final merges, classes, and cost also match the
     #: serial path — see docs/PERFORMANCE.md).
     jobs: int = 1
-    #: Virtual solver shards of the parallel path (fixed, never derived
-    #: from ``jobs``, so the trajectory is worker-count-invariant).
-    sat_shards: int = DEFAULT_SHARDS
     #: Fault-injection seam of the parallel path: a worker receiving this
     #: exact ``(rep, member)`` pair SIGKILLs itself mid-query; chaos tests
     #: use it to prove the pair is re-dispatched (and, past the retry
@@ -141,18 +137,14 @@ class SweepConfig:
     pair_retry_limit: int = 2
     #: Write-ahead verdict journal
     #: (:class:`repro.runtime.journal.VerdictJournal`); ``None`` disables
-    #: durable sessions.  A journal forces *query-pure* SAT checking
-    #: (``incremental_sat`` is overridden to fresh-solver-per-query) so
-    #: every verdict is a pure function of the pair and replaying a prefix
+    #: durable sessions.  A journal forces *query-pure* SAT checking (a
+    #: fresh solver per query instead of one incremental solver) so every
+    #: verdict is a pure function of the pair and replaying a prefix
     #: reproduces the uninterrupted trajectory bit-for-bit.
     journal: Optional[object] = None
     #: Structured trace sink (:class:`repro.obs.Tracer`); ``None`` wires the
     #: shared no-op tracer, whose cost is one attribute read per site.
     tracer: Optional[object] = None
-    #: Metrics registry the run records into (:class:`repro.obs.MetricsRegistry`);
-    #: ``None`` gives the engine a private one (reachable as
-    #: ``engine.registry``).  Pass a shared registry to aggregate runs.
-    registry: Optional[MetricsRegistry] = None
 
 
 @dataclass(slots=True)
@@ -222,8 +214,9 @@ class SweepMetrics:
     worker_sat_time: float = 0.0
     #: Pool worker deaths absorbed by respawn + UNKNOWN degradation.
     worker_failures: int = 0
-    #: Pairs whose answer was lost (worker death / deadline) and degraded
-    #: to UNKNOWN rather than fabricated.
+    #: Pairs with no deterministic answer (lost to a dead worker, cut
+    #: short by the budget, or out of solver retries), degraded to UNKNOWN
+    #: rather than fabricated.
     degraded_pairs: int = 0
 
     def charge_attempt(self, rung: int, seconds: float) -> None:
@@ -232,7 +225,8 @@ class SweepMetrics:
         The single entry point for SAT seconds: it feeds both
         :attr:`sat_time` and :attr:`sat_time_per_attempt`, which is what
         keeps ``sat_time == sum(sat_time_per_attempt)`` an invariant on
-        every path (serial, pooled, CEC fallback, escalation, interrupt).
+        every path (each answered query is charged once, by
+        :meth:`SweepEngine.answer`).
         """
         while len(self.sat_time_per_attempt) <= rung:
             self.sat_time_per_attempt.append(0.0)
@@ -296,29 +290,17 @@ class SweepEngine:
             )
         if self.config.jobs < 1:
             raise SweepError(f"jobs must be >= 1, got {self.config.jobs}")
-        if self.config.jobs > 1:
-            if self.config.solver_factory is not None:
-                raise SweepError(
-                    "solver_factory cannot cross process boundaries; use "
-                    "jobs=1, or the chaos_kill_pair seam for parallel faults"
-                )
-            if not self._compiled:
-                raise SweepError(
-                    "jobs > 1 requires the compiled engine (batched "
-                    "counterexample resimulation)"
-                )
+        if self.config.jobs > 1 and self.config.solver_factory is not None:
+            raise SweepError(
+                "solver_factory cannot cross process boundaries; use "
+                "jobs=1, or the chaos_kill_pair seam for parallel faults"
+            )
         self._journal = self.config.journal
         if self._journal is not None and self.config.solver_factory is not None:
             raise SweepError(
                 "a verdict journal cannot record fault-injected solvers "
                 "(their verdicts are not replayable); use one or the other"
             )
-        #: Journaled runs force query-pure (fresh-solver) checking so every
-        #: verdict is a pure function of the pair — the property resume
-        #: identity and sound twin sharing rest on.
-        self._incremental = (
-            self.config.incremental_sat and self._journal is None
-        )
         self.simulator = self._wrap_simulator(
             CompiledSimulator(network) if self._compiled else Simulator(network)
         )
@@ -326,11 +308,7 @@ class SweepEngine:
         self.tracer = (
             self.config.tracer if self.config.tracer is not None else NULL_TRACER
         )
-        self.registry = (
-            self.config.registry
-            if self.config.registry is not None
-            else MetricsRegistry()
-        )
+        self.registry = MetricsRegistry()
         if self._journal is not None:
             self._journal.bind(
                 network, config_fingerprint(self.config, self.generator)
@@ -365,7 +343,7 @@ class SweepEngine:
             except TransientSimulationError:
                 metrics.sim_retries += 1
                 attempts += 1
-                if attempts > self.config.sim_retries:
+                if attempts > SIM_RETRIES:
                     return None
 
     # ------------------------------------------------------------------
@@ -466,370 +444,110 @@ class SweepEngine:
     ) -> SweepResult:
         """Resolve every remaining class with the CDCL solver.
 
+        ``jobs == 1`` attacks one pair at a time, greedily from the
+        largest class; ``jobs > 1`` checks level-ordered waves of
+        independent pairs on a pool.  Both answer through :meth:`answer`
+        and merge through :meth:`_merge`, and pairs abandoned at the
+        conflict limit feed one escalation ladder.
+
         Budget expiry or a ``KeyboardInterrupt`` stops the phase early with
         a *sound* partial result: proven/disproven verdicts already
         recorded stay valid, pending counterexamples are flushed, and the
         remaining pairs are simply left unresolved.
         """
         config = self.config
-        budget = config.budget
-        tracer = self.tracer
         result = SweepResult(classes=classes, metrics=metrics)
         if metrics.interrupted:
             return result
-        if config.jobs > 1:
-            return self._run_sat_phase_parallel(classes, metrics, result)
-        ladder_on = (
-            config.max_escalations > 0 and config.sat_conflict_limit is not None
-        )
-        escalation_queue: list[tuple[int, int, bool, int]] = []
+        ladder = None  # UNKNOWNs queued for the escalation ladder, if on
+        if config.max_escalations > 0 and config.sat_conflict_limit is not None:
+            ladder = []
         self._pending_cex.clear()
         self._resim_sim = self.simulator
         self._resim_targets = classes.num_members
-        compiled = self._compiled
         start = time.perf_counter()
-        with tracer.span("phase", phase="sat"):
-            # Checker setup and the closing counter folds are SAT-phase
-            # wall cost, like the pooled path's pool start and close.
-            checker = PairChecker(
-                self.network,
-                conflict_limit=config.sat_conflict_limit,
-                incremental=self._incremental,
-                budget=budget,
-                solver_factory=config.solver_factory,
-                max_retries=config.solver_retries,
-                sat_backend=config.sat_backend,
-            )
-            levels = self.network.levels()
+        with self.tracer.span("phase", phase="sat"):
+            # Opening the back end (a pool's worker start) and the closing
+            # counter folds are SAT-phase wall cost.
+            solver = self.open_solver(self.network)
             try:
-                while True:
-                    if budget is not None and budget.expired():
-                        metrics.deadline_expired = True
-                        break
-                    if compiled:
-                        # Flush before the classes are consulted so deferral
-                        # can never change which class (or pair) is attacked
-                        # next.
-                        self._flush_cex(classes, metrics)
-                        cls = classes.best_splittable()
-                        if cls is None:
-                            break
-                    else:
-                        pending = classes.splittable()
-                        if not pending:
-                            break
-                        cls = pending[0]
-                    rep = _representative(cls, levels)
-                    member = cls[1] if cls[0] == rep else cls[0]
-                    complemented = classes.phase(rep) != classes.phase(member)
-                    outcome, vector = self._journaled_attempt(
-                        checker, metrics, rep, member, complemented, rung=0
+                schedule = self._run_greedy
+                if config.jobs > 1:
+                    schedule = self._run_waves
+                try:
+                    schedule(solver, classes, metrics, result, ladder)
+                except KeyboardInterrupt:
+                    metrics.interrupted = True
+                try:
+                    self._flush_cex(classes, metrics)
+                except KeyboardInterrupt:
+                    # Even the flush was interrupted: drop the pending
+                    # vectors (they only refine classes further — never
+                    # required for soundness).
+                    metrics.interrupted = True
+                    self._pending_cex.clear()
+                if ladder and not metrics.interrupted:
+                    self._run_escalations(
+                        solver, ladder, classes, metrics, result
                     )
-                    metrics.sat_calls += 1
-                    self._notify("sat", metrics.sat_calls, classes.cost())
-                    if outcome is SatResult.UNSAT:
-                        metrics.proven += 1
-                        result.equivalences.append((rep, member, complemented))
-                        classes.remove_member(member)
-                    elif outcome is SatResult.SAT:
-                        metrics.disproven += 1
-                        if config.resimulate_cex and vector is not None:
-                            if compiled:
-                                self.queue_counterexample(vector, rep, member)
-                                if (
-                                    len(self._pending_cex)
-                                    >= config.cex_batch_width
-                                ):
-                                    self._flush_cex(classes, metrics)
-                            else:
-                                self._resimulate(classes, vector, metrics)
-                                if classes.same_class(rep, member):
-                                    # The counterexample must separate the
-                                    # pair; if phases / free PIs conspired
-                                    # against the split, force it.
-                                    classes.isolate(member)
-                        elif classes.same_class(rep, member):
-                            classes.isolate(member)
-                    else:
-                        metrics.unknown += 1
-                        classes.isolate(member)
-                        if ladder_on:
-                            escalation_queue.append(
-                                (rep, member, complemented, 1)
-                            )
-            except KeyboardInterrupt:
-                metrics.interrupted = True
-            try:
-                self._flush_cex(classes, metrics)
-            except KeyboardInterrupt:
-                # Even the flush was interrupted: drop the pending vectors
-                # (they only refine classes further — never required for
-                # soundness).
-                metrics.interrupted = True
-                self._pending_cex.clear()
-            if escalation_queue and not metrics.interrupted:
-                self._run_escalations(
-                    escalation_queue, classes, metrics, result, checker
-                )
-            metrics.solver_retries += checker.stats.retries
-            self.registry.inc_many("sat.solver", checker.solver_stats)
-            self._fold_session_stats()
+            finally:
+                self.close_solver(solver, metrics)
             metrics.sat_phase_time += time.perf_counter() - start
         return result
 
-    def _checked_attempt(
-        self,
-        checker: PairChecker,
-        metrics: SweepMetrics,
-        rep: int,
-        member: int,
-        complemented: bool,
-        rung: int,
-        conflict_limit=None,
-    ):
-        """One serial pair query with its window charged on every exit path.
-
-        The checker's clock is the single owner of the attempt window; this
-        wrapper charges the delta to ``metrics`` (and the trace) even when
-        the query is aborted by an interrupt mid-solve, so
-        ``sat_time == sum(sat_time_per_attempt)`` survives early exits.
-        """
-        time_before = checker.stats.sat_time
-        conflicts_before = checker.stats.conflicts
-        outcome = SatResult.UNKNOWN
-        vector = None
-        try:
-            if conflict_limit is None:
-                outcome, vector = checker.check(rep, member, complemented)
-            else:
-                outcome, vector = checker.check(
-                    rep, member, complemented, conflict_limit=conflict_limit
-                )
-            return outcome, vector
-        finally:
-            attempt_s = checker.stats.sat_time - time_before
-            metrics.charge_attempt(rung, attempt_s)
-            conflicts = checker.stats.conflicts - conflicts_before
-            self.registry.observe("sat.conflicts_per_call", conflicts)
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "sat.call",
-                    rep=rep,
-                    member=member,
-                    complement=complemented,
-                    verdict=outcome.value,
-                    conflicts=conflicts,
-                    rung=rung,
-                    dur=attempt_s,
-                )
-
-    # ------------------------------------------------------------------
-    # Durable sessions (verdict journal)
-    # ------------------------------------------------------------------
-    def _journaled_attempt(
-        self,
-        checker: PairChecker,
-        metrics: SweepMetrics,
-        rep: int,
-        member: int,
-        complemented: bool,
-        rung: int,
-        conflict_limit=None,
-    ):
-        """A serial pair query routed through the verdict journal.
-
-        With no journal this is exactly :meth:`_checked_attempt`.  With
-        one, a journaled verdict for the pair's key is replayed (no solver
-        touched) with identical accounting and trace records; a fresh
-        verdict is solved, then durably appended *before* the caller
-        merges it.  UNKNOWNs are only journaled when deterministic —
-        reached at the nominal limit with no budget expiry and no
-        transient-fault retry in the window.
-        """
-        journal = self._journal
-        if journal is None:
-            return self._checked_attempt(
-                checker, metrics, rep, member, complemented, rung,
-                conflict_limit,
-            )
-        nominal = (
-            self.config.sat_conflict_limit
-            if conflict_limit is None
-            else conflict_limit
-        )
-        record = journal.lookup(rep, member, complemented, nominal)
-        if record is not None:
-            return self._apply_replay(
-                metrics, rep, member, complemented, rung, record
-            )
+    def _run_greedy(self, solver, classes, metrics, result, ladder) -> None:
+        """Serial schedule: the representative of the largest splittable
+        class against its next member, one query at a time."""
         budget = self.config.budget
-        conflicts_before = checker.stats.conflicts
-        props_before = checker.stats.propagations
-        retries_before = checker.stats.retries
-        outcome, vector = self._checked_attempt(
-            checker, metrics, rep, member, complemented, rung, conflict_limit
-        )
-        deterministic_unknown = (
-            checker.stats.retries == retries_before
-            and (budget is None or not budget.expired())
-        )
-        if outcome is not SatResult.UNKNOWN or deterministic_unknown:
-            journal.record(
-                rep,
-                member,
-                complemented,
-                nominal,
-                outcome,
-                vector,
-                conflicts=checker.stats.conflicts - conflicts_before,
-                propagations=checker.stats.propagations - props_before,
-                rung=rung,
+        levels = self.network.levels()
+        while budget is None or not budget.expired():
+            # Flush before the classes are consulted so deferral can never
+            # change which class (or pair) is attacked next.
+            self._flush_cex(classes, metrics)
+            cls = classes.best_splittable()
+            if cls is None:
+                return
+            rep = _representative(cls, levels)
+            member = cls[1] if cls[0] == rep else cls[0]
+            query = (
+                rep, member, classes.phase(rep) != classes.phase(member), 0
             )
-        return outcome, vector
+            (verdict,) = self.answer(solver, [query], metrics)
+            self._merge(query, verdict, classes, metrics, result, ladder)
+        metrics.deadline_expired = True
 
-    def _apply_replay(
-        self,
-        metrics: SweepMetrics,
-        rep: int,
-        member: int,
-        complemented: bool,
-        rung: int,
-        record,
-    ):
-        """Merge-side effects of one replayed verdict.
+    def _run_waves(self, solver, classes, metrics, result, ladder) -> None:
+        """Pooled schedule: waves of independent pairs.
 
-        Emits the same trace event and registry/budget charges as a live
-        query (minus wall time: replay costs zero SAT seconds), so the
-        deterministic trace projection of a resumed run is identical to
-        the uninterrupted run's.
+        Each round snapshots the splittable classes into a wave
+        (:meth:`_build_wave`), checks it concurrently, then merges the
+        verdicts in canonical dispatch order; the counterexamples are
+        absorbed through one batched resimulation.  The budget is polled
+        between waves; expiry abandons outstanding queries as degraded
+        UNKNOWNs, which stay unresolved — never guessed.
         """
-        metrics.charge_attempt(rung, 0.0)
         budget = self.config.budget
-        if budget is not None:
-            budget.charge_sat_call()
-            budget.charge_conflicts(record.conflicts)
-        self.registry.observe("sat.conflicts_per_call", record.conflicts)
-        self.registry.inc_many(
-            "sat.solver",
-            {
-                "conflicts": record.conflicts,
-                "propagations": record.propagations,
-            },
-        )
-        if self.tracer.enabled:
-            self.tracer.event(
-                "sat.call",
-                rep=rep,
-                member=member,
-                complement=complemented,
-                verdict=record.outcome.value,
-                conflicts=record.conflicts,
-                rung=rung,
-                dur=0.0,
-            )
-        vector = (
-            None
-            if record.vector is None
-            else InputVector(dict(record.vector.values))
-        )
-        return record.outcome, vector
+        wave_index = 0
+        while budget is None or not budget.expired():
+            self._flush_cex(classes, metrics)
+            wave = self._build_wave(classes, wave_index)
+            if not wave:
+                return
+            metrics.waves += 1
+            self.registry.observe("sweep.wave_size", len(wave))
+            with self.tracer.span("wave", wave=wave_index, size=len(wave)):
+                verdicts = self.answer(solver, wave, metrics, wave=wave_index)
+                for query, verdict in zip(wave, verdicts):
+                    self._merge(
+                        query, verdict, classes, metrics, result, ladder
+                    )
+            wave_index += 1
+        metrics.deadline_expired = True
 
-    def _journal_partition(self, pairs, limits=None):
-        """Split a wave into replayed verdicts and pairs to dispatch.
-
-        Returns ``(replayed, dispatch, dispatch_limits)`` where
-        ``replayed`` maps wave offsets to fabricated
-        :class:`PairVerdict` objects (zero SAT seconds) and ``dispatch``
-        keeps the relative order of the remaining pairs — so stitching
-        pool answers back by offset preserves the canonical merge order.
-        """
-        journal = self._journal
-        if journal is None:
-            return (
-                {},
-                list(pairs),
-                None if limits is None else list(limits),
-            )
-        base = self.config.sat_conflict_limit
-        replayed: dict[int, PairVerdict] = {}
-        dispatch: list = []
-        dispatch_limits: list = []
-        for offset, (rep, member, complemented) in enumerate(pairs):
-            nominal = base
-            if limits is not None and limits[offset] is not None:
-                nominal = limits[offset]
-            record = journal.lookup(rep, member, complemented, nominal)
-            if record is None:
-                dispatch.append((rep, member, complemented))
-                dispatch_limits.append(
-                    None if limits is None else limits[offset]
-                )
-                continue
-            replayed[offset] = PairVerdict(
-                record.outcome,
-                None
-                if record.vector is None
-                else InputVector(dict(record.vector.values)),
-                record.conflicts,
-                0.0,
-                propagations=record.propagations,
-                limit=nominal,
-            )
-        return (
-            replayed,
-            dispatch,
-            None if limits is None else dispatch_limits,
-        )
-
-    def _journal_pooled(
-        self, rep, member, complemented, verdict, rung, nominal
-    ) -> None:
-        """Durably append one pooled verdict (merge order = append order).
-
-        Degraded verdicts are never journaled (no worker answer exists);
-        an UNKNOWN is journaled only when the worker solved under the
-        nominal limit — a budget-tightened limit makes the UNKNOWN
-        non-deterministic, so it must be re-solved on resume.
-        """
-        journal = self._journal
-        if journal is None or verdict.degraded:
-            return
-        if (
-            verdict.outcome is SatResult.UNKNOWN
-            and verdict.limit != nominal
-        ):
-            return
-        journal.record(
-            rep,
-            member,
-            complemented,
-            nominal,
-            verdict.outcome,
-            verdict.vector,
-            conflicts=verdict.conflicts,
-            propagations=verdict.propagations,
-            rung=rung,
-        )
-
-    def _fold_session_stats(self, pool=None) -> None:
-        """Publish journal + pool-supervision counters into the registry.
-
-        The journal hands out *deltas* (several fold sites may share one
-        journal across the sweep and the CEC fallback); a pool instance is
-        folded exactly once, by whoever closes it.
-        """
-        if self._journal is not None:
-            self.registry.inc_many("journal", self._journal.consume_stats())
-        if pool is not None:
-            self.registry.inc_many("pool", pool.supervision_stats)
-
-    # ------------------------------------------------------------------
-    # Parallel SAT phase (jobs > 1)
-    # ------------------------------------------------------------------
     def _build_wave(
         self, classes: EquivalenceClasses, wave_index: int
-    ) -> list[tuple[int, int, bool]]:
-        """Snapshot the next wave of independent candidate pairs.
+    ) -> list[tuple[int, int, bool, int]]:
+        """Snapshot the next wave of independent base-pass queries.
 
         For every splittable class: the representative (shallowest member,
         as in the serial path) versus up to ``2 ** wave_index`` other
@@ -842,284 +560,89 @@ class SweepEngine:
         """
         per_class_cap = 1 << min(wave_index, 16)
         levels = self.network.levels()
-        wave: list[tuple[int, int, bool]] = []
+        wave: list[tuple[int, int, bool, int]] = []
         for cls in classes.splittable():
             rep = _representative(cls, levels)
             rep_phase = classes.phase(rep)
             others = [uid for uid in cls if uid != rep]
             for member in others[:per_class_cap]:
                 wave.append(
-                    (rep, member, rep_phase != classes.phase(member))
+                    (rep, member, rep_phase != classes.phase(member), 0)
                 )
         wave.sort(
-            key=lambda pair: (
-                max(levels[pair[0]], levels[pair[1]]),
-                pair[0],
-                pair[1],
+            key=lambda query: (
+                max(levels[query[0]], levels[query[1]]),
+                query[0],
+                query[1],
             )
         )
         return wave
 
-    def _run_sat_phase_parallel(
-        self,
-        classes: EquivalenceClasses,
-        metrics: SweepMetrics,
-        result: SweepResult,
-    ) -> SweepResult:
-        """Wave-scheduled SAT phase over a :class:`CheckerPool`.
+    def _merge(self, query, verdict, classes, metrics, result, ladder) -> None:
+        """Merge one base-pass verdict.
 
-        Each round snapshots the splittable classes into a wave of
-        independent pairs, checks them concurrently, then merges verdicts
-        in canonical dispatch order: UNSAT merges, SAT counterexamples are
-        queued and absorbed through one batched resimulation, UNKNOWN
-        isolates (and feeds the escalation ladder).  The budget is polled
-        between waves; expiry abandons outstanding queries as UNKNOWN-
-        degraded pairs, which stay unresolved — never guessed.
+        UNSAT merges the member into its representative; SAT queues the
+        counterexample for resimulation (the flush forces the pair apart
+        if refinement alone does not); UNKNOWN isolates the member and,
+        with a ladder running, queues it for rung 1.
         """
-        config = self.config
-        budget = config.budget
-        tracer = self.tracer
-        ladder_on = (
-            config.max_escalations > 0 and config.sat_conflict_limit is not None
-        )
-        escalation_queue: list[tuple[int, int, bool, int]] = []
-        self._pending_cex.clear()
-        self._resim_sim = self.simulator
-        self._resim_targets = classes.num_members
-        start = time.perf_counter()
-        with tracer.span("phase", phase="sat"):
-            # Spawning the workers is part of the SAT phase's wall cost, so
-            # it happens inside both the span and the phase-time window.
-            pool = CheckerPool(
-                self.network,
-                config.jobs,
-                shards=config.sat_shards,
-                conflict_limit=config.sat_conflict_limit,
-                incremental=self._incremental,
-                sat_backend=config.sat_backend,
-                chaos_kill_pair=config.chaos_kill_pair,
-                chaos_kill_limit=config.chaos_kill_limit,
-                retry_policy=RetryPolicy(
-                    max_retries=config.pair_retry_limit, seed=config.seed
-                ),
-                tracer=tracer,
-            )
-            try:
-                wave_index = 0
-                while True:
-                    if budget is not None and budget.expired():
-                        metrics.deadline_expired = True
-                        break
+        rep, member, complemented, _ = query
+        metrics.sat_calls += 1
+        self._notify("sat", metrics.sat_calls, classes.cost())
+        outcome = verdict.outcome
+        if outcome is SatResult.UNSAT:
+            metrics.proven += 1
+            result.equivalences.append((rep, member, complemented))
+            classes.remove_member(member)
+        elif outcome is SatResult.SAT:
+            metrics.disproven += 1
+            if verdict.vector is not None:
+                self.queue_counterexample(verdict.vector, rep, member)
+                if len(self._pending_cex) >= CEX_BATCH_WIDTH:
                     self._flush_cex(classes, metrics)
-                    wave = self._build_wave(classes, wave_index)
-                    if not wave:
-                        break
-                    this_wave = wave_index
-                    wave_index += 1
-                    metrics.waves += 1
-                    self.registry.observe("sweep.wave_size", len(wave))
-                    with tracer.span("wave", wave=this_wave, size=len(wave)):
-                        replayed, dispatch, _ = self._journal_partition(wave)
-                        pooled = (
-                            pool.check_pairs(dispatch, budget=budget)
-                            if dispatch
-                            else []
-                        )
-                        pooled_iter = iter(pooled)
-                        verdicts = [
-                            replayed[offset]
-                            if offset in replayed
-                            else next(pooled_iter)
-                            for offset in range(len(wave))
-                        ]
-                        for offset, (
-                            (rep, member, complemented),
-                            verdict,
-                        ) in enumerate(zip(wave, verdicts)):
-                            if offset not in replayed:
-                                self._journal_pooled(
-                                    rep,
-                                    member,
-                                    complemented,
-                                    verdict,
-                                    rung=0,
-                                    nominal=config.sat_conflict_limit,
-                                )
-                            self._merge_verdict_time(
-                                metrics, verdict, rung=0
-                            )
-                            metrics.sat_calls += 1
-                            if budget is not None and not verdict.degraded:
-                                budget.charge_sat_call()
-                                budget.charge_conflicts(verdict.conflicts)
-                            self._notify(
-                                "sat", metrics.sat_calls, classes.cost()
-                            )
-                            if tracer.enabled:
-                                tracer.event(
-                                    "sat.call",
-                                    rep=rep,
-                                    member=member,
-                                    complement=complemented,
-                                    verdict=verdict.outcome.value,
-                                    conflicts=verdict.conflicts,
-                                    rung=0,
-                                    wave=this_wave,
-                                    degraded=verdict.degraded,
-                                    dur=verdict.sat_time,
-                                )
-                            if verdict.outcome is SatResult.UNSAT:
-                                metrics.proven += 1
-                                result.equivalences.append(
-                                    (rep, member, complemented)
-                                )
-                                classes.remove_member(member)
-                            elif verdict.outcome is SatResult.SAT:
-                                metrics.disproven += 1
-                                if (
-                                    config.resimulate_cex
-                                    and verdict.vector is not None
-                                ):
-                                    self.queue_counterexample(
-                                        verdict.vector, rep, member
-                                    )
-                                    if (
-                                        len(self._pending_cex)
-                                        >= config.cex_batch_width
-                                    ):
-                                        self._flush_cex(classes, metrics)
-                                elif classes.same_class(rep, member):
-                                    classes.isolate(member)
-                            else:
-                                metrics.unknown += 1
-                                classes.isolate(member)
-                                if ladder_on:
-                                    escalation_queue.append(
-                                        (rep, member, complemented, 1)
-                                    )
-            except KeyboardInterrupt:
-                metrics.interrupted = True
-            try:
-                self._flush_cex(classes, metrics)
-            except KeyboardInterrupt:
-                metrics.interrupted = True
-                self._pending_cex.clear()
-            try:
-                if escalation_queue and not metrics.interrupted:
-                    self._run_escalations_parallel(
-                        escalation_queue, classes, metrics, result, pool
-                    )
-            finally:
-                metrics.worker_failures += pool.worker_failures
-                self._fold_session_stats(pool=pool)
-                pool.close()
-            metrics.sat_phase_time += time.perf_counter() - start
-        return result
+            elif classes.same_class(rep, member):
+                classes.isolate(member)
+        else:
+            metrics.unknown += 1
+            classes.isolate(member)
+            if ladder is not None:
+                ladder.append((rep, member, complemented, 1))
 
-    def _merge_verdict_time(
-        self, metrics: SweepMetrics, verdict, rung: int
-    ) -> None:
-        """Fold one pooled verdict's accounting in (dispatch order).
+    # ------------------------------------------------------------------
+    # UNKNOWN escalation ladder
+    # ------------------------------------------------------------------
+    def _run_escalations(self, solver, queue, classes, metrics, result) -> None:
+        """Retry abandoned pairs with geometrically growing conflict limits.
 
-        The worker-local clock is the single owner of the query window:
-        its seconds land in ``sat_time``/``sat_time_per_attempt`` *and*
-        ``worker_sat_time`` (the two stay equal on fully-pooled runs) —
-        never in the coordinator's wall window, which is
-        ``sat_phase_time``.
-        """
-        metrics.charge_attempt(rung, verdict.sat_time)
-        metrics.worker_sat_time += verdict.sat_time
-        if verdict.degraded:
-            metrics.degraded_pairs += 1
-        self.registry.observe("sat.conflicts_per_call", verdict.conflicts)
-        # Pooled runs have no parent-side solver to export counters from,
-        # so the worker deltas are the registry's source of truth here.
-        self.registry.inc_many(
-            "sat.solver",
-            {
-                "conflicts": verdict.conflicts,
-                "propagations": verdict.propagations,
-            },
-        )
-
-    def _run_escalations_parallel(
-        self,
-        queue: list[tuple[int, int, bool, int]],
-        classes: EquivalenceClasses,
-        metrics: SweepMetrics,
-        result: SweepResult,
-        pool: CheckerPool,
-    ) -> None:
-        """Escalation ladder over the pool: one wave per pending rung set.
-
-        Same semantics as :meth:`_run_escalations`, but every pair of the
-        current rung set is retried concurrently; the stable shard routing
-        sends a retry to the solver that already learnt that miter's
-        clauses.
+        Runs after the base pass so cheap pairs are never starved by a hard
+        one, and only while budget headroom remains.  Each round answers
+        one query on the in-process checker, or the whole queue on a pool
+        (stable shard routing sends a retry to the solver that already
+        learnt that miter's clauses); either way the queue stays in rung
+        order and a round's counterexamples are flushed before the next.
+        A pair proven here is re-merged into the result exactly as in the
+        base pass; a pair still UNKNOWN after the last rung is counted in
+        ``metrics.unknown_after_escalation``.
         """
         config = self.config
         budget = config.budget
-        base_limit = config.sat_conflict_limit
+        pooled = config.jobs > 1
         try:
             while queue:
                 if budget is not None and budget.expired():
                     metrics.deadline_expired = True
                     break
-                wave, queue = queue, []
-                limits = [
-                    base_limit * (config.escalation_factor ** rung)
-                    for _, _, _, rung in wave
-                ]
-                pairs = [(rep, member, comp) for rep, member, comp, _ in wave]
-                replayed, dispatch, dispatch_limits = self._journal_partition(
-                    pairs, limits
-                )
-                pooled = (
-                    pool.check_pairs(
-                        dispatch, limits=dispatch_limits, budget=budget
-                    )
-                    if dispatch
-                    else []
-                )
-                pooled_iter = iter(pooled)
-                verdicts = [
-                    replayed[offset]
-                    if offset in replayed
-                    else next(pooled_iter)
-                    for offset in range(len(wave))
-                ]
-                for offset, (
-                    (rep, member, complemented, rung),
-                    verdict,
-                ) in enumerate(zip(wave, verdicts)):
-                    if offset not in replayed:
-                        self._journal_pooled(
-                            rep,
-                            member,
-                            complemented,
-                            verdict,
-                            rung=rung,
-                            nominal=limits[offset],
-                        )
-                    self._merge_verdict_time(metrics, verdict, rung=rung)
+                if pooled:
+                    batch, queue = queue, []
+                else:
+                    batch = [queue.pop(0)]
+                verdicts = self.answer(solver, batch, metrics)
+                for (rep, member, complemented, rung), verdict in zip(
+                    batch, verdicts
+                ):
                     metrics.sat_calls += 1
                     metrics.escalations += 1
-                    if budget is not None and not verdict.degraded:
-                        budget.charge_sat_call()
-                        budget.charge_conflicts(verdict.conflicts)
                     self._notify("escalate", metrics.sat_calls, classes.cost())
-                    if self.tracer.enabled:
-                        self.tracer.event(
-                            "sat.call",
-                            rep=rep,
-                            member=member,
-                            complement=complemented,
-                            verdict=verdict.outcome.value,
-                            conflicts=verdict.conflicts,
-                            rung=rung,
-                            degraded=verdict.degraded,
-                            dur=verdict.sat_time,
-                        )
                     if verdict.outcome is SatResult.UNSAT:
                         metrics.unknown -= 1
                         metrics.proven += 1
@@ -1129,7 +652,7 @@ class SweepEngine:
                     elif verdict.outcome is SatResult.SAT:
                         metrics.unknown -= 1
                         metrics.disproven += 1
-                        if config.resimulate_cex and verdict.vector is not None:
+                        if verdict.vector is not None:
                             self.queue_counterexample(verdict.vector)
                     elif rung < config.max_escalations:
                         queue.append((rep, member, complemented, rung + 1))
@@ -1141,68 +664,177 @@ class SweepEngine:
             self._pending_cex.clear()
 
     # ------------------------------------------------------------------
-    # UNKNOWN escalation ladder
+    # The verdict seam: every SAT-phase pair query answers here
     # ------------------------------------------------------------------
-    def _run_escalations(
-        self,
-        queue: list[tuple[int, int, bool, int]],
-        classes: EquivalenceClasses,
-        metrics: SweepMetrics,
-        result: SweepResult,
-        checker: PairChecker,
-    ) -> None:
-        """Retry abandoned pairs with geometrically growing conflict limits.
+    def open_solver(self, network: Network):
+        """The back end of one SAT phase: a :class:`PairChecker` in process
+        (``jobs == 1``) or a :class:`CheckerPool` of ``jobs`` workers.
 
-        Runs after the base pass so cheap pairs are never starved by a hard
-        one, and only while budget headroom remains.  A pair proven here is
-        re-merged into the result exactly as in the base pass; a pair still
-        UNKNOWN after the last rung is counted in
-        ``metrics.unknown_after_escalation``.
+        Both answer through ``check_pairs``.  A journal forces query-pure
+        checking (a fresh solver per query), so every verdict is a pure
+        function of its pair — the property resume identity and sound twin
+        sharing rest on.
+        """
+        config = self.config
+        incremental = self._journal is None
+        if config.jobs == 1:
+            return PairChecker(
+                network,
+                conflict_limit=config.sat_conflict_limit,
+                incremental=incremental,
+                budget=config.budget,
+                solver_factory=config.solver_factory,
+                max_retries=SOLVER_RETRIES,
+                sat_backend=config.sat_backend,
+            )
+        return CheckerPool(
+            network,
+            config.jobs,
+            conflict_limit=config.sat_conflict_limit,
+            incremental=incremental,
+            sat_backend=config.sat_backend,
+            chaos_kill_pair=config.chaos_kill_pair,
+            chaos_kill_limit=config.chaos_kill_limit,
+            retry_policy=RetryPolicy(
+                max_retries=config.pair_retry_limit, seed=config.seed
+            ),
+            tracer=self.tracer,
+            budget=config.budget,
+        )
+
+    def answer(
+        self,
+        solver,
+        queries: list[tuple[int, int, bool, int]],
+        metrics: SweepMetrics,
+        **fields,
+    ) -> list[PairVerdict]:
+        """Answer ``(rep, member, complemented, rung)`` queries in order.
+
+        A rung-``r`` query runs at ``sat_conflict_limit *
+        escalation_factor ** r``.  Journaled verdicts replay with zero SAT
+        seconds; the misses go to ``solver.check_pairs`` in one call, and
+        each fresh verdict is durably journaled before this returns — so
+        before the caller merges it.  A degraded verdict is never
+        journaled, and an UNKNOWN only when it was reached at the nominal
+        limit (a budget-tightened one makes it non-deterministic).
+
+        The solver charged the budget for what it solved; replays are
+        charged to the budget and to ``sat.solver`` here, after it ran.
+        Every verdict is charged to ``metrics`` and emits one ``sat.call``
+        event (``fields`` adds attributes such as ``wave``), so a resumed
+        run's deterministic trace equals the uninterrupted run's.
         """
         config = self.config
         budget = config.budget
-        base_limit = config.sat_conflict_limit
-        try:
-            while queue:
-                if budget is not None and budget.expired():
-                    metrics.deadline_expired = True
-                    break
-                rep, member, complemented, rung = queue.pop(0)
-                limit = base_limit * (config.escalation_factor ** rung)
-                outcome, vector = self._journaled_attempt(
-                    checker,
-                    metrics,
-                    rep,
-                    member,
-                    complemented,
-                    rung=rung,
-                    conflict_limit=limit,
+        journal = self._journal
+        registry = self.registry
+        tracer = self.tracer
+        base = config.sat_conflict_limit
+        limits = [
+            base if rung == 0 else base * config.escalation_factor ** rung
+            for _, _, _, rung in queries
+        ]
+        pairs = [query[:3] for query in queries]
+        if journal is None:
+            records = [None] * len(queries)
+            fresh = iter(solver.check_pairs(pairs, limits))
+        else:
+            records = [
+                journal.lookup(*pair, limit)
+                for pair, limit in zip(pairs, limits)
+            ]
+            misses = [
+                offset
+                for offset, record in enumerate(records)
+                if record is None
+            ]
+            fresh = iter(
+                solver.check_pairs(
+                    [pairs[offset] for offset in misses],
+                    [limits[offset] for offset in misses],
                 )
-                metrics.sat_calls += 1
-                metrics.escalations += 1
-                self._notify("escalate", metrics.sat_calls, classes.cost())
-                if outcome is SatResult.UNSAT:
-                    metrics.unknown -= 1
-                    metrics.proven += 1
-                    result.equivalences.append((rep, member, complemented))
-                    if classes.tracked(member):
-                        classes.remove_member(member)
-                elif outcome is SatResult.SAT:
-                    metrics.unknown -= 1
-                    metrics.disproven += 1
-                    if config.resimulate_cex and vector is not None:
-                        if self._compiled:
-                            self.queue_counterexample(vector)
-                            self._flush_cex(classes, metrics)
-                        else:
-                            self._resimulate(classes, vector, metrics)
-                elif rung < config.max_escalations:
-                    queue.append((rep, member, complemented, rung + 1))
-                else:
-                    metrics.unknown_after_escalation += 1
-        except KeyboardInterrupt:
-            metrics.interrupted = True
-            self._pending_cex.clear()
+                if misses
+                else ()
+            )
+        verdicts = []
+        for (rep, member, complemented, rung), limit, record in zip(
+            queries, limits, records
+        ):
+            if record is None:
+                verdict = next(fresh)
+                if journal is not None and not verdict.degraded and (
+                    verdict.outcome is not SatResult.UNKNOWN
+                    or verdict.limit == limit
+                ):
+                    journal.record(
+                        rep, member, complemented, limit, verdict.outcome,
+                        verdict.vector, conflicts=verdict.conflicts,
+                        propagations=verdict.propagations, rung=rung,
+                    )
+            else:
+                verdict = PairVerdict(
+                    record.outcome,
+                    None
+                    if record.vector is None
+                    else InputVector(dict(record.vector.values)),
+                    record.conflicts,
+                    0.0,
+                    propagations=record.propagations,
+                    limit=limit,
+                )
+                if budget is not None:
+                    budget.charge_sat_call()
+                    budget.charge_conflicts(record.conflicts)
+                registry.inc_many(
+                    "sat.solver",
+                    {
+                        "conflicts": record.conflicts,
+                        "propagations": record.propagations,
+                    },
+                )
+            verdicts.append(verdict)
+            metrics.charge_attempt(rung, verdict.sat_time)
+            if verdict.degraded:
+                metrics.degraded_pairs += 1
+            registry.observe("sat.conflicts_per_call", verdict.conflicts)
+            if tracer.enabled:
+                tracer.event(
+                    "sat.call",
+                    rep=rep,
+                    member=member,
+                    complement=complemented,
+                    verdict=verdict.outcome.value,
+                    conflicts=verdict.conflicts,
+                    rung=rung,
+                    **fields,
+                    degraded=verdict.degraded,
+                    dur=verdict.sat_time,
+                )
+        return verdicts
+
+    def close_solver(self, solver, metrics: SweepMetrics) -> None:
+        """Fold a back end's counters into ``metrics`` and the registry,
+        then close it (a pool stops its workers).
+
+        A pool is folded exactly once, here.  The journal hands out
+        *deltas*, so the sweep and a CEC fallback can each fold it.
+        """
+        registry = self.registry
+        pooled = isinstance(solver, CheckerPool)
+        try:
+            if pooled:
+                metrics.worker_failures += solver.worker_failures
+                metrics.worker_sat_time += solver.worker_sat_time
+                registry.inc_many("pool", solver.supervision_stats)
+            else:
+                metrics.solver_retries += solver.stats.retries
+            registry.inc_many("sat.solver", solver.solver_stats)
+            if self._journal is not None:
+                registry.inc_many("journal", self._journal.consume_stats())
+        finally:
+            if pooled:
+                solver.close()
 
     # ------------------------------------------------------------------
     # Counterexample resimulation
@@ -1215,9 +847,9 @@ class SweepEngine:
     ) -> None:
         """Defer a counterexample into the pending resimulation batch.
 
-        Free PIs are completed immediately with this engine's RNG (the same
-        draw order as the reference engine's per-cex batch), so flush timing
-        never changes the simulated patterns.  When ``rep``/``member`` are
+        Free PIs are completed immediately with this engine's RNG (one
+        draw per counterexample, in verdict order), so flush timing never
+        changes the simulated patterns.  When ``rep``/``member`` are
         given, the flush forces the pair apart if refinement alone failed
         to separate them.
         """
@@ -1279,52 +911,21 @@ class SweepEngine:
     def _resim_simulator(self, classes: EquivalenceClasses):
         """The simulator used for counterexample resimulation.
 
-        Only members of classes of size >= 2 can still split, so the tape
-        is recompiled onto their (shrinking) fanin cones whenever the
-        splittable member count halves.
+        Only members of classes of size >= 2 can still split, so the
+        compiled engine recompiles its tape onto their (shrinking) fanin
+        cones whenever the splittable member count halves.  The reference
+        simulator always runs the whole network.
         """
+        if not self._compiled:
+            return self._resim_sim
         members = classes.splittable_members()
-        threshold = self._resim_targets * self.config.resim_recompile_factor
+        threshold = self._resim_targets * RESIM_RECOMPILE_FACTOR
         if members and len(members) <= threshold:
             self._resim_sim = self._wrap_simulator(
                 CompiledSimulator(self.network, targets=members)
             )
             self._resim_targets = len(members)
         return self._resim_sim
-
-    def _resimulate(
-        self,
-        classes: EquivalenceClasses,
-        vector: InputVector,
-        metrics: SweepMetrics,
-    ) -> None:
-        """Reference-mode resimulation: one full-network pass per cex.
-
-        Charged to ``sim_time`` like the batched flush (one timer owner per
-        window; the SAT clock never covers resimulation).
-        """
-        start = time.perf_counter()
-        try:
-            batch = PatternBatch(
-                self.network.pis, random.Random(self._rng.random())
-            )
-            batch.add_vector(vector)
-            values = self._sim_batch(self.simulator, batch, metrics)
-            if values is None:
-                return
-            classes.refine(values, batch.width)
-            metrics.vectors_simulated += batch.width
-            # Counterexamples make good seeds for neighbourhood generators
-            # (Mishchenko et al.'s 1-distance vectors, paper §2.3).
-            if self.generator is not None and hasattr(
-                self.generator, "set_seed_vector"
-            ):
-                self.generator.set_seed_vector(vector)
-        finally:
-            flush_s = time.perf_counter() - start
-            metrics.sim_time += flush_s
-            if self.tracer.enabled:
-                self.tracer.event("resim.flush", count=1, dur=flush_s)
 
     # ------------------------------------------------------------------
     def publish_metrics(self, metrics: SweepMetrics) -> None:

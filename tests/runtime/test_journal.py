@@ -8,6 +8,7 @@ import pytest
 from repro.errors import JournalError
 from repro.network import NetworkBuilder
 from repro.runtime import VerdictJournal
+from repro.runtime.journal import _encode_line
 from repro.sat.solver import SatResult
 from repro.simulation.patterns import InputVector
 
@@ -133,6 +134,48 @@ class TestTornTail:
             VerdictJournal(path, resume=True)
 
 
+class TestStoredVectors:
+    """A CRC-valid verdict whose counterexample does not fit the network
+    is corruption: replaying it would report a vector on the wrong
+    inputs, so the journal cannot be trusted."""
+
+    def journal_with_vector(self, tmp_path, stored):
+        net, nodes = small_network()
+        a, b, g1, _, g3 = nodes
+        path = tmp_path / "j.jsonl"
+        with fresh_journal(path, net) as journal:
+            journal.record(
+                g1, g3, False, 1000, SatResult.SAT, InputVector({a: 1, b: 0}),
+                5, 9,
+            )
+        header, line = path.read_bytes().splitlines(keepends=True)
+        payload = json.loads(line.partition(b"\t")[2])
+        payload["v"] = stored
+        path.write_bytes(header + _encode_line(payload))
+        return path, net, nodes
+
+    @pytest.mark.parametrize(
+        "stored",
+        [[[-1, 1]], [[2, 1]], [[1000000, 1]], [[0, 2]]],
+        ids=["negative-index", "index-past-end", "huge-index", "bad-bit"],
+    )
+    def test_entry_that_does_not_fit_raises_on_bind(self, tmp_path, stored):
+        path, net, _ = self.journal_with_vector(tmp_path, stored)
+        journal = VerdictJournal(path, resume=True, fsync=False)
+        with pytest.raises(JournalError, match="does not fit"):
+            journal.bind(net, FP)
+        journal.close()
+
+    def test_fitting_entries_decode_onto_the_pis(self, tmp_path):
+        path, net, (_, b, g1, _, g3) = self.journal_with_vector(
+            tmp_path, [[1, 1]]
+        )
+        journal = VerdictJournal(path, resume=True, fsync=False)
+        journal.bind(net, FP)
+        assert journal.lookup(g1, g3, False, 1000).vector.values == {b: 1}
+        journal.close()
+
+
 class TestGuards:
     def test_existing_nonempty_journal_refused_without_resume(self, tmp_path):
         path, _ = TestTornTail().seeded(tmp_path)
@@ -229,6 +272,36 @@ class TestCreationDurability:
         calls = self._record_dir_fsyncs(monkeypatch)
         VerdictJournal(path, resume=True, fsync=True).close()
         assert calls == []
+
+
+class TestFingerprint:
+    def test_fingerprint_is_pinned(self):
+        """Journals and persisted verdict caches written when
+        ``resimulate_cex`` and ``cex_batch_width`` were config fields
+        carry them in their headers; the fingerprint keeps both, with the
+        engine's fixed values, so those files still bind."""
+        from repro.core.strategies import make_generator
+        from repro.runtime.journal import FIXED_FINGERPRINT, config_fingerprint
+        from repro.sweep import SweepConfig
+        from repro.sweep.engine import CEX_BATCH_WIDTH
+
+        net, _ = small_network()
+        generator = make_generator("AI+DC+MFFC", net, seed=1)
+        assert config_fingerprint(SweepConfig(seed=1), generator) == {
+            "seed": 1,
+            "random_rounds": 1,
+            "random_width": 64,
+            "iterations": 20,
+            "include_pis": False,
+            "match_complements": False,
+            "sat_conflict_limit": 20000,
+            "resimulate_cex": True,
+            "cex_batch_width": 64,
+            "max_escalations": 0,
+            "escalation_factor": 4,
+            "generator": "SimGenGenerator",
+        }
+        assert FIXED_FINGERPRINT["cex_batch_width"] == CEX_BATCH_WIDTH
 
 
 class TestGeneratorLabel:

@@ -159,9 +159,12 @@ class TestFaults:
         budget = Budget(seconds=60)
         start = time.monotonic()
         with CheckerPool(
-            net, 2, retry_policy=RetryPolicy(max_retries=2, backoff_base=0.01)
+            net,
+            2,
+            retry_policy=RetryPolicy(max_retries=2, backoff_base=0.01),
+            budget=budget,
         ) as pool:
-            verdicts = pool.check_pairs(pairs, budget=budget)
+            verdicts = pool.check_pairs(pairs)
             stats = pool.supervision_stats
         assert time.monotonic() - start < 30
         assert not budget.time_expired()
@@ -171,10 +174,8 @@ class TestFaults:
 
     def test_expired_deadline_degrades_outstanding_pairs(self):
         net, nodes = triple_network()
-        with CheckerPool(net, 2) as pool:
-            verdicts = pool.check_pairs(
-                standard_pairs(nodes), budget=Budget(seconds=0)
-            )
+        with CheckerPool(net, 2, budget=Budget(seconds=0)) as pool:
+            verdicts = pool.check_pairs(standard_pairs(nodes))
         assert all(v.degraded for v in verdicts)
         assert all(v.outcome is SatResult.UNKNOWN for v in verdicts)
 

@@ -163,6 +163,45 @@ class TestSessionTransfer:
         }
         assert reader.stats["replayed_verdicts"] == 1
 
+    @pytest.mark.parametrize(
+        "stored",
+        [[[-1, 1]], [[5, 1]], [[0, 2]]],
+        ids=["negative-index", "index-past-end", "bad-bit"],
+    )
+    def test_vector_that_does_not_fit_is_a_miss(self, stored):
+        """The cache is advisory: a stored counterexample that does not
+        fit the session's PI list is a miss, never a replay on the wrong
+        inputs."""
+        from repro.transforms.strash import node_signatures
+
+        net = random_network(seed=4, num_inputs=5, num_gates=18)
+        gates = [n.uid for n in net.gates()][:2]
+        signature = node_signatures(net)
+        key = (
+            fingerprint_key(self.fingerprint()),
+            signature[gates[0]],
+            signature[gates[1]],
+            False,
+            1000,
+        )
+        cache = VerdictCache()
+        cache.put(
+            key,
+            {
+                "a": key[1], "b": key[2], "c": 0, "l": 1000,
+                "o": "sat", "v": stored, "cf": 1, "pr": 1, "r": 0,
+            },
+        )
+        session = cache.session()
+        session.bind(net, self.fingerprint())
+        assert session.lookup(gates[0], gates[1], False, 1000) is None
+        assert session.stats == {
+            "appends": 0,
+            "replayed_verdicts": 0,
+            "misses": 1,
+            "torn_tail_truncations": 0,
+        }
+
     def test_fingerprint_partitions_verdicts(self):
         net = random_network(seed=4, num_inputs=5, num_gates=18)
         gates = [n.uid for n in net.gates()]

@@ -68,6 +68,19 @@ class TestDeterministicMerge:
             assert other.metrics.waves == reference.metrics.waves
             assert other.classes.all_classes() == reference.classes.all_classes()
 
+    def test_reference_engine_pooled_matches_compiled(self):
+        """``engine`` only picks the simulator: the dict-walking reference
+        simulator drives the same pooled waves, merges and resimulation
+        as the compiled one."""
+        net = duplicated_network()
+        compiled = run_sweep(net, jobs=2)
+        reference = run_sweep(net, jobs=2, engine="reference")
+        assert compiled.metrics.sat_calls > 0
+        assert merge_projection(reference) == merge_projection(compiled)
+        assert (
+            reference.metrics.cost_history == compiled.metrics.cost_history
+        )
+
     def test_serial_path_reports_no_waves(self):
         net = duplicated_network()
         serial = run_sweep(net, jobs=1)
@@ -178,12 +191,4 @@ class TestValidation:
                 duplicated_network(),
                 None,
                 SweepConfig(jobs=2, solver_factory=object),
-            )
-
-    def test_reference_engine_incompatible_with_jobs(self):
-        with pytest.raises(SweepError):
-            SweepEngine(
-                duplicated_network(),
-                None,
-                SweepConfig(jobs=2, engine="reference"),
             )

@@ -16,12 +16,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.strategies import make_generator
+from repro.core.strategies import factory, make_generator
 from repro.io.blif import blif_text
+from repro.obs import Tracer
 from repro.runtime import VerdictJournal, sweep_signature
 from repro.sat.tseitin import po_miter
-from repro.sweep import SweepConfig, SweepEngine
+from repro.sweep import SweepConfig, SweepEngine, check_equivalence
 from repro.sweep.reduce import reduce_network
+from repro.transforms.rewrite import rewrite
 from tests.conftest import random_network
 from tests.sweep.test_parallel import merge_projection
 
@@ -182,3 +184,53 @@ class TestCrossBackendResume:
         assert sweep_signature(net, resumed) == sweep_signature(net, baseline)
         assert reduced_bytes(net, resumed) == reduced_bytes(net, baseline)
         assert resumed.metrics.sat_time == 0.0
+
+
+class TestJournaledCec:
+    """CEC's fallback miters ride the journal like sweep pairs: resuming a
+    journaled CEC replays every one of them and returns the same result."""
+
+    @staticmethod
+    def cec(golden, revised, journal_path, jobs, resume=False):
+        records = []
+        journal = VerdictJournal(journal_path, resume=resume, fsync=False)
+        config = SweepConfig(
+            seed=7, jobs=jobs, journal=journal, tracer=Tracer(records, meta={})
+        )
+        try:
+            result = check_equivalence(
+                golden, revised, generator_factory=factory("RandS"),
+                config=config,
+            )
+        finally:
+            journal.close()
+        counters = [r for r in records if r["type"] == "counters"][-1]
+        return result, counters["values"], journal.stats
+
+    @staticmethod
+    def projection(result):
+        vector = result.counterexample
+        return (
+            result.verdict,
+            result.outputs,
+            None if vector is None else vector.values,
+            result.metrics.sat_calls,
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("verdict", ["different", "equivalent"])
+    def test_resume_replays_fallback_miters(self, tmp_path, verdict, jobs):
+        if verdict == "different":
+            golden = random_network(seed=5, num_inputs=5, num_gates=20)
+            revised = random_network(seed=6, num_inputs=5, num_gates=20)
+        else:
+            golden = random_network(seed=2, num_inputs=6, num_gates=30)
+            revised = rewrite(golden, seed=2)
+        path = tmp_path / "cec.jsonl"
+        first, counters, stats = self.cec(golden, revised, path, jobs)
+        assert first.verdict == verdict
+        assert counters.get("cec.fallback_calls", 0) > 0
+        assert stats["appends"] > 0
+        resumed, _, stats = self.cec(golden, revised, path, jobs, resume=True)
+        assert stats["appends"] == 0
+        assert self.projection(resumed) == self.projection(first)
