@@ -1,57 +1,65 @@
-/* SimGen lane core: Algorithm 1's per-target inner loop in C.
+/* SimGen lane core: one whole Algorithm-1 attempt per call, in C.
  *
  * repro/core/batch.py lowers a network straight into this core: dense
- * slots in topological order, each with its fanin slots and examiners
- * (the node, then its fanouts), plus one transition table per distinct
- * gate function.  The assignment is a flat value array and a trail; each
- * gate's pin state is one packed index, (output + 1) * 4**k +
+ * slots in topological order, each with its level, its fanin slots and
+ * its examiners (the node, then its fanouts), one transition table per
+ * distinct gate function, the network's PIs in order, and the Equation-4
+ * priority of every gate row.  The assignment is a flat value array and a
+ * trail; each gate's pin state is one packed index, (output + 1) * 4**k +
  * (known_mask << k) + known_values, kept up to date incrementally, so an
- * examination is a single table lookup.  The batch generation driver
- * retires whole targets per call instead of paying interpreter cost per
- * examination.  The contract is *bit-identity* with the reference
- * engines (ImplicationEngine, DecisionEngine and SimGenGenerator in
- * repro/core): every counter bump, every queue push, every trail entry
- * happens in exactly their order.  The Python driver owns everything
- * that consumes the RNG, and this core suspends (a "bounce",
- * SG_NEED_RNG) whenever a decision needs a roulette/choice draw.  The
- * caller draws from the Python Random and resumes; the suspended state
- * machine continues exactly where it stopped, with no double counting.
+ * examination is a single table lookup.
+ *
+ * The contract is *bit-identity* with the reference engines
+ * (ImplicationEngine, DecisionEngine and SimGenGenerator in repro/core):
+ * every counter bump, every queue push, every trail entry and every RNG
+ * draw happens in exactly their order.  The core owns a port of CPython's
+ * MT19937 (Modules/_randommodule.c) plus the Python-level draw rules
+ * SimGen uses (random.py's _randbelow_with_getrandbits, choice, sample,
+ * random), so sg_attempt runs a whole attempt without calling back into
+ * Python: select_targets, the OUTgold values, the decreasing-level target
+ * order, each target's Algorithm 1 with its roulette/choice draws, the
+ * claimed-values skip check, and the random completion of the free PIs,
+ * which lands in one bit lane of the per-PI verification words.  The
+ * driver hands the Python Random's state over once per generate() call
+ * (sg_rng_set/sg_rng_get); sg_attempt saves the RNG and the counters
+ * under the attempt's index in the pending batch before it draws, and
+ * sg_rewind restores them when the driver finds it speculated too far.
+ *
  * Transition-table states are resolved lazily (sg_resolve_forced /
  * sg_resolve_decision, ports of ImplicationEngine._examine_state and
  * DecisionEngine.candidate_rows): resolution is a pure integer function
- * of the packed state and the rows, so it needs no round trip to Python.
+ * of the packed state and the rows.
  *
  * One core holds ONE assignment state (values/trail/packed gate state).
  * Lane parallelism lives a level up: the batch driver runs attempts
- * sequentially (the RNG serializes them anyway), snapshots each attempt's
- * tiny result (trail values), and verifies up to 64 of them in one
- * 64-wide simulator word.
+ * sequentially (the RNG serializes them anyway) and verifies up to 64 of
+ * them in one 64-wide simulator word.
+ *
+ * Floating point: the roulette repeats DecisionEngine.decide's operations
+ * one by one.  The build uses -std=c99, under which GCC never contracts
+ * an expression into a fused multiply-add; the floor's multiply and add
+ * also sit in two statements, so no other compiler may fuse them.
+ * random()'s a * 2**26 + b is exact, fused or not.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* Statuses returned by sg_start_target / sg_resume_*. */
-#define SG_DONE 0            /* target finished (PIs set / no candidate) */
-#define SG_CONFLICT 1        /* conflict hit; trail reverted to marker   */
-#define SG_ASSIGN_CONFLICT 2 /* target node already holds the other value */
-#define SG_ALREADY 3         /* not fresh and cone PIs already set       */
-#define SG_NEED_RNG 4        /* mailbox: cand slot, state index, n rows  */
+/* Outcomes of one target (sg_run_target). */
+#define SG_DONE 0     /* target finished, or nothing left to do for it */
+#define SG_CONFLICT 1 /* conflict: the report counts one                */
 #define SG_ERROR (-1)
+
+/* Outcomes of one attempt (sg_attempt). */
+#define SG_SKIPPED 0 /* claimed values fail the skip criterion: no vector */
+#define SG_VERIFY 1  /* completed vector written into its lane            */
 
 /* Transition-table entry markers (fref/dref). */
 #define REF_UNRESOLVED (-1)
 #define REF_CONFLICT (-2)
 
-/* Resumable phases of the per-target state machine. */
-#define PH_IDLE 0
-#define PH_CHECK_TOP 1
-#define PH_PROPAGATE 2
-#define PH_DECIDE 3
-#define PH_COMMIT 4
-
-/* Counter indices (sg_counters order; the glue reads deltas). */
+/* Counter indices (sg_counters order; the driver folds deltas). */
 #define C_PROP_CALLS 0
 #define C_EXAMINATIONS 1
 #define C_FORCED 2
@@ -61,6 +69,33 @@
 #define C_ROWS_COMMITTED 6
 #define C_REVERTED 7
 #define C_COUNT 8
+
+/* Attempt results in the info mailbox. */
+#define I_TARGETS 0
+#define I_IMPLICATIONS 1
+#define I_DECISIONS 2
+#define I_CONFLICTS 3
+
+#define LANES 64
+
+/* MT19937 as CPython keeps it: Random.getstate()[1] is mt[0..623] followed
+ * by index. */
+#define MT_N 624
+#define MT_M 397
+#define MT_MATRIX_A 0x9908b0dfU
+#define MT_UPPER 0x80000000U
+#define MT_LOWER 0x7fffffffU
+
+typedef struct {
+    uint32_t mt[MT_N];
+    int32_t index;
+} SgRng;
+
+/* What a speculative rewind restores: the RNG and the counters. */
+typedef struct {
+    SgRng rng;
+    int64_t counters[C_COUNT];
+} SgMark;
 
 typedef struct {
     int32_t k;
@@ -80,6 +115,7 @@ typedef struct {
     /* Compiled network (write-once at build). */
     int8_t *is_pi;
     int32_t *table_of; /* table id, -1 for PI/const */
+    int32_t *level;
     int64_t *full_bits;
     int64_t *out_delta;
     int32_t *fi_off; /* fanin CSR */
@@ -92,6 +128,11 @@ typedef struct {
     int32_t *pin_g;
     int64_t *pin_d0;
     int64_t *pin_d1;
+    int32_t *pis; /* network.pis order */
+    int32_t n_pis;
+    double *prio;      /* Equation-4 priority per gate row, slot order */
+    int64_t *prio_off; /* slot -> first row's priority; [n] = all rows */
+    int64_t n_prio;
     int32_t built_upto; /* next slot sg_set_node expects */
     int finalized;
 
@@ -105,6 +146,19 @@ typedef struct {
     int32_t dpool_len, dpool_cap;
     int32_t *scratch; /* decision-resolution row buffer (max table rows) */
     int32_t scratch_cap;
+    double *weights; /* roulette weights (max table rows) */
+
+    /* Decision and target policy (sg_set_policy). */
+    int policy_set;
+    int32_t random_rows;   /* DecisionStrategy.RANDOM: choice, no roulette */
+    int32_t level_outgold; /* level_alternating_outgold, else alternating */
+    int32_t max_targets;   /* select_targets' cap (INT32_MAX: no cap)     */
+    int32_t sample_k;      /* max(max_targets, 2)                          */
+    int64_t setsize;       /* random.sample's pool/set threshold for k    */
+
+    SgRng rng;
+    SgMark *marks;
+    int32_t n_marks, cap_marks;
 
     /* Assignment state (one lane; reused across attempts). */
     int8_t *values; /* -1 unassigned */
@@ -132,13 +186,19 @@ typedef struct {
     int32_t *mem_buf;
     int32_t *pi_buf;
 
+    /* Per-attempt scratch (sized n): sample pool, picked stamps, chosen
+     * class positions, OUTgold order, sort keys. */
+    int32_t *pool;
+    int64_t *pick_epoch;
+    int64_t pick_counter;
+    int32_t *picked;
+    int32_t *og_pos;
+    int64_t *keys;
+
     /* Per-target context. */
     const int32_t *cur_cone_pis;
     int32_t n_cone_pis;
     int32_t marker;
-    int32_t phase;
-    int32_t cand_slot;
-    int32_t chosen_row;
     int32_t *seeds;
     int32_t n_seeds, cap_seeds;
     int64_t prop_examined, prop_assigned;
@@ -146,9 +206,12 @@ typedef struct {
 
     int64_t counters[C_COUNT];
 
-    /* Caller-owned mailboxes (bounce info / candidate row indices). */
+    /* Caller-owned mailboxes: attempt results, the OUTgold targets (slot;
+     * gold | claimed << 1) and the per-PI verification words. */
     int64_t *info;
-    int32_t *indices;
+    int32_t *out_slots;
+    int8_t *out_flags;
+    uint64_t *words;
 } SgCore;
 
 static void *xalloc(size_t bytes) {
@@ -170,6 +233,67 @@ static int grow_i32(int32_t **arr, int32_t *cap, int32_t need) {
     return 0;
 }
 
+/* ------------------------------------------------------------------ */
+/* CPython's random.Random, bit for bit                                */
+/* ------------------------------------------------------------------ */
+
+/* genrand_uint32 of Modules/_randommodule.c. */
+static uint32_t mt_next(SgRng *r) {
+    static const uint32_t mag01[2] = {0x0U, MT_MATRIX_A};
+    uint32_t *mt = r->mt;
+    uint32_t y;
+    if (r->index >= MT_N) {
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & MT_UPPER) | (mt[kk + 1] & MT_LOWER);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & MT_UPPER) | (mt[kk + 1] & MT_LOWER);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[MT_N - 1] & MT_UPPER) | (mt[0] & MT_LOWER);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        r->index = 0;
+    }
+    y = mt[r->index++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* getrandbits(k) for 0 <= k <= 32. */
+static uint32_t rng_bits(SgRng *r, int32_t k) {
+    if (k <= 0)
+        return 0;
+    return mt_next(r) >> (32 - k);
+}
+
+/* _randbelow_with_getrandbits(n) for 1 <= n < 2**31: k is n.bit_length(),
+ * not (n - 1)'s, and every draw >= n is thrown away. */
+static int32_t rng_below(SgRng *r, int32_t n) {
+    int32_t k = 0;
+    for (uint32_t v = (uint32_t)n; v; v >>= 1)
+        k++;
+    uint32_t x = rng_bits(r, k);
+    while (x >= (uint32_t)n)
+        x = rng_bits(r, k);
+    return (int32_t)x;
+}
+
+/* random(): 53 bits from two words, a first. */
+static double rng_random(SgRng *r) {
+    uint32_t a = mt_next(r) >> 5;
+    uint32_t b = mt_next(r) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* ------------------------------------------------------------------ */
+/* Lowering                                                            */
+/* ------------------------------------------------------------------ */
+
 void *sg_new(int32_t n) {
     if (n < 0)
         return NULL;
@@ -179,6 +303,7 @@ void *sg_new(int32_t n) {
     h->n = n;
     h->is_pi = (int8_t *)calloc((size_t)n + 1, 1);
     h->table_of = (int32_t *)xalloc(((size_t)n) * sizeof(int32_t));
+    h->level = (int32_t *)calloc((size_t)n + 1, sizeof(int32_t));
     h->full_bits = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
     h->out_delta = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
     h->fi_off = (int32_t *)calloc((size_t)n + 2, sizeof(int32_t));
@@ -191,16 +316,17 @@ void *sg_new(int32_t n) {
     h->queue = (int32_t *)xalloc((size_t)h->q_cap * sizeof(int32_t));
     h->exh_epoch = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
     h->cone_epoch = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
-    if (!h->is_pi || !h->table_of || !h->full_bits || !h->out_delta ||
-        !h->fi_off || !h->exam_off || !h->values || !h->state || !h->trail ||
-        !h->queued || !h->queue || !h->exh_epoch || !h->cone_epoch) {
+    if (!h->is_pi || !h->table_of || !h->level || !h->full_bits ||
+        !h->out_delta || !h->fi_off || !h->exam_off || !h->values ||
+        !h->state || !h->trail || !h->queued || !h->queue || !h->exh_epoch ||
+        !h->cone_epoch) {
         /* Leak-free enough for a build-time failure: the caller frees. */
         return NULL;
     }
     memset(h->values, 0xff, (size_t)n); /* all -1 */
     for (int32_t i = 0; i < n; i++)
         h->table_of[i] = -1;
-    h->phase = PH_IDLE;
+    h->rng.index = MT_N + 1; /* invalid until sg_rng_set */
     return h;
 }
 
@@ -218,6 +344,7 @@ void sg_free(void *hp) {
     free(h->tables);
     free(h->is_pi);
     free(h->table_of);
+    free(h->level);
     free(h->full_bits);
     free(h->out_delta);
     free(h->fi_off);
@@ -228,9 +355,14 @@ void sg_free(void *hp) {
     free(h->pin_g);
     free(h->pin_d0);
     free(h->pin_d1);
+    free(h->pis);
+    free(h->prio);
+    free(h->prio_off);
     free(h->fpool);
     free(h->dpool);
     free(h->scratch);
+    free(h->weights);
+    free(h->marks);
     free(h->values);
     free(h->state);
     free(h->trail);
@@ -252,6 +384,11 @@ void sg_free(void *hp) {
     free(h->dfs_stack);
     free(h->mem_buf);
     free(h->pi_buf);
+    free(h->pool);
+    free(h->pick_epoch);
+    free(h->picked);
+    free(h->og_pos);
+    free(h->keys);
     free(h->seeds);
     free(h);
 }
@@ -260,7 +397,7 @@ int32_t sg_add_table(void *hp, int32_t k, int32_t n_rows, int32_t advanced,
                      const int64_t *mask, const int64_t *vals,
                      const int8_t *out) {
     SgCore *h = (SgCore *)hp;
-    if (!h || k < 0 || k > 15 || n_rows < 0)
+    if (!h || h->finalized || k < 0 || k > 15 || n_rows < 0)
         return -1;
     if (grow_i32(&h->scratch, &h->scratch_cap, n_rows))
         return -1;
@@ -296,16 +433,17 @@ int32_t sg_add_table(void *hp, int32_t k, int32_t n_rows, int32_t advanced,
 }
 
 int32_t sg_set_node(void *hp, int32_t slot, int32_t table_id, int32_t is_pi,
-                    const int32_t *fanins, int32_t k, const int32_t *examiners,
-                    int32_t n_exam) {
+                    int32_t level, const int32_t *fanins, int32_t k,
+                    const int32_t *examiners, int32_t n_exam) {
     SgCore *h = (SgCore *)hp;
     if (!h || slot != h->built_upto || slot >= h->n || h->finalized)
         return -1;
-    if (table_id >= h->n_tables || k < 0 || n_exam < 0)
+    if (table_id >= h->n_tables || k < 0 || n_exam < 0 || level < 0)
         return -1;
     h->built_upto++;
     h->is_pi[slot] = (int8_t)(is_pi ? 1 : 0);
     h->table_of[slot] = table_id;
+    h->level[slot] = level;
     if (table_id >= 0) {
         if (h->tables[table_id].k != k)
             return -1;
@@ -334,9 +472,13 @@ int32_t sg_set_node(void *hp, int32_t slot, int32_t table_id, int32_t is_pi,
     return 0;
 }
 
-int32_t sg_finalize(void *hp) {
+/* Close the build: the PIs in network.pis order, and the Equation-4
+ * priorities of every gate row in slot order (none for random decisions). */
+int32_t sg_finalize(void *hp, const int32_t *pis, int32_t n_pis,
+                    const double *prio, int64_t n_prio) {
     SgCore *h = (SgCore *)hp;
-    if (!h || h->built_upto != h->n || h->finalized)
+    if (!h || h->built_upto != h->n || h->finalized || n_pis < 0 ||
+        n_prio < 0)
         return -1;
     int32_t n = h->n;
     h->seeds = (int32_t *)xalloc((size_t)(h->cap_seeds + 1) * sizeof(int32_t));
@@ -349,10 +491,39 @@ int32_t sg_finalize(void *hp) {
     h->dfs_stack = (int32_t *)xalloc(((size_t)n + 1) * sizeof(int32_t));
     h->mem_buf = (int32_t *)xalloc(((size_t)n + 1) * sizeof(int32_t));
     h->pi_buf = (int32_t *)xalloc(((size_t)n + 1) * sizeof(int32_t));
+    h->pool = (int32_t *)xalloc(((size_t)n + 1) * sizeof(int32_t));
+    h->pick_epoch = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
+    h->picked = (int32_t *)xalloc(((size_t)n + 1) * sizeof(int32_t));
+    h->og_pos = (int32_t *)xalloc(((size_t)n + 1) * sizeof(int32_t));
+    h->keys = (int64_t *)xalloc(((size_t)n + 1) * sizeof(int64_t));
+    h->weights = (double *)xalloc((size_t)h->scratch_cap * sizeof(double));
+    h->pis = (int32_t *)xalloc((size_t)n_pis * sizeof(int32_t));
+    h->prio_off = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
+    h->prio = (double *)xalloc((size_t)n_prio * sizeof(double));
     if (!h->seeds || !h->pin_off || !h->cone_mem || !h->cone_mem_n ||
         !h->cone_pi || !h->cone_pi_n || !h->visit_epoch || !h->dfs_stack ||
-        !h->mem_buf || !h->pi_buf)
+        !h->mem_buf || !h->pi_buf || !h->pool || !h->pick_epoch ||
+        !h->picked || !h->og_pos || !h->keys || !h->weights || !h->pis ||
+        !h->prio_off || !h->prio)
         return -1;
+    for (int32_t i = 0; i < n_pis; i++) {
+        if (pis[i] < 0 || pis[i] >= n || !h->is_pi[pis[i]])
+            return -1;
+        h->pis[i] = pis[i];
+    }
+    h->n_pis = n_pis;
+    int64_t rows = 0;
+    for (int32_t s = 0; s < n; s++) {
+        h->prio_off[s] = rows;
+        if (h->table_of[s] >= 0)
+            rows += h->tables[h->table_of[s]].n_rows;
+    }
+    h->prio_off[n] = rows;
+    if (n_prio != 0 && n_prio != rows)
+        return -1;
+    if (n_prio)
+        memcpy(h->prio, prio, (size_t)n_prio * sizeof(double));
+    h->n_prio = n_prio;
     /* Count pin positions per driver, then fill (classic CSR two-pass). */
     for (int32_t g = 0; g < n; g++)
         for (int32_t p = h->fi_off[g]; p < h->fi_off[g + 1]; p++)
@@ -364,8 +535,10 @@ int32_t sg_finalize(void *hp) {
     h->pin_d0 = (int64_t *)xalloc((size_t)total * sizeof(int64_t));
     h->pin_d1 = (int64_t *)xalloc((size_t)total * sizeof(int64_t));
     int32_t *cursor = (int32_t *)xalloc((size_t)(n + 1) * sizeof(int32_t));
-    if (!h->pin_g || !h->pin_d0 || !h->pin_d1 || !cursor)
+    if (!h->pin_g || !h->pin_d0 || !h->pin_d1 || !cursor) {
+        free(cursor);
         return -1;
+    }
     memcpy(cursor, h->pin_off, (size_t)n * sizeof(int32_t));
     for (int32_t g = 0; g < n; g++) {
         int32_t k = h->fi_off[g + 1] - h->fi_off[g];
@@ -383,10 +556,53 @@ int32_t sg_finalize(void *hp) {
     return 0;
 }
 
-void sg_set_mailbox(void *hp, int64_t *info, int32_t *indices) {
+/* How attempts pick targets and rows.  max_targets is select_targets'
+ * cap before its clamp to 2 (INT32_MAX for None), sample_k the clamped
+ * sample size, setsize random.sample's threshold for sample_k. */
+int32_t sg_set_policy(void *hp, int32_t random_rows, int32_t level_outgold,
+                      int32_t max_targets, int32_t sample_k, int64_t setsize) {
+    SgCore *h = (SgCore *)hp;
+    if (!h || !h->finalized || sample_k < 2)
+        return -1;
+    if (!random_rows && h->n_prio != h->prio_off[h->n])
+        return -1; /* scored decisions need every row's priority */
+    h->random_rows = random_rows ? 1 : 0;
+    h->level_outgold = level_outgold ? 1 : 0;
+    h->max_targets = max_targets;
+    h->sample_k = sample_k;
+    h->setsize = setsize;
+    h->policy_set = 1;
+    return 0;
+}
+
+void sg_set_mailbox(void *hp, int64_t *info, int32_t *out_slots,
+                    int8_t *out_flags, uint64_t *words) {
     SgCore *h = (SgCore *)hp;
     h->info = info;
-    h->indices = indices;
+    h->out_slots = out_slots;
+    h->out_flags = out_flags;
+    h->words = words;
+}
+
+/* Load Random.getstate()[1]: 624 words, then the index. */
+int32_t sg_rng_set(void *hp, const uint32_t *state) {
+    SgCore *h = (SgCore *)hp;
+    if (!h || state[MT_N] > MT_N)
+        return -1;
+    memcpy(h->rng.mt, state, sizeof(h->rng.mt));
+    h->rng.index = (int32_t)state[MT_N];
+    return 0;
+}
+
+void sg_rng_get(void *hp, uint32_t *state) {
+    SgCore *h = (SgCore *)hp;
+    memcpy(state, h->rng.mt, sizeof(h->rng.mt));
+    state[MT_N] = (uint32_t)h->rng.index;
+}
+
+void sg_counters(void *hp, int64_t *out) {
+    SgCore *h = (SgCore *)hp;
+    memcpy(out, h->counters, sizeof(h->counters));
 }
 
 static int32_t pool_append(int32_t **pool, int32_t *len, int32_t *cap,
@@ -562,48 +778,15 @@ static void sg_unwind_to(SgCore *h, int32_t mark) {
     h->trail_len = mark;
 }
 
-void sg_reset(void *hp) {
-    SgCore *h = (SgCore *)hp;
-    /* A fresh Assignment per attempt: unwind everything, NO reverted
-     * accounting. */
-    sg_unwind_to(h, 0);
-    h->phase = PH_IDLE;
+static void sg_drain(SgCore *h) {
     while (h->q_head != h->q_tail) {
         h->queued[h->queue[h->q_head]] = 0;
         h->q_head = (h->q_head + 1) % h->q_cap;
     }
 }
 
-/* Write the requested slots' current values into out (-1 unassigned). */
-void sg_read_values(void *hp, const int32_t *slots, int32_t n, int8_t *out) {
-    SgCore *h = (SgCore *)hp;
-    for (int32_t i = 0; i < n; i++)
-        out[i] = h->values[slots[i]];
-}
-
-/* Write only the assigned-PI trail entries (slot, value) in trail order;
- * returns the count.  The attempt driver needs exactly the cone-PI
- * bindings — filtering here avoids decoding the full trail in Python. */
-int32_t sg_read_trail_pis(void *hp, int32_t *slots, int8_t *vals) {
-    SgCore *h = (SgCore *)hp;
-    int32_t n = 0;
-    for (int32_t t = 0; t < h->trail_len; t++) {
-        int32_t slot = h->trail[t];
-        if (h->is_pi[slot]) {
-            slots[n] = slot;
-            vals[n++] = h->values[slot];
-        }
-    }
-    return n;
-}
-
-void sg_counters(void *hp, int64_t *out) {
-    SgCore *h = (SgCore *)hp;
-    memcpy(out, h->counters, sizeof(h->counters));
-}
-
 /* ------------------------------------------------------------------ */
-/* The per-target state machine                                        */
+/* One target: Algorithm 1 lines 4-16                                  */
 /* ------------------------------------------------------------------ */
 
 static int sg_pis_set(SgCore *h) {
@@ -649,25 +832,14 @@ static int sg_build_cone(SgCore *h, int32_t root) {
     return 0;
 }
 
-static void sg_push(SgCore *h, int32_t slot) {
-    h->queue[h->q_tail] = slot;
-    h->q_tail = (h->q_tail + 1) % h->q_cap;
-}
-
-static void sg_drain(SgCore *h) {
-    while (h->q_head != h->q_tail) {
-        h->queued[h->queue[h->q_head]] = 0;
-        h->q_head = (h->q_head + 1) % h->q_cap;
-    }
-}
-
 static void sg_push_examiners(SgCore *h, int32_t slot) {
     int32_t lo = h->exam_off[slot], hi = h->exam_off[slot + 1];
     for (int32_t e = lo; e < hi; e++) {
         int32_t cand = h->exam[e];
         if (!h->queued[cand]) {
             h->queued[cand] = 1;
-            sg_push(h, cand);
+            h->queue[h->q_tail] = cand;
+            h->q_tail = (h->q_tail + 1) % h->q_cap;
         }
     }
 }
@@ -734,142 +906,52 @@ static int32_t sg_pick_candidate(SgCore *h) {
     return -1;
 }
 
-static int32_t sg_finish(SgCore *h, int32_t status) {
-    h->info[3] = h->rep_implications;
-    h->info[4] = h->rep_decisions;
-    h->phase = PH_IDLE;
-    return status;
+/* DecisionEngine.decide's draw among the candidate rows: rng.choice for
+ * random decisions, else the min-shifted Equation-4 roulette by
+ * stochastic acceptance, every float operation in its order.  Each
+ * weight carries the 0.1 + 0.05 * span floor, so roulette_select's
+ * 1e-9 clamp is the identity. */
+static int32_t sg_choose_row(SgCore *h, int32_t slot, const int32_t *rows,
+                             int32_t count) {
+    SgRng *r = &h->rng;
+    if (h->random_rows)
+        return rows[rng_below(r, count)];
+    const double *prio = h->prio + h->prio_off[slot];
+    double low = prio[rows[0]], high = low;
+    for (int32_t i = 1; i < count; i++) {
+        double p = prio[rows[i]];
+        if (p < low)
+            low = p;
+        if (p > high)
+            high = p;
+    }
+    double span = high - low;
+    double scaled = 0.05 * span;
+    double floor = 0.1 + scaled;
+    double *w = h->weights;
+    double top = 0.0;
+    for (int32_t i = 0; i < count; i++) {
+        w[i] = (prio[rows[i]] - low) + floor;
+        if (i == 0 || w[i] > top)
+            top = w[i];
+    }
+    for (;;) {
+        int32_t j = rng_below(r, count);
+        double u = rng_random(r);
+        if (u * top <= w[j])
+            return rows[j];
+    }
 }
 
 static int32_t sg_conflict_out(SgCore *h) {
     h->counters[C_REVERTED] += h->trail_len - h->marker;
     sg_unwind_to(h, h->marker);
-    return sg_finish(h, SG_CONFLICT);
+    return SG_CONFLICT;
 }
 
-static int32_t sg_run(SgCore *h) {
-    for (;;) {
-        switch (h->phase) {
-        case PH_CHECK_TOP: {
-            if (sg_pis_set(h))
-                return sg_finish(h, SG_DONE);
-            for (int32_t s = 0; s < h->n_seeds; s++)
-                sg_push_examiners(h, h->seeds[s]);
-            h->n_seeds = 0;
-            h->prop_examined = 0;
-            h->prop_assigned = 0;
-            h->phase = PH_PROPAGATE;
-        } /* fall through */
-        case PH_PROPAGATE: {
-            int r = sg_propagate(h);
-            if (r < 0)
-                return SG_ERROR;
-            /* Close the propagate stats window (ImplicationEngine.propagate's
-             * `finally`). */
-            h->counters[C_PROP_CALLS]++;
-            h->counters[C_EXAMINATIONS] += h->prop_examined;
-            h->counters[C_FORCED] += h->prop_assigned;
-            h->rep_implications += h->prop_assigned;
-            if (r == 1) {
-                h->counters[C_IMPL_CONFLICTS]++;
-                sg_drain(h);
-                return sg_conflict_out(h);
-            }
-            if (sg_pis_set(h))
-                return sg_finish(h, SG_DONE);
-            int32_t cand = sg_pick_candidate(h);
-            if (cand < 0)
-                return sg_finish(h, SG_DONE);
-            h->cand_slot = cand;
-            h->counters[C_DECISIONS]++;
-            h->phase = PH_DECIDE;
-        } /* fall through */
-        case PH_DECIDE: {
-            int32_t tid = h->table_of[h->cand_slot];
-            SgTable *t = &h->tables[tid];
-            int64_t index = h->state[h->cand_slot];
-            int32_t dr = t->dref[index];
-            if (dr == REF_UNRESOLVED) {
-                if (sg_resolve_decision(h, t, index))
-                    return SG_ERROR;
-                dr = t->dref[index];
-            }
-            if (dr == REF_CONFLICT) {
-                h->counters[C_DEC_CONFLICTS]++;
-                return sg_conflict_out(h);
-            }
-            int32_t count = h->dpool[dr];
-            if (count == 0) {
-                /* decide() returned (False, []): candidate exhausted. */
-                h->exh_epoch[h->cand_slot] = h->epoch;
-                h->n_seeds = 0;
-                h->phase = PH_CHECK_TOP;
-                continue;
-            }
-            h->counters[C_ROWS_COMMITTED]++;
-            memcpy(h->indices, h->dpool + dr + 1,
-                   (size_t)count * sizeof(int32_t));
-            h->info[0] = h->cand_slot;
-            h->info[1] = index;
-            h->info[2] = count;
-            return SG_NEED_RNG; /* resume lands in PH_COMMIT */
-        }
-        case PH_COMMIT: {
-            int32_t slot = h->cand_slot;
-            SgTable *t = &h->tables[h->table_of[slot]];
-            int32_t row = h->chosen_row;
-            if (row < 0 || row >= t->n_rows)
-                return SG_ERROR;
-            int64_t mask = t->row_mask[row];
-            int64_t vals = t->row_vals[row];
-            int32_t out = t->row_out[row];
-            int32_t k = t->k;
-            const int32_t *fanins = h->fi + h->fi_off[slot];
-            h->n_seeds = 0;
-            int committed = 0;
-            for (int32_t i = 0; i < k; i++) {
-                if (!((mask >> i) & 1))
-                    continue;
-                int32_t lit = (int32_t)((vals >> i) & 1);
-                int32_t f = fanins[i];
-                int8_t cur = h->values[f];
-                if (cur >= 0) {
-                    if (cur != lit) {
-                        /* Duplicated fanins bound to opposite values by
-                         * the chosen row: decide() -> (True, committed);
-                         * the driver reverts, with NO dec-conflict count. */
-                        return sg_conflict_out(h);
-                    }
-                    continue;
-                }
-                sg_assign_slot(h, f, lit);
-                h->seeds[h->n_seeds++] = f;
-                committed = 1;
-            }
-            if (h->values[slot] < 0) {
-                sg_assign_slot(h, slot, out);
-                h->seeds[h->n_seeds++] = slot;
-                committed = 1;
-            }
-            if (!committed) {
-                h->exh_epoch[slot] = h->epoch;
-                h->n_seeds = 0;
-            } else {
-                h->rep_decisions++;
-            }
-            h->phase = PH_CHECK_TOP;
-            continue;
-        }
-        default:
-            return SG_ERROR;
-        }
-    }
-}
-
-int32_t sg_start_target(void *hp, int32_t target, int32_t gold) {
-    SgCore *h = (SgCore *)hp;
-    if (!h || !h->finalized || !h->info || target < 0 || target >= h->n)
-        return SG_ERROR;
+/* SimGenGenerator._process_target on one target slot.  The report
+ * counts of the target land in rep_implications / rep_decisions. */
+static int32_t sg_run_target(SgCore *h, int32_t target, int32_t gold) {
     if (!h->cone_mem[target] && sg_build_cone(h, target))
         return SG_ERROR;
     h->epoch++;
@@ -883,28 +965,257 @@ int32_t sg_start_target(void *hp, int32_t target, int32_t gold) {
     h->rep_implications = 0;
     h->rep_decisions = 0;
     int8_t cur = h->values[target];
-    int fresh;
     if (cur >= 0) {
         if (cur != (int8_t)gold)
-            return sg_finish(h, SG_ASSIGN_CONFLICT);
-        fresh = 0;
+            return SG_CONFLICT; /* assign() raised: nothing to revert */
+        if (sg_pis_set(h))
+            return SG_DONE; /* already consistent and fully propagated */
     } else {
         sg_assign_slot(h, target, gold);
-        fresh = 1;
     }
-    if (!fresh && sg_pis_set(h))
-        return sg_finish(h, SG_ALREADY);
     h->seeds[0] = target;
     h->n_seeds = 1;
-    h->phase = PH_CHECK_TOP;
-    return sg_run(h);
+    for (;;) {
+        if (sg_pis_set(h)) /* line 8 */
+            return SG_DONE;
+        for (int32_t s = 0; s < h->n_seeds; s++)
+            sg_push_examiners(h, h->seeds[s]);
+        h->n_seeds = 0;
+        h->prop_examined = 0;
+        h->prop_assigned = 0;
+        int r = sg_propagate(h); /* line 9 */
+        if (r < 0)
+            return SG_ERROR;
+        /* Close the propagate stats window (ImplicationEngine.propagate's
+         * `finally`). */
+        h->counters[C_PROP_CALLS]++;
+        h->counters[C_EXAMINATIONS] += h->prop_examined;
+        h->counters[C_FORCED] += h->prop_assigned;
+        h->rep_implications += h->prop_assigned;
+        if (r == 1) { /* lines 10-13 */
+            h->counters[C_IMPL_CONFLICTS]++;
+            sg_drain(h);
+            return sg_conflict_out(h);
+        }
+        if (sg_pis_set(h))
+            return SG_DONE;
+        int32_t slot = sg_pick_candidate(h); /* line 15 */
+        if (slot < 0)
+            return SG_DONE;
+        h->counters[C_DECISIONS]++; /* line 16: decide() */
+        SgTable *t = &h->tables[h->table_of[slot]];
+        int64_t index = h->state[slot];
+        int32_t dr = t->dref[index];
+        if (dr == REF_UNRESOLVED) {
+            if (sg_resolve_decision(h, t, index))
+                return SG_ERROR;
+            dr = t->dref[index];
+        }
+        if (dr == REF_CONFLICT) {
+            h->counters[C_DEC_CONFLICTS]++;
+            return sg_conflict_out(h);
+        }
+        int32_t count = h->dpool[dr];
+        if (count == 0) {
+            /* decide() returned (False, []): candidate exhausted. */
+            h->exh_epoch[slot] = h->epoch;
+            continue;
+        }
+        h->counters[C_ROWS_COMMITTED]++;
+        int32_t row = sg_choose_row(h, slot, h->dpool + dr + 1, count);
+        int64_t mask = t->row_mask[row];
+        int64_t vals = t->row_vals[row];
+        int32_t k = t->k;
+        const int32_t *fanins = h->fi + h->fi_off[slot];
+        int committed = 0;
+        for (int32_t i = 0; i < k; i++) {
+            if (!((mask >> i) & 1))
+                continue;
+            int32_t lit = (int32_t)((vals >> i) & 1);
+            int32_t f = fanins[i];
+            int8_t fv = h->values[f];
+            if (fv >= 0) {
+                if (fv != lit) {
+                    /* Duplicated fanins bound to opposite values by the
+                     * chosen row: decide() -> (True, committed); the
+                     * driver reverts, with NO dec-conflict count. */
+                    return sg_conflict_out(h);
+                }
+                continue;
+            }
+            sg_assign_slot(h, f, lit);
+            h->seeds[h->n_seeds++] = f;
+            committed = 1;
+        }
+        if (h->values[slot] < 0) {
+            sg_assign_slot(h, slot, t->row_out[row]);
+            h->seeds[h->n_seeds++] = slot;
+            committed = 1;
+        }
+        if (!committed) {
+            h->exh_epoch[slot] = h->epoch;
+            h->n_seeds = 0;
+        } else {
+            h->rep_decisions++;
+        }
+    }
 }
 
-int32_t sg_resume_rng(void *hp, int32_t chosen_row) {
+/* ------------------------------------------------------------------ */
+/* One attempt: select_targets .. free-PI completion                   */
+/* ------------------------------------------------------------------ */
+
+static int cmp_i32(const void *a, const void *b) {
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
+static int cmp_i64(const void *a, const void *b) {
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* sorted(rng.sample(range(n), k)): random.sample's pool branch when
+ * n <= setsize, its set-rejection branch above it. */
+static void sg_sample(SgCore *h, int32_t n, int32_t k, int32_t *out) {
+    SgRng *r = &h->rng;
+    if ((int64_t)n <= h->setsize) {
+        int32_t *pool = h->pool;
+        for (int32_t i = 0; i < n; i++)
+            pool[i] = i;
+        for (int32_t i = 0; i < k; i++) {
+            int32_t j = rng_below(r, n - i);
+            out[i] = pool[j];
+            pool[j] = pool[n - i - 1];
+        }
+    } else {
+        int64_t stamp = ++h->pick_counter;
+        for (int32_t i = 0; i < k; i++) {
+            int32_t j = rng_below(r, n);
+            while (h->pick_epoch[j] == stamp)
+                j = rng_below(r, n);
+            h->pick_epoch[j] = stamp;
+            out[i] = j;
+        }
+    }
+    qsort(out, (size_t)k, sizeof(int32_t), cmp_i32);
+}
+
+/* Run one attempt of SimGenGenerator.generate on a class given as slots
+ * in uid order.  Saves the RNG and counters under `mark` first, so
+ * sg_rewind(mark) undoes the whole attempt.  Writes the report counters
+ * to info, the OUTgold targets in OUTgold order to out_slots/out_flags,
+ * and — when the claimed values pass the skip check — the completed
+ * vector to bit `lane` of the per-PI words (bits above it are cleared,
+ * so the lanes of a batch are written 0, 1, 2, ...).  Returns SG_SKIPPED,
+ * SG_VERIFY or SG_ERROR. */
+int32_t sg_attempt(void *hp, const int32_t *cls, int32_t n_cls, int32_t mark,
+                   int32_t lane) {
     SgCore *h = (SgCore *)hp;
-    if (!h || h->phase != PH_DECIDE)
+    if (!h || !h->finalized || !h->policy_set || !h->info ||
+        h->rng.index > MT_N || n_cls < 1 || n_cls > h->n || lane < 0 ||
+        lane >= LANES || mark < 0 || mark > h->n_marks)
         return SG_ERROR;
-    h->chosen_row = chosen_row;
-    h->phase = PH_COMMIT;
-    return sg_run(h);
+    for (int32_t i = 0; i < n_cls; i++)
+        if (cls[i] < 0 || cls[i] >= h->n)
+            return SG_ERROR;
+    if (mark == h->cap_marks) {
+        int32_t c = h->cap_marks ? h->cap_marks * 2 : 16;
+        SgMark *p = (SgMark *)realloc(h->marks, (size_t)c * sizeof(SgMark));
+        if (!p)
+            return SG_ERROR;
+        h->marks = p;
+        h->cap_marks = c;
+    }
+    h->marks[mark].rng = h->rng;
+    memcpy(h->marks[mark].counters, h->counters, sizeof(h->counters));
+    if (mark == h->n_marks)
+        h->n_marks++;
+
+    /* A fresh Assignment: unwind everything, NO reverted accounting. */
+    sg_unwind_to(h, 0);
+    sg_drain(h);
+
+    /* select_targets: positions into cls, ascending (= uid order). */
+    int32_t *picked = h->picked;
+    int32_t n_t;
+    if (n_cls <= h->max_targets) {
+        n_t = n_cls;
+        for (int32_t i = 0; i < n_t; i++)
+            picked[i] = i;
+    } else {
+        n_t = h->sample_k;
+        if (n_t > n_cls)
+            return SG_ERROR;
+        sg_sample(h, n_cls, n_t, picked);
+    }
+
+    /* OUTgold order: uid order, or (level, uid) for the level variant;
+     * target i of that order gets gold i % 2. */
+    int32_t *og = h->og_pos;
+    int64_t *keys = h->keys;
+    if (h->level_outgold) {
+        for (int32_t i = 0; i < n_t; i++)
+            keys[i] = ((int64_t)h->level[cls[picked[i]]] << 32) | picked[i];
+        qsort(keys, (size_t)n_t, sizeof(int64_t), cmp_i64);
+        for (int32_t i = 0; i < n_t; i++)
+            og[i] = (int32_t)(keys[i] & 0xffffffff);
+    } else {
+        memcpy(og, picked, (size_t)n_t * sizeof(int32_t));
+    }
+
+    /* Algorithm 1 line 2: decreasing (level, uid).  Within one level the
+     * OUTgold index grows with the uid in both orders, so it stands in
+     * for the uid in the key. */
+    for (int32_t i = 0; i < n_t; i++)
+        keys[i] = ((int64_t)h->level[cls[og[i]]] << 32) | i;
+    qsort(keys, (size_t)n_t, sizeof(int64_t), cmp_i64);
+    int64_t implications = 0, decisions = 0, conflicts = 0;
+    for (int32_t t = n_t - 1; t >= 0; t--) {
+        int32_t i = (int32_t)(keys[t] & 0xffffffff);
+        int32_t status = sg_run_target(h, cls[og[i]], i & 1);
+        if (status < 0)
+            return SG_ERROR;
+        implications += h->rep_implications;
+        decisions += h->rep_decisions;
+        if (status == SG_CONFLICT)
+            conflicts++;
+    }
+    h->info[I_TARGETS] = n_t;
+    h->info[I_IMPLICATIONS] = implications;
+    h->info[I_DECISIONS] = decisions;
+    h->info[I_CONFLICTS] = conflicts;
+
+    /* The skip check on the claimed values (unassigned never claims). */
+    int claimed_gold[2] = {0, 0};
+    for (int32_t i = 0; i < n_t; i++) {
+        int32_t slot = cls[og[i]];
+        int32_t gold = i & 1;
+        int claimed = h->values[slot] == gold;
+        h->out_slots[i] = slot;
+        h->out_flags[i] = (int8_t)(gold | (claimed << 1));
+        if (claimed)
+            claimed_gold[gold] = 1;
+    }
+    if (!(claimed_gold[0] && claimed_gold[1]))
+        return SG_SKIPPED;
+
+    /* InputVector.completed: free PIs draw getrandbits(1) in PI order. */
+    uint64_t keep = ((uint64_t)1 << lane) - 1;
+    for (int32_t i = 0; i < h->n_pis; i++) {
+        int8_t v = h->values[h->pis[i]];
+        uint64_t bit = v >= 0 ? (uint64_t)v : (uint64_t)rng_bits(&h->rng, 1);
+        h->words[i] = (h->words[i] & keep) | (bit << lane);
+    }
+    return SG_VERIFY;
+}
+
+/* Undo every attempt from the one saved under `mark` on. */
+int32_t sg_rewind(void *hp, int32_t mark) {
+    SgCore *h = (SgCore *)hp;
+    if (!h || mark < 0 || mark >= h->n_marks)
+        return -1;
+    h->rng = h->marks[mark].rng;
+    memcpy(h->counters, h->marks[mark].counters, sizeof(h->counters));
+    return 0;
 }

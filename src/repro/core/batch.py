@@ -7,7 +7,7 @@ compose, and it is worth being precise about why the obvious third one is
 off the table:
 
 **Why decisions stay scalar.**  Algorithm 1's attempts are hard-serialized
-on one ``random.Random``: attempt ``i+1``'s target sample, every roulette
+on one random stream: attempt ``i+1``'s target sample, every roulette
 draw inside it, and its free-PI completion all read RNG state that only
 exists after attempt ``i`` has fully finished.  Advancing 64 *generation
 fixpoints* in true lockstep would have to interleave those draws and so
@@ -15,50 +15,63 @@ cannot be bit-identical to the reference loop — and bit-identity is the
 acceptance gate of every backend seam in this repository.  The lane
 dimension therefore lives where the trajectory is already width-agnostic:
 
-* **the inner loop runs in C** — :mod:`repro.core` ships
-  ``_simgencore.c``, a resumable Algorithm-1 core that retires whole
-  targets per call (propagate fixpoints, transition-table resolution,
-  candidate picks, row commits, trail reverts) and *bounces* back to
-  Python only at the single point that must stay there for bit-identity:
-  RNG draws.  Its worklist order, state resolution, and every counter
-  bump replicate :class:`~repro.core.implication.ImplicationEngine` and
-  :class:`~repro.core.decision.DecisionEngine` exactly;
+* **each attempt is one C call** — :mod:`repro.core` ships
+  ``_simgencore.c``, which carries a port of CPython's Mersenne Twister
+  and of the draw rules SimGen uses (``_randbelow``, ``choice``,
+  ``sample``, ``random``).  ``sg_attempt`` runs a whole attempt:
+  ``select_targets``, the OUTgold values, the target order, each target's
+  Algorithm 1 with its roulette or ``choice`` draws, the skip pre-check
+  on the claimed values, and the random completion of the free PIs.
+  :meth:`BatchSimGenGenerator.generate` hands the generator's
+  ``random.Random`` state to the core on entry and takes it back on exit;
+  in between the stream lives in C.  The worklist order, state
+  resolution, every counter bump and every draw replicate
+  :class:`~repro.core.implication.ImplicationEngine`,
+  :class:`~repro.core.decision.DecisionEngine` and ``random.Random``
+  exactly;
 
 * **verification becomes 64-wide** — instead of simulating each candidate
-  vector alone (``run_words`` with width 1), finished attempts park in
-  lanes and one simulator call verifies up to 64 of them (bitwise tape
-  ops make bit ``p`` of a 64-wide run equal the 1-wide run of vector
-  ``p``).  Because the Algorithm-1 loop needs each vector's skip verdict
-  before it knows whether to *stop*, parked lanes are **speculative**:
-  the driver checkpoints the RNG/rotation/report/stats state before every
-  attempt, and when a flush reveals that the reference loop would have
-  stopped earlier, it rewinds to that attempt's checkpoint — the RNG is
-  restored with ``setstate``, over-speculated reports are dropped, and
-  shared stats dicts are rolled back, so the observable trajectory is
-  byte-identical to ``--simgen-backend reference``.
+  vector alone (``run_words`` with width 1), the core writes each
+  completed vector into one bit lane of the per-PI words, and one
+  simulator call verifies up to 64 of them (bitwise tape ops make bit
+  ``p`` of a 64-wide run equal the 1-wide run of vector ``p``).  Because
+  the Algorithm-1 loop needs each vector's skip verdict before it knows
+  whether to *stop*, parked lanes are **speculative**: before it draws,
+  the core saves its RNG state and counters under the attempt's index in
+  the pending batch (a 2.5 KB copy), and when a flush reveals that the
+  reference loop would have stopped earlier, the driver rewinds the core
+  to that attempt's mark, resets the rotation and drops the
+  over-speculated reports, so the observable trajectory is byte-identical
+  to ``--simgen-backend reference``.  The core's counters fold into the
+  published ``simgen.implication.*``/``simgen.decision.*`` stats dicts
+  once per ``generate()`` call, after any rewind.
 
 The network is lowered straight into the core (:class:`_SgCore`): one pass
-over the topological order gives every node a dense slot, and each
-distinct gate function is handed over once from the shared table cache
-of :mod:`repro.core.compiled`.
+over the topological order gives every node a dense slot, each distinct
+gate function is handed over once from the shared table cache of
+:mod:`repro.core.compiled`, and the Equation-4 priority of every gate row
+goes over as one flat array.
 
 Lanes that resolve without simulation (the skip criterion already failed
 on the claimed values) mask out before the flush and are counted in
 ``simgen.batch.masked_lane_steps``; per-flush live-lane widths feed the
-``simgen.batch.lanes_active`` histogram.
+``simgen.batch.lanes_active`` histogram.  A committed vector lists every
+PI in ``network.pis`` order.
 
 When the core cannot run — no C toolchain (or ``REPRO_SIMGENCORE=python``),
-a gate wider than :data:`SG_MAX_K`, or an outgold strategy a checkpoint
-cannot rewind — the generator runs the inherited reference Algorithm 1:
+a gate wider than :data:`SG_MAX_K`, or an outgold strategy a rewind
+cannot undo — the generator runs the inherited reference Algorithm 1:
 identical results, about 10x slower generation.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import os
+import random
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.compiled import _TransitionTable, transition_table
 from repro.core.decision import (
@@ -73,7 +86,6 @@ from repro.core.outgold import (
     OutgoldStrategy,
     alternating_outgold,
     level_alternating_outgold,
-    select_targets,
 )
 from repro.errors import GenerationError
 from repro.network.network import Network
@@ -89,18 +101,13 @@ LANES = 64
 #: Networks above it run the reference Algorithm 1.
 SG_MAX_K = 8
 
-#: Total cap on cached roulette weight lists of one core.  Overflow
-#: clears the whole cache (weights are a deterministic function of the
-#: gate state, so trajectories are unaffected) and counts the dropped
-#: entries in ``stats["weights_evictions"]``.
-WEIGHTS_CACHE_CAP = 1 << 16
+# sg_attempt results (keep in sync with _simgencore.c).
+_SKIPPED = 0
 
-# Status codes of the C core (keep in sync with _simgencore.c).
-_DONE = 0
-_CONFLICT = 1
-_ASSIGN_CONFLICT = 2
-_ALREADY = 3
-_NEED_RNG = 4
+#: ``Random.getstate()[1]``: the 624 Mersenne Twister words and the index.
+_MT_STATE_WORDS = 625
+
+_INT32_MAX = (1 << 31) - 1
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_simgencore.c")
 
@@ -111,32 +118,36 @@ def _configure(lib: ctypes.CDLL) -> None:
     p_i32 = ctypes.POINTER(i32)
     p_i64 = ctypes.POINTER(i64)
     p_i8 = ctypes.POINTER(ctypes.c_int8)
+    p_u32 = ctypes.POINTER(ctypes.c_uint32)
+    p_u64 = ctypes.POINTER(ctypes.c_uint64)
+    p_f64 = ctypes.POINTER(ctypes.c_double)
+    handle = ctypes.c_void_p
     lib.sg_new.argtypes = [i32]
-    lib.sg_new.restype = ctypes.c_void_p
-    lib.sg_free.argtypes = [ctypes.c_void_p]
+    lib.sg_new.restype = handle
+    lib.sg_free.argtypes = [handle]
     lib.sg_free.restype = None
-    lib.sg_add_table.argtypes = [
-        ctypes.c_void_p, i32, i32, i32, p_i64, p_i64, p_i8,
-    ]
+    lib.sg_add_table.argtypes = [handle, i32, i32, i32, p_i64, p_i64, p_i8]
     lib.sg_add_table.restype = i32
-    lib.sg_set_node.argtypes = [ctypes.c_void_p, i32, i32, i32, p_i32, i32, p_i32, i32]
+    lib.sg_set_node.argtypes = [
+        handle, i32, i32, i32, i32, p_i32, i32, p_i32, i32,
+    ]
     lib.sg_set_node.restype = i32
-    lib.sg_finalize.argtypes = [ctypes.c_void_p]
+    lib.sg_finalize.argtypes = [handle, p_i32, i32, p_f64, i64]
     lib.sg_finalize.restype = i32
-    lib.sg_set_mailbox.argtypes = [ctypes.c_void_p, p_i64, p_i32]
+    lib.sg_set_policy.argtypes = [handle, i32, i32, i32, i32, i64]
+    lib.sg_set_policy.restype = i32
+    lib.sg_set_mailbox.argtypes = [handle, p_i64, p_i32, p_i8, p_u64]
     lib.sg_set_mailbox.restype = None
-    lib.sg_reset.argtypes = [ctypes.c_void_p]
-    lib.sg_reset.restype = None
-    lib.sg_read_values.argtypes = [ctypes.c_void_p, p_i32, i32, p_i8]
-    lib.sg_read_values.restype = None
-    lib.sg_read_trail_pis.argtypes = [ctypes.c_void_p, p_i32, p_i8]
-    lib.sg_read_trail_pis.restype = i32
-    lib.sg_counters.argtypes = [ctypes.c_void_p, p_i64]
+    lib.sg_rng_set.argtypes = [handle, p_u32]
+    lib.sg_rng_set.restype = i32
+    lib.sg_rng_get.argtypes = [handle, p_u32]
+    lib.sg_rng_get.restype = None
+    lib.sg_counters.argtypes = [handle, p_i64]
     lib.sg_counters.restype = None
-    lib.sg_start_target.argtypes = [ctypes.c_void_p, i32, i32]
-    lib.sg_start_target.restype = i32
-    lib.sg_resume_rng.argtypes = [ctypes.c_void_p, i32]
-    lib.sg_resume_rng.restype = i32
+    lib.sg_attempt.argtypes = [handle, p_i32, i32, i32, i32]
+    lib.sg_attempt.restype = i32
+    lib.sg_rewind.argtypes = [handle, i32]
+    lib.sg_rewind.restype = i32
 
 
 _LOADER = CoreLoader(
@@ -155,19 +166,41 @@ _LIB = _LOADER.load()
 SIMGEN_CORE = "c" if _LIB is not None else "python"
 
 
+def _target_policy(max_targets: Optional[int]) -> tuple[int, int, int]:
+    """``select_targets``' cap, its sample size, and ``random.sample``'s
+    pool/set threshold for that size.
+
+    The cap test uses ``max_targets`` before ``select_targets`` clamps it
+    to 2; ``None`` means no cap.  The threshold is ``random.sample``'s own
+    expression, so the core takes the same branch.
+    """
+    cap = _INT32_MAX if max_targets is None else max_targets
+    cap = min(max(cap, -1), _INT32_MAX)
+    k = max(cap, 2)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return cap, k, setsize
+
+
 class _SgCore:
     """One network lowered into a ``_simgencore`` instance.
 
     A single pass over ``network.topological_order()`` gives every node a
-    dense slot and hands the core its PI flag, its fanin slots, and its
-    examiners — the node itself, then its fanouts, the reference
+    dense slot and hands the core its PI flag, its level, its fanin slots
+    and its examiners — the node itself, then its fanouts, the reference
     worklist order.  Each distinct gate function goes in once, from the
     shared table cache.  The fanins and packed rows come from the
-    implication engine, which has already lowered them per gate.
+    implication engine, which has already lowered them per gate; the
+    Equation-4 priority of every row is computed here, in
+    ``DecisionEngine.priority``'s float order, and goes in as one flat
+    array.
 
-    The Python side keeps what the RNG bounce needs: the slot maps, the
-    Equation-4 priority of every row, and the bounded roulette-weights
-    cache.  :attr:`stats` is published as ``simgen.kernel.*``.
+    The buffers the core writes each attempt into live here: the report
+    counters (:attr:`info`), the OUTgold targets (:attr:`out_slots`, and
+    :attr:`out_flags` as ``gold | claimed << 1``), and one 64-lane word
+    per PI (:attr:`words`, in :attr:`pis` order).  :attr:`stats` is
+    published as ``simgen.kernel.*``.
     """
 
     __slots__ = (
@@ -175,15 +208,14 @@ class _SgCore:
         "_handle",
         "uids",
         "slot_of",
-        "priorities",
-        "weights",
+        "pis",
         "stats",
         "info",
-        "indices",
-        "_trail_slots",
-        "_trail_vals",
+        "out_slots",
+        "out_flags",
+        "words",
+        "_rng_buf",
         "_counter_buf",
-        "_last_counters",
     )
 
     def __init__(
@@ -192,6 +224,8 @@ class _SgCore:
         network: Network,
         implication: ImplicationEngine,
         decision: DecisionEngine,
+        max_targets: Optional[int],
+        level_outgold: bool,
     ):
         order = network.topological_order()
         n = len(order)
@@ -202,22 +236,19 @@ class _SgCore:
         #: Slot -> uid (topological order) and its inverse.
         self.uids = order
         self.slot_of = slot_of = {uid: s for s, uid in enumerate(order)}
-        #: Per slot: Equation-4 priority of each packed row; None for PIs,
-        #: constants, and random decisions (which never score rows).
-        self.priorities: list[Optional[list[float]]] = [None] * n
-        #: (slot, state index) -> roulette weights, bounded by
-        #: :data:`WEIGHTS_CACHE_CAP`.
-        self.weights: dict[tuple[int, int], list[float]] = {}
+        levels = network.levels()
         advanced = implication.strategy is ImplicationStrategy.ADVANCED
         score_rows = decision.strategy is not DecisionStrategy.RANDOM
         use_mffc = decision.strategy is DecisionStrategy.DC_MFFC
         alpha, beta, mffc = decision.alpha, decision.beta, decision._mffc
         gate_info = implication._gate_info
         examiners = implication._examiners
+        #: Every gate row's Equation-4 priority, in slot then row order;
+        #: empty for random decisions, which never score rows.
+        priorities: list[float] = []
         # Keyed by the table object itself, which keeps every table alive
         # (and its identity unique) while the core is being built.
         table_ids: dict[_TransitionTable, int] = {}
-        max_rows = 1
         i32 = ctypes.c_int32
         for slot, uid in enumerate(order):
             exam = [slot_of[e] for e in examiners[uid]]
@@ -242,11 +273,9 @@ class _SgCore:
                     if tid < 0:
                         raise GenerationError("simgen core rejected a table")
                     table_ids[table] = tid
-                    max_rows = max(max_rows, len(rows))
                 fan_arr = (i32 * k)(*[slot_of[f] for f in fanins])
                 is_pi = False
                 if score_rows:
-                    priorities: list[float] = []
                     for mask, _vals, _out in rows:
                         # Exact float-op order of DecisionEngine.priority:
                         # the weights must be bit-equal for the roulette to
@@ -259,28 +288,41 @@ class _SgCore:
                                     rank += mffc.depth(fanins[i])
                             value += beta * rank
                         priorities.append(value)
-                    self.priorities[slot] = priorities
             if lib.sg_set_node(
-                handle, slot, tid, int(is_pi), fan_arr, k,
+                handle, slot, tid, int(is_pi), levels[uid], fan_arr, k,
                 (i32 * len(exam))(*exam), len(exam),
             ) != 0:
                 raise GenerationError("simgen core rejected a node")
-        if lib.sg_finalize(handle) != 0:
+        pis = network.pis
+        #: The network's PIs, in the order of :attr:`words`.
+        self.pis = tuple(pis)
+        if lib.sg_finalize(
+            handle,
+            (i32 * len(pis))(*[slot_of[pi] for pi in pis]),
+            len(pis),
+            (ctypes.c_double * len(priorities))(*priorities),
+            len(priorities),
+        ) != 0:
             raise GenerationError("simgen core finalize failed")
-        #: Bounce mailboxes, written by C and read here without extra calls.
-        self.info = (ctypes.c_int64 * 8)()
-        self.indices = (i32 * max_rows)()
-        lib.sg_set_mailbox(handle, self.info, self.indices)
-        self._trail_slots = (i32 * n)()
-        self._trail_vals = (ctypes.c_int8 * n)()
+        if lib.sg_set_policy(
+            handle, int(not score_rows), int(level_outgold),
+            *_target_policy(max_targets),
+        ) != 0:
+            raise GenerationError("simgen core rejected its policy")
+        self.info = (ctypes.c_int64 * 4)()
+        self.out_slots = (i32 * n)()
+        self.out_flags = (ctypes.c_int8 * n)()
+        self.words = (ctypes.c_uint64 * len(pis))()
+        lib.sg_set_mailbox(
+            handle, self.info, self.out_slots, self.out_flags, self.words
+        )
+        self._rng_buf = (ctypes.c_uint32 * _MT_STATE_WORDS)()
         self._counter_buf = (ctypes.c_int64 * 8)()
-        self._last_counters = [0] * 8
         #: Published as ``simgen.kernel.*``.
         self.stats = {
             "compiled_nodes": n,
             "transition_tables": len(table_ids),
             "reverted_assignments": 0,
-            "weights_evictions": 0,
         }
 
     def __del__(self):  # pragma: no cover - interpreter teardown order
@@ -292,56 +334,61 @@ class _SgCore:
             except (OSError, AttributeError, TypeError):
                 pass
 
-    # -- driving ------------------------------------------------------
-    def reset(self) -> None:
-        self._lib.sg_reset(self._handle)
+    # -- the random stream ---------------------------------------------
+    def load_rng(self, rng: random.Random) -> tuple:
+        """Hand ``rng``'s stream to the core; returns what
+        :meth:`store_rng` needs to hand it back."""
+        version, internal, gauss_next = rng.getstate()
+        self._rng_buf[:] = internal
+        if self._lib.sg_rng_set(self._handle, self._rng_buf) != 0:
+            raise GenerationError("simgen core rejected the RNG state")
+        return version, gauss_next
 
-    # -- reads --------------------------------------------------------
-    def read_trail_pis(self) -> tuple[list[int], list[int]]:
-        """Assigned-PI trail entries only (slots, values), trail order."""
-        n = self._lib.sg_read_trail_pis(
-            self._handle, self._trail_slots, self._trail_vals
-        )
-        return self._trail_slots[:n], self._trail_vals[:n]
+    def rng_state(self) -> tuple[int, ...]:
+        """The core's stream, as ``Random.getstate()[1]``."""
+        self._lib.sg_rng_get(self._handle, self._rng_buf)
+        return tuple(self._rng_buf)
 
-    def values_of(self, slots: list[int]) -> list[int]:
-        """Current values of the given slots (-1 when unassigned)."""
-        n = len(slots)
-        buf = self._trail_slots
-        buf[:n] = slots
-        self._lib.sg_read_values(self._handle, buf, n, self._trail_vals)
-        return self._trail_vals[:n]
+    def store_rng(self, rng: random.Random, handover: tuple) -> None:
+        """Hand the core's stream back to ``rng``."""
+        version, gauss_next = handover
+        rng.setstate((version, self.rng_state(), gauss_next))
 
-    def counter_deltas(self) -> list[int]:
-        """Monotonic core counters since the previous read."""
+    # -- attempts --------------------------------------------------------
+    def attempt(self, cls: ctypes.Array, mark: int, lane: int) -> int:
+        """One attempt on ``cls`` (slots in uid order); see ``sg_attempt``."""
+        status = self._lib.sg_attempt(self._handle, cls, len(cls), mark, lane)
+        if status < 0:
+            raise GenerationError("simgen core rejected an attempt")
+        return status
+
+    def rewind(self, mark: int) -> None:
+        """Restore the stream and counters saved under ``mark``."""
+        if self._lib.sg_rewind(self._handle, mark) != 0:
+            raise GenerationError(f"simgen core has no mark {mark}")
+
+    def counters(self) -> list[int]:
+        """The core's monotonic work counters (``sg_counters`` order)."""
         self._lib.sg_counters(self._handle, self._counter_buf)
-        now = list(self._counter_buf)
-        last = self._last_counters
-        self._last_counters = now
-        return [now[i] - last[i] for i in range(8)]
-
-
-@dataclass(slots=True)
-class _Checkpoint:
-    """Everything a speculative rewind must restore."""
-
-    rng_state: object
-    rotation: int
-    n_reports: int
-    impl: dict
-    dec: dict
-    kernel: dict
+        return list(self._counter_buf)
 
 
 @dataclass(slots=True)
 class _PendingAttempt:
-    """One speculative attempt parked in a verification lane."""
+    """One speculative attempt parked in the pending batch.
+
+    Its index in the batch names the core's mark; ``rotation`` and
+    ``n_reports`` are the driver's state before the attempt.
+    """
 
     report: GenerationReport
-    chk: _Checkpoint
-    needs_sim: bool
-    outgold: Optional[Mapping[int, int]]
-    full: Optional[InputVector]
+    rotation: int
+    n_reports: int
+    #: Verification lane, or -1 when the skip criterion already failed on
+    #: the claimed values.
+    lane: int
+    #: ``(uid, gold)`` in OUTgold order (verified lanes only).
+    targets: list[tuple[int, int]]
 
 
 class _BatchTelemetry:
@@ -401,211 +448,147 @@ class BatchSimGenGenerator(SimGenGenerator):
         # bit-identical to the reference Simulator, only faster.
         self._verifier = CompiledSimulator(network)
         self.batch = _BatchTelemetry()
-        #: uid -> (level, uid) sort key, built lazily (see _order_targets).
-        self._order_key: Optional[dict[int, tuple[int, int]]] = None
         self.kernel: Optional[_SgCore] = None
-        # Speculation needs every RNG consumer of the attempt loop to be
-        # rewindable through ``self.rng``; the stateless builtin outgold
-        # strategies are, arbitrary stateful callables may not be.
+        #: Core counters already folded into the published stats dicts.
+        self._folded = [0] * 8
+        # The core computes the builtin outgold strategies itself; an
+        # arbitrary callable may hold state a rewind cannot undo.
         if _LIB is not None and outgold_strategy in (
             alternating_outgold,
             level_alternating_outgold,
         ):
             try:
                 self.kernel = _SgCore(
-                    _LIB, network, self.implication, self.decision
+                    _LIB,
+                    network,
+                    self.implication,
+                    self.decision,
+                    max_targets,
+                    outgold_strategy is level_alternating_outgold,
                 )
             except (GenerationError, MemoryError):
                 pass  # e.g. a gate wider than SG_MAX_K: the reference path runs
-
-    def _order_targets(self, outgold: Mapping[int, int]) -> list[int]:
-        """Algorithm 1 line 2, with the sort keys precomputed once.
-
-        Identical ordering to the reference ``_order_targets`` — same
-        ``(level, uid)`` tuples, same ``reverse`` sort — but the per-call
-        lambda/level lookups collapse to one dict ``__getitem__``.
-        """
-        keys = self._order_key
-        if keys is None:
-            keys = {
-                uid: (level, uid)
-                for uid, level in self.network.levels().items()
-            }
-            self._order_key = keys
-        return sorted(outgold, key=keys.__getitem__, reverse=True)
 
     # ------------------------------------------------------------------
     # Speculative generate loop (the reference loop, lanes ahead)
     # ------------------------------------------------------------------
     def generate(self, classes: Sequence[Sequence[int]]) -> list[InputVector]:
-        if self.kernel is None:
+        core = self.kernel
+        if core is None:
             return super().generate(classes)
         splittable = [c for c in classes if len(c) >= 2]
         splittable.sort(key=len, reverse=True)
         if not splittable:
             return []
+        handover = core.load_rng(self.rng)
+        try:
+            return self._speculate(splittable)
+        finally:
+            core.store_rng(self.rng, handover)
+            self._fold_counters()
+
+    def _speculate(self, splittable: list[Sequence[int]]) -> list[InputVector]:
         vpi = self.vectors_per_iteration
         vectors: list[InputVector] = []
         attempts = 0
         max_attempts = max(vpi * 4, len(splittable))
+        #: Class index -> its slots in uid order, lowered on first visit.
+        lowered: dict[int, ctypes.Array] = {}
         pending: list[_PendingAttempt] = []
-        sim_count = 0
+        lanes = 0
         #: Lanes to fill before a flush: exactly the vectors still needed,
         #: doubling (up to LANES) after a flush that made no progress so
         #: high-skip workloads amortize the simulator call.
         flush_width = max(vpi, 1)
         stats = self.batch.stats
         while len(vectors) < vpi and attempts < max_attempts:
-            chk = self._checkpoint()
-            cls = splittable[self._rotation % len(splittable)]
-            self._rotation += 1
-            attempts += 1
-            targets = select_targets(cls, self.max_targets, self.rng)
-            outgold = self.outgold_strategy(self.network, targets)
-            rec = self._attempt(outgold, chk)
-            self.reports.append(rec.report)
+            rec = self._attempt(splittable, lowered, len(pending), lanes)
             pending.append(rec)
-            stats["lane_attempts"] += 1
-            if rec.needs_sim:
-                sim_count += 1
+            attempts += 1
+            if rec.lane >= 0:
+                lanes += 1
             else:
                 # Lane retired before the lockstep verify (the skip
                 # criterion already failed on the claimed values).
                 stats["masked_lane_steps"] += 1
-            if sim_count >= flush_width:
+            if lanes >= flush_width:
                 progress, discarded = self._flush(pending, vectors)
                 attempts -= discarded
                 pending = []
-                sim_count = 0
+                lanes = 0
                 if progress:
                     flush_width = max(vpi - len(vectors), 1)
                 else:
                     flush_width = min(flush_width * 2, LANES)
         if pending:
-            progress, discarded = self._flush(pending, vectors)
-            attempts -= discarded
+            self._flush(pending, vectors)
         return vectors
 
-    def _checkpoint(self) -> _Checkpoint:
-        return _Checkpoint(
-            rng_state=self.rng.getstate(),
-            rotation=self._rotation,
-            n_reports=len(self.reports),
-            impl=dict(self.implication.stats),
-            dec=dict(self.decision.stats),
-            kernel=dict(self.kernel.stats),
-        )
-
-    def _rewind(self, chk: _Checkpoint) -> None:
-        """Undo over-speculated attempts: the reference loop stopped earlier."""
-        self.rng.setstate(chk.rng_state)
-        self._rotation = chk.rotation
-        del self.reports[chk.n_reports:]
-        # The stats dicts are the ones the engine publishes: restore them
-        # in place.
-        self.implication.stats.update(chk.impl)
-        self.decision.stats.update(chk.dec)
-        self.kernel.stats.update(chk.kernel)
-
     # ------------------------------------------------------------------
-    # One attempt = Algorithm 1 over all targets + inline skip pre-check
+    # One attempt = one core call
     # ------------------------------------------------------------------
     def _attempt(
-        self, outgold: Mapping[int, int], chk: _Checkpoint
+        self,
+        splittable: list[Sequence[int]],
+        lowered: dict[int, ctypes.Array],
+        mark: int,
+        lane: int,
     ) -> _PendingAttempt:
-        report = GenerationReport(vector=None)
-        core = self.kernel
-        core.reset()
-        for target in self._order_targets(outgold):
-            self._run_target_core(target, outgold[target], report)
-        self._fold_core_counters()
-        slot_of = core.slot_of
-        target_vals = core.values_of([slot_of[uid] for uid in outgold])
-        # Unassigned reads back as -1, which never equals a gold bit —
-        # exactly `assignment.value(uid) == gold` on the reference path.
-        claimed = [
-            uid
-            for uid, value in zip(outgold, target_vals)
-            if value == outgold[uid]
-        ]
-        if {outgold[uid] for uid in claimed} != {0, 1}:
-            report.vector = None
-            report.skipped = True
-            report.survivors = claimed
-            return _PendingAttempt(report, chk, False, None, None)
-        uids = core.uids
-        pi_slots, pi_trail_vals = core.read_trail_pis()
-        candidate = InputVector(
-            {uids[slot]: value for slot, value in zip(pi_slots, pi_trail_vals)}
-        )
-        full = candidate.completed(self.network.pis, self.rng)
-        return _PendingAttempt(report, chk, True, outgold, full)
+        """The reference loop's next attempt, parked under ``mark``.
 
-    def _run_target_core(
-        self, target: int, gold: int, report: GenerationReport
-    ) -> None:
+        ``lane`` is the verification lane the vector takes if the claimed
+        values pass the skip check.
+        """
         core = self.kernel
-        # Direct library calls: the wrapper frames cost more than the
-        # calls themselves at ~3k bounces per generate().
-        handle = core._handle
-        status = core._lib.sg_start_target(handle, core.slot_of[target], gold)
-        rng = self.rng
+        index = self._rotation % len(splittable)
+        cls = lowered.get(index)
+        if cls is None:
+            slot_of = core.slot_of
+            members = sorted(splittable[index])
+            cls = lowered[index] = (ctypes.c_int32 * len(members))(
+                *[slot_of[uid] for uid in members]
+            )
+        rotation = self._rotation
+        n_reports = len(self.reports)
+        self._rotation += 1
+        status = core.attempt(cls, mark, lane)
         info = core.info
-        indices_buf = core.indices
-        resume = core._lib.sg_resume_rng
-        randrange = rng.randrange
-        random_draw = rng.random
-        weights_cache = core.weights
-        random_rows = self.decision.strategy is DecisionStrategy.RANDOM
-        while status == _NEED_RNG:
-            slot, index, count = info[0], info[1], info[2]
-            if random_rows:
-                chosen = rng.choice(indices_buf[:count])
-            else:
-                # Exact twin of DecisionEngine.decide's scored path: same
-                # float-op order, same roulette — the draws must be
-                # bit-equal.
-                weights = weights_cache.get((slot, index))
-                if weights is None:
-                    row_priorities = core.priorities[slot]
-                    priorities = [
-                        row_priorities[i] for i in indices_buf[:count]
-                    ]
-                    low = min(priorities)
-                    span = max(priorities) - low
-                    floor = 0.1 + 0.05 * span
-                    weights = [p - low + floor for p in priorities]
-                    weights_cache[(slot, index)] = weights
-                    # Module attribute read at call time, so the cap stays
-                    # patchable.
-                    if len(weights_cache) > WEIGHTS_CACHE_CAP:
-                        core.stats["weights_evictions"] += len(weights_cache)
-                        weights_cache.clear()
-                # roulette_select inlined: every weight carries the
-                # `0.1 + 0.05 * span` floor, so its 1e-9 epsilon clamp is
-                # the identity and the draw sequence is unchanged.
-                top = max(weights)
-                while True:
-                    j = randrange(count)
-                    if random_draw() * top <= weights[j]:
-                        chosen = indices_buf[j]
-                        break
-            status = resume(handle, chosen)
-        if status < 0:
-            raise GenerationError("simgen lane core protocol error")
-        report.implications += info[3]
-        report.decisions += info[4]
-        if status in (_CONFLICT, _ASSIGN_CONFLICT):
-            report.conflicts += 1
+        report = GenerationReport(
+            vector=None,
+            implications=info[1],
+            decisions=info[2],
+            conflicts=info[3],
+        )
+        count = info[0]
+        uids = core.uids
+        targets = [
+            (uids[slot], flags)
+            for slot, flags in zip(core.out_slots[:count], core.out_flags[:count])
+        ]
+        self.reports.append(report)
+        self.batch.stats["lane_attempts"] += 1
+        if status == _SKIPPED:
+            report.skipped = True
+            report.survivors = [uid for uid, flags in targets if flags & 2]
+            return _PendingAttempt(report, rotation, n_reports, -1, [])
+        return _PendingAttempt(
+            report,
+            rotation,
+            n_reports,
+            lane,
+            [(uid, flags & 1) for uid, flags in targets],
+        )
 
-    def _fold_core_counters(self) -> None:
-        """Fold the C core's counter deltas into the published stats dicts.
+    def _fold_counters(self) -> None:
+        """Fold the C core's counters into the published stats dicts.
 
         ``simgen.implication.*`` and ``simgen.decision.*`` stay
         backend-invariant: the C core counts exactly what the reference
         engines count.
         """
-        d = self.kernel.counter_deltas()
+        now = self.kernel.counters()
+        d = [a - b for a, b in zip(now, self._folded)]
+        self._folded = now
         impl = self.implication.stats
         impl["propagate_calls"] += d[0]
         impl["examinations"] += d[1]
@@ -631,43 +614,41 @@ class BatchSimGenGenerator(SimGenGenerator):
         """
         vpi = self.vectors_per_iteration
         stats = self.batch.stats
-        sims = [rec for rec in pending if rec.needs_sim]
-        if sims:
-            width = len(sims)
-            words = {pi: 0 for pi in self.network.pis}
-            for pos, rec in enumerate(sims):
-                for pi, value in rec.full.values.items():
-                    if value:
-                        words[pi] |= 1 << pos
+        live = [rec for rec in pending if rec.lane >= 0]
+        if live:
+            width = len(live)
+            words = dict(zip(self.kernel.pis, self.kernel.words))
             values = self._verifier.run_words(words, width)
             stats["batch_flushes"] += 1
             self.batch.lane_occupancy.append(width)
-            for pos, rec in enumerate(sims):
+            for rec in live:
+                lane = rec.lane
                 report = rec.report
-                report.survivors = [
-                    uid
-                    for uid, gold in rec.outgold.items()
-                    if ((values[uid] >> pos) & 1) == gold
+                hits = [
+                    (uid, gold)
+                    for uid, gold in rec.targets
+                    if ((values[uid] >> lane) & 1) == gold
                 ]
-                gold_values = {rec.outgold[uid] for uid in report.survivors}
-                if gold_values == {0, 1}:
-                    report.vector = InputVector(dict(rec.full.values))
-                    report.skipped = False
+                report.survivors = [uid for uid, _ in hits]
+                if {gold for _, gold in hits} == {0, 1}:
+                    report.vector = InputVector(
+                        {pi: (word >> lane) & 1 for pi, word in words.items()}
+                    )
                 else:
-                    report.vector = None
                     report.skipped = True
-                rec.needs_sim = False
         progress = False
         for i, rec in enumerate(pending):
             if len(vectors) >= vpi:
                 # The reference loop exits before this attempt: everything
                 # from here on never happened.
                 discarded = len(pending) - i
-                self._rewind(rec.chk)
+                self.kernel.rewind(i)
+                self._rotation = rec.rotation
+                del self.reports[rec.n_reports:]
                 stats["speculative_rewinds"] += 1
                 stats["discarded_attempts"] += discarded
                 return progress, discarded
-            if rec.report.vector is not None and not rec.report.skipped:
+            if rec.report.vector is not None:
                 vectors.append(rec.report.vector)
                 progress = True
         return progress, 0

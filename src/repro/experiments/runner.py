@@ -33,8 +33,9 @@ class BenchmarkRun:
     cost_history: list[int] = field(default_factory=list)
     #: Seconds of the guided simulation stage, the runtime Table 1 and
     #: Figs. 5-6 compare: simulating vectors plus generating them
-    #: (``SweepMetrics.sim_time + simgen_time``).  With the SAT phase run,
-    #: counterexample resimulation is included too.
+    #: (``SweepMetrics.sim_time + simgen_time``).  Counterexample
+    #: resimulation in the SAT phase is not part of it
+    #: (``SweepMetrics.resim_time``).
     sim_time: float = 0.0
     sat_calls: int = 0
     sat_time: float = 0.0

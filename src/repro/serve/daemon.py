@@ -342,6 +342,7 @@ class SweepService:
                 "sat_time": metrics.sat_time,
                 "sim_time": metrics.sim_time,
                 "simgen_time": metrics.simgen_time,
+                "resim_time": metrics.resim_time,
                 "deadline_expired": metrics.deadline_expired,
             },
         }

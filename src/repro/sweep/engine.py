@@ -153,15 +153,19 @@ class SweepMetrics:
 
     #: Equation-5 cost after random simulation and after every iteration.
     cost_history: list[int] = field(default_factory=list)
-    #: Wall-clock seconds spent *simulating* vectors (random rounds, guided
-    #: batches, counterexample resimulation).  Guided-vector generation is
-    #: charged to :attr:`simgen_time`; each guided iteration's window is
+    #: Wall-clock seconds spent *simulating* vectors in the simulation
+    #: phase (random rounds and guided batches).  Guided-vector generation
+    #: is charged to :attr:`simgen_time`; each guided iteration's window is
     #: split between the two, so
     #: ``sim_time + simgen_time >= sum(iteration_times)`` always holds.
+    #: Counterexample resimulation in the SAT phase is :attr:`resim_time`.
     sim_time: float = 0.0
     #: Wall-clock seconds spent inside the guided-vector generator (the
     #: SimGen kernel's bucket; previously lumped into :attr:`sim_time`).
     simgen_time: float = 0.0
+    #: Wall-clock seconds spent resimulating SAT counterexamples (every
+    #: batched flush of the SAT phase, interrupted ones included).
+    resim_time: float = 0.0
     #: Seconds per guided iteration (aligned with ``cost_history[1:]``).
     iteration_times: list[float] = field(default_factory=list)
     #: Seconds inside ``generator.generate`` per guided iteration (aligned
@@ -862,10 +866,10 @@ class SweepEngine:
     ) -> None:
         """Resimulate all pending counterexamples in one batch.
 
-        Resimulation is *simulation* work triggered from the SAT phase: its
-        window is charged to ``metrics.sim_time`` (never ``sat_time``, whose
-        sole owner is the checker clock), even when the flush is interrupted
-        mid-batch.
+        Resimulation is simulation work triggered from the SAT phase: its
+        window is charged to ``metrics.resim_time`` (never ``sim_time``,
+        the simulation phase's bucket, nor ``sat_time``, whose sole owner
+        is the checker clock), even when the flush is interrupted mid-batch.
         """
         if not self._pending_cex:
             return
@@ -902,7 +906,7 @@ class SweepEngine:
                     classes.isolate(member)
         finally:
             flush_s = time.perf_counter() - start
-            metrics.sim_time += flush_s
+            metrics.resim_time += flush_s
             if self.tracer.enabled:
                 self.tracer.event(
                     "resim.flush", count=len(pending), dur=flush_s
@@ -954,6 +958,7 @@ class SweepEngine:
                 "worker_failures": metrics.worker_failures,
                 "sim_time": metrics.sim_time,
                 "simgen_time": metrics.simgen_time,
+                "resim_time": metrics.resim_time,
                 "sat_time": metrics.sat_time,
                 "sat_phase_time": metrics.sat_phase_time,
                 "worker_sat_time": metrics.worker_sat_time,

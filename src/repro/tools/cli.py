@@ -227,7 +227,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"({metrics.proven} proven, {metrics.disproven} disproven, "
             f"{metrics.unknown} unknown), "
             f"gen {metrics.simgen_time:.2f}s sim {metrics.sim_time:.2f}s "
-            f"sat {metrics.sat_time:.2f}s "
+            f"resim {metrics.resim_time:.2f}s sat {metrics.sat_time:.2f}s "
             f"(phase {metrics.sat_phase_time:.2f}s)"
         )
     if metrics.escalations:

@@ -15,7 +15,7 @@ implication/decision stats streams.
 Lane-masking edge cases are pinned separately: a flush whose lanes all
 retired pre-verify must not touch the simulator, a single live lane must
 verify alone, and a mid-batch quota fill must rewind the over-speculated
-lanes exactly to their checkpoints.  Where the C core cannot run, the
+lanes exactly to their marks.  Where the C core cannot run, the
 generator takes the reference path; the fallback tests pin that it stays
 identical.
 """
@@ -29,11 +29,7 @@ from repro.benchgen.suite import sweep_instance
 from repro.core import make_generator
 from repro.core.batch import BatchSimGenGenerator, _PendingAttempt
 from repro.core.generator import GenerationReport, SimGenGenerator
-from repro.core.outgold import (
-    alternating_outgold,
-    level_alternating_outgold,
-    select_targets,
-)
+from repro.core.outgold import alternating_outgold, level_alternating_outgold
 from repro.sweep import SweepConfig, SweepEngine
 from tests.conftest import random_network
 
@@ -66,14 +62,16 @@ def freeze_reports(gen):
     ]
 
 
-def run_trace(net, gen, seed, iterations=6):
+def run_trace(net, gen, seed, iterations=6, **config):
     """Everything observable about one guided sweep, frozen for comparison.
 
     Includes the implication/decision stats dicts: the C core folds its
     counters into the same streams the reference engines feed, so they
     must match number for number.
     """
-    engine = SweepEngine(net, gen, SweepConfig(seed=seed, iterations=iterations))
+    engine = SweepEngine(
+        net, gen, SweepConfig(seed=seed, iterations=iterations, **config)
+    )
     classes, metrics = engine.run_simulation_phase()
     return (
         classes.all_classes(),
@@ -85,7 +83,7 @@ def run_trace(net, gen, seed, iterations=6):
     )
 
 
-def sweep_trace(net, strategy, backend, seed, vpi=4, iterations=6):
+def sweep_trace(net, strategy, backend, seed, vpi=4, iterations=6, **config):
     gen = make_generator(
         strategy,
         net,
@@ -96,7 +94,7 @@ def sweep_trace(net, strategy, backend, seed, vpi=4, iterations=6):
     if backend == "batch" and batch_mod._LIB is not None:
         # The differential must exercise the C core wherever it loads.
         assert gen.kernel is not None
-    return gen, run_trace(net, gen, seed, iterations)
+    return gen, run_trace(net, gen, seed, iterations, **config)
 
 
 def two_real_attempts(net, seed, vpi=1):
@@ -104,7 +102,9 @@ def two_real_attempts(net, seed, vpi=1):
 
     Replays exactly the body of ``generate()`` up to (not including) the
     flush, over one class holding every gate, so flush behaviour can be
-    probed at a chosen quota.
+    probed at a chosen quota.  Also returns, per attempt, what its mark
+    must restore: the core's stream and counters, the rotation, and the
+    report list.
     """
     gen = make_generator(
         "AI+DC+MFFC",
@@ -114,17 +114,17 @@ def two_real_attempts(net, seed, vpi=1):
         vectors_per_iteration=vpi,
     )
     splittable = [[n.uid for n in net.gates()]]
-    records = []
-    for _ in range(2):
-        chk = gen._checkpoint()
-        cls = splittable[gen._rotation % len(splittable)]
-        gen._rotation += 1
-        targets = select_targets(cls, gen.max_targets, gen.rng)
-        outgold = gen.outgold_strategy(gen.network, targets)
-        rec = gen._attempt(outgold, chk)
-        gen.reports.append(rec.report)
-        records.append(rec)
-    return gen, records
+    lowered = {}
+    core = gen.kernel
+    core.load_rng(gen.rng)
+    records, marks = [], []
+    for mark in range(2):
+        marks.append(
+            (core.rng_state(), core.counters(), gen._rotation, list(gen.reports))
+        )
+        lane = sum(rec.lane >= 0 for rec in records)
+        records.append(gen._attempt(splittable, lowered, mark, lane))
+    return gen, records, marks
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +206,37 @@ class TestBatchIdentity:
 
         assert run("batch") == run("reference")
 
+    @pytest.mark.parametrize("strategy", ("AI+DC+MFFC", "SI+RD"))
+    @pytest.mark.parametrize("circuit", ("cps", "apex2"))
+    def test_sample_above_set_threshold_identical(self, circuit, strategy):
+        """Above 85 members ``random.sample`` switches from its pool to
+        set rejection at ``max_targets`` 8.  One random pattern leaves
+        classes that large for the guided phase, so the core's port of
+        both branches, and of the roulette and ``choice`` draws that
+        follow, meets the reference stream there."""
+        net = sweep_instance(circuit)
+        config = {"random_width": 1}
+        classes, _ = SweepEngine(
+            net, None, SweepConfig(seed=0, **config)
+        ).run_simulation_phase()
+        assert max(len(c) for c in classes.splittable()) > 85
+        _, batch = sweep_trace(net, strategy, "batch", seed=0, **config)
+        _, reference = sweep_trace(net, strategy, "reference", seed=0, **config)
+        assert batch == reference
+
+    @pytest.mark.parametrize("max_targets", (None, 1, 3))
+    def test_target_cap_edges_identical(self, max_targets):
+        """The core's ``select_targets``: no cap at all, a cap below the
+        clamp to 2 (the cap test still reads it unclamped), and a sample
+        under ``random.sample``'s fixed 21-member threshold."""
+        net = random_network(seed=41, num_inputs=5, num_gates=24)
+
+        def run(cls):
+            gen = cls(net, seed=2, max_targets=max_targets)
+            return run_trace(net, gen, seed=2, iterations=5)
+
+        assert run(BatchSimGenGenerator) == run(SimGenGenerator)
+
     def test_level_alternating_outgold_identical(self):
         """The other speculation-eligible builtin outgold strategy."""
         net = random_network(seed=13, num_inputs=5, num_gates=20)
@@ -248,12 +279,12 @@ class TestLaneMasking:
         pending = [
             _PendingAttempt(
                 report=GenerationReport(vector=None, skipped=True),
-                chk=gen._checkpoint(),
-                needs_sim=False,
-                outgold=None,
-                full=None,
+                rotation=i,
+                n_reports=0,
+                lane=-1,
+                targets=[],
             )
-            for _ in range(3)
+            for i in range(3)
         ]
         vectors = []
         assert gen._flush(pending, vectors) == (False, 0)
@@ -276,26 +307,29 @@ class TestLaneMasking:
 
     def test_mid_batch_quota_fill_rewinds_over_speculation(self):
         """When the quota fills mid-flush, every later lane never happened:
-        the RNG, rotation, report list, and shared stats dicts rewind to
-        that lane's checkpoint.  (Seed 0 pins the precondition: both
+        the core's stream and counters, the rotation, and the report list
+        rewind to that lane's mark.  (Seed 0 pins the precondition: both
         attempts park for verification and the first one commits.)"""
         net = random_network(seed=0, num_inputs=5, num_gates=16)
-        gen, (first, second) = two_real_attempts(net, seed=0, vpi=1)
-        assert first.needs_sim and second.needs_sim
+        gen, (first, second), (_, mark) = two_real_attempts(net, seed=0, vpi=1)
+        assert (first.lane, second.lane) == (0, 1)
+        core = gen.kernel
+        speculated = (
+            core.rng_state(), core.counters(), gen._rotation, list(gen.reports)
+        )
+        assert speculated != mark
         vectors = []
         progress, discarded = gen._flush([first, second], vectors)
         assert progress and discarded == 1
         assert len(vectors) == 1
         assert gen.batch.stats["speculative_rewinds"] == 1
         assert gen.batch.stats["discarded_attempts"] == 1
-        # The rewind restored exactly the second attempt's checkpoint.
-        chk = second.chk
-        assert gen.rng.getstate() == chk.rng_state
-        assert gen._rotation == chk.rotation
-        assert len(gen.reports) == chk.n_reports
-        assert gen.implication.stats == chk.impl
-        assert gen.decision.stats == chk.dec
-        assert gen.kernel.stats == chk.kernel
+        # The rewind restored exactly the second attempt's mark.
+        rng_state, counters, rotation, reports = mark
+        assert core.rng_state() == rng_state
+        assert core.counters() == counters
+        assert gen._rotation == rotation
+        assert gen.reports == reports
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,9 @@ whole lifetime.  A core lowered from that cache must stay on the
 reference trajectory whatever state the cache is in — cold, warm from an
 earlier core, or evicting under a tiny cap while the core is lowered —
 and must fold its work into the reference engines' stats dicts.  The
-other SimGen caches — the implication memo, the decision rows cache, and
-the batch generator's roulette weights — are bounded too: evictions must
-count, and must never change a trajectory.
+other SimGen caches — the implication memo and the decision rows cache
+— are bounded too: evictions must count, and must never change a
+trajectory.
 
 The lane machinery of the batch generator (speculation, flushes,
 rewinds) is the subject of ``tests/core/test_batch_kernel.py``.
@@ -219,20 +219,6 @@ class TestBoundedCaches:
         assert after_second["hits"] - after_first["hits"] == len(
             list(net.gates())
         )
-
-    @needs_c_core
-    def test_kernel_weights_eviction_counts_and_preserves_trajectory(
-        self, monkeypatch
-    ):
-        """With the weights cache capped at zero every roulette evicts;
-        the recomputed weights are identical floats, so the sweep trace
-        still matches the reference generator."""
-        net = random_network(seed=3, num_inputs=6, num_gates=20)
-        _, baseline = sweep_trace(net, "AI+DC+MFFC", "reference", seed=3)
-        monkeypatch.setattr(batch_mod, "WEIGHTS_CACHE_CAP", 0)
-        gen, trace = sweep_trace(net, "AI+DC+MFFC", "batch", seed=3)
-        assert trace == baseline
-        assert gen.kernel.stats["weights_evictions"] > 0
 
 
 class TestTransitionCacheConcurrency:

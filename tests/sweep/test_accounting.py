@@ -9,6 +9,7 @@ The accounting model (docs/OBSERVABILITY.md):
   into ``sat_time`` (the historical CEC fallback double count).
 * Every stats window closes on every exit path: expired deadline, solver
   exception, worker death.
+* Counterexample resimulation is ``resim_time``'s, never ``sim_time``'s.
 """
 
 import pytest
@@ -120,6 +121,24 @@ class TestSweepAccounting:
         assert metrics.degraded_pairs >= 1
         assert metrics.worker_failures == 1
         assert_one_timer_owner(metrics)
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_counterexample_resimulation_owns_resim_time(self, jobs):
+        """The SAT phase's counterexample flushes are charged to
+        ``resim_time``: ``sim_time``, which the paper's runtime columns
+        read, stays the simulation phase's."""
+        config = SweepConfig(seed=0, random_width=1, jobs=jobs)
+        engine = SweepEngine(duplicated_network(), None, config)
+        classes, metrics = engine.run_simulation_phase()
+        sim_time = metrics.sim_time
+        result = engine.run_sat_phase(classes, metrics)
+        assert result.metrics.disproven > 0
+        assert result.metrics.sim_time == sim_time
+        assert result.metrics.resim_time > 0.0
+        engine.publish_metrics(result.metrics)
+        assert engine.registry.as_dict()[
+            "sweep.resim_time.total_s"
+        ] == pytest.approx(result.metrics.resim_time)
 
     def test_registry_mirrors_metrics(self):
         engine, result = run_engine(duplicated_network(), jobs=1)
