@@ -58,7 +58,7 @@ on the claimed values) mask out before the flush and are counted in
 ``simgen.batch.lanes_active`` histogram.  A committed vector lists every
 PI in ``network.pis`` order.
 
-When the core cannot run — no C toolchain (or ``REPRO_SIMGENCORE=python``),
+When the core cannot run — no C toolchain (or ``REPRO_CCORES=python``),
 a gate wider than :data:`SG_MAX_K`, or an outgold strategy a rewind
 cannot undo — the generator runs the inherited reference Algorithm 1:
 identical results, about 10x slower generation.
@@ -153,7 +153,6 @@ def _configure(lib: ctypes.CDLL) -> None:
 _LOADER = CoreLoader(
     source_path=_SOURCE_PATH,
     cache_name="simgencore",
-    env_var="REPRO_SIMGENCORE",
     configure=_configure,
     describe="compiled SimGen lane core",
     fallback="the reference SimGen engines (identical results, about 10x "

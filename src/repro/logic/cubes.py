@@ -263,7 +263,9 @@ def isop(table: TruthTable) -> list[Cube]:
 @lru_cache(maxsize=16384)
 def isop_cover(table: TruthTable) -> tuple[Cube, ...]:
     """Cached, immutable :func:`isop` — LUT networks reuse few functions,
-    so repeated cone encodings hit this instead of re-deriving the cover."""
+    so repeated lowerings hit this instead of re-deriving the cover.  The
+    one source of covers for the simulator's evaluation plans, SimGen's
+    rows and the SAT clause templates."""
     return tuple(isop(table))
 
 
@@ -273,10 +275,12 @@ def rows_of(table: TruthTable) -> tuple[Row, ...]:
 
     Every minterm of the input space is contained in at least one row, and
     every row produces the function's value on all its minterms.  Rows are
-    cached per function since LUT networks reuse few distinct functions.
+    cached per function since LUT networks reuse few distinct functions;
+    the covers come from :func:`isop_cover`, which the simulator's plans
+    and the SAT clause templates share, so each runs ISOP once.
     """
-    onset = tuple(Row(c, 1) for c in isop(table))
-    offset = tuple(Row(c, 0) for c in isop(~table))
+    onset = tuple(Row(c, 1) for c in isop_cover(table))
+    offset = tuple(Row(c, 0) for c in isop_cover(~table))
     return onset + offset
 
 

@@ -1,8 +1,9 @@
 """Build-and-load machinery for optional C accelerator cores.
 
-Both compiled cores in this codebase — the SAT clause arena
-(``repro/sat/_satcore.c``) and the SimGen lane kernel
-(``repro/core/_simgencore.c``) — follow the same contract: a single
+The three compiled cores in this codebase — the SAT clause arena
+(``repro/sat/_satcore.c``), the SimGen lane kernel
+(``repro/core/_simgencore.c``) and the bit-parallel simulator
+(``repro/simulation/_simcore.c``) — follow the same contract: a single
 portable C99 source file compiled into a shared object with whatever
 system compiler exists, cached by source hash so the build runs once per
 machine, loaded through ``ctypes``, and *optional* — when no compiler or
@@ -10,9 +11,9 @@ writable cache directory is available the caller falls back to pure
 Python with identical trajectories: the SAT backend to the reference
 :class:`~repro.sat.solver.CdclSolver` (30-50x fewer propagations per
 second), the SimGen batch generator to the reference engines (about 10x
-slower generation).  This
-module is that contract, factored out of :mod:`repro.sat.compiled` so
-every core shares one implementation of the corner cases:
+slower generation), the compiled simulator to the reference gate
+evaluation.  This module is that contract, shared by every core so each
+corner case has one implementation:
 
 * **source-hash cache keys** — edits rebuild, stale builds are never
   picked up;
@@ -26,7 +27,10 @@ every core shares one implementation of the corner cases:
   is unlinked and rebuilt from source exactly once;
 * **one-time fallback warnings** — an *involuntary* fallback changes
   speed, never results, and should be visible exactly once per process;
-  silence is reserved for the explicit ``REPRO_<CORE>=python`` opt-out.
+  silence is reserved for the explicit opt-out;
+* **one opt-out for every core** — ``REPRO_CCORES=python``
+  (:data:`OPT_OUT_VAR`) runs all three on their pure-Python paths, what a
+  host without a C compiler gets.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ import subprocess
 import tempfile
 import warnings
 from typing import Callable, Optional
+
+#: Environment variable whose value ``python`` makes every core fall back
+#: silently.
+OPT_OUT_VAR = "REPRO_CCORES"
 
 
 def build_shared_library(source_path: str, cache_name: str) -> Optional[str]:
@@ -113,8 +121,6 @@ class CoreLoader:
     Args:
         source_path: Absolute path of the C source file.
         cache_name: Cache directory / file stem (e.g. ``"satcore"``).
-        env_var: Environment variable whose value ``"python"`` opts out of
-            the C core silently (e.g. ``"REPRO_SATCORE"``).
         configure: Callback that sets ``argtypes``/``restype`` on the
             loaded library; an :class:`AttributeError` from it (missing
             symbol — stale layout) counts as a load failure.
@@ -126,14 +132,12 @@ class CoreLoader:
         self,
         source_path: str,
         cache_name: str,
-        env_var: str,
         configure: Callable[[ctypes.CDLL], None],
         describe: str,
         fallback: str,
     ):
         self.source_path = source_path
         self.cache_name = cache_name
-        self.env_var = env_var
         self.configure = configure
         self.describe = describe
         self.fallback = fallback
@@ -161,7 +165,7 @@ class CoreLoader:
 
     def load(self) -> Optional[ctypes.CDLL]:
         """The configured library, or ``None`` (with a one-time warning)."""
-        if os.environ.get(self.env_var, "").strip().lower() == "python":
+        if os.environ.get(OPT_OUT_VAR, "").strip().lower() == "python":
             return None  # explicit opt-out: no warning
         lib_path = build_shared_library(self.source_path, self.cache_name)
         if lib_path is None:

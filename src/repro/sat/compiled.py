@@ -41,7 +41,7 @@ into a stream of clauses (the reference
 its order), and the solver takes a whole stream in one
 ``sat_add_clauses`` call; ``sat_ensure_vars`` creates a batch of
 variables in one call.  When no compiler is available — or
-``REPRO_SATCORE=python`` forces it — the "compiled" backend falls back to
+``REPRO_CCORES=python`` forces it — the "compiled" backend falls back to
 the reference :class:`~repro.sat.solver.CdclSolver` and the Python
 encoder: identical results at 30-50x fewer propagations per second (on a
 2-vCPU Xeon: 104k vs 3.27M/s on near-threshold 3-SAT and pigeonhole
@@ -156,11 +156,10 @@ def _configure(lib: ctypes.CDLL) -> None:
 
 
 #: Build / load / corrupt-cache-recovery machinery, shared with the
-#: SimGen lane core (see :mod:`repro.runtime.cbuild` for the contract).
+#: SimGen and simulator cores (see :mod:`repro.runtime.cbuild`).
 _LOADER = CoreLoader(
     source_path=_SOURCE_PATH,
     cache_name="satcore",
-    env_var="REPRO_SATCORE",
     configure=_configure,
     describe="compiled SAT core",
     fallback="the reference solver (identical results, 30-50x fewer "
@@ -207,7 +206,7 @@ class CArenaCdclSolver:
         if _LIB is None:
             raise SatError(
                 "compiled SAT core unavailable in this process "
-                "(no C compiler, or REPRO_SATCORE=python)"
+                "(no C compiler, or REPRO_CCORES=python)"
             )
         self._lib = _LIB
         self._handle = self._lib.sat_new(self.LEARNT_CAP_INIT)

@@ -222,7 +222,6 @@ class SweepService:
         """Cache / admission / job-count snapshot (also folds cache
         deltas into the registry under ``cache.verdict.*``)."""
         from repro.core.compiled import transition_cache_info
-        from repro.simulation.compiled import tape_cache_info
 
         with self._lock:
             counts: dict[str, int] = {}
@@ -236,7 +235,6 @@ class SweepService:
             "cache": {
                 "verdict": self.cache.stats,
                 "transition": transition_cache_info(),
-                "tape": tape_cache_info(),
             },
             "registry": self.registry.as_dict(),
         }

@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
 from repro.errors import SimulationError
-from repro.logic.cubes import isop
+from repro.logic.cubes import isop_cover
 from repro.logic.truthtable import TruthTable
 from repro.network.network import Network
 from repro.network.traversal import cone_pis, cone_topological_order
@@ -29,8 +29,8 @@ def _eval_plan(table: TruthTable) -> tuple[bool, tuple[tuple[int, int], ...]]:
     ``complement`` is True the cubes cover the offset and the OR of their
     terms must be inverted.
     """
-    onset = isop(table)
-    offset = isop(~table)
+    onset = isop_cover(table)
+    offset = isop_cover(~table)
     if len(offset) < len(onset):
         return True, tuple((c.mask, c.values) for c in offset)
     return False, tuple((c.mask, c.values) for c in onset)

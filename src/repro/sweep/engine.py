@@ -48,10 +48,6 @@ from repro.sweep.classes import EquivalenceClasses
 #: queued back-to-back (a pooled wave, or
 #: :meth:`SweepEngine.queue_counterexample`).
 CEX_BATCH_WIDTH = 64
-#: Recompile the resimulation tape onto the surviving splittable members'
-#: cones when their count falls below this fraction of the previously
-#: compiled target set (geometric, so amortized free).
-RESIM_RECOMPILE_FACTOR = 0.5
 #: Bounded retries for a transiently failing simulator batch before the
 #: refinement is skipped (sound: classes just stay coarser).
 SIM_RETRIES = 3
@@ -286,7 +282,6 @@ class SweepEngine:
                 f"unknown engine {self.config.engine!r} "
                 "(use 'compiled' or 'reference')"
             )
-        self._compiled = self.config.engine == "compiled"
         if self.config.sat_backend not in SAT_BACKENDS:
             raise SweepError(
                 f"unknown sat_backend {self.config.sat_backend!r} "
@@ -305,8 +300,15 @@ class SweepEngine:
                 "a verdict journal cannot record fault-injected solvers "
                 "(their verdicts are not replayable); use one or the other"
             )
+        #: The unwrapped compiled simulator, whose views resimulate
+        #: counterexamples (``None`` on the reference engine).
+        self._compiled_sim = (
+            CompiledSimulator(network)
+            if self.config.engine == "compiled"
+            else None
+        )
         self.simulator = self._wrap_simulator(
-            CompiledSimulator(network) if self._compiled else Simulator(network)
+            self._compiled_sim or Simulator(network)
         )
         self.observer = observer
         self.tracer = (
@@ -323,7 +325,7 @@ class SweepEngine:
             tuple[InputVector, InputVector, Optional[int], Optional[int]]
         ] = []
         self._resim_sim = self.simulator
-        self._resim_targets = 0  # target-set size the resim tape was built for
+        self._resim_targets = 0  # splittable members at the last restriction
 
     def _notify(self, phase: str, step: int, cost: int) -> None:
         if self.observer is not None:
@@ -916,17 +918,18 @@ class SweepEngine:
         """The simulator used for counterexample resimulation.
 
         Only members of classes of size >= 2 can still split, so the
-        compiled engine recompiles its tape onto their (shrinking) fanin
-        cones whenever the splittable member count halves.  The reference
-        simulator always runs the whole network.
+        compiled engine restricts its simulator to their fanin cones
+        whenever their count has fallen since the last restriction.  A
+        restriction is a view over the same lowering (one backward pass in
+        the core), never a recompile.  The reference simulator always runs
+        the whole network.
         """
-        if not self._compiled:
+        if self._compiled_sim is None:
             return self._resim_sim
         members = classes.splittable_members()
-        threshold = self._resim_targets * RESIM_RECOMPILE_FACTOR
-        if members and len(members) <= threshold:
+        if members and len(members) < self._resim_targets:
             self._resim_sim = self._wrap_simulator(
-                CompiledSimulator(self.network, targets=members)
+                self._compiled_sim.restrict(members)
             )
             self._resim_targets = len(members)
         return self._resim_sim
@@ -987,13 +990,13 @@ class SweepEngine:
             for width in occupancy:
                 histogram.observe(width)
             del occupancy[:]
+        # A restricted view shares its base simulator's stats dict, so
+        # publishing each distinct dict once counts every batch once.
         seen: set[int] = set()
         for sim in (self.simulator, self._resim_sim):
-            if sim is None or id(sim) in seen:
-                continue
-            seen.add(id(sim))
             stats = getattr(sim, "stats", None)
-            if isinstance(stats, dict):
+            if isinstance(stats, dict) and id(stats) not in seen:
+                seen.add(id(stats))
                 registry.inc_many("sim", stats)
 
     def run(self) -> SweepResult:

@@ -342,7 +342,7 @@ class TestFallbackPaths:
     generator's trajectory, RNG end state, and stats."""
 
     def test_pure_python_attempt_path_identical(self, monkeypatch):
-        """With no loaded core (no toolchain, ``REPRO_SIMGENCORE=python``)
+        """With no loaded core (no toolchain, ``REPRO_CCORES=python``)
         every attempt runs on the reference engines."""
         net = random_network(seed=17, num_inputs=5, num_gates=20)
         _, reference = sweep_trace(net, "AI+DC+MFFC", "reference", seed=4)

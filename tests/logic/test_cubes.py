@@ -198,3 +198,47 @@ class TestMatchingRows:
     def test_no_match_is_contradiction(self):
         tt = and_gate(2)
         assert matching_rows(tt, [0, None], 1) == []
+
+
+class TestOneCoverPerFunction:
+    def test_cold_sweep_runs_isop_once_per_function(self, monkeypatch):
+        """The simulator's plans, SimGen's rows and the SAT clause
+        templates all take their covers from ``isop_cover``: with the ISOP
+        caches cleared, a sweep passes no function to ``isop`` twice."""
+        import sys
+        from collections import Counter
+
+        from repro.benchgen import sweep_instance
+        from repro.core.strategies import make_generator
+        from repro.logic import cubes
+        from repro.sat import tseitin
+        from repro.simulation import simulator
+        from repro.sweep import SweepConfig, SweepEngine
+
+        net = sweep_instance("cps", copies=1)
+        original = cubes.isop
+        calls = Counter()
+
+        def counting_isop(table):
+            calls[table] += 1
+            return original(table)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "isop", None) is original:
+                monkeypatch.setattr(module, "isop", counting_isop)
+        for cache in (
+            cubes.isop_cover,
+            cubes.rows_of,
+            cubes.packed_rows,
+            simulator._eval_plan,
+            tseitin.gate_clause_templates,
+        ):
+            cache.cache_clear()
+        result = SweepEngine(
+            net,
+            make_generator("AI+DC+MFFC", net, seed=0),
+            SweepConfig(seed=0),
+        ).run()
+        assert result.metrics.sat_calls > 0
+        assert calls
+        assert max(calls.values()) == 1

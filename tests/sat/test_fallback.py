@@ -23,7 +23,7 @@ import repro.sat.compiled as compiled
 @pytest.fixture
 def clean_warn_flag(monkeypatch):
     monkeypatch.setattr(compiled._LOADER, "_warned", False)
-    monkeypatch.delenv("REPRO_SATCORE", raising=False)
+    monkeypatch.delenv("REPRO_CCORES", raising=False)
 
 
 class TestCompilerMissing:
@@ -43,7 +43,7 @@ class TestCompilerMissing:
     def test_explicit_python_opt_out_is_silent(
         self, monkeypatch, clean_warn_flag
     ):
-        monkeypatch.setenv("REPRO_SATCORE", "python")
+        monkeypatch.setenv("REPRO_CCORES", "python")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert compiled._load_satcore() is None
@@ -54,15 +54,19 @@ class TestCompilerMissing:
 
 class TestPythonOptOut:
     def test_compiled_backend_is_the_reference_solver(self):
-        """``REPRO_SATCORE=python`` binds "compiled" to ``CdclSolver``."""
-        env = dict(os.environ, REPRO_SATCORE="python")
+        """``REPRO_CCORES=python`` binds "compiled" to ``CdclSolver``, and
+        the one variable turns the other two C cores off as well."""
+        env = dict(os.environ, REPRO_CCORES="python")
         env["PYTHONPATH"] = str(
             Path(__file__).resolve().parents[2] / "src"
         ) + os.pathsep + env.get("PYTHONPATH", "")
         probe = (
             "from repro.sat.compiled import SAT_CORE, solver_class\n"
             "from repro.sat.solver import CdclSolver\n"
-            "print(SAT_CORE, solver_class('compiled') is CdclSolver)\n"
+            "from repro.core.batch import SIMGEN_CORE\n"
+            "from repro.simulation.compiled import SIM_CORE\n"
+            "print(SAT_CORE, solver_class('compiled') is CdclSolver,\n"
+            "      SIMGEN_CORE, SIM_CORE)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe],
@@ -72,7 +76,7 @@ class TestPythonOptOut:
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["python", "True"]
+        assert proc.stdout.split() == ["python", "True", "python", "python"]
 
 
 @pytest.mark.skipif(

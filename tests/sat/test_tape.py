@@ -228,9 +228,9 @@ class TestTape:
 
 class TestPythonOptOut:
     def test_python_core_selects_the_reference_encoder(self):
-        """``REPRO_SATCORE=python``: no C core, so the compiled backend
+        """``REPRO_CCORES=python``: no C core, so the compiled backend
         keeps the Python Tseitin encoder in both query modes."""
-        env = dict(os.environ, REPRO_SATCORE="python")
+        env = dict(os.environ, REPRO_CCORES="python")
         root = Path(__file__).resolve().parents[2]
         env["PYTHONPATH"] = os.pathsep.join(
             [str(root / "src"), str(root), env.get("PYTHONPATH", "")]

@@ -1,14 +1,125 @@
-"""CompiledSimulator: bit-identical to Simulator, plus compile-time folding."""
+"""CompiledSimulator: bit-identical to Simulator, on the C core and without it."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.logic import TruthTable
 from repro.network import NetworkBuilder
+from repro.network.network import Network
+from repro.network.traversal import cone_topological_order
 from repro.simulation import CompiledSimulator, PatternBatch, Simulator
-from repro.simulation.compiled import CODEGEN_NODE_LIMIT
+from repro.simulation import compiled as compiled_mod
 from tests.conftest import random_network
+
+#: Widths straddling the 64-bit word boundary, and the empty batch.
+WIDTHS = (0, 1, 63, 64, 65, 128, 130, 200)
+
+#: Both paths of run_words: the C core (skipped where it did not load) and
+#: the reference gate evaluation a host without a compiler runs.
+CORES = (
+    pytest.param(
+        "c",
+        marks=pytest.mark.skipif(
+            compiled_mod.SIM_CORE != "c", reason="no C compiler available"
+        ),
+    ),
+    "python",
+)
+
+
+def on_core(core):
+    """Context in which new simulators lower for ``core``."""
+    if core == "c":
+        return mock.patch.object(compiled_mod, "_LIB", compiled_mod._LIB)
+    return mock.patch.object(compiled_mod, "_LIB", None)
+
+
+@st.composite
+def networks(draw):
+    """Networks with constants, constant-function gates, repeated fanins
+    (every fanin is drawn with replacement) and 1-6-input gates."""
+    network = Network("fuzz")
+    nodes = [network.add_pi() for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(["gate", "gate", "gate", "const", "flat"]))
+        if kind == "const":
+            nodes.append(network.add_const(draw(st.booleans())))
+            continue
+        arity = draw(st.integers(1, 6))
+        fanins = [draw(st.sampled_from(nodes)) for _ in range(arity)]
+        if kind == "flat":
+            table = TruthTable.const(arity, draw(st.booleans()))
+        else:
+            table = TruthTable(arity, draw(st.integers(0, (1 << (1 << arity)) - 1)))
+        nodes.append(network.add_gate(table, fanins))
+    return network
+
+
+class TestDifferential:
+    """Random networks, widths and target sets against the reference."""
+
+    @pytest.mark.parametrize("core", CORES)
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_on_the_cone(self, core, data):
+        network = data.draw(networks())
+        uids = network.node_ids()
+        width = data.draw(st.sampled_from(WIDTHS))
+        # Oversized PI words: bits at or above `width` must not leak.
+        words = {
+            pi: data.draw(st.integers(0, (1 << (width + 70)) - 1))
+            for pi in network.pis
+        }
+        targets = data.draw(
+            st.one_of(st.none(), st.lists(st.sampled_from(uids), max_size=5))
+        )
+        reference = Simulator(network).run_words(words, width)
+        with on_core(core):
+            full = CompiledSimulator(network)
+            direct = CompiledSimulator(network, targets=targets)
+        before = compiled_mod.tape_cache_info()
+        view = full if targets is None else full.restrict(targets)
+        after = compiled_mod.tape_cache_info()
+        # restrict() builds a view over the same lowering.
+        assert after["misses"] == before["misses"]
+        assert after["hits"] == before["hits"] + (targets is not None)
+        assert view.stats is full.stats
+        if targets is None:
+            order = network.topological_order()
+        else:
+            order = cone_topological_order(network, targets)
+        cone_pis = tuple(uid for uid in order if network.node(uid).is_pi)
+        for sim in (direct, view):
+            assert sim.compiled_pis == cone_pis
+            assert sim.num_nodes == len(order)
+            # Only the cone PIs are required.
+            values = sim.run_words(
+                {pi: words[pi] for pi in cone_pis}, width
+            )
+            assert set(values) == set(order)
+            for uid, word in values.items():
+                assert word == reference[uid], uid
+
+    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_buffers_survive_width_changes(self, core, width):
+        """One instance runs batches of every width in turn."""
+        net = random_network(seed=width, num_inputs=6, num_gates=30)
+        rng = random.Random(width)
+        with on_core(core):
+            sim = CompiledSimulator(net)
+        view = sim.restrict([next(uid for _, uid in net.pos)])
+        for w in (width, 200, 1, width):
+            words = {pi: rng.getrandbits(w + 64) for pi in net.pis}
+            reference = Simulator(net).run_words(words, w)
+            assert sim.run_words(words, w) == reference
+            for uid, word in view.run_words(words, w).items():
+                assert word == reference[uid]
 
 
 class TestAgainstSimulator:
@@ -43,15 +154,18 @@ class TestAgainstSimulator:
 
 
 class TestConstantFolding:
+    """Constant nodes and gates over them: nothing is folded at lowering
+    (a constant node is one store per word), and values stay identical."""
+
     def build_with_consts(self):
         builder = NetworkBuilder()
         a, b = builder.pis(2)
         one = builder.const(True)
         zero = builder.const(False)
-        g1 = builder.and_(a, one)       # folds to a
-        g2 = builder.or_(b, zero)       # folds to b
-        g3 = builder.and_(g1, zero)     # folds to constant 0
-        g4 = builder.or_(g2, one)       # folds to constant 1
+        g1 = builder.and_(a, one)       # equals a
+        g2 = builder.or_(b, zero)       # equals b
+        g3 = builder.and_(g1, zero)     # constant 0
+        g4 = builder.or_(g2, one)       # constant 1
         out = builder.xor_(g3, g4)
         builder.po(out)
         return builder.build(), (a, b, one, zero, g1, g2, g3, g4, out)
@@ -62,20 +176,6 @@ class TestConstantFolding:
         assert CompiledSimulator(net).run_batch(batch) == Simulator(
             net
         ).run_batch(batch)
-
-    def test_folding_is_visible(self):
-        net, (_, _, _, _, _, _, g3, g4, _) = self.build_with_consts()
-        sim = CompiledSimulator(net)
-        # Gates whose cubes resolved against constant fanins became
-        # compile-time constants: they cost no gate ops at run time.
-        assert sim.num_folded >= 4  # one, zero, g3, g4
-        assert sim.num_gate_ops < net.num_gates
-        width = 8
-        values = sim.run_words(
-            {pi: random.Random(2).getrandbits(width) for pi in net.pis}, width
-        )
-        assert values[g3] == 0
-        assert values[g4] == (1 << width) - 1
 
     def test_const_only_network(self):
         builder = NetworkBuilder()
@@ -132,89 +232,34 @@ class TestErrorsAndFallback:
         with pytest.raises(SimulationError):
             CompiledSimulator(net).run_words({}, -1)
 
-    def test_tape_interpreter_matches_codegen(self, monkeypatch):
-        net = random_network(seed=11, num_inputs=6, num_gates=25)
-        batch = PatternBatch.random_for(net, 96, random.Random(11))
-        compiled = CompiledSimulator(net)
-        assert compiled._fn is not None
-        monkeypatch.setattr(
-            "repro.simulation.compiled.CODEGEN_NODE_LIMIT", 0
-        )
-        interpreted = CompiledSimulator(net)
-        assert interpreted._fn is None  # fell back to the tape interpreter
-        assert interpreted.run_batch(batch) == compiled.run_batch(batch)
-
-    def test_codegen_limit_is_sane(self):
-        assert CODEGEN_NODE_LIMIT > 1000
+    @pytest.mark.parametrize("core", CORES)
+    def test_missing_cone_pi_rejected(self, core, fig4_network):
+        net, ids = fig4_network
+        with on_core(core):
+            sim = CompiledSimulator(net).restrict([ids["x"]])
+        words = {pi: 1 for pi in sim.compiled_pis[1:]}
+        with pytest.raises(SimulationError, match="missing word"):
+            sim.run_words(words, 1)
 
 
 class TestTapeCache:
-    """The process-wide compiled-tape LRU (serving-daemon warm paths)."""
+    """``tape_cache_info`` counts lowerings and the views that skip one."""
 
-    def setup_method(self):
-        from repro.simulation import compiled as mod
-
-        mod.clear_tape_cache()
-        self.mod = mod
-
-    def test_recompile_hits_and_shares_artifacts(self):
+    def test_restrict_does_not_lower(self):
         net = random_network(seed=21, num_inputs=6, num_gates=24)
-        before = self.mod.tape_cache_info()
-        first = CompiledSimulator(net)
-        second = CompiledSimulator(net)
-        info = self.mod.tape_cache_info()
+        before = compiled_mod.tape_cache_info()
+        full = CompiledSimulator(net)
+        roots = [uid for _, uid in net.pos]
+        views = [full.restrict(roots[:k]) for k in (1, 2, 3)]
+        info = compiled_mod.tape_cache_info()
         assert info["misses"] == before["misses"] + 1
-        assert info["hits"] == before["hits"] + 1
-        # The immutable compile products are shared, stats are private.
-        assert second._tape is first._tape
-        assert second._fn is first._fn
-        assert second.stats is not first.stats
+        assert info["hits"] == before["hits"] + 3
         batch = PatternBatch.random_for(net, 64, random.Random(21))
-        assert second.run_batch(batch) == first.run_batch(batch)
-
-    def test_equal_reparse_hits_across_objects(self):
-        from repro.io import bench_text, parse_bench
-
-        net = random_network(seed=22, num_inputs=6, num_gates=24)
-        text = bench_text(net)
-        CompiledSimulator(parse_bench(text))
-        before = self.mod.tape_cache_info()["hits"]
-        reparsed = parse_bench(text)
-        CompiledSimulator(reparsed)
-        assert self.mod.tape_cache_info()["hits"] == before + 1
-
-    def test_targets_key_separately(self):
-        net = random_network(seed=23, num_inputs=6, num_gates=24)
-        root = next(uid for _, uid in net.pos)
-        CompiledSimulator(net)
-        before = self.mod.tape_cache_info()
-        cone = CompiledSimulator(net, targets=[root])
-        info = self.mod.tape_cache_info()
-        assert info["misses"] == before["misses"] + 1
-        batch = PatternBatch.random_for(net, 32, random.Random(23))
-        full = CompiledSimulator(net).run_batch(batch)
-        words = {pi: batch.words()[pi] for pi in cone.compiled_pis}
-        assert cone.run_words(words, batch.width)[root] == full[root]
-
-    def test_eviction_bounds_residency(self, monkeypatch):
-        monkeypatch.setattr(self.mod, "TAPE_CACHE_CAP", 2)
-        for seed in range(4):
-            CompiledSimulator(
-                random_network(seed=seed, num_inputs=5, num_gates=12)
-            )
-        info = self.mod.tape_cache_info()
-        assert info["size"] <= 2
-        assert info["evictions"] >= 2
-
-    def test_clear_keeps_lifetime_counters(self):
-        CompiledSimulator(
-            random_network(seed=24, num_inputs=5, num_gates=12)
-        )
-        misses = self.mod.tape_cache_info()["misses"]
-        self.mod.clear_tape_cache()
-        info = self.mod.tape_cache_info()
-        assert info["size"] == 0
-        assert info["misses"] == misses
+        for view in views:
+            view.run_batch(batch)
+        # Every view's batches count in the simulator it was made from.
+        assert full.stats["batches"] == 3
+        assert full.stats["patterns"] == 3 * 64
 
     def test_concurrent_compiles_are_consistent(self):
         import threading
@@ -234,6 +279,5 @@ class TestTapeCache:
             t.start()
         for t in pool:
             t.join()
+        assert len(results) == 6
         assert all(r == expected for r in results)
-        info = self.mod.tape_cache_info()
-        assert info["hits"] + info["misses"] >= 6

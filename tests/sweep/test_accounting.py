@@ -140,6 +140,37 @@ class TestSweepAccounting:
             "sweep.resim_time.total_s"
         ] == pytest.approx(result.metrics.resim_time)
 
+    def test_sim_counters_count_every_batch(self):
+        """``sim.*`` counts every simulator batch the engine runs,
+        counterexample resimulation on restricted views included."""
+        from repro.benchgen import sweep_instance
+
+        widths = []
+
+        class Counting:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def run_batch(self, batch):
+                widths.append(batch.width)
+                return self._inner.run_batch(batch)
+
+        net = sweep_instance("cps", copies=2)
+        engine = SweepEngine(
+            net,
+            make_generator("RandS", net, seed=0),
+            SweepConfig(seed=0, simulator_wrapper=Counting),
+        )
+        result = engine.run()
+        assert result.metrics.disproven > 0  # resimulation ran
+        snapshot = engine.registry.as_dict()
+        assert snapshot["sim.batches"] == len(widths)
+        assert snapshot["sim.patterns"] == sum(widths)
+        assert snapshot["sim.patterns"] == result.metrics.vectors_simulated
+
     def test_registry_mirrors_metrics(self):
         engine, result = run_engine(duplicated_network(), jobs=1)
         metrics = result.metrics
