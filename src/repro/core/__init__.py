@@ -7,7 +7,6 @@ themselves for fine-grained control.
 
 from repro.core.assignment import Assignment, Conflict
 from repro.core.batch import BatchSimGenGenerator
-from repro.core.compiled import clear_transition_cache, transition_cache_info
 from repro.core.decision import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
@@ -71,12 +70,10 @@ __all__ = [
     "TargetedVectorGenerator",
     "alternating_outgold",
     "classes_cost",
-    "clear_transition_cache",
     "factory",
     "level_alternating_outgold",
     "make_generator",
     "random_outgold",
     "roulette_select",
     "select_targets",
-    "transition_cache_info",
 ]

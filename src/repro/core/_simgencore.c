@@ -1,13 +1,27 @@
-/* SimGen lane core: one whole Algorithm-1 attempt per call, in C.
+/* SimGen core: one whole TargetedVectorGenerator.generate() per call, in C.
  *
- * repro/core/batch.py lowers a network straight into this core: dense
- * slots in topological order, each with its level, its fanin slots and
- * its examiners (the node, then its fanouts), one transition table per
- * distinct gate function, the network's PIs in order, and the Equation-4
- * priority of every gate row.  The assignment is a flat value array and a
+ * repro/core/batch.py lowers a network into this core with one sg_load call
+ * from flat buffers: per slot (topological order) its kind, level, table
+ * id, fanins and examiners (the node, then its fanouts: the reference
+ * worklist order); each distinct gate function's rows once; the network's
+ * PIs in order; the node id of every slot; and the MFFC depth of every
+ * slot.  sg_load derives from these each row's Equation-4 priority and
+ * each table's truth table.  The assignment is a flat value array and a
  * trail; each gate's pin state is one packed index, (output + 1) * 4**k +
  * (known_mask << k) + known_values, kept up to date incrementally, so an
  * examination is a single table lookup.
+ *
+ * sg_generate runs the reference generate() loop: the class rotation, the
+ * attempt budget and every attempt — select_targets, the OUTgold values,
+ * the decreasing-(level, uid) target order, each target's Algorithm 1 with
+ * its roulette/choice draws, the claimed-values skip check and the random
+ * completion of the free PIs — and then verifies the completed vector the
+ * way TargetedVectorGenerator._finalize does, by simulating it: each
+ * target's cached fanin cone is evaluated in slot (= topological) order,
+ * nodes shared between cones once, from the tables' truth tables.  A
+ * vector is kept when targets of both gold values survive.  The caller
+ * gets the kept vectors' PI bits, the new rotation, the RNG state and one
+ * log record per attempt.
  *
  * The contract is *bit-identity* with the reference engines
  * (ImplicationEngine, DecisionEngine and SimGenGenerator in repro/core):
@@ -15,51 +29,65 @@
  * draw happens in exactly their order.  The core owns a port of CPython's
  * MT19937 (Modules/_randommodule.c) plus the Python-level draw rules
  * SimGen uses (random.py's _randbelow_with_getrandbits, choice, sample,
- * random), so sg_attempt runs a whole attempt without calling back into
- * Python: select_targets, the OUTgold values, the decreasing-level target
- * order, each target's Algorithm 1 with its roulette/choice draws, the
- * claimed-values skip check, and the random completion of the free PIs,
- * which lands in one bit lane of the per-PI verification words.  The
- * driver hands the Python Random's state over once per generate() call
- * (sg_rng_set/sg_rng_get); sg_attempt saves the RNG and the counters
- * under the attempt's index in the pending batch before it draws, and
- * sg_rewind restores them when the driver finds it speculated too far.
+ * random); the driver hands the Python Random's state in and takes it back
+ * once per generate() call.
  *
  * Transition-table states are resolved lazily (sg_resolve_forced /
  * sg_resolve_decision, ports of ImplicationEngine._examine_state and
  * DecisionEngine.candidate_rows): resolution is a pure integer function
  * of the packed state and the rows.
  *
- * One core holds ONE assignment state (values/trail/packed gate state).
- * Lane parallelism lives a level up: the batch driver runs attempts
- * sequentially (the RNG serializes them anyway) and verifies up to 64 of
- * them in one 64-wide simulator word.
- *
- * Floating point: the roulette repeats DecisionEngine.decide's operations
- * one by one.  The build uses -std=c99, under which GCC never contracts
- * an expression into a fused multiply-add; the floor's multiply and add
- * also sit in two statements, so no other compiler may fuse them.
- * random()'s a * 2**26 + b is exact, fused or not.
+ * Floating point: the priorities and the roulette repeat
+ * DecisionEngine.priority's and DecisionEngine.decide's operations one by
+ * one.  The build uses -std=c99, under which GCC never contracts an
+ * expression into a fused multiply-add; the floor's multiply and add also
+ * sit in two statements, so no other compiler may fuse them.  random()'s
+ * a * 2**26 + b is exact, fused or not.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
+/* Largest gate arity: a truth table is at most 2**8 bits. */
+#define SG_MAX_K 8
+#define TT_WORDS 4
+
+/* Node kinds (NODE_* in batch.py). */
+#define NODE_GATE 0
+#define NODE_PI 1
+#define NODE_FALSE 2
+#define NODE_TRUE 3
+
+/* Decision scoring (DecisionStrategy). */
+#define SCORE_RANDOM 0 /* choice among the rows, no roulette  */
+#define SCORE_DC 1     /* Equation 4 without the MFFC term     */
+#define SCORE_DC_MFFC 2
+
 /* Outcomes of one target (sg_run_target). */
 #define SG_DONE 0     /* target finished, or nothing left to do for it */
 #define SG_CONFLICT 1 /* conflict: the report counts one                */
 #define SG_ERROR (-1)
 
-/* Outcomes of one attempt (sg_attempt). */
-#define SG_SKIPPED 0 /* claimed values fail the skip criterion: no vector */
-#define SG_VERIFY 1  /* completed vector written into its lane            */
+/* Attempt statuses in the log. */
+#define SG_SKIPPED 0   /* claimed values fail the skip check: not simulated */
+#define SG_REJECTED 1  /* simulated; no opposite-gold pair survived         */
+#define SG_COMMITTED 2 /* simulated; the vector is kept                     */
+
+/* Per-target flags in the log. */
+#define F_GOLD 1
+#define F_CLAIMED 2
+#define F_SURVIVED 4
+
+/* A log record: status, target count, implications, decisions,
+ * conflicts, then (slot, flags) per target in OUTgold order. */
+#define REC_HEAD 5
 
 /* Transition-table entry markers (fref/dref). */
 #define REF_UNRESOLVED (-1)
 #define REF_CONFLICT (-2)
 
-/* Counter indices (sg_counters order; the driver folds deltas). */
+/* Counter indices (the per-call counts sg_generate writes out). */
 #define C_PROP_CALLS 0
 #define C_EXAMINATIONS 1
 #define C_FORCED 2
@@ -68,15 +96,10 @@
 #define C_DEC_CONFLICTS 5
 #define C_ROWS_COMMITTED 6
 #define C_REVERTED 7
-#define C_COUNT 8
-
-/* Attempt results in the info mailbox. */
-#define I_TARGETS 0
-#define I_IMPLICATIONS 1
-#define I_DECISIONS 2
-#define I_CONFLICTS 3
-
-#define LANES 64
+#define C_ATTEMPTS 8
+#define C_SIMULATED 9
+#define C_COUNT 10
+#define C_LOG_LEN C_COUNT /* one more slot: the log's length */
 
 /* MT19937 as CPython keeps it: Random.getstate()[1] is mt[0..623] followed
  * by index. */
@@ -91,53 +114,46 @@ typedef struct {
     int32_t index;
 } SgRng;
 
-/* What a speculative rewind restores: the RNG and the counters. */
-typedef struct {
-    SgRng rng;
-    int64_t counters[C_COUNT];
-} SgMark;
-
 typedef struct {
     int32_t k;
     int32_t n_rows;
-    int32_t advanced; /* ImplicationStrategy.ADVANCED (multi-row meet) */
-    int64_t stride;   /* 1 << (2k); index space is 3 * stride */
+    int64_t stride; /* 1 << (2k); index space is 3 * stride */
     int64_t *row_mask;
     int64_t *row_vals;
     int8_t *row_out;
+    /* NULL until first used (sg_table_refs). */
     int32_t *fref; /* forced-pin pool offsets, REF_* markers */
     int32_t *dref; /* decision-row pool offsets, REF_* markers */
+    uint64_t tt[TT_WORDS]; /* bit m: the output on minterm m */
 } SgTable;
 
 typedef struct {
     int32_t n;
 
-    /* Compiled network (write-once at build). */
-    int8_t *is_pi;
+    /* Lowered network (write-once in sg_load). */
+    int8_t *kind;
     int32_t *table_of; /* table id, -1 for PI/const */
     int32_t *level;
     int64_t *full_bits;
     int64_t *out_delta;
     int32_t *fi_off; /* fanin CSR */
     int32_t *fi;
-    int32_t fi_len, fi_cap;
     int32_t *exam_off; /* examiner CSR */
     int32_t *exam;
-    int32_t exam_len, exam_cap;
     int32_t *pin_off; /* pin-position CSR: (gate, delta0, delta1) */
     int32_t *pin_g;
     int64_t *pin_d0;
     int64_t *pin_d1;
     int32_t *pis; /* network.pis order */
     int32_t n_pis;
+    int32_t *uid_slot; /* node id -> slot, -1 for none */
+    int32_t n_uids;
     double *prio;      /* Equation-4 priority per gate row, slot order */
-    int64_t *prio_off; /* slot -> first row's priority; [n] = all rows */
-    int64_t n_prio;
-    int32_t built_upto; /* next slot sg_set_node expects */
-    int finalized;
+    int64_t *prio_off; /* slot -> first row's priority */
 
     SgTable *tables;
-    int32_t n_tables, cap_tables;
+    int32_t n_tables;
+    int32_t advanced; /* ImplicationStrategy.ADVANCED (multi-row meet) */
 
     /* Shared pools behind fref/dref (offset -> [count, payload...]). */
     int32_t *fpool;
@@ -145,11 +161,9 @@ typedef struct {
     int32_t *dpool;
     int32_t dpool_len, dpool_cap;
     int32_t *scratch; /* decision-resolution row buffer (max table rows) */
-    int32_t scratch_cap;
-    double *weights; /* roulette weights (max table rows) */
+    double *weights;  /* roulette weights (max table rows) */
 
-    /* Decision and target policy (sg_set_policy). */
-    int policy_set;
+    /* Decision and target policy. */
     int32_t random_rows;   /* DecisionStrategy.RANDOM: choice, no roulette */
     int32_t level_outgold; /* level_alternating_outgold, else alternating */
     int32_t max_targets;   /* select_targets' cap (INT32_MAX: no cap)     */
@@ -157,10 +171,8 @@ typedef struct {
     int64_t setsize;       /* random.sample's pool/set threshold for k    */
 
     SgRng rng;
-    SgMark *marks;
-    int32_t n_marks, cap_marks;
 
-    /* Assignment state (one lane; reused across attempts). */
+    /* Assignment state (reused across attempts). */
     int8_t *values; /* -1 unassigned */
     int64_t *state;
     int32_t *trail;
@@ -172,10 +184,10 @@ typedef struct {
     int64_t *cone_epoch;
     int64_t epoch;
 
-    /* Cone cache: per target slot, fanin-cone members and cone PIs (built
-     * lazily by one C DFS; only the *sets* are observable — via the
-     * cone-epoch stamps and the all-PIs-assigned check — so the C visit
-     * order need not replicate the Python dfs_fanin order). */
+    /* Cone cache: per target slot, fanin-cone members in slot order and
+     * cone PIs (built lazily by one DFS).  Algorithm 1 observes only the
+     * *sets*, via the cone-epoch stamps and the all-PIs-assigned check;
+     * the verifier evaluates the members in slot order. */
     int32_t **cone_mem;
     int32_t *cone_mem_n;
     int32_t **cone_pi;
@@ -186,6 +198,11 @@ typedef struct {
     int32_t *mem_buf;
     int32_t *pi_buf;
 
+    /* Verification: simulated values, stamped per attempt. */
+    int8_t *simv;
+    int64_t *sim_stamp;
+    int64_t sim_epoch;
+
     /* Per-attempt scratch (sized n): sample pool, picked stamps, chosen
      * class positions, OUTgold order, sort keys. */
     int32_t *pool;
@@ -195,23 +212,25 @@ typedef struct {
     int32_t *og_pos;
     int64_t *keys;
 
+    /* The classes of one sg_generate call, as slots in uid order. */
+    int32_t *cls;
+    int64_t cls_cap;
+
     /* Per-target context. */
     const int32_t *cur_cone_pis;
     int32_t n_cone_pis;
     int32_t marker;
     int32_t *seeds;
-    int32_t n_seeds, cap_seeds;
+    int32_t n_seeds;
     int64_t prop_examined, prop_assigned;
     int64_t rep_implications, rep_decisions;
+    /* Candidate pick: trail intervals not yet rejected, as a stack. */
+    int32_t *unseen_lo;
+    int32_t *unseen_hi;
+    int32_t n_unseen;
+    int32_t scanned; /* trail length at the last pick */
 
     int64_t counters[C_COUNT];
-
-    /* Caller-owned mailboxes: attempt results, the OUTgold targets (slot;
-     * gold | claimed << 1) and the per-PI verification words. */
-    int64_t *info;
-    int32_t *out_slots;
-    int8_t *out_flags;
-    uint64_t *words;
 } SgCore;
 
 static void *xalloc(size_t bytes) {
@@ -294,55 +313,20 @@ static double rng_random(SgRng *r) {
 /* Lowering                                                            */
 /* ------------------------------------------------------------------ */
 
-void *sg_new(int32_t n) {
-    if (n < 0)
-        return NULL;
-    SgCore *h = (SgCore *)calloc(1, sizeof(SgCore));
-    if (!h)
-        return NULL;
-    h->n = n;
-    h->is_pi = (int8_t *)calloc((size_t)n + 1, 1);
-    h->table_of = (int32_t *)xalloc(((size_t)n) * sizeof(int32_t));
-    h->level = (int32_t *)calloc((size_t)n + 1, sizeof(int32_t));
-    h->full_bits = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
-    h->out_delta = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
-    h->fi_off = (int32_t *)calloc((size_t)n + 2, sizeof(int32_t));
-    h->exam_off = (int32_t *)calloc((size_t)n + 2, sizeof(int32_t));
-    h->values = (int8_t *)xalloc((size_t)n);
-    h->state = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
-    h->trail = (int32_t *)xalloc((size_t)n * sizeof(int32_t));
-    h->queued = (uint8_t *)calloc((size_t)n + 1, 1);
-    h->q_cap = n + 1;
-    h->queue = (int32_t *)xalloc((size_t)h->q_cap * sizeof(int32_t));
-    h->exh_epoch = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
-    h->cone_epoch = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
-    if (!h->is_pi || !h->table_of || !h->level || !h->full_bits ||
-        !h->out_delta || !h->fi_off || !h->exam_off || !h->values ||
-        !h->state || !h->trail || !h->queued || !h->queue || !h->exh_epoch ||
-        !h->cone_epoch) {
-        /* Leak-free enough for a build-time failure: the caller frees. */
-        return NULL;
-    }
-    memset(h->values, 0xff, (size_t)n); /* all -1 */
-    for (int32_t i = 0; i < n; i++)
-        h->table_of[i] = -1;
-    h->rng.index = MT_N + 1; /* invalid until sg_rng_set */
-    return h;
-}
-
 void sg_free(void *hp) {
     SgCore *h = (SgCore *)hp;
     if (!h)
         return;
-    for (int32_t t = 0; t < h->n_tables; t++) {
-        free(h->tables[t].row_mask);
-        free(h->tables[t].row_vals);
-        free(h->tables[t].row_out);
-        free(h->tables[t].fref);
-        free(h->tables[t].dref);
-    }
+    if (h->tables)
+        for (int32_t t = 0; t < h->n_tables; t++) {
+            free(h->tables[t].row_mask);
+            free(h->tables[t].row_vals);
+            free(h->tables[t].row_out);
+            free(h->tables[t].fref);
+            free(h->tables[t].dref);
+        }
     free(h->tables);
-    free(h->is_pi);
+    free(h->kind);
     free(h->table_of);
     free(h->level);
     free(h->full_bits);
@@ -356,13 +340,13 @@ void sg_free(void *hp) {
     free(h->pin_d0);
     free(h->pin_d1);
     free(h->pis);
+    free(h->uid_slot);
     free(h->prio);
     free(h->prio_off);
     free(h->fpool);
     free(h->dpool);
     free(h->scratch);
     free(h->weights);
-    free(h->marks);
     free(h->values);
     free(h->state);
     free(h->trail);
@@ -384,146 +368,249 @@ void sg_free(void *hp) {
     free(h->dfs_stack);
     free(h->mem_buf);
     free(h->pi_buf);
+    free(h->simv);
+    free(h->sim_stamp);
     free(h->pool);
     free(h->pick_epoch);
     free(h->picked);
     free(h->og_pos);
     free(h->keys);
+    free(h->cls);
     free(h->seeds);
+    free(h->unseen_lo);
+    free(h->unseen_hi);
     free(h);
 }
 
-int32_t sg_add_table(void *hp, int32_t k, int32_t n_rows, int32_t advanced,
-                     const int64_t *mask, const int64_t *vals,
-                     const int8_t *out) {
-    SgCore *h = (SgCore *)hp;
-    if (!h || h->finalized || k < 0 || k > 15 || n_rows < 0)
-        return -1;
-    if (grow_i32(&h->scratch, &h->scratch_cap, n_rows))
-        return -1;
-    if (h->n_tables == h->cap_tables) {
-        int32_t c = h->cap_tables ? h->cap_tables * 2 : 16;
-        SgTable *p = (SgTable *)realloc(h->tables, (size_t)c * sizeof(SgTable));
-        if (!p)
-            return -1;
-        h->tables = p;
-        h->cap_tables = c;
+/* Every per-slot array, sized for n slots. */
+static SgCore *sg_alloc(int32_t n) {
+    SgCore *h = (SgCore *)calloc(1, sizeof(SgCore));
+    if (!h)
+        return NULL;
+    size_t m = (size_t)n + 1;
+    h->n = n;
+    h->kind = (int8_t *)calloc(m, 1);
+    h->table_of = (int32_t *)xalloc(m * sizeof(int32_t));
+    h->level = (int32_t *)calloc(m, sizeof(int32_t));
+    h->full_bits = (int64_t *)calloc(m, sizeof(int64_t));
+    h->out_delta = (int64_t *)calloc(m, sizeof(int64_t));
+    h->fi_off = (int32_t *)calloc(m + 1, sizeof(int32_t));
+    h->exam_off = (int32_t *)calloc(m + 1, sizeof(int32_t));
+    h->pin_off = (int32_t *)calloc(m + 1, sizeof(int32_t));
+    h->prio_off = (int64_t *)calloc(m, sizeof(int64_t));
+    h->values = (int8_t *)xalloc(m);
+    h->state = (int64_t *)calloc(m, sizeof(int64_t));
+    h->trail = (int32_t *)xalloc(m * sizeof(int32_t));
+    h->queued = (uint8_t *)calloc(m, 1);
+    h->q_cap = n + 1;
+    h->queue = (int32_t *)xalloc(m * sizeof(int32_t));
+    h->exh_epoch = (int64_t *)calloc(m, sizeof(int64_t));
+    h->cone_epoch = (int64_t *)calloc(m, sizeof(int64_t));
+    h->cone_mem = (int32_t **)calloc(m, sizeof(int32_t *));
+    h->cone_mem_n = (int32_t *)calloc(m, sizeof(int32_t));
+    h->cone_pi = (int32_t **)calloc(m, sizeof(int32_t *));
+    h->cone_pi_n = (int32_t *)calloc(m, sizeof(int32_t));
+    h->visit_epoch = (int64_t *)calloc(m, sizeof(int64_t));
+    h->dfs_stack = (int32_t *)xalloc(m * sizeof(int32_t));
+    h->mem_buf = (int32_t *)xalloc(m * sizeof(int32_t));
+    h->pi_buf = (int32_t *)xalloc(m * sizeof(int32_t));
+    h->simv = (int8_t *)calloc(m, 1);
+    h->sim_stamp = (int64_t *)calloc(m, sizeof(int64_t));
+    h->pool = (int32_t *)xalloc(m * sizeof(int32_t));
+    h->pick_epoch = (int64_t *)calloc(m, sizeof(int64_t));
+    h->picked = (int32_t *)xalloc(m * sizeof(int32_t));
+    h->og_pos = (int32_t *)xalloc(m * sizeof(int32_t));
+    h->keys = (int64_t *)xalloc(m * sizeof(int64_t));
+    h->unseen_lo = (int32_t *)xalloc(m * sizeof(int32_t));
+    h->unseen_hi = (int32_t *)xalloc(m * sizeof(int32_t));
+    if (!h->kind || !h->table_of || !h->level || !h->full_bits ||
+        !h->out_delta || !h->fi_off || !h->exam_off || !h->pin_off ||
+        !h->prio_off || !h->values || !h->state || !h->trail ||
+        !h->queued || !h->queue || !h->exh_epoch || !h->cone_epoch ||
+        !h->cone_mem || !h->cone_mem_n || !h->cone_pi || !h->cone_pi_n ||
+        !h->visit_epoch || !h->dfs_stack || !h->mem_buf || !h->pi_buf ||
+        !h->simv || !h->sim_stamp || !h->pool || !h->pick_epoch ||
+        !h->picked || !h->og_pos || !h->keys || !h->unseen_lo ||
+        !h->unseen_hi) {
+        sg_free(h);
+        return NULL;
     }
-    SgTable *t = &h->tables[h->n_tables];
+    memset(h->values, 0xff, m); /* all -1 */
+    return h;
+}
+
+/* One gate function: copy its rows and derive its truth table (every
+ * minterm covered, by rows that agree).  Returns 0, or -1 on a bad row
+ * set or allocation failure. */
+static int sg_add_table(SgTable *t, int32_t k, int32_t n_rows,
+                        const int32_t *mask, const int32_t *vals,
+                        const int32_t *out) {
     memset(t, 0, sizeof(*t));
+    if (k < 0 || k > SG_MAX_K || n_rows < 0)
+        return -1;
     t->k = k;
     t->n_rows = n_rows;
-    t->advanced = advanced ? 1 : 0;
     t->stride = (int64_t)1 << (2 * k);
-    size_t span = (size_t)(3 * t->stride);
     t->row_mask = (int64_t *)xalloc((size_t)n_rows * sizeof(int64_t));
     t->row_vals = (int64_t *)xalloc((size_t)n_rows * sizeof(int64_t));
     t->row_out = (int8_t *)xalloc((size_t)n_rows);
-    t->fref = (int32_t *)xalloc(span * sizeof(int32_t));
-    t->dref = (int32_t *)xalloc(span * sizeof(int32_t));
-    if (!t->row_mask || !t->row_vals || !t->row_out || !t->fref || !t->dref)
+    if (!t->row_mask || !t->row_vals || !t->row_out)
         return -1;
-    memcpy(t->row_mask, mask, (size_t)n_rows * sizeof(int64_t));
-    memcpy(t->row_vals, vals, (size_t)n_rows * sizeof(int64_t));
-    memcpy(t->row_out, out, (size_t)n_rows);
-    /* 0xff bytes == REF_UNRESOLVED (-1) in every int32. */
-    memset(t->fref, 0xff, span * sizeof(int32_t));
-    memset(t->dref, 0xff, span * sizeof(int32_t));
-    return h->n_tables++;
-}
-
-int32_t sg_set_node(void *hp, int32_t slot, int32_t table_id, int32_t is_pi,
-                    int32_t level, const int32_t *fanins, int32_t k,
-                    const int32_t *examiners, int32_t n_exam) {
-    SgCore *h = (SgCore *)hp;
-    if (!h || slot != h->built_upto || slot >= h->n || h->finalized)
-        return -1;
-    if (table_id >= h->n_tables || k < 0 || n_exam < 0 || level < 0)
-        return -1;
-    h->built_upto++;
-    h->is_pi[slot] = (int8_t)(is_pi ? 1 : 0);
-    h->table_of[slot] = table_id;
-    h->level[slot] = level;
-    if (table_id >= 0) {
-        if (h->tables[table_id].k != k)
+    int32_t size = 1 << k;
+    uint64_t covered[TT_WORDS] = {0, 0, 0, 0};
+    for (int32_t r = 0; r < n_rows; r++) {
+        if (mask[r] < 0 || mask[r] >= size || vals[r] < 0 ||
+            vals[r] >= size || (out[r] != 0 && out[r] != 1))
             return -1;
-        h->full_bits[slot] = (((int64_t)1 << k) - 1) << k;
-        h->out_delta[slot] = (int64_t)1 << (2 * k);
+        t->row_mask[r] = mask[r];
+        t->row_vals[r] = vals[r];
+        t->row_out[r] = (int8_t)out[r];
+        for (int32_t m = 0; m < size; m++) {
+            if ((m ^ vals[r]) & mask[r])
+                continue;
+            uint64_t bit = (uint64_t)1 << (m & 63);
+            int32_t w = m >> 6;
+            if ((covered[w] & bit) && ((t->tt[w] & bit) != 0) != (out[r] != 0))
+                return -1; /* two rows disagree on a minterm */
+            covered[w] |= bit;
+            if (out[r])
+                t->tt[w] |= bit;
+        }
     }
-    if (grow_i32(&h->fi, &h->fi_cap, h->fi_len + k) ||
-        grow_i32(&h->exam, &h->exam_cap, h->exam_len + n_exam))
-        return -1;
-    h->fi_off[slot] = h->fi_len;
-    for (int32_t i = 0; i < k; i++) {
-        if (fanins[i] < 0 || fanins[i] >= h->n)
-            return -1;
-        h->fi[h->fi_len++] = fanins[i];
-    }
-    h->fi_off[slot + 1] = h->fi_len;
-    h->exam_off[slot] = h->exam_len;
-    for (int32_t i = 0; i < n_exam; i++) {
-        if (examiners[i] < 0 || examiners[i] >= h->n)
-            return -1;
-        h->exam[h->exam_len++] = examiners[i];
-    }
-    h->exam_off[slot + 1] = h->exam_len;
-    if (k + 2 > h->cap_seeds)
-        h->cap_seeds = k + 2;
+    for (int32_t m = 0; m < size; m++)
+        if (!((covered[m >> 6] >> (m & 63)) & 1))
+            return -1; /* a minterm no row covers */
     return 0;
 }
 
-/* Close the build: the PIs in network.pis order, and the Equation-4
- * priorities of every gate row in slot order (none for random decisions). */
-int32_t sg_finalize(void *hp, const int32_t *pis, int32_t n_pis,
-                    const double *prio, int64_t n_prio) {
-    SgCore *h = (SgCore *)hp;
-    if (!h || h->built_upto != h->n || h->finalized || n_pis < 0 ||
-        n_prio < 0)
+/* A function's transition tables, all REF_UNRESOLVED, allocated when a
+ * gate of it is first examined or decided: the 3 * 4**k entries each
+ * are most of a lowering's memory, and many functions are never reached
+ * from a target.  Returns 0, or -1 on allocation failure. */
+static int sg_table_refs(SgTable *t) {
+    size_t span = (size_t)(3 * t->stride);
+    t->fref = (int32_t *)xalloc(span * sizeof(int32_t));
+    t->dref = (int32_t *)xalloc(span * sizeof(int32_t));
+    if (!t->fref || !t->dref) {
+        free(t->fref);
+        free(t->dref);
+        t->fref = t->dref = NULL;
         return -1;
-    int32_t n = h->n;
-    h->seeds = (int32_t *)xalloc((size_t)(h->cap_seeds + 1) * sizeof(int32_t));
-    h->pin_off = (int32_t *)calloc((size_t)n + 2, sizeof(int32_t));
-    h->cone_mem = (int32_t **)calloc((size_t)n + 1, sizeof(int32_t *));
-    h->cone_mem_n = (int32_t *)calloc((size_t)n + 1, sizeof(int32_t));
-    h->cone_pi = (int32_t **)calloc((size_t)n + 1, sizeof(int32_t *));
-    h->cone_pi_n = (int32_t *)calloc((size_t)n + 1, sizeof(int32_t));
-    h->visit_epoch = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
-    h->dfs_stack = (int32_t *)xalloc(((size_t)n + 1) * sizeof(int32_t));
-    h->mem_buf = (int32_t *)xalloc(((size_t)n + 1) * sizeof(int32_t));
-    h->pi_buf = (int32_t *)xalloc(((size_t)n + 1) * sizeof(int32_t));
-    h->pool = (int32_t *)xalloc(((size_t)n + 1) * sizeof(int32_t));
-    h->pick_epoch = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
-    h->picked = (int32_t *)xalloc(((size_t)n + 1) * sizeof(int32_t));
-    h->og_pos = (int32_t *)xalloc(((size_t)n + 1) * sizeof(int32_t));
-    h->keys = (int64_t *)xalloc(((size_t)n + 1) * sizeof(int64_t));
-    h->weights = (double *)xalloc((size_t)h->scratch_cap * sizeof(double));
-    h->pis = (int32_t *)xalloc((size_t)n_pis * sizeof(int32_t));
-    h->prio_off = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
-    h->prio = (double *)xalloc((size_t)n_prio * sizeof(double));
-    if (!h->seeds || !h->pin_off || !h->cone_mem || !h->cone_mem_n ||
-        !h->cone_pi || !h->cone_pi_n || !h->visit_epoch || !h->dfs_stack ||
-        !h->mem_buf || !h->pi_buf || !h->pool || !h->pick_epoch ||
-        !h->picked || !h->og_pos || !h->keys || !h->weights || !h->pis ||
-        !h->prio_off || !h->prio)
-        return -1;
-    for (int32_t i = 0; i < n_pis; i++) {
-        if (pis[i] < 0 || pis[i] >= n || !h->is_pi[pis[i]])
-            return -1;
-        h->pis[i] = pis[i];
     }
-    h->n_pis = n_pis;
+    /* 0xff bytes == REF_UNRESOLVED (-1) in every int32. */
+    memset(t->fref, 0xff, span * sizeof(int32_t));
+    memset(t->dref, 0xff, span * sizeof(int32_t));
+    return 0;
+}
+
+/* One slot: its kind, level, table, fanins (all earlier slots) and
+ * examiners.  Returns 0, or -1 on an inconsistent record. */
+static int sg_set_node(SgCore *h, int32_t slot, int32_t kind, int32_t level,
+                       int32_t table_id, const int32_t *fanins, int32_t k,
+                       const int32_t *examiners, int32_t n_exam) {
+    if (kind < NODE_GATE || kind > NODE_TRUE || level < 0 || k < 0 ||
+        n_exam < 0)
+        return -1;
+    if (kind == NODE_GATE) {
+        if (table_id < 0 || table_id >= h->n_tables ||
+            h->tables[table_id].k != k)
+            return -1;
+        h->full_bits[slot] = (((int64_t)1 << k) - 1) << k;
+        h->out_delta[slot] = (int64_t)1 << (2 * k);
+    } else if (table_id != -1 || k != 0) {
+        return -1;
+    }
+    h->kind[slot] = (int8_t)kind;
+    h->table_of[slot] = table_id;
+    h->level[slot] = level;
+    for (int32_t i = 0; i < k; i++)
+        if (fanins[i] < 0 || fanins[i] >= slot)
+            return -1; /* slots are in topological order */
+    for (int32_t i = 0; i < n_exam; i++)
+        if (examiners[i] < 0 || examiners[i] >= h->n)
+            return -1;
+    return 0;
+}
+
+/* Pin positions per driver (CSR), the PIs, the uid map and every gate
+ * row's Equation-4 priority, in DecisionEngine.priority's float order:
+ * alpha * dc_size, then the MFFC rank summed over the bound pins in pin
+ * order, then beta * rank added.  Returns 0, or -1. */
+static int sg_finalize(SgCore *h, const int32_t *pis, int32_t n_pis,
+                       const int32_t *uids, int32_t score, double alpha,
+                       double beta, const double *depth) {
+    int32_t n = h->n;
+    int32_t max_rows = 1, max_k = 0, n_pi_kind = 0, max_uid = -1;
     int64_t rows = 0;
     for (int32_t s = 0; s < n; s++) {
         h->prio_off[s] = rows;
-        if (h->table_of[s] >= 0)
-            rows += h->tables[h->table_of[s]].n_rows;
+        if (h->kind[s] == NODE_PI)
+            n_pi_kind++;
+        if (uids[s] < 0 || uids[s] == INT32_MAX)
+            return -1; /* n_uids = max_uid + 1 must fit */
+        if (uids[s] > max_uid)
+            max_uid = uids[s];
+        if (h->table_of[s] >= 0) {
+            SgTable *t = &h->tables[h->table_of[s]];
+            rows += t->n_rows;
+            if (t->n_rows > max_rows)
+                max_rows = t->n_rows;
+            if (t->k > max_k)
+                max_k = t->k;
+        }
     }
-    h->prio_off[n] = rows;
-    if (n_prio != 0 && n_prio != rows)
+    if (n_pis != n_pi_kind)
         return -1;
-    if (n_prio)
-        memcpy(h->prio, prio, (size_t)n_prio * sizeof(double));
-    h->n_prio = n_prio;
+    h->pis = (int32_t *)xalloc((size_t)n_pis * sizeof(int32_t));
+    h->n_uids = max_uid + 1;
+    h->uid_slot = (int32_t *)xalloc((size_t)h->n_uids * sizeof(int32_t));
+    h->prio = (double *)xalloc((size_t)rows * sizeof(double));
+    h->scratch = (int32_t *)xalloc((size_t)max_rows * sizeof(int32_t));
+    h->weights = (double *)xalloc((size_t)max_rows * sizeof(double));
+    h->seeds = (int32_t *)xalloc((size_t)(max_k + 2) * sizeof(int32_t));
+    if (!h->pis || !h->uid_slot || !h->prio || !h->scratch || !h->weights ||
+        !h->seeds)
+        return -1;
+    /* Every PI exactly once: the verifier stamps the PIs from this list. */
+    int64_t listed = ++h->visit_counter;
+    for (int32_t i = 0; i < n_pis; i++) {
+        int32_t s = pis[i];
+        if (s < 0 || s >= n || h->kind[s] != NODE_PI ||
+            h->visit_epoch[s] == listed)
+            return -1;
+        h->visit_epoch[s] = listed;
+        h->pis[i] = s;
+    }
+    h->n_pis = n_pis;
+    for (int32_t u = 0; u < h->n_uids; u++)
+        h->uid_slot[u] = -1;
+    for (int32_t s = 0; s < n; s++) {
+        if (h->uid_slot[uids[s]] != -1)
+            return -1;
+        h->uid_slot[uids[s]] = s;
+    }
+    for (int32_t s = 0; s < n; s++) {
+        if (h->table_of[s] < 0)
+            continue;
+        const SgTable *t = &h->tables[h->table_of[s]];
+        const int32_t *fanins = h->fi + h->fi_off[s];
+        double *prio = h->prio + h->prio_off[s];
+        for (int32_t r = 0; r < t->n_rows; r++) {
+            int64_t mask = t->row_mask[r];
+            int32_t bound = 0;
+            for (int32_t i = 0; i < t->k; i++)
+                bound += (int32_t)((mask >> i) & 1);
+            double value = alpha * (double)(t->k - bound);
+            if (score == SCORE_DC_MFFC) {
+                double rank = 0.0;
+                for (int32_t i = 0; i < t->k; i++)
+                    if ((mask >> i) & 1)
+                        rank += depth[fanins[i]];
+                value += beta * rank;
+            }
+            prio[r] = value;
+        }
+    }
     /* Count pin positions per driver, then fill (classic CSR two-pass). */
     for (int32_t g = 0; g < n; g++)
         for (int32_t p = h->fi_off[g]; p < h->fi_off[g + 1]; p++)
@@ -552,57 +639,79 @@ int32_t sg_finalize(void *hp, const int32_t *pis, int32_t n_pis,
         }
     }
     free(cursor);
-    h->finalized = 1;
     return 0;
 }
 
-/* How attempts pick targets and rows.  max_targets is select_targets'
- * cap before its clamp to 2 (INT32_MAX for None), sample_k the clamped
- * sample size, setsize random.sample's threshold for sample_k. */
-int32_t sg_set_policy(void *hp, int32_t random_rows, int32_t level_outgold,
-                      int32_t max_targets, int32_t sample_k, int64_t setsize) {
-    SgCore *h = (SgCore *)hp;
-    if (!h || !h->finalized || sample_k < 2)
-        return -1;
-    if (!random_rows && h->n_prio != h->prio_off[h->n])
-        return -1; /* scored decisions need every row's priority */
-    h->random_rows = random_rows ? 1 : 0;
+/* Lower a network in one call.  Per slot (topological order): kind
+ * (NODE_*), level, table id (-1 for PIs and constants), fanin slots
+ * (CSR fi_off/fi) and examiner slots (CSR exam_off/exam).  Per table:
+ * arity tab_k and rows row_off[t] .. row_off[t + 1] - 1 as (mask, values,
+ * output).  Then the PI slots in network.pis order, every slot's node id,
+ * the decision scoring (SCORE_*) with alpha, beta and every slot's MFFC
+ * depth (read only for SCORE_DC_MFFC), and the target policy:
+ * select_targets' cap before its clamp to 2 (INT32_MAX for None), the
+ * clamped sample size, and random.sample's set threshold for it.
+ * Returns a handle, or NULL when the buffers are inconsistent. */
+void *sg_load(int32_t n, const int32_t *kind, const int32_t *level,
+              const int32_t *table_of, const int32_t *fi_off,
+              const int32_t *fi, const int32_t *exam_off,
+              const int32_t *exam, int32_t n_tables, const int32_t *tab_k,
+              const int32_t *row_off, const int32_t *row_mask,
+              const int32_t *row_vals, const int32_t *row_out,
+              int32_t advanced, const int32_t *pis, int32_t n_pis,
+              const int32_t *uids, int32_t score, double alpha, double beta,
+              const double *depth, int32_t level_outgold,
+              int32_t max_targets, int32_t sample_k, int64_t setsize) {
+    if (n < 0 || n_tables < 0 || n_pis < 0 || sample_k < 2 ||
+        score < SCORE_RANDOM || score > SCORE_DC_MFFC ||
+        (score == SCORE_DC_MFFC && !depth) || fi_off[0] != 0 ||
+        exam_off[0] != 0 || row_off[0] != 0)
+        return NULL;
+    SgCore *h = sg_alloc(n);
+    if (!h)
+        return NULL;
+    h->advanced = advanced ? 1 : 0;
+    h->random_rows = score == SCORE_RANDOM;
     h->level_outgold = level_outgold ? 1 : 0;
     h->max_targets = max_targets;
     h->sample_k = sample_k;
     h->setsize = setsize;
-    h->policy_set = 1;
-    return 0;
-}
-
-void sg_set_mailbox(void *hp, int64_t *info, int32_t *out_slots,
-                    int8_t *out_flags, uint64_t *words) {
-    SgCore *h = (SgCore *)hp;
-    h->info = info;
-    h->out_slots = out_slots;
-    h->out_flags = out_flags;
-    h->words = words;
-}
-
-/* Load Random.getstate()[1]: 624 words, then the index. */
-int32_t sg_rng_set(void *hp, const uint32_t *state) {
-    SgCore *h = (SgCore *)hp;
-    if (!h || state[MT_N] > MT_N)
-        return -1;
-    memcpy(h->rng.mt, state, sizeof(h->rng.mt));
-    h->rng.index = (int32_t)state[MT_N];
-    return 0;
-}
-
-void sg_rng_get(void *hp, uint32_t *state) {
-    SgCore *h = (SgCore *)hp;
-    memcpy(state, h->rng.mt, sizeof(h->rng.mt));
-    state[MT_N] = (uint32_t)h->rng.index;
-}
-
-void sg_counters(void *hp, int64_t *out) {
-    SgCore *h = (SgCore *)hp;
-    memcpy(out, h->counters, sizeof(h->counters));
+    h->rng.index = MT_N + 1; /* invalid until sg_generate loads a state */
+    h->tables = (SgTable *)calloc((size_t)n_tables + 1, sizeof(SgTable));
+    if (!h->tables)
+        goto fail;
+    for (int32_t t = 0; t < n_tables; t++) {
+        h->n_tables = t + 1; /* so sg_free releases a partial table */
+        if (row_off[t + 1] < row_off[t] ||
+            sg_add_table(&h->tables[t], tab_k[t], row_off[t + 1] - row_off[t],
+                         row_mask + row_off[t], row_vals + row_off[t],
+                         row_out + row_off[t]))
+            goto fail;
+    }
+    int32_t n_fi = fi_off[n], n_exam = exam_off[n];
+    h->fi = (int32_t *)xalloc((size_t)(n_fi > 0 ? n_fi : 0) * sizeof(int32_t));
+    h->exam =
+        (int32_t *)xalloc((size_t)(n_exam > 0 ? n_exam : 0) * sizeof(int32_t));
+    if (!h->fi || !h->exam)
+        goto fail;
+    for (int32_t s = 0; s < n; s++) {
+        int32_t k = fi_off[s + 1] - fi_off[s];
+        int32_t e = exam_off[s + 1] - exam_off[s];
+        if (fi_off[s + 1] > n_fi || exam_off[s + 1] > n_exam ||
+            sg_set_node(h, s, kind[s], level[s], table_of[s], fi + fi_off[s],
+                        k, exam + exam_off[s], e))
+            goto fail;
+    }
+    memcpy(h->fi_off, fi_off, ((size_t)n + 1) * sizeof(int32_t));
+    memcpy(h->fi, fi, (size_t)n_fi * sizeof(int32_t));
+    memcpy(h->exam_off, exam_off, ((size_t)n + 1) * sizeof(int32_t));
+    memcpy(h->exam, exam, (size_t)n_exam * sizeof(int32_t));
+    if (sg_finalize(h, pis, n_pis, uids, score, alpha, beta, depth))
+        goto fail;
+    return h;
+fail:
+    sg_free(h);
+    return NULL;
 }
 
 static int32_t pool_append(int32_t **pool, int32_t *len, int32_t *cap,
@@ -627,7 +736,7 @@ static int sg_resolve_forced(SgCore *h, SgTable *t, int64_t index) {
     int64_t rem = index - (int64_t)(output + 1) * t->stride;
     int64_t known_mask = rem >> k;
     int64_t known_values = rem & (((int64_t)1 << k) - 1);
-    int32_t pairs[2 * 16]; /* k <= 15 pins + output */
+    int32_t pairs[2 * (SG_MAX_K + 1)]; /* k pins + output */
     int32_t n_pairs = 0;
     if (output < 0 && !known_mask) {
         int32_t off =
@@ -637,7 +746,7 @@ static int sg_resolve_forced(SgCore *h, SgTable *t, int64_t index) {
         t->fref[index] = off;
         return 0;
     }
-    int advanced = t->advanced;
+    int advanced = h->advanced;
     int32_t count = 0;
     int64_t base_vals = 0;
     int32_t base_out = 0;
@@ -781,7 +890,8 @@ static void sg_unwind_to(SgCore *h, int32_t mark) {
 static void sg_drain(SgCore *h) {
     while (h->q_head != h->q_tail) {
         h->queued[h->queue[h->q_head]] = 0;
-        h->q_head = (h->q_head + 1) % h->q_cap;
+        if (++h->q_head == h->q_cap)
+            h->q_head = 0;
     }
 }
 
@@ -796,7 +906,18 @@ static int sg_pis_set(SgCore *h) {
     return 1;
 }
 
-/* Build and cache the fanin cone of one target slot (members + PIs). */
+static int cmp_i32(const void *a, const void *b) {
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
+static int cmp_i64(const void *a, const void *b) {
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Build and cache the fanin cone of one target slot: its members in slot
+ * order (the order the verifier evaluates them in) and its PIs. */
 static int sg_build_cone(SgCore *h, int32_t root) {
     int32_t n_mem = 0, n_pi = 0, sp = 0;
     int64_t vc = ++h->visit_counter;
@@ -805,7 +926,7 @@ static int sg_build_cone(SgCore *h, int32_t root) {
     while (sp) {
         int32_t u = h->dfs_stack[--sp];
         h->mem_buf[n_mem++] = u;
-        if (h->is_pi[u])
+        if (h->kind[u] == NODE_PI)
             h->pi_buf[n_pi++] = u;
         for (int32_t p = h->fi_off[u]; p < h->fi_off[u + 1]; p++) {
             int32_t f = h->fi[p];
@@ -823,6 +944,7 @@ static int sg_build_cone(SgCore *h, int32_t root) {
         return -1;
     }
     memcpy(mem, h->mem_buf, (size_t)n_mem * sizeof(int32_t));
+    qsort(mem, (size_t)n_mem, sizeof(int32_t), cmp_i32);
     if (n_pi > 0)
         memcpy(pis, h->pi_buf, (size_t)n_pi * sizeof(int32_t));
     h->cone_mem[root] = mem;
@@ -839,15 +961,17 @@ static void sg_push_examiners(SgCore *h, int32_t slot) {
         if (!h->queued[cand]) {
             h->queued[cand] = 1;
             h->queue[h->q_tail] = cand;
-            h->q_tail = (h->q_tail + 1) % h->q_cap;
+            if (++h->q_tail == h->q_cap)
+                h->q_tail = 0;
         }
     }
 }
 
 /* Apply one slot's forced entry: 0 ok, 1 conflict, -1 allocation error. */
 static int sg_examine(SgCore *h, int32_t slot) {
-    int32_t tid = h->table_of[slot];
-    SgTable *t = &h->tables[tid];
+    SgTable *t = &h->tables[h->table_of[slot]];
+    if (!t->fref && sg_table_refs(t))
+        return -1;
     int64_t index = h->state[slot];
     int32_t fr = t->fref[index];
     if (fr == REF_UNRESOLVED) {
@@ -882,7 +1006,8 @@ static int sg_examine(SgCore *h, int32_t slot) {
 static int sg_propagate(SgCore *h) {
     while (h->q_head != h->q_tail) {
         int32_t slot = h->queue[h->q_head];
-        h->q_head = (h->q_head + 1) % h->q_cap;
+        if (++h->q_head == h->q_cap)
+            h->q_head = 0;
         h->queued[slot] = 0;
         h->prop_examined++;
         if (h->table_of[slot] < 0)
@@ -894,14 +1019,38 @@ static int sg_propagate(SgCore *h) {
     return 0;
 }
 
+/* Line 15: the latest trail entry in the cone that still has an
+ * unassigned fanin and is not exhausted.  Within one target the trail
+ * only grows and a rejected entry stays rejected (cone membership is
+ * fixed, fanins only get assigned, exhaustion is sticky), so each pick
+ * scans the entries appended since the last pick, then goes on down from
+ * the last pick's position, skipping everything rejected before. */
 static int32_t sg_pick_candidate(SgCore *h) {
-    for (int32_t t = h->trail_len - 1; t >= 0; t--) {
-        int32_t slot = h->trail[t];
-        if (h->cone_epoch[slot] != h->epoch)
-            continue;
-        int64_t full = h->full_bits[slot];
-        if ((h->state[slot] & full) != full && h->exh_epoch[slot] != h->epoch)
-            return slot;
+    if (h->trail_len > h->scanned) {
+        int32_t top = h->n_unseen - 1;
+        if (top >= 0 && h->unseen_hi[top] == h->scanned - 1) {
+            h->unseen_hi[top] = h->trail_len - 1;
+        } else {
+            h->unseen_lo[h->n_unseen] = h->scanned;
+            h->unseen_hi[h->n_unseen] = h->trail_len - 1;
+            h->n_unseen++;
+        }
+        h->scanned = h->trail_len;
+    }
+    while (h->n_unseen > 0) {
+        int32_t top = h->n_unseen - 1;
+        for (int32_t t = h->unseen_hi[top]; t >= h->unseen_lo[top]; t--) {
+            int32_t slot = h->trail[t];
+            if (h->cone_epoch[slot] != h->epoch)
+                continue;
+            int64_t full = h->full_bits[slot];
+            if ((h->state[slot] & full) != full &&
+                h->exh_epoch[slot] != h->epoch) {
+                h->unseen_hi[top] = t;
+                return slot;
+            }
+        }
+        h->n_unseen--;
     }
     return -1;
 }
@@ -962,6 +1111,8 @@ static int32_t sg_run_target(SgCore *h, int32_t target, int32_t gold) {
     for (int32_t i = 0; i < n_members; i++)
         h->cone_epoch[members[i]] = h->epoch;
     h->marker = h->trail_len;
+    h->n_unseen = 0;
+    h->scanned = 0;
     h->rep_implications = 0;
     h->rep_decisions = 0;
     int8_t cur = h->values[target];
@@ -1004,6 +1155,8 @@ static int32_t sg_run_target(SgCore *h, int32_t target, int32_t gold) {
             return SG_DONE;
         h->counters[C_DECISIONS]++; /* line 16: decide() */
         SgTable *t = &h->tables[h->table_of[slot]];
+        if (!t->dref && sg_table_refs(t))
+            return SG_ERROR;
         int64_t index = h->state[slot];
         int32_t dr = t->dref[index];
         if (dr == REF_UNRESOLVED) {
@@ -1062,18 +1215,8 @@ static int32_t sg_run_target(SgCore *h, int32_t target, int32_t gold) {
 }
 
 /* ------------------------------------------------------------------ */
-/* One attempt: select_targets .. free-PI completion                   */
+/* One attempt: select_targets .. verification                         */
 /* ------------------------------------------------------------------ */
-
-static int cmp_i32(const void *a, const void *b) {
-    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
-    return (x > y) - (x < y);
-}
-
-static int cmp_i64(const void *a, const void *b) {
-    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
-    return (x > y) - (x < y);
-}
 
 /* sorted(rng.sample(range(n), k)): random.sample's pool branch when
  * n <= setsize, its set-rejection branch above it. */
@@ -1101,40 +1244,46 @@ static void sg_sample(SgCore *h, int32_t n, int32_t k, int32_t *out) {
     qsort(out, (size_t)k, sizeof(int32_t), cmp_i32);
 }
 
-/* Run one attempt of SimGenGenerator.generate on a class given as slots
- * in uid order.  Saves the RNG and counters under `mark` first, so
- * sg_rewind(mark) undoes the whole attempt.  Writes the report counters
- * to info, the OUTgold targets in OUTgold order to out_slots/out_flags,
- * and — when the claimed values pass the skip check — the completed
- * vector to bit `lane` of the per-PI words (bits above it are cleared,
- * so the lanes of a batch are written 0, 1, 2, ...).  Returns SG_SKIPPED,
- * SG_VERIFY or SG_ERROR. */
-int32_t sg_attempt(void *hp, const int32_t *cls, int32_t n_cls, int32_t mark,
-                   int32_t lane) {
-    SgCore *h = (SgCore *)hp;
-    if (!h || !h->finalized || !h->policy_set || !h->info ||
-        h->rng.index > MT_N || n_cls < 1 || n_cls > h->n || lane < 0 ||
-        lane >= LANES || mark < 0 || mark > h->n_marks)
-        return SG_ERROR;
-    for (int32_t i = 0; i < n_cls; i++)
-        if (cls[i] < 0 || cls[i] >= h->n)
-            return SG_ERROR;
-    if (mark == h->cap_marks) {
-        int32_t c = h->cap_marks ? h->cap_marks * 2 : 16;
-        SgMark *p = (SgMark *)realloc(h->marks, (size_t)c * sizeof(SgMark));
-        if (!p)
-            return SG_ERROR;
-        h->marks = p;
-        h->cap_marks = c;
+/* Simulate the completed vector on the fanin cone of `root`: members in
+ * slot order, so fanins come first; nodes already stamped `stamp` (the
+ * PIs, and cones shared with earlier targets) are not evaluated again. */
+static int sg_simulate_cone(SgCore *h, int32_t root, int64_t stamp) {
+    if (!h->cone_mem[root] && sg_build_cone(h, root))
+        return -1;
+    const int32_t *members = h->cone_mem[root];
+    int32_t n_members = h->cone_mem_n[root];
+    int8_t *simv = h->simv;
+    for (int32_t j = 0; j < n_members; j++) {
+        int32_t s = members[j];
+        if (h->sim_stamp[s] == stamp)
+            continue;
+        h->sim_stamp[s] = stamp;
+        int32_t tid = h->table_of[s];
+        if (tid < 0) { /* a constant: PIs are stamped at completion */
+            simv[s] = h->kind[s] == NODE_TRUE;
+            continue;
+        }
+        const uint64_t *tt = h->tables[tid].tt;
+        int32_t lo = h->fi_off[s], k = h->fi_off[s + 1] - lo;
+        int32_t m = 0;
+        for (int32_t i = 0; i < k; i++)
+            m |= simv[h->fi[lo + i]] << i;
+        simv[s] = (int8_t)((tt[m >> 6] >> (m & 63)) & 1);
     }
-    h->marks[mark].rng = h->rng;
-    memcpy(h->marks[mark].counters, h->counters, sizeof(h->counters));
-    if (mark == h->n_marks)
-        h->n_marks++;
+    return 0;
+}
 
+/* Run one attempt of the reference generate() loop on a class given as
+ * slots in uid order, and write its log record to rec.  When the claimed
+ * values pass the skip check, the completed vector (PI bits in
+ * network.pis order) goes to `vector` and is verified by simulation.
+ * Returns SG_SKIPPED, SG_REJECTED, SG_COMMITTED or SG_ERROR. */
+static int32_t sg_attempt(SgCore *h, const int32_t *cls, int32_t n_cls,
+                          int64_t *rec, uint8_t *vector) {
     /* A fresh Assignment: unwind everything, NO reverted accounting. */
     sg_unwind_to(h, 0);
     sg_drain(h);
+    h->counters[C_ATTEMPTS]++;
 
     /* select_targets: positions into cls, ascending (= uid order). */
     int32_t *picked = h->picked;
@@ -1181,41 +1330,123 @@ int32_t sg_attempt(void *hp, const int32_t *cls, int32_t n_cls, int32_t mark,
         if (status == SG_CONFLICT)
             conflicts++;
     }
-    h->info[I_TARGETS] = n_t;
-    h->info[I_IMPLICATIONS] = implications;
-    h->info[I_DECISIONS] = decisions;
-    h->info[I_CONFLICTS] = conflicts;
+    rec[1] = n_t;
+    rec[2] = implications;
+    rec[3] = decisions;
+    rec[4] = conflicts;
 
     /* The skip check on the claimed values (unassigned never claims). */
+    int64_t *pairs = rec + REC_HEAD;
     int claimed_gold[2] = {0, 0};
     for (int32_t i = 0; i < n_t; i++) {
         int32_t slot = cls[og[i]];
         int32_t gold = i & 1;
         int claimed = h->values[slot] == gold;
-        h->out_slots[i] = slot;
-        h->out_flags[i] = (int8_t)(gold | (claimed << 1));
+        pairs[2 * i] = slot;
+        pairs[2 * i + 1] = gold | (claimed ? F_CLAIMED : 0);
         if (claimed)
             claimed_gold[gold] = 1;
     }
-    if (!(claimed_gold[0] && claimed_gold[1]))
+    if (!(claimed_gold[0] && claimed_gold[1])) {
+        rec[0] = SG_SKIPPED;
         return SG_SKIPPED;
+    }
 
     /* InputVector.completed: free PIs draw getrandbits(1) in PI order. */
-    uint64_t keep = ((uint64_t)1 << lane) - 1;
+    h->counters[C_SIMULATED]++;
+    int64_t stamp = ++h->sim_epoch;
     for (int32_t i = 0; i < h->n_pis; i++) {
-        int8_t v = h->values[h->pis[i]];
-        uint64_t bit = v >= 0 ? (uint64_t)v : (uint64_t)rng_bits(&h->rng, 1);
-        h->words[i] = (h->words[i] & keep) | (bit << lane);
+        int32_t pi = h->pis[i];
+        int8_t v = h->values[pi];
+        uint8_t bit = v >= 0 ? (uint8_t)v : (uint8_t)rng_bits(&h->rng, 1);
+        vector[i] = bit;
+        h->simv[pi] = (int8_t)bit;
+        h->sim_stamp[pi] = stamp;
     }
-    return SG_VERIFY;
+
+    /* _finalize: survivors are the targets whose simulated value is
+     * their gold value; the vector stays when both gold values survive. */
+    int survived_gold[2] = {0, 0};
+    for (int32_t i = 0; i < n_t; i++) {
+        int32_t slot = (int32_t)pairs[2 * i];
+        int32_t gold = i & 1;
+        if (sg_simulate_cone(h, slot, stamp))
+            return SG_ERROR;
+        if (h->simv[slot] == gold) {
+            pairs[2 * i + 1] |= F_SURVIVED;
+            survived_gold[gold] = 1;
+        }
+    }
+    rec[0] = survived_gold[0] && survived_gold[1] ? SG_COMMITTED : SG_REJECTED;
+    return (int32_t)rec[0];
 }
 
-/* Undo every attempt from the one saved under `mark` on. */
-int32_t sg_rewind(void *hp, int32_t mark) {
+/* The reference generate() loop over the splittable classes, largest
+ * first: class c is node ids cls_uids[cls_off[c] .. cls_off[c + 1] - 1].
+ * Runs at most max(vpi * 4, n_classes) attempts from class *rotation on
+ * (advancing it), and stops at vpi kept vectors.  rng is
+ * Random.getstate()[1] (624 words, then the index), read on entry and
+ * written back on success.  Writes the kept vectors' PI bits to vectors
+ * (vpi * n_pis bytes), one record per attempt to log (at most log_cap
+ * entries; see REC_HEAD), and to counts this call's counters (C_*) and
+ * the log's length.  Returns the number of kept vectors, or -1. */
+int32_t sg_generate(void *hp, const int32_t *cls_uids, const int32_t *cls_off,
+                    int32_t n_classes, int32_t vpi, int64_t *rotation,
+                    uint32_t *rng, uint8_t *vectors, int64_t *log,
+                    int64_t log_cap, int64_t *counts) {
     SgCore *h = (SgCore *)hp;
-    if (!h || mark < 0 || mark >= h->n_marks)
+    if (!h || n_classes < 1 || cls_off[0] != 0 || *rotation < 0 ||
+        rng[MT_N] > MT_N)
         return -1;
-    h->rng = h->marks[mark].rng;
-    memcpy(h->counters, h->marks[mark].counters, sizeof(h->counters));
-    return 0;
+    int64_t total = cls_off[n_classes];
+    if (total > h->cls_cap) {
+        int32_t *p = (int32_t *)realloc(h->cls, (size_t)total * sizeof(int32_t));
+        if (!p)
+            return -1;
+        h->cls = p;
+        h->cls_cap = total;
+    }
+    for (int32_t c = 0; c < n_classes; c++) {
+        int32_t lo = cls_off[c], size = cls_off[c + 1] - lo;
+        if (size < 1 || size > h->n || cls_off[c + 1] > total)
+            return -1;
+        int32_t *cls = h->cls + lo;
+        memcpy(cls, cls_uids + lo, (size_t)size * sizeof(int32_t));
+        qsort(cls, (size_t)size, sizeof(int32_t), cmp_i32);
+        for (int32_t i = 0; i < size; i++) {
+            if (cls[i] < 0 || cls[i] >= h->n_uids || h->uid_slot[cls[i]] < 0)
+                return -1;
+            cls[i] = h->uid_slot[cls[i]];
+        }
+    }
+    memcpy(h->rng.mt, rng, sizeof(h->rng.mt));
+    h->rng.index = (int32_t)rng[MT_N];
+    memset(h->counters, 0, sizeof(h->counters));
+    int64_t max_attempts = (int64_t)vpi * 4;
+    if (max_attempts < n_classes)
+        max_attempts = n_classes;
+    int64_t at = 0, rot = *rotation;
+    int32_t kept = 0;
+    for (int64_t attempt = 0; kept < vpi && attempt < max_attempts;
+         attempt++) {
+        int32_t c = (int32_t)(rot % n_classes);
+        rot++;
+        int32_t lo = cls_off[c], size = cls_off[c + 1] - lo;
+        int32_t most = size <= h->max_targets ? size : h->sample_k;
+        if (at + REC_HEAD + 2 * (int64_t)most > log_cap)
+            return -1;
+        int32_t status = sg_attempt(h, h->cls + lo, size, log + at,
+                                    vectors + (int64_t)kept * h->n_pis);
+        if (status < 0)
+            return -1;
+        at += REC_HEAD + 2 * log[at + 1];
+        if (status == SG_COMMITTED)
+            kept++;
+    }
+    *rotation = rot;
+    memcpy(rng, h->rng.mt, sizeof(h->rng.mt));
+    rng[MT_N] = (uint32_t)h->rng.index;
+    memcpy(counts, h->counters, sizeof(h->counters));
+    counts[C_LOG_LEN] = at;
+    return kept;
 }

@@ -1,66 +1,51 @@
-"""Batch SimGen: Algorithm 1 on a C lane core, verified 64 vectors a word.
+"""Batch SimGen: each ``generate()`` runs as one call into a C core.
 
 :class:`BatchSimGenGenerator` is the fast path of every SimGen strategy
 (paper §6.2); :class:`~repro.core.generator.SimGenGenerator` and its
-reference engines are the oracle it must match bit for bit.  Two ideas
-compose, and it is worth being precise about why the obvious third one is
-off the table:
+reference engines are the oracle it must match bit for bit.
 
-**Why decisions stay scalar.**  Algorithm 1's attempts are hard-serialized
-on one random stream: attempt ``i+1``'s target sample, every roulette
-draw inside it, and its free-PI completion all read RNG state that only
-exists after attempt ``i`` has fully finished.  Advancing 64 *generation
-fixpoints* in true lockstep would have to interleave those draws and so
-cannot be bit-identical to the reference loop — and bit-identity is the
-acceptance gate of every backend seam in this repository.  The lane
-dimension therefore lives where the trajectory is already width-agnostic:
+Algorithm 1's attempts are hard-serialized on one random stream: attempt
+``i+1``'s target sample, every roulette draw inside it, and its free-PI
+completion all read RNG state that only exists after attempt ``i`` has
+fully finished, and whether attempt ``i+1`` runs at all depends on
+whether attempt ``i``'s vector survived verification.  So the whole
+``generate()`` loop runs in ``_simgencore.c``, in order:
 
-* **each attempt is one C call** — :mod:`repro.core` ships
-  ``_simgencore.c``, which carries a port of CPython's Mersenne Twister
-  and of the draw rules SimGen uses (``_randbelow``, ``choice``,
-  ``sample``, ``random``).  ``sg_attempt`` runs a whole attempt:
-  ``select_targets``, the OUTgold values, the target order, each target's
-  Algorithm 1 with its roulette or ``choice`` draws, the skip pre-check
-  on the claimed values, and the random completion of the free PIs.
-  :meth:`BatchSimGenGenerator.generate` hands the generator's
-  ``random.Random`` state to the core on entry and takes it back on exit;
-  in between the stream lives in C.  The worklist order, state
-  resolution, every counter bump and every draw replicate
-  :class:`~repro.core.implication.ImplicationEngine`,
-  :class:`~repro.core.decision.DecisionEngine` and ``random.Random``
-  exactly;
+* **the loop** — the class rotation, the attempt budget
+  ``max(vpi * 4, classes)`` and the stop at ``vectors_per_iteration``
+  kept vectors, as in
+  :meth:`~repro.core.generator.TargetedVectorGenerator.generate`;
+* **each attempt** — ``select_targets``, the OUTgold values, the target
+  order, each target's Algorithm 1 with its roulette or ``choice`` draws,
+  the skip check on the claimed values, and the random completion of the
+  free PIs.  The core carries a port of CPython's Mersenne Twister and of
+  the draw rules SimGen uses (``_randbelow``, ``choice``, ``sample``,
+  ``random``); :meth:`BatchSimGenGenerator.generate` hands the
+  generator's ``random.Random`` state in and takes it back in one
+  ``array('I')`` buffer;
+* **verification** — the completed vector is simulated at once on its
+  targets' fanin cones, from each gate's truth table, exactly as
+  ``_finalize`` simulates it, and is kept when targets of both gold
+  values survive.
 
-* **verification becomes 64-wide** — instead of simulating each candidate
-  vector alone (``run_words`` with width 1), the core writes each
-  completed vector into one bit lane of the per-PI words, and one
-  simulator call verifies up to 64 of them (bitwise tape ops make bit
-  ``p`` of a 64-wide run equal the 1-wide run of vector ``p``).  Because
-  the Algorithm-1 loop needs each vector's skip verdict before it knows
-  whether to *stop*, parked lanes are **speculative**: before it draws,
-  the core saves its RNG state and counters under the attempt's index in
-  the pending batch (a 2.5 KB copy), and when a flush reveals that the
-  reference loop would have stopped earlier, the driver rewinds the core
-  to that attempt's mark, resets the rotation and drops the
-  over-speculated reports, so the observable trajectory is byte-identical
-  to ``--simgen-backend reference``.  The core's counters fold into the
-  published ``simgen.implication.*``/``simgen.decision.*`` stats dicts
-  once per ``generate()`` call, after any rewind.
+The worklist order, state resolution, every counter bump and every draw
+replicate :class:`~repro.core.implication.ImplicationEngine`,
+:class:`~repro.core.decision.DecisionEngine` and ``random.Random``
+exactly.  The core's counters fold into the published
+``simgen.implication.*``/``simgen.decision.*`` stats dicts once per
+``generate()`` call; ``simgen.kernel.*`` adds the core's own.
 
-The network is lowered straight into the core (:class:`_SgCore`): one pass
-over the topological order gives every node a dense slot, each distinct
-gate function is handed over once from the shared table cache of
-:mod:`repro.core.compiled`, and the Equation-4 priority of every gate row
-goes over as one flat array.
-
-Lanes that resolve without simulation (the skip criterion already failed
-on the claimed values) mask out before the flush and are counted in
-``simgen.batch.masked_lane_steps``; per-flush live-lane widths feed the
-``simgen.batch.lanes_active`` histogram.  A committed vector lists every
-PI in ``network.pis`` order.
+The network goes into the core in one ``sg_load`` call (:class:`_SgCore`):
+flat ``array`` buffers with every slot's kind, level, table, fanins and
+examiners, each distinct gate function's rows once, and every slot's MFFC
+depth, from which the core computes each row's Equation-4 priority.  The
+core returns one record per attempt; :attr:`BatchSimGenGenerator.reports`
+decodes them into :class:`~repro.core.generator.GenerationReport` objects
+only when it is read.
 
 When the core cannot run — no C toolchain (or ``REPRO_CCORES=python``),
-a gate wider than :data:`SG_MAX_K`, or an outgold strategy a rewind
-cannot undo — the generator runs the inherited reference Algorithm 1:
+a gate wider than :data:`SG_MAX_K`, or an outgold strategy other than the
+two builtin ones — the generator runs the inherited reference Algorithm 1:
 identical results, about 10x slower generation.
 """
 
@@ -69,11 +54,11 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import random
-from dataclasses import dataclass
+from array import array
+from itertools import accumulate, chain
 from typing import Optional, Sequence
 
-from repro.core.compiled import _TransitionTable, transition_table
+from repro.core.compiled import count_tables
 from repro.core.decision import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
@@ -90,22 +75,33 @@ from repro.core.outgold import (
 from repro.errors import GenerationError
 from repro.network.network import Network
 from repro.runtime.cbuild import CoreLoader
-from repro.simulation.compiled import CompiledSimulator
 from repro.simulation.patterns import InputVector
 
-#: Verification lane width — one 64-bit simulator word.
-LANES = 64
-
-#: Largest gate arity the C core compiles transition tables for (the
-#: ``fref``/``dref`` arrays are ``3 * 4**k`` ints per distinct function).
+#: Largest gate arity the C core lowers (its transition tables take
+#: ``3 * 4**k`` ints per distinct function, its truth tables ``2**k`` bits).
 #: Networks above it run the reference Algorithm 1.
 SG_MAX_K = 8
 
-# sg_attempt results (keep in sync with _simgencore.c).
-_SKIPPED = 0
+#: Node kinds of a lowered slot (``NODE_*`` in ``_simgencore.c``).
+NODE_GATE, NODE_PI, NODE_FALSE, NODE_TRUE = 0, 1, 2, 3
 
-#: ``Random.getstate()[1]``: the 624 Mersenne Twister words and the index.
-_MT_STATE_WORDS = 625
+#: Decision scoring per strategy (``SCORE_*`` in ``_simgencore.c``).
+_SCORE = {
+    DecisionStrategy.RANDOM: 0,
+    DecisionStrategy.DC: 1,
+    DecisionStrategy.DC_MFFC: 2,
+}
+
+#: Attempt statuses and target flags of the core's log (keep in sync with
+#: ``_simgencore.c``): a record is ``status, targets, implications,
+#: decisions, conflicts`` and then ``slot, flags`` per target.
+_SKIPPED, _COMMITTED = 0, 2
+_CLAIMED, _SURVIVED = 2, 4
+_REC_HEAD = 5
+
+#: ``sg_generate``'s counts: the core's ``C_*`` counters, then the length
+#: of the attempt log at this index.
+_LOG_LEN = 10
 
 _INT32_MAX = (1 << 31) - 1
 
@@ -114,54 +110,36 @@ _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_simgencore.c")
 
 def _configure(lib: ctypes.CDLL) -> None:
     """Set argument/return types on the loaded core."""
-    i32, i64 = ctypes.c_int32, ctypes.c_int64
-    p_i32 = ctypes.POINTER(i32)
-    p_i64 = ctypes.POINTER(i64)
-    p_i8 = ctypes.POINTER(ctypes.c_int8)
-    p_u32 = ctypes.POINTER(ctypes.c_uint32)
-    p_u64 = ctypes.POINTER(ctypes.c_uint64)
-    p_f64 = ctypes.POINTER(ctypes.c_double)
+    i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
+    address = ctypes.c_void_p
     handle = ctypes.c_void_p
-    lib.sg_new.argtypes = [i32]
-    lib.sg_new.restype = handle
+    lib.sg_load.argtypes = [
+        i32, address, address, address, address, address, address,
+        address, i32, address, address, address, address, address, i32,
+        address, i32, address, i32, f64, f64, address, i32, i32, i32, i64,
+    ]
+    lib.sg_load.restype = handle
     lib.sg_free.argtypes = [handle]
     lib.sg_free.restype = None
-    lib.sg_add_table.argtypes = [handle, i32, i32, i32, p_i64, p_i64, p_i8]
-    lib.sg_add_table.restype = i32
-    lib.sg_set_node.argtypes = [
-        handle, i32, i32, i32, i32, p_i32, i32, p_i32, i32,
+    lib.sg_generate.argtypes = [
+        handle, address, address, i32, i32, address, address, address,
+        address, i64, address,
     ]
-    lib.sg_set_node.restype = i32
-    lib.sg_finalize.argtypes = [handle, p_i32, i32, p_f64, i64]
-    lib.sg_finalize.restype = i32
-    lib.sg_set_policy.argtypes = [handle, i32, i32, i32, i32, i64]
-    lib.sg_set_policy.restype = i32
-    lib.sg_set_mailbox.argtypes = [handle, p_i64, p_i32, p_i8, p_u64]
-    lib.sg_set_mailbox.restype = None
-    lib.sg_rng_set.argtypes = [handle, p_u32]
-    lib.sg_rng_set.restype = i32
-    lib.sg_rng_get.argtypes = [handle, p_u32]
-    lib.sg_rng_get.restype = None
-    lib.sg_counters.argtypes = [handle, p_i64]
-    lib.sg_counters.restype = None
-    lib.sg_attempt.argtypes = [handle, p_i32, i32, i32, i32]
-    lib.sg_attempt.restype = i32
-    lib.sg_rewind.argtypes = [handle, i32]
-    lib.sg_rewind.restype = i32
+    lib.sg_generate.restype = i32
 
 
 _LOADER = CoreLoader(
     source_path=_SOURCE_PATH,
     cache_name="simgencore",
     configure=_configure,
-    describe="compiled SimGen lane core",
+    describe="compiled SimGen core",
     fallback="the reference SimGen engines (identical results, about 10x "
     "slower generation)",
 )
 
 _LIB = _LOADER.load()
 
-#: "c" when the compiled lane core is active, "python" otherwise.
+#: "c" when the compiled SimGen core is active, "python" otherwise.
 SIMGEN_CORE = "c" if _LIB is not None else "python"
 
 
@@ -182,40 +160,23 @@ def _target_policy(max_targets: Optional[int]) -> tuple[int, int, int]:
     return cap, k, setsize
 
 
+def _address(buffer: array) -> int:
+    return buffer.buffer_info()[0]
+
+
 class _SgCore:
-    """One network lowered into a ``_simgencore`` instance.
+    """One network lowered into a ``_simgencore`` instance by ``sg_load``.
 
     A single pass over ``network.topological_order()`` gives every node a
-    dense slot and hands the core its PI flag, its level, its fanin slots
-    and its examiners — the node itself, then its fanouts, the reference
-    worklist order.  Each distinct gate function goes in once, from the
-    shared table cache.  The fanins and packed rows come from the
-    implication engine, which has already lowered them per gate; the
-    Equation-4 priority of every row is computed here, in
-    ``DecisionEngine.priority``'s float order, and goes in as one flat
-    array.
-
-    The buffers the core writes each attempt into live here: the report
-    counters (:attr:`info`), the OUTgold targets (:attr:`out_slots`, and
-    :attr:`out_flags` as ``gold | claimed << 1``), and one 64-lane word
-    per PI (:attr:`words`, in :attr:`pis` order).  :attr:`stats` is
-    published as ``simgen.kernel.*``.
+    dense slot and fills flat buffers: the slot's kind, level and table,
+    its fanin slots and its examiners — the node itself, then its
+    fanouts, the reference worklist order.  Each distinct gate function's
+    rows go in once.  The fanins, rows and examiners come from the
+    implication engine, which has already lowered them per gate.
+    :attr:`stats` is published as ``simgen.kernel.*``.
     """
 
-    __slots__ = (
-        "_lib",
-        "_handle",
-        "uids",
-        "slot_of",
-        "pis",
-        "stats",
-        "info",
-        "out_slots",
-        "out_flags",
-        "words",
-        "_rng_buf",
-        "_counter_buf",
-    )
+    __slots__ = ("_lib", "_handle", "uids", "pis", "policy", "stats")
 
     def __init__(
         self,
@@ -226,102 +187,108 @@ class _SgCore:
         max_targets: Optional[int],
         level_outgold: bool,
     ):
-        order = network.topological_order()
-        n = len(order)
         self._lib = lib
-        self._handle = handle = lib.sg_new(n)
-        if not handle:
-            raise MemoryError("sg_new failed")
-        #: Slot -> uid (topological order) and its inverse.
-        self.uids = order
-        self.slot_of = slot_of = {uid: s for s, uid in enumerate(order)}
+        self._handle = None
+        order = network.topological_order()
+        slot = {uid: s for s, uid in enumerate(order)}.__getitem__
         levels = network.levels()
-        advanced = implication.strategy is ImplicationStrategy.ADVANCED
-        score_rows = decision.strategy is not DecisionStrategy.RANDOM
-        use_mffc = decision.strategy is DecisionStrategy.DC_MFFC
-        alpha, beta, mffc = decision.alpha, decision.beta, decision._mffc
+        node = network.node
         gate_info = implication._gate_info
         examiners = implication._examiners
-        #: Every gate row's Equation-4 priority, in slot then row order;
-        #: empty for random decisions, which never score rows.
-        priorities: list[float] = []
-        # Keyed by the table object itself, which keeps every table alive
-        # (and its identity unique) while the core is being built.
-        table_ids: dict[_TransitionTable, int] = {}
-        i32 = ctypes.c_int32
-        for slot, uid in enumerate(order):
-            exam = [slot_of[e] for e in examiners[uid]]
+        kinds, tables = array("i"), array("i")
+        fanins, fanin_off = array("i"), array("i", [0])
+        exams, exam_off = array("i"), array("i", [0])
+        table_at: dict = {}
+        table_k, row_off = array("i"), array("i", [0])
+        masks, values, outputs = array("i"), array("i"), array("i")
+        for uid in order:
+            exams.extend(map(slot, examiners[uid]))
+            exam_off.append(len(exams))
             info = gate_info[uid]
             if info is None:  # PI or constant
-                tid, k, fan_arr = -1, 0, None
-                is_pi = network.node(uid).is_pi
+                leaf = node(uid)
+                kinds.append(
+                    NODE_PI if leaf.is_pi
+                    else NODE_TRUE if leaf.table.bits else NODE_FALSE
+                )
+                tables.append(-1)
             else:
-                fanins, rows, _ = info
-                k = len(fanins)
+                gate_fanins, rows, _ = info
+                k = len(gate_fanins)
                 if k > SG_MAX_K:
                     raise GenerationError(
                         f"gate arity {k} exceeds the core's {SG_MAX_K}"
                     )
-                table = transition_table(rows, k, advanced)
-                tid = table_ids.get(table)
+                table = node(uid).table
+                tid = table_at.get(table)
                 if tid is None:
-                    tid = lib.sg_add_table(
-                        handle, table.k, len(table.rows), int(table.advanced),
-                        table.masks, table.values, table.outputs,
-                    )
-                    if tid < 0:
-                        raise GenerationError("simgen core rejected a table")
-                    table_ids[table] = tid
-                fan_arr = (i32 * k)(*[slot_of[f] for f in fanins])
-                is_pi = False
-                if score_rows:
-                    for mask, _vals, _out in rows:
-                        # Exact float-op order of DecisionEngine.priority:
-                        # the weights must be bit-equal for the roulette to
-                        # draw identically.
-                        value = alpha * (k - mask.bit_count())
-                        if use_mffc:
-                            rank = 0.0
-                            for i in range(k):
-                                if (mask >> i) & 1:
-                                    rank += mffc.depth(fanins[i])
-                            value += beta * rank
-                        priorities.append(value)
-            if lib.sg_set_node(
-                handle, slot, tid, int(is_pi), levels[uid], fan_arr, k,
-                (i32 * len(exam))(*exam), len(exam),
-            ) != 0:
-                raise GenerationError("simgen core rejected a node")
-        pis = network.pis
-        #: The network's PIs, in the order of :attr:`words`.
-        self.pis = tuple(pis)
-        if lib.sg_finalize(
-            handle,
-            (i32 * len(pis))(*[slot_of[pi] for pi in pis]),
-            len(pis),
-            (ctypes.c_double * len(priorities))(*priorities),
-            len(priorities),
-        ) != 0:
-            raise GenerationError("simgen core finalize failed")
-        if lib.sg_set_policy(
-            handle, int(not score_rows), int(level_outgold),
-            *_target_policy(max_targets),
-        ) != 0:
-            raise GenerationError("simgen core rejected its policy")
-        self.info = (ctypes.c_int64 * 4)()
-        self.out_slots = (i32 * n)()
-        self.out_flags = (ctypes.c_int8 * n)()
-        self.words = (ctypes.c_uint64 * len(pis))()
-        lib.sg_set_mailbox(
-            handle, self.info, self.out_slots, self.out_flags, self.words
+                    tid = table_at[table] = len(table_k)
+                    table_k.append(k)
+                    for mask, vals, out in rows:
+                        masks.append(mask)
+                        values.append(vals)
+                        outputs.append(out)
+                    row_off.append(len(masks))
+                kinds.append(NODE_GATE)
+                tables.append(tid)
+                fanins.extend(map(slot, gate_fanins))
+            fanin_off.append(len(fanins))
+        depth = None
+        if decision.strategy is DecisionStrategy.DC_MFFC:
+            mffc, num_fanouts = decision._mffc, network.num_fanouts
+            depth = array(
+                "d",
+                [mffc.depth(uid) if num_fanouts(uid) else 0.0 for uid in order],
+            )
+        #: The policy ``sg_load`` got: cap, sample size, set threshold.
+        self.policy = _target_policy(max_targets)
+        #: Slot -> uid (topological order).
+        self.uids = order
+        #: The network's PIs, in the order of a kept vector's bits.
+        self.pis = tuple(network.pis)
+        # Named, so each buffer outlives the call that reads it.
+        level_of = array("i", [levels[uid] for uid in order])
+        pi_slots = array("i", map(slot, self.pis))
+        uid_of = array("i", order)
+        handle = lib.sg_load(
+            len(order),
+            _address(kinds),
+            _address(level_of),
+            _address(tables),
+            _address(fanin_off),
+            _address(fanins),
+            _address(exam_off),
+            _address(exams),
+            len(table_k),
+            _address(table_k),
+            _address(row_off),
+            _address(masks),
+            _address(values),
+            _address(outputs),
+            int(implication.strategy is ImplicationStrategy.ADVANCED),
+            _address(pi_slots),
+            len(self.pis),
+            _address(uid_of),
+            _SCORE[decision.strategy],
+            float(decision.alpha),
+            float(decision.beta),
+            None if depth is None else _address(depth),
+            int(level_outgold),
+            *self.policy,
         )
-        self._rng_buf = (ctypes.c_uint32 * _MT_STATE_WORDS)()
-        self._counter_buf = (ctypes.c_int64 * 8)()
+        if not handle:
+            raise GenerationError("simgen core rejected the lowering")
+        self._handle = handle
+        count_tables(
+            hits=kinds.count(NODE_GATE) - len(table_k), misses=len(table_k)
+        )
         #: Published as ``simgen.kernel.*``.
         self.stats = {
-            "compiled_nodes": n,
-            "transition_tables": len(table_ids),
+            "compiled_nodes": len(order),
+            "transition_tables": len(table_k),
             "reverted_assignments": 0,
+            "attempts": 0,
+            "simulated": 0,
         }
 
     def __del__(self):  # pragma: no cover - interpreter teardown order
@@ -333,83 +300,50 @@ class _SgCore:
             except (OSError, AttributeError, TypeError):
                 pass
 
-    # -- the random stream ---------------------------------------------
-    def load_rng(self, rng: random.Random) -> tuple:
-        """Hand ``rng``'s stream to the core; returns what
-        :meth:`store_rng` needs to hand it back."""
-        version, internal, gauss_next = rng.getstate()
-        self._rng_buf[:] = internal
-        if self._lib.sg_rng_set(self._handle, self._rng_buf) != 0:
-            raise GenerationError("simgen core rejected the RNG state")
-        return version, gauss_next
+    def generate(
+        self,
+        splittable: list[Sequence[int]],
+        vpi: int,
+        rotation: int,
+        state: array,
+    ) -> tuple[int, list[InputVector], array, array]:
+        """One ``sg_generate`` call over the splittable classes.
 
-    def rng_state(self) -> tuple[int, ...]:
-        """The core's stream, as ``Random.getstate()[1]``."""
-        self._lib.sg_rng_get(self._handle, self._rng_buf)
-        return tuple(self._rng_buf)
-
-    def store_rng(self, rng: random.Random, handover: tuple) -> None:
-        """Hand the core's stream back to ``rng``."""
-        version, gauss_next = handover
-        rng.setstate((version, self.rng_state(), gauss_next))
-
-    # -- attempts --------------------------------------------------------
-    def attempt(self, cls: ctypes.Array, mark: int, lane: int) -> int:
-        """One attempt on ``cls`` (slots in uid order); see ``sg_attempt``."""
-        status = self._lib.sg_attempt(self._handle, cls, len(cls), mark, lane)
-        if status < 0:
-            raise GenerationError("simgen core rejected an attempt")
-        return status
-
-    def rewind(self, mark: int) -> None:
-        """Restore the stream and counters saved under ``mark``."""
-        if self._lib.sg_rewind(self._handle, mark) != 0:
-            raise GenerationError(f"simgen core has no mark {mark}")
-
-    def counters(self) -> list[int]:
-        """The core's monotonic work counters (``sg_counters`` order)."""
-        self._lib.sg_counters(self._handle, self._counter_buf)
-        return list(self._counter_buf)
-
-
-@dataclass(slots=True)
-class _PendingAttempt:
-    """One speculative attempt parked in the pending batch.
-
-    Its index in the batch names the core's mark; ``rotation`` and
-    ``n_reports`` are the driver's state before the attempt.
-    """
-
-    report: GenerationReport
-    rotation: int
-    n_reports: int
-    #: Verification lane, or -1 when the skip criterion already failed on
-    #: the claimed values.
-    lane: int
-    #: ``(uid, gold)`` in OUTgold order (verified lanes only).
-    targets: list[tuple[int, int]]
-
-
-class _BatchTelemetry:
-    """Counters published as ``simgen.batch.*`` (engine attr loop)."""
-
-    __slots__ = ("stats", "lane_occupancy")
-
-    def __init__(self):
-        self.stats = {
-            "lane_attempts": 0,
-            "masked_lane_steps": 0,
-            "batch_flushes": 0,
-            "speculative_rewinds": 0,
-            "discarded_attempts": 0,
-        }
-        #: Per-flush live-lane widths (drained into the
-        #: ``simgen.batch.lanes_active`` histogram at publish time).
-        self.lane_occupancy: list[int] = []
+        ``state`` is the generator's MT state (``Random.getstate()[1]``),
+        advanced in place.  Returns the new rotation, the kept vectors,
+        the attempt log and the call's counters.
+        """
+        n_classes = len(splittable)
+        offsets = array("i", [0])
+        offsets.extend(accumulate(map(len, splittable)))
+        members = array("i", chain.from_iterable(splittable))
+        cap, sample_k, _ = self.policy
+        largest = len(splittable[0])
+        most = largest if largest <= cap else sample_k
+        log_cap = max(vpi * 4, n_classes) * (_REC_HEAD + 2 * most)
+        log = array("q", bytes(8 * log_cap))
+        pis = self.pis
+        width = len(pis)
+        bits = array("B", bytes(max(1, vpi * width)))
+        counts = array("q", bytes(8 * (_LOG_LEN + 1)))
+        rotation_buf = array("q", [rotation])
+        kept = self._lib.sg_generate(
+            self._handle, _address(members), _address(offsets), n_classes,
+            vpi, _address(rotation_buf), _address(state), _address(bits),
+            _address(log), log_cap, _address(counts),
+        )
+        if kept < 0:
+            raise GenerationError("simgen core rejected a generate() call")
+        del log[counts[_LOG_LEN]:]
+        vectors = [
+            InputVector(dict(zip(pis, bits[i * width : (i + 1) * width])))
+            for i in range(kept)
+        ]
+        return rotation_buf[0], vectors, log, counts
 
 
 class BatchSimGenGenerator(SimGenGenerator):
-    """SimGen with a C Algorithm-1 core and lane-batched verification.
+    """SimGen whose whole ``generate()`` loop runs in a C core.
 
     A drop-in for :class:`SimGenGenerator`: same constructor, same RNG
     order, bit-identical vectors, reports and implication/decision stats —
@@ -417,8 +351,6 @@ class BatchSimGenGenerator(SimGenGenerator):
     it.  :attr:`kernel` is the lowered C core, or ``None`` when the core
     cannot run; every call then takes the inherited reference path.
     """
-
-    LANES = LANES
 
     def __init__(
         self,
@@ -443,15 +375,9 @@ class BatchSimGenGenerator(SimGenGenerator):
             alpha,
             beta,
         )
-        # Verification through the tape-compiled simulator: values are
-        # bit-identical to the reference Simulator, only faster.
-        self._verifier = CompiledSimulator(network)
-        self.batch = _BatchTelemetry()
         self.kernel: Optional[_SgCore] = None
-        #: Core counters already folded into the published stats dicts.
-        self._folded = [0] * 8
-        # The core computes the builtin outgold strategies itself; an
-        # arbitrary callable may hold state a rewind cannot undo.
+        # The core computes the builtin outgold strategies itself; any
+        # other callable runs on the reference path.
         if _LIB is not None and outgold_strategy in (
             alternating_outgold,
             level_alternating_outgold,
@@ -465,11 +391,57 @@ class BatchSimGenGenerator(SimGenGenerator):
                     max_targets,
                     outgold_strategy is level_alternating_outgold,
                 )
-            except (GenerationError, MemoryError):
+            except GenerationError:
                 pass  # e.g. a gate wider than SG_MAX_K: the reference path runs
 
     # ------------------------------------------------------------------
-    # Speculative generate loop (the reference loop, lanes ahead)
+    # Reports: decoded from the core's attempt logs when read
+    # ------------------------------------------------------------------
+    @property
+    def reports(self) -> list[GenerationReport]:
+        """One report per attempt, in attempt order."""
+        if self._undecoded:
+            self._decode()
+        return self._reports
+
+    @reports.setter
+    def reports(self, reports: list[GenerationReport]) -> None:
+        self._reports = reports
+        #: ``(log, kept vectors)`` per core call, not yet decoded.
+        self._undecoded: list[tuple[array, list[InputVector]]] = []
+
+    def _decode(self) -> None:
+        uids = self.kernel.uids
+        append = self._reports.append
+        for log, vectors in self._undecoded:
+            kept = iter(vectors)
+            at, end = 0, len(log)
+            while at < end:
+                status, count, implications, decisions, conflicts = log[
+                    at : at + _REC_HEAD
+                ]
+                at += _REC_HEAD
+                pairs = log[at : at + 2 * count]
+                at += 2 * count
+                bit = _CLAIMED if status == _SKIPPED else _SURVIVED
+                append(
+                    GenerationReport(
+                        vector=next(kept) if status == _COMMITTED else None,
+                        survivors=[
+                            uids[slot]
+                            for slot, flags in zip(pairs[::2], pairs[1::2])
+                            if flags & bit
+                        ],
+                        skipped=status != _COMMITTED,
+                        implications=implications,
+                        decisions=decisions,
+                        conflicts=conflicts,
+                    )
+                )
+        self._undecoded = []
+
+    # ------------------------------------------------------------------
+    # generate(): one core call
     # ------------------------------------------------------------------
     def generate(self, classes: Sequence[Sequence[int]]) -> list[InputVector]:
         core = self.kernel
@@ -479,175 +451,33 @@ class BatchSimGenGenerator(SimGenGenerator):
         splittable.sort(key=len, reverse=True)
         if not splittable:
             return []
-        handover = core.load_rng(self.rng)
-        try:
-            return self._speculate(splittable)
-        finally:
-            core.store_rng(self.rng, handover)
-            self._fold_counters()
-
-    def _speculate(self, splittable: list[Sequence[int]]) -> list[InputVector]:
-        vpi = self.vectors_per_iteration
-        vectors: list[InputVector] = []
-        attempts = 0
-        max_attempts = max(vpi * 4, len(splittable))
-        #: Class index -> its slots in uid order, lowered on first visit.
-        lowered: dict[int, ctypes.Array] = {}
-        pending: list[_PendingAttempt] = []
-        lanes = 0
-        #: Lanes to fill before a flush: exactly the vectors still needed,
-        #: doubling (up to LANES) after a flush that made no progress so
-        #: high-skip workloads amortize the simulator call.
-        flush_width = max(vpi, 1)
-        stats = self.batch.stats
-        while len(vectors) < vpi and attempts < max_attempts:
-            rec = self._attempt(splittable, lowered, len(pending), lanes)
-            pending.append(rec)
-            attempts += 1
-            if rec.lane >= 0:
-                lanes += 1
-            else:
-                # Lane retired before the lockstep verify (the skip
-                # criterion already failed on the claimed values).
-                stats["masked_lane_steps"] += 1
-            if lanes >= flush_width:
-                progress, discarded = self._flush(pending, vectors)
-                attempts -= discarded
-                pending = []
-                lanes = 0
-                if progress:
-                    flush_width = max(vpi - len(vectors), 1)
-                else:
-                    flush_width = min(flush_width * 2, LANES)
-        if pending:
-            self._flush(pending, vectors)
+        version, internal, gauss_next = self.rng.getstate()
+        state = array("I", internal)
+        self._rotation, vectors, log, counts = core.generate(
+            splittable, self.vectors_per_iteration, self._rotation, state
+        )
+        self.rng.setstate((version, tuple(state), gauss_next))
+        self._undecoded.append((log, vectors))
+        self._fold(counts)
         return vectors
 
-    # ------------------------------------------------------------------
-    # One attempt = one core call
-    # ------------------------------------------------------------------
-    def _attempt(
-        self,
-        splittable: list[Sequence[int]],
-        lowered: dict[int, ctypes.Array],
-        mark: int,
-        lane: int,
-    ) -> _PendingAttempt:
-        """The reference loop's next attempt, parked under ``mark``.
-
-        ``lane`` is the verification lane the vector takes if the claimed
-        values pass the skip check.
-        """
-        core = self.kernel
-        index = self._rotation % len(splittable)
-        cls = lowered.get(index)
-        if cls is None:
-            slot_of = core.slot_of
-            members = sorted(splittable[index])
-            cls = lowered[index] = (ctypes.c_int32 * len(members))(
-                *[slot_of[uid] for uid in members]
-            )
-        rotation = self._rotation
-        n_reports = len(self.reports)
-        self._rotation += 1
-        status = core.attempt(cls, mark, lane)
-        info = core.info
-        report = GenerationReport(
-            vector=None,
-            implications=info[1],
-            decisions=info[2],
-            conflicts=info[3],
-        )
-        count = info[0]
-        uids = core.uids
-        targets = [
-            (uids[slot], flags)
-            for slot, flags in zip(core.out_slots[:count], core.out_flags[:count])
-        ]
-        self.reports.append(report)
-        self.batch.stats["lane_attempts"] += 1
-        if status == _SKIPPED:
-            report.skipped = True
-            report.survivors = [uid for uid, flags in targets if flags & 2]
-            return _PendingAttempt(report, rotation, n_reports, -1, [])
-        return _PendingAttempt(
-            report,
-            rotation,
-            n_reports,
-            lane,
-            [(uid, flags & 1) for uid, flags in targets],
-        )
-
-    def _fold_counters(self) -> None:
-        """Fold the C core's counters into the published stats dicts.
+    def _fold(self, counts: array) -> None:
+        """Fold one call's core counters into the published stats dicts.
 
         ``simgen.implication.*`` and ``simgen.decision.*`` stay
         backend-invariant: the C core counts exactly what the reference
         engines count.
         """
-        now = self.kernel.counters()
-        d = [a - b for a, b in zip(now, self._folded)]
-        self._folded = now
         impl = self.implication.stats
-        impl["propagate_calls"] += d[0]
-        impl["examinations"] += d[1]
-        impl["forced_assignments"] += d[2]
-        impl["conflicts"] += d[3]
+        impl["propagate_calls"] += counts[0]
+        impl["examinations"] += counts[1]
+        impl["forced_assignments"] += counts[2]
+        impl["conflicts"] += counts[3]
         dec = self.decision.stats
-        dec["decisions"] += d[4]
-        dec["conflicts"] += d[5]
-        dec["rows_committed"] += d[6]
-        self.kernel.stats["reverted_assignments"] += d[7]
-
-    # ------------------------------------------------------------------
-    # Flush: one wide simulator word resolves every parked lane
-    # ------------------------------------------------------------------
-    def _flush(
-        self, pending: list[_PendingAttempt], vectors: list[InputVector]
-    ) -> tuple[bool, int]:
-        """Verify parked lanes, commit in order, rewind over-speculation.
-
-        Returns ``(progress, discarded)``: whether any vector was
-        committed, and how many speculative attempts were rolled back
-        because the reference loop would already have stopped.
-        """
-        vpi = self.vectors_per_iteration
-        stats = self.batch.stats
-        live = [rec for rec in pending if rec.lane >= 0]
-        if live:
-            width = len(live)
-            words = dict(zip(self.kernel.pis, self.kernel.words))
-            values = self._verifier.run_words(words, width)
-            stats["batch_flushes"] += 1
-            self.batch.lane_occupancy.append(width)
-            for rec in live:
-                lane = rec.lane
-                report = rec.report
-                hits = [
-                    (uid, gold)
-                    for uid, gold in rec.targets
-                    if ((values[uid] >> lane) & 1) == gold
-                ]
-                report.survivors = [uid for uid, _ in hits]
-                if {gold for _, gold in hits} == {0, 1}:
-                    report.vector = InputVector(
-                        {pi: (word >> lane) & 1 for pi, word in words.items()}
-                    )
-                else:
-                    report.skipped = True
-        progress = False
-        for i, rec in enumerate(pending):
-            if len(vectors) >= vpi:
-                # The reference loop exits before this attempt: everything
-                # from here on never happened.
-                discarded = len(pending) - i
-                self.kernel.rewind(i)
-                self._rotation = rec.rotation
-                del self.reports[rec.n_reports:]
-                stats["speculative_rewinds"] += 1
-                stats["discarded_attempts"] += discarded
-                return progress, discarded
-            if rec.report.vector is not None:
-                vectors.append(rec.report.vector)
-                progress = True
-        return progress, 0
+        dec["decisions"] += counts[4]
+        dec["conflicts"] += counts[5]
+        dec["rows_committed"] += counts[6]
+        kernel = self.kernel.stats
+        kernel["reverted_assignments"] += counts[7]
+        kernel["attempts"] += counts[8]
+        kernel["simulated"] += counts[9]

@@ -11,10 +11,11 @@ exactly the gap SimGen fills.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Optional, Sequence
 
 from repro.core.assignment import Assignment, Conflict
 from repro.core.generator import GenerationReport, TargetedVectorGenerator
+from repro.logic.truthtable import TruthTable
 
 
 class ReverseSimGenerator(TargetedVectorGenerator):
@@ -45,6 +46,30 @@ class ReverseSimGenerator(TargetedVectorGenerator):
             max_targets,
             outgold_strategy or alternating_outgold,
         )
+        #: (table, output) -> the minterms producing ``output``, ascending.
+        self._minterms: dict[tuple[TruthTable, int], tuple[int, ...]] = {}
+
+    def compatible_minterms(
+        self,
+        table: TruthTable,
+        inputs: Sequence[Optional[int]],
+        output: Optional[int],
+    ) -> list[int]:
+        """The complete input patterns, ascending, that produce ``output``
+        and agree with every assigned pin in ``inputs``."""
+        key = (table, output)
+        minterms = self._minterms.get(key)
+        if minterms is None:
+            bits = table.bits
+            minterms = self._minterms[key] = tuple(
+                m for m in range(table.size) if (bits >> m) & 1 == output
+            )
+        care = values = 0
+        for i, value in enumerate(inputs):
+            if value is not None:
+                care |= 1 << i
+                values |= value << i
+        return [m for m in minterms if m & care == values]
 
     def generate_for_targets(
         self, outgold: Mapping[int, int]
@@ -80,16 +105,7 @@ class ReverseSimGenerator(TargetedVectorGenerator):
             # producing the desired output (paper §1 / Figure 1: "'0' to one
             # input and '1' to the other or '0' to both" — full minterms, no
             # don't-cares).  Exploiting DCs is precisely what SimGen adds.
-            table = node.table
-            minterms = [
-                m
-                for m in range(1 << node.num_fanins)
-                if table.output_for(m) == output
-                and all(
-                    inputs[i] is None or inputs[i] == ((m >> i) & 1)
-                    for i in range(node.num_fanins)
-                )
-            ]
+            minterms = self.compatible_minterms(node.table, inputs, output)
             if not minterms:
                 # Step 5: a conflicting assignment terminates the attempt.
                 assignment.revert(marker)

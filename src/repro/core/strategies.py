@@ -66,10 +66,11 @@ def make_generator(
         vectors_per_iteration: Vectors emitted per guided iteration.
         max_targets: Target-node cap per vector for targeted generators.
         simgen_backend: ``"batch"`` (default) runs the SimGen variants on
-            :class:`~repro.core.batch.BatchSimGenGenerator` (C inner loop +
-            64-wide speculative verification, or the reference engines
-            where the C core cannot run); ``"reference"`` runs the
-            reference engines of :class:`SimGenGenerator`.  Trajectories
+            :class:`~repro.core.batch.BatchSimGenGenerator` (each
+            ``generate()`` is one C core call, verification included, or
+            the reference engines where the C core cannot run);
+            ``"reference"`` runs the reference engines of
+            :class:`SimGenGenerator`.  Trajectories
             are bit-identical across both; only speed differs.  Ignored
             for non-SimGen generators.
     """

@@ -221,8 +221,6 @@ class SweepService:
     def stats(self) -> dict:
         """Cache / admission / job-count snapshot (also folds cache
         deltas into the registry under ``cache.verdict.*``)."""
-        from repro.core.compiled import transition_cache_info
-
         with self._lock:
             counts: dict[str, int] = {}
             for job in self._jobs.values():
@@ -232,10 +230,7 @@ class SweepService:
             "jobs": counts,
             "queue_depth": self.queue.depth,
             "admission": self.queue.stats.as_dict(),
-            "cache": {
-                "verdict": self.cache.stats,
-                "transition": transition_cache_info(),
-            },
+            "cache": {"verdict": self.cache.stats},
             "registry": self.registry.as_dict(),
         }
 

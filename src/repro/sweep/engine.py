@@ -168,8 +168,8 @@ class SweepMetrics:
     #: with :attr:`iteration_times`).  Each window is charged to
     #: :attr:`simgen_time` exactly once, so
     #: ``simgen_time == sum(generation_times)`` holds on every backend —
-    #: including the batch driver, whose 64-wide verification flushes run
-    #: inside the generate window they speculate for.
+    #: including the batch core, which verifies its vectors inside the
+    #: generate window.
     generation_times: list[float] = field(default_factory=list)
     #: Vectors simulated in the simulation phase.
     vectors_simulated: int = 0
@@ -971,25 +971,12 @@ class SweepEngine:
             ("implication", "simgen.implication"),
             ("decision", "simgen.decision"),
             ("kernel", "simgen.kernel"),
-            ("batch", "simgen.batch"),
         ):
             stats = getattr(
                 getattr(self.generator, attr, None), "stats", None
             )
             if isinstance(stats, dict):
                 registry.inc_many(prefix, stats)
-        # Per-flush live-lane widths of the batch backend feed a histogram
-        # (drained so repeated publishes never double-count a flush).
-        occupancy = getattr(
-            getattr(self.generator, "batch", None), "lane_occupancy", None
-        )
-        if occupancy:
-            histogram = registry.histogram(
-                "simgen.batch.lanes_active", (1, 2, 4, 8, 16, 32, 64)
-            )
-            for width in occupancy:
-                histogram.observe(width)
-            del occupancy[:]
         # A restricted view shares its base simulator's stats dict, so
         # publishing each distinct dict once counts every batch once.
         seen: set[int] = set()

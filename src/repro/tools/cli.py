@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -59,17 +60,20 @@ from repro.transforms import put_on_top, strash
 def load_network(path: str) -> Network:
     """Read a netlist, dispatching on the file extension."""
     suffix = Path(path).suffix.lower()
-    if suffix == ".blif":
-        return read_blif(path)
-    if suffix == ".bench":
-        return read_bench(path)
-    if suffix == ".aag":
+    if suffix not in (".blif", ".bench", ".aag"):
+        raise ReproError(
+            f"unsupported netlist extension {suffix!r} (use .blif/.bench/.aag)"
+        )
+    try:
+        if suffix == ".blif":
+            return read_blif(path)
+        if suffix == ".bench":
+            return read_bench(path)
         from repro.aig import aig_to_network, read_aag
 
         return aig_to_network(read_aag(path))
-    raise ReproError(
-        f"unsupported netlist extension {suffix!r} (use .blif/.bench/.aag)"
-    )
+    except OSError as exc:
+        raise ReproError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def save_network(network: Network, path: str) -> None:
@@ -682,7 +686,17 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # Flush inside the guard, so a reader that went away surfaces here
+        # and not at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The Python docs' SIGPIPE recipe: the flush at exit would fail
+        # again, so point stdout at devnull and exit as EPIPE does.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,42 +1,44 @@
 """Batch SimGen generator vs the reference engines: exact equivalence.
 
-The batch generator of :mod:`repro.core.batch` runs Algorithm 1's inner
-loop on a C core lowered straight from the network, and verifies
-finished attempts up to 64 per simulator word, speculating past each
-attempt and rewinding when the reference loop would have stopped
-earlier.  Its contract is the same as every backend seam in this
-repository: *bit-identical* trajectories, not merely functional
-equivalence.  The differential suite here drives the batch generator and
-the reference :class:`~repro.core.generator.SimGenGenerator` with the
-same networks, seeds, and sweep schedules and requires identical
-vectors, reports, survivor lists, RNG end states, and
-implication/decision stats streams.
-
-Lane-masking edge cases are pinned separately: a flush whose lanes all
-retired pre-verify must not touch the simulator, a single live lane must
-verify alone, and a mid-batch quota fill must rewind the over-speculated
-lanes exactly to their marks.  Where the C core cannot run, the
-generator takes the reference path; the fallback tests pin that it stays
-identical.
+The batch generator of :mod:`repro.core.batch` runs each ``generate()``
+call — the class rotation, every Algorithm-1 attempt and the simulation
+that verifies each completed vector on its targets' cones — as one call
+into a C core lowered straight from the network.  Its contract is the
+same as every backend seam in this repository: *bit-identical*
+trajectories, not merely functional equivalence.  The differential suite
+here drives the batch generator and the reference
+:class:`~repro.core.generator.SimGenGenerator` with the same networks,
+seeds, classes and sweep schedules and requires identical vectors,
+reports, survivor lists, RNG end states, and implication/decision stats
+streams.  Where the C core cannot run, the generator takes the reference
+path; the fallback tests pin that it stays identical.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.batch as batch_mod
+import repro.simulation.compiled as sim_compiled
 from repro.benchgen.suite import sweep_instance
 from repro.core import make_generator
-from repro.core.batch import BatchSimGenGenerator, _PendingAttempt
-from repro.core.generator import GenerationReport, SimGenGenerator
+from repro.core.batch import BatchSimGenGenerator
+from repro.core.decision import DecisionStrategy
+from repro.core.generator import SimGenGenerator
+from repro.core.implication import ImplicationStrategy
 from repro.core.outgold import alternating_outgold, level_alternating_outgold
+from repro.errors import GenerationError
+from repro.logic import TruthTable
+from repro.network.network import Network
 from repro.sweep import SweepConfig, SweepEngine
 from tests.conftest import random_network
 
 SIMGEN_STRATEGIES = ("AI+DC+MFFC", "AI+DC", "AI+RD", "SI+RD")
 
-#: The lane machinery (speculation, flushes, rewinds) runs only on the C
-#: core; without it the generator is the reference generator.
+#: The one-call driver runs only on the C core; without it the generator
+#: is the reference generator.
 needs_c_core = pytest.mark.skipif(
     batch_mod.SIMGEN_CORE != "c", reason="no SimGen C core in this process"
 )
@@ -97,34 +99,27 @@ def sweep_trace(net, strategy, backend, seed, vpi=4, iterations=6, **config):
     return gen, run_trace(net, gen, seed, iterations, **config)
 
 
-def two_real_attempts(net, seed, vpi=1):
-    """A batch generator plus its first two attempts, parked un-flushed.
+def wide_network(seed, num_inputs=5, num_gates=14):
+    """A random network with both constants, duplicated fanins and gates
+    of 1 to 8 inputs (k = 7 and 8 take multi-word truth tables)."""
+    rng = random.Random(seed)
+    net = Network(f"wide{seed}")
+    signals = [net.add_pi() for _ in range(num_inputs)]
+    signals += [net.add_const(True), net.add_const(False)]
+    for _ in range(num_gates):
+        k = rng.randint(1, 8)
+        fanins = [rng.choice(signals) for _ in range(k)]
+        if k > 1 and rng.random() < 0.3:
+            fanins[-1] = fanins[0]
+        table = TruthTable(k, rng.getrandbits(1 << k))
+        signals.append(net.add_gate(table, fanins))
+    for j in range(3):
+        net.add_po(signals[-(j + 1)], f"o{j}")
+    return net
 
-    Replays exactly the body of ``generate()`` up to (not including) the
-    flush, over one class holding every gate, so flush behaviour can be
-    probed at a chosen quota.  Also returns, per attempt, what its mark
-    must restore: the core's stream and counters, the rotation, and the
-    report list.
-    """
-    gen = make_generator(
-        "AI+DC+MFFC",
-        net,
-        seed=seed,
-        simgen_backend="batch",
-        vectors_per_iteration=vpi,
-    )
-    splittable = [[n.uid for n in net.gates()]]
-    lowered = {}
-    core = gen.kernel
-    core.load_rng(gen.rng)
-    records, marks = [], []
-    for mark in range(2):
-        marks.append(
-            (core.rng_state(), core.counters(), gen._rotation, list(gen.reports))
-        )
-        lane = sum(rec.lane >= 0 for rec in records)
-        records.append(gen._attempt(splittable, lowered, mark, lane))
-    return gen, records, marks
+
+def frozen_vectors(vectors):
+    return [tuple(sorted(v.values.items())) for v in vectors]
 
 
 # ----------------------------------------------------------------------
@@ -177,9 +172,8 @@ class TestBatchIdentity:
     def test_full_sweep_identical_across_backends(self, jobs):
         """End-to-end gate: the full sweep (guided phase + pooled SAT
         phase) lands on the same verdicts, classes, and integer counters
-        whichever generator backend ran.  ``simgen.batch.*`` and
-        ``simgen.kernel.*`` describe the C core and have no reference
-        counterpart."""
+        whichever generator backend ran.  ``simgen.kernel.*`` describes
+        the C core and has no reference counterpart."""
         net = random_network(seed=31, num_inputs=6, num_gates=26)
 
         def run(backend):
@@ -192,7 +186,7 @@ class TestBatchIdentity:
                 k: v
                 for k, v in engine.registry.as_dict().items()
                 if not k.endswith("_s")
-                and not k.startswith(("simgen.batch", "simgen.kernel"))
+                and not k.startswith("simgen.kernel")
             }
             return (
                 result.equivalences,
@@ -238,7 +232,7 @@ class TestBatchIdentity:
         assert run(BatchSimGenGenerator) == run(SimGenGenerator)
 
     def test_level_alternating_outgold_identical(self):
-        """The other speculation-eligible builtin outgold strategy."""
+        """The other builtin outgold strategy the core computes."""
         net = random_network(seed=13, num_inputs=5, num_gates=20)
 
         def run(cls):
@@ -248,9 +242,9 @@ class TestBatchIdentity:
         assert run(BatchSimGenGenerator) == run(SimGenGenerator)
 
     def test_skip_heavy_runs_identical_through_trailing_flush(self):
-        """Seeds whose attempts mostly mask out exhaust the attempt budget
-        with lanes still parked; the trailing flush must resolve them and
-        stay on the reference trajectory."""
+        """Seeds whose attempts mostly fail the skip check on their
+        claimed values (and so are never simulated) exhaust the attempt
+        budget; the core must stop where the reference loop stops."""
         for seed in (1, 2, 3, 4):
             net = random_network(seed=seed, num_inputs=5, num_gates=18)
             gen, batch = sweep_trace(net, "AI+DC+MFFC", "batch", seed=seed)
@@ -259,77 +253,146 @@ class TestBatchIdentity:
             )
             assert batch == reference
             if batch_mod.SIMGEN_CORE == "c":
-                assert gen.batch.stats["masked_lane_steps"] > 0
+                kernel = gen.kernel.stats
+                assert kernel["attempts"] > kernel["simulated"]
 
 
 # ----------------------------------------------------------------------
-# Lane masking and speculation edge cases
+# generate() on its own: the in-core verifier against the reference
 # ----------------------------------------------------------------------
 
-@needs_c_core
-class TestLaneMasking:
-    def test_all_lanes_masked_flush_never_touches_simulator(self):
-        """Lanes whose skip criterion already failed on the claimed values
-        retire before the lockstep verify: a flush of only masked lanes is
-        a no-op for the simulator, the flush counter, and the occupancy
-        histogram feed."""
-        net = random_network(seed=3, num_inputs=5, num_gates=16)
-        gen = make_generator("AI+DC+MFFC", net, seed=3, simgen_backend="batch")
-        gen._verifier = None  # any simulator touch would raise
-        pending = [
-            _PendingAttempt(
-                report=GenerationReport(vector=None, skipped=True),
-                rotation=i,
-                n_reports=0,
-                lane=-1,
-                targets=[],
-            )
-            for i in range(3)
-        ]
-        vectors = []
-        assert gen._flush(pending, vectors) == (False, 0)
-        assert vectors == []
-        assert gen.batch.stats["batch_flushes"] == 0
-        assert gen.batch.lane_occupancy == []
+_CONFIGS = {
+    "AI+DC+MFFC": (ImplicationStrategy.ADVANCED, DecisionStrategy.DC_MFFC),
+    "AI+DC": (ImplicationStrategy.ADVANCED, DecisionStrategy.DC),
+    "AI+RD": (ImplicationStrategy.ADVANCED, DecisionStrategy.RANDOM),
+    "SI+RD": (ImplicationStrategy.SIMPLE, DecisionStrategy.RANDOM),
+}
 
-    def test_single_live_lane_verifies_alone(self):
-        """``vectors_per_iteration=1`` keeps the flush width at one: every
-        verification word carries a single live lane, and the trajectory
-        still matches the reference generator."""
-        net = random_network(seed=2, num_inputs=6, num_gates=22)
-        gen, batch = sweep_trace(net, "AI+DC+MFFC", "batch", seed=2, vpi=1)
-        _, reference = sweep_trace(
-            net, "AI+DC+MFFC", "reference", seed=2, vpi=1
+
+def generate_trace(cls, net, rounds, seed, strategy, **options):
+    """Every observable of ``generate()`` over a fixed class schedule."""
+    impl, dec = _CONFIGS[strategy]
+    gen = cls(
+        net,
+        seed=seed,
+        implication_strategy=impl,
+        decision_strategy=dec,
+        **options,
+    )
+    if cls is BatchSimGenGenerator and batch_mod._LIB is not None:
+        assert gen.kernel is not None
+    vectors = [frozen_vectors(gen.generate(classes)) for classes in rounds]
+    return (
+        vectors,
+        freeze_reports(gen),
+        gen.rng.getstate(),
+        dict(gen.implication.stats),
+        dict(gen.decision.stats),
+    )
+
+
+class TestGenerateIdentity:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        net_seed=st.integers(0, 1 << 16),
+        seed=st.integers(0, 1 << 16),
+        strategy=st.sampled_from(SIMGEN_STRATEGIES),
+        vpi=st.integers(1, 4),
+        max_targets=st.sampled_from((None, 1, 3, 8)),
+        level=st.booleans(),
+    )
+    def test_random_wide_networks_identical(
+        self, net_seed, seed, strategy, vpi, max_targets, level
+    ):
+        """Constants (whose values only the verifier knows), duplicated
+        fanins, 1- to 8-input gates, and classes drawn from every node so
+        target cones overlap: reports with their survivors, vectors, the
+        RNG end state and the engines' stats equal the reference's."""
+        net = wide_network(net_seed)
+        rng = random.Random(net_seed)
+        nodes = [node.uid for node in net.nodes()]
+        rounds = []
+        for _ in range(3):
+            pool = rng.sample(nodes, min(len(nodes), rng.randint(4, 14)))
+            cut = rng.randint(2, len(pool))
+            rounds.append([pool[:cut], pool[cut:]])
+        options = dict(
+            vectors_per_iteration=vpi,
+            max_targets=max_targets,
+            outgold_strategy=(
+                level_alternating_outgold if level else alternating_outgold
+            ),
+        )
+        batch = generate_trace(
+            BatchSimGenGenerator, net, rounds, seed, strategy, **options
+        )
+        reference = generate_trace(
+            SimGenGenerator, net, rounds, seed, strategy, **options
         )
         assert batch == reference
-        assert gen.batch.lane_occupancy
-        assert all(width == 1 for width in gen.batch.lane_occupancy)
 
-    def test_mid_batch_quota_fill_rewinds_over_speculation(self):
-        """When the quota fills mid-flush, every later lane never happened:
-        the core's stream and counters, the rotation, and the report list
-        rewind to that lane's mark.  (Seed 0 pins the precondition: both
-        attempts park for verification and the first one commits.)"""
-        net = random_network(seed=0, num_inputs=5, num_gates=16)
-        gen, (first, second), (_, mark) = two_real_attempts(net, seed=0, vpi=1)
-        assert (first.lane, second.lane) == (0, 1)
-        core = gen.kernel
-        speculated = (
-            core.rng_state(), core.counters(), gen._rotation, list(gen.reports)
-        )
-        assert speculated != mark
-        vectors = []
-        progress, discarded = gen._flush([first, second], vectors)
-        assert progress and discarded == 1
-        assert len(vectors) == 1
-        assert gen.batch.stats["speculative_rewinds"] == 1
-        assert gen.batch.stats["discarded_attempts"] == 1
-        # The rewind restored exactly the second attempt's mark.
-        rng_state, counters, rotation, reports = mark
-        assert core.rng_state() == rng_state
-        assert core.counters() == counters
-        assert gen._rotation == rotation
-        assert gen.reports == reports
+
+class _CountingLib:
+    """Delegates to the loaded core and counts ``sg_generate`` calls."""
+
+    def __init__(self, lib):
+        self.lib = lib
+        self.generate_calls = 0
+
+    def sg_generate(self, *args):
+        self.generate_calls += 1
+        return self.lib.sg_generate(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+
+@needs_c_core
+class TestOneCall:
+    def test_generate_is_one_core_call(self):
+        net = random_network(seed=5, num_inputs=6, num_gates=24)
+        gen = make_generator("AI+DC+MFFC", net, seed=5, simgen_backend="batch")
+        counting = gen.kernel._lib = _CountingLib(gen.kernel._lib)
+        gates = [node.uid for node in net.gates()]
+        vectors = gen.generate([gates[:1], gates[1:]])
+        assert counting.generate_calls == 1
+        attempts = gen.kernel.stats["attempts"]
+        assert attempts >= len(vectors)
+        # Reports are decoded from the core's log only when read.
+        assert gen._reports == []
+        assert len(gen.reports) == attempts
+        assert gen.generate([gates[:1]]) == []  # nothing splittable
+        assert counting.generate_calls == 1
+
+    def test_builds_no_compiled_simulator(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("SimGen built a CompiledSimulator")
+
+        monkeypatch.setattr(sim_compiled.CompiledSimulator, "__init__", refuse)
+        net = random_network(seed=6, num_inputs=6, num_gates=24)
+        gen = make_generator("AI+DC+MFFC", net, seed=6, simgen_backend="batch")
+        assert gen.kernel is not None
+        gen.generate([[node.uid for node in net.gates()]])
+        assert gen.kernel.stats["simulated"] > 0
+
+
+@needs_c_core
+class TestLoadChecks:
+    def test_rows_that_miss_a_minterm_are_rejected(self):
+        """The core derives each function's truth table from its rows and
+        refuses a row set that leaves a minterm uncovered (each row of an
+        irredundant cover is the only one covering some minterm)."""
+        net = random_network(seed=7, num_inputs=5, num_gates=12)
+        gen = make_generator("AI+DC+MFFC", net, seed=7, simgen_backend="batch")
+        gate_info = gen.implication._gate_info
+        for uid, info in gate_info.items():
+            if info is not None:
+                fanins, rows, memo = info
+                gate_info[uid] = (fanins, rows[1:], memo)
+        with pytest.raises(GenerationError, match="rejected the lowering"):
+            batch_mod._SgCore(
+                batch_mod._LIB, net, gen.implication, gen.decision, 8, False
+            )
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +413,6 @@ class TestFallbackPaths:
         gen, fallback = sweep_trace(net, "AI+DC+MFFC", "batch", seed=4)
         assert isinstance(gen, BatchSimGenGenerator)
         assert gen.kernel is None
-        assert gen.batch.stats["lane_attempts"] == 0
         assert fallback == reference
 
     def test_oversized_arity_falls_back_silently(self, monkeypatch):
@@ -364,9 +426,9 @@ class TestFallbackPaths:
         assert run_trace(net, gen, seed=4) == reference
 
     def test_stateful_outgold_disables_speculation_not_identity(self):
-        """Arbitrary outgold callables may hold state the RNG checkpoint
-        cannot rewind, so the generator runs the reference loop — still
-        bit-identical to the reference generator."""
+        """The core computes only the two builtin outgold strategies, so
+        any other callable runs the reference loop — still bit-identical
+        to the reference generator."""
         net = random_network(seed=23, num_inputs=5, num_gates=18)
 
         def custom_outgold(network, targets):
@@ -378,6 +440,5 @@ class TestFallbackPaths:
 
         gen, batch = run(BatchSimGenGenerator)
         assert gen.kernel is None
-        assert gen.batch.stats["lane_attempts"] == 0
         _, reference = run(SimGenGenerator)
         assert batch == reference

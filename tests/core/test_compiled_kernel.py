@@ -1,21 +1,20 @@
-"""The SimGen table cache, the bounded caches, and the backend seam.
+"""The SimGen core's lowering, the bounded caches, and the backend seam.
 
-:mod:`repro.core.compiled` keeps one packed transition table per distinct
-gate function, shared by every C core a process builds; the cache is
-LRU-bounded, thread-safe, and counts hits, misses and evictions for its
-whole lifetime.  A core lowered from that cache must stay on the
-reference trajectory whatever state the cache is in — cold, warm from an
-earlier core, or evicting under a tiny cap while the core is lowered —
-and must fold its work into the reference engines' stats dicts.  The
-other SimGen caches — the implication memo and the decision rows cache
-— are bounded too: evictions must count, and must never change a
-trajectory.
+Each batch generator lowers its network into its own C core in one call,
+handing every distinct gate function over once, and counts those
+hand-overs in process-wide counters that the serve daemon's threads bump
+concurrently.  A core must stay on the reference trajectory whether or
+not other cores were lowered before it, and must fold its work into the
+reference engines' stats dicts.  The
+other SimGen caches — the implication memo and the decision rows cache —
+are bounded: evictions must count, and must never change a trajectory.
 
-The lane machinery of the batch generator (speculation, flushes,
-rewinds) is the subject of ``tests/core/test_batch_kernel.py``.
+The one-call generate() driver is the subject of
+``tests/core/test_batch_kernel.py``.
 """
 
 import random
+import sys
 import threading
 
 import pytest
@@ -48,52 +47,32 @@ def seed_values(net, seed, count=3):
 
 
 # ----------------------------------------------------------------------
-# Generator / sweep identity through the shared table cache
+# Generator / sweep identity of the lowered core
 # ----------------------------------------------------------------------
-
-def lowered_trace(net, strategy, seed, cap=None, iterations=6):
-    """(trace, new cache evictions) of a batch sweep whose core is lowered
-    from a cold table cache, capped at ``cap`` tables while it lowers."""
-    with pytest.MonkeyPatch.context() as mp:
-        if cap is not None:
-            mp.setattr(compiled_mod, "TRANSITION_CACHE_CAP", cap)
-        compiled_mod.clear_transition_cache()
-        before = compiled_mod.transition_cache_info()["evictions"]
-        _, trace = sweep_trace(
-            net, strategy, "batch", seed=seed, iterations=iterations
-        )
-        after = compiled_mod.transition_cache_info()["evictions"]
-    return trace, after - before
-
 
 class TestGeneratorIdentity:
     @pytest.mark.parametrize("strategy", SIMGEN_STRATEGIES)
     def test_sweep_trajectory_identical(self, strategy):
-        """Cold, warm and evicting lowerings all land on the reference
-        trace.  Under a one-table cap a gate function seen again after
-        its eviction is a new table object, so the core receives
-        duplicate (equal) tables — which must not matter."""
+        """A core lowered first and one lowered after it (each core gets
+        its own copy of every gate function) land on the reference
+        trace."""
         net = random_network(seed=21, num_inputs=6, num_gates=24)
         _, reference = sweep_trace(net, strategy, "reference", seed=5)
-        cold, _ = lowered_trace(net, strategy, seed=5)
-        _, warm = sweep_trace(net, strategy, "batch", seed=5)
-        evicting, evictions = lowered_trace(net, strategy, seed=5, cap=1)
-        assert cold == warm == evicting == reference
-        if batch_mod.SIMGEN_CORE == "c":
-            assert evictions > 0
+        _, first = sweep_trace(net, strategy, "batch", seed=5)
+        _, second = sweep_trace(net, strategy, "batch", seed=5)
+        assert first == second == reference
 
     @settings(max_examples=12, deadline=None)
     @given(
         net_seed=st.integers(0, 1 << 12),
         run_seed=st.integers(0, 1 << 12),
         strategy=st.sampled_from(SIMGEN_STRATEGIES),
-        cap=st.sampled_from((None, 1, 2)),
     )
     def test_random_networks_trajectory_identical(
-        self, net_seed, run_seed, strategy, cap
+        self, net_seed, run_seed, strategy
     ):
         net = random_network(seed=net_seed, num_inputs=5, num_gates=16)
-        batch, _ = lowered_trace(net, strategy, seed=run_seed, cap=cap)
+        _, batch = sweep_trace(net, strategy, "batch", seed=run_seed)
         _, reference = sweep_trace(net, strategy, "reference", seed=run_seed)
         assert batch == reference
 
@@ -174,91 +153,43 @@ class TestBoundedCaches:
                 bounded.candidate_rows(assignment, node.uid)
         assert bounded.stats["cache_evictions"] > 0
 
-    def test_transition_cache_lru_eviction_counts(self, monkeypatch):
-        """The shared transition-table cache is LRU-bounded: hits reinsert
-        (the hot tail survives an insert past the cap), the coldest entry
-        is evicted, and the lifetime eviction counter climbs.  Eviction
-        only drops the cache's reference — cores built earlier keep
-        their tables."""
-        monkeypatch.setattr(compiled_mod, "TRANSITION_CACHE_CAP", 2)
-        compiled_mod.clear_transition_cache()
-        base = compiled_mod.transition_cache_info()["evictions"]
-        rows = ((1, 1, 0),)  # one row over pin 0 — valid for any k >= 1
-        a = compiled_mod.transition_table(rows, 1, False)
-        b = compiled_mod.transition_table(rows, 2, False)
-        # Touch `a` so `b` becomes the LRU victim of the next insert.
-        assert compiled_mod.transition_table(rows, 1, False) is a
-        compiled_mod.transition_table(rows, 3, False)
-        assert compiled_mod.transition_table(rows, 1, False) is a
-        rebuilt = compiled_mod.transition_table(rows, 2, False)
-        assert rebuilt is not b
-        info = compiled_mod.transition_cache_info()
-        assert info["cap"] == 2
-        assert info["size"] <= 2
-        assert info["evictions"] - base >= 2
-        # The evicted table object itself is untouched for live holders.
-        assert b.rows == rows and b.k == 2
-        assert list(b.masks) == [1] and list(b.outputs) == [0]
-
-    @needs_c_core
-    def test_transition_cache_shared_across_kernels(self):
-        """Two generators over the same network lower every gate function
-        through the shared cache: the second one only hits (the cache key
-        is the gate function, not the gate)."""
-        compiled_mod.clear_transition_cache()
-        net = random_network(seed=4, num_inputs=5, num_gates=16)
-        first = make_generator("AI+DC+MFFC", net, seed=1)
-        after_first = compiled_mod.transition_cache_info()
-        second = make_generator("AI+DC+MFFC", net, seed=2)
-        after_second = compiled_mod.transition_cache_info()
-        tables = first.kernel.stats["transition_tables"]
-        assert 0 < tables == second.kernel.stats["transition_tables"]
-        assert after_first["size"] == tables
-        assert after_second["size"] == tables
-        assert after_second["misses"] == after_first["misses"]
-        assert after_second["hits"] - after_first["hits"] == len(
-            list(net.gates())
-        )
-
 
 class TestTransitionCacheConcurrency:
-    """The process-wide table cache is hit from service worker threads."""
+    """The lowering counters behind ``transition_cache_info`` are bumped
+    from the serve daemon's job threads."""
 
+    @needs_c_core
     def test_concurrent_sessions_conserve_counters(self):
-        """hits + misses == lookups under contention, and every miss is a
-        real construction (no lost updates from read-modify-write races)."""
-        compiled_mod.clear_transition_cache()
-        before = compiled_mod.transition_cache_info()
-        distinct = [((1, 1, 0),), ((1, 0, 0),), ((3, 3, 0),), ((2, 2, 1),)]
-        threads, rounds = 8, 50
+        """Every lowering counts each of its gates once, as a function the
+        core already had (hit) or a new one (miss), and no update is lost
+        to threads lowering at the same time."""
+        net = random_network(seed=4, num_inputs=5, num_gates=16)
+        gates = len(list(net.gates()))
+        tables = make_generator("AI+DC+MFFC", net).kernel.stats[
+            "transition_tables"
+        ]
+        threads, rounds = 8, 10
         barrier = threading.Barrier(threads)
 
         def worker():
             barrier.wait()
             for _ in range(rounds):
-                for rows in distinct:
-                    compiled_mod.transition_table(rows, 4, False)
+                make_generator("AI+DC+MFFC", net, seed=1)
 
-        pool = [threading.Thread(target=worker) for _ in range(threads)]
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join()
+        before = compiled_mod.transition_cache_info()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker) for _ in range(threads)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
         info = compiled_mod.transition_cache_info()
-        lookups = threads * rounds * len(distinct)
         hits = info["hits"] - before["hits"]
         misses = info["misses"] - before["misses"]
-        assert hits + misses == lookups
-        # Under the cap nothing evicts, so misses == resident entries:
-        # each table was constructed exactly once across all threads.
-        assert info["evictions"] == before["evictions"]
-        assert misses == len(distinct)
-
-    def test_counters_survive_clear(self):
-        compiled_mod.clear_transition_cache()
-        before = compiled_mod.transition_cache_info()
-        compiled_mod.transition_table(((1, 1, 0),), 5, False)
-        compiled_mod.clear_transition_cache()
-        info = compiled_mod.transition_cache_info()
-        assert info["size"] == 0
-        assert info["misses"] == before["misses"] + 1
+        assert misses == threads * rounds * tables
+        assert hits + misses == threads * rounds * gates

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ReverseSimGenerator, SimGenGenerator
+from repro.logic import TruthTable
 from repro.simulation import Simulator
 from tests.conftest import random_network
 
@@ -109,3 +112,39 @@ class TestStats:
         report = generator.generate_for_targets({ids["out"]: 0})
         # out=0 forces inner=0 and c=0 (single minterm): implications.
         assert report.implications >= 1
+
+
+class TestCompatibleMinterms:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        num_vars=st.integers(0, 6),
+        output=st.integers(0, 1),
+    )
+    def test_matches_the_per_minterm_scan(self, data, num_vars, output):
+        """The cached minterm list, filtered by the pins' care/value
+        masks, is the list the per-minterm scan builds: same members,
+        same ascending order (so ``rng.choice`` draws the same one)."""
+        bits = data.draw(st.integers(0, (1 << (1 << num_vars)) - 1))
+        table = TruthTable(num_vars, bits)
+        inputs = data.draw(
+            st.lists(
+                st.sampled_from((None, 0, 1)),
+                min_size=num_vars,
+                max_size=num_vars,
+            )
+        )
+        net = random_network(seed=0)
+        gen = ReverseSimGenerator(net)
+        scan = [
+            m
+            for m in range(1 << num_vars)
+            if table.output_for(m) == output
+            and all(
+                inputs[i] is None or inputs[i] == ((m >> i) & 1)
+                for i in range(num_vars)
+            )
+        ]
+        assert gen.compatible_minterms(table, inputs, output) == scan
+        # The second call reads the generator's cached list.
+        assert gen.compatible_minterms(table, inputs, output) == scan

@@ -234,17 +234,15 @@ class TestGenerationAccounting:
         )
 
     @pytest.mark.skipif(
-        SIMGEN_CORE != "c", reason="lane counters need the SimGen C core"
+        SIMGEN_CORE != "c", reason="kernel counters need the SimGen C core"
     )
     def test_batch_counters_surface_in_registry(self):
         engine, _ = self.run_simgen(1, backend="batch")
         snapshot = engine.registry.as_dict()
-        assert snapshot["simgen.batch.lane_attempts"] > 0
-        assert snapshot["simgen.batch.batch_flushes"] > 0
-        # The lane-occupancy list drains into the histogram at publish
-        # time, so repeated publishes never double-count a flush.
-        assert snapshot["simgen.batch.lanes_active.bucket_count"] > 0
-        assert engine.generator.batch.lane_occupancy == []
+        kernel = engine.generator.kernel.stats
+        assert snapshot["simgen.kernel.attempts"] == kernel["attempts"] > 0
+        assert snapshot["simgen.kernel.simulated"] == kernel["simulated"] > 0
+        assert kernel["simulated"] <= kernel["attempts"]
 
 
 class TestCecAccounting:

@@ -1,5 +1,10 @@
 """The repro.tools command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.io import blif_text, read_bench, read_blif
@@ -132,6 +137,44 @@ class TestCommands:
         missing.write_text("", encoding="utf-8")
         assert main(["stats", str(missing)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_missing_input_is_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "missing.bench"
+        out = tmp_path / "out.bench"
+        assert main(["sweep", str(missing), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: cannot read {missing}: No such file or directory"
+        ]
+
+    def test_closed_stdout_pipe_exits_quietly(self, blif_file, tmp_path):
+        """A reader that is gone before the summary is printed (as in
+        ``sweep ... | head -0``) ends the run with exit status 1 and no
+        traceback."""
+        _, path = blif_file
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(
+            Path(__file__).resolve().parents[1] / "src"
+        ) + os.pathsep + env.get("PYTHONPATH", "")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "repro.tools", "sweep", str(path),
+                    "-o", str(tmp_path / "out.blif"),
+                ],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
 
 class TestAagSupport:
