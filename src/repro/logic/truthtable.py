@@ -13,7 +13,7 @@ into CNF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -62,6 +62,10 @@ class TruthTable:
 
     num_vars: int
     bits: int
+    #: ``hash((num_vars, bits))``, computed once: tables key the lowering
+    #: caches and dedup dicts, which probe them tens of thousands of times
+    #: per pass.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_num_vars(self.num_vars)
@@ -70,6 +74,15 @@ class TruthTable:
             raise LogicError(
                 f"bits 0x{self.bits:x} out of range for {self.num_vars} vars"
             )
+        object.__setattr__(self, "_hash", hash((self.num_vars, self.bits)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Pickle the two fields only; unpickling re-runs the checks and
+        # recomputes the hash.
+        return (type(self), (self.num_vars, self.bits))
 
     # ------------------------------------------------------------------
     # Constructors

@@ -6,7 +6,11 @@ Two modes:
   every cone touched so far; each pair query adds miter clauses guarded by
   a fresh selector literal and solves under that assumption.  Learnt
   clauses persist across queries — the trick that makes SAT sweeping
-  practical (and what MiniSat-inside-ABC does).
+  practical (and what MiniSat-inside-ABC does).  Those learnt from a
+  miter carry the negated selector and die when it is retired, so each
+  proven equivalence is kept as two permanent binary clauses instead:
+  later queries propagate it rather than re-derive it, and a solver
+  rebuilt after a fault gets them back.
 * **Fresh** (query-pure): a new solver and cone encoding per query, so a
   verdict depends on the pair alone; journaled and served runs use it.
 
@@ -116,6 +120,9 @@ class PairChecker:
             #: Encoded clauses already added to the solver: a count of
             #: ``cnf.clauses``, or of stream words on the C path.
             self._shipped = 0
+            #: The permanent binary clauses of every proven equivalence, in
+            #: the order they were added (a rebuilt solver gets them back).
+            self._proofs: list[tuple[int, int]] = []
 
     @property
     def solver_stats(self) -> dict:
@@ -237,13 +244,30 @@ class PairChecker:
                     return SatResult.UNKNOWN, None
 
     def _rebuild_incremental(self) -> None:
-        """Fresh solver, re-fed every Tseitin clause encoded so far.
+        """Fresh solver, re-fed every Tseitin clause encoded so far and then
+        the clauses of every proven equivalence.
 
         Selector-guarded miter clauses of past queries live only in the
         dead solver; they were retired anyway, so dropping them is safe.
         """
         self._solver = self._solver_factory()
         self._shipped = 0
+        self._ship_cones()
+        for clause in self._proofs:
+            self._solver.add_clause(clause)
+
+    def _ship_cones(self) -> None:
+        """Add the encoded clauses the solver does not hold yet."""
+        if self._streamed:
+            # The stream's unshipped tail goes over in one call.
+            self._shipped = self._cone_encoder().ship(
+                self._solver, self._shipped
+            )
+            return
+        clauses = self._encoder.cnf.clauses
+        while self._shipped < len(clauses):
+            self._solver.add_clause(clauses[self._shipped])
+            self._shipped += 1
 
     def _cone_encoder(self) -> ConeEncoder:
         """The C encoder, created (and the network lowered) on first use."""
@@ -279,26 +303,15 @@ class PairChecker:
     def _check_incremental(
         self, node_a: int, node_b: int, complement: bool, limit: Optional[int]
     ) -> tuple[SatResult, Optional[InputVector]]:
-        if self._streamed:
-            encoder = self._cone_encoder()
-            var_a = encoder.encode_cone(node_a)
-            var_b = encoder.encode_cone(node_b)
-            # Ship the stream's unshipped tail in one call.
-            self._shipped = encoder.ship(self._solver, self._shipped)
-            selector = encoder.new_var()
-        else:
-            encoder = self._encoder
-            var_a = encoder.encode_cone(node_a)
-            var_b = encoder.encode_cone(node_b)
-            # Ship newly produced Tseitin clauses to the solver.
-            clauses = encoder.cnf.clauses
-            while self._shipped < len(clauses):
-                self._solver.add_clause(clauses[self._shipped])
-                self._shipped += 1
-            # Allocate the selector from the shared CNF so later cone
-            # encodings never reuse its index (the solver sizes itself
-            # from the clauses).
-            selector = encoder.cnf.new_var()
+        encoder = self._cone_encoder() if self._streamed else self._encoder
+        var_a = encoder.encode_cone(node_a)
+        var_b = encoder.encode_cone(node_b)
+        self._ship_cones()
+        # Allocate the selector from the encoder so later cone encodings
+        # never reuse its index (the solver sizes itself from the clauses).
+        selector = (
+            encoder.new_var() if self._streamed else encoder.cnf.new_var()
+        )
         if complement:
             # Under the selector, assert the nodes are EQUAL (SAT would
             # refute the complement-equivalence candidate).
@@ -320,5 +333,16 @@ class PairChecker:
         if result is SatResult.SAT:
             vector = encoder.model_to_vector(self._solver.model())
         # Retire the selector so this miter never constrains later queries.
+        # Every clause learnt from the miter carries -selector and dies
+        # with it, so a proof is kept as two permanent binary clauses that
+        # later queries propagate instead of re-deriving.
         self._solver.add_clause([-selector])
+        if result is SatResult.UNSAT:
+            if complement:
+                proof = ((var_a, var_b), (-var_a, -var_b))
+            else:
+                proof = ((-var_a, var_b), (var_a, -var_b))
+            for clause in proof:
+                self._solver.add_clause(clause)
+            self._proofs += proof
         return result, vector

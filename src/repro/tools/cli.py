@@ -93,7 +93,11 @@ def save_network(network: Network, path: str) -> None:
         )
     # Atomic: a crash mid-write must never leave a half-written netlist
     # (a resumed session byte-compares these artifacts).
-    atomic_write_text(path, text)
+    try:
+        atomic_write_text(path, text)
+    except OSError as exc:
+        # Name the target, not the temporary file the write went through.
+        raise ReproError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

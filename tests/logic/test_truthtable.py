@@ -1,5 +1,7 @@
 """Unit and property tests for TruthTable."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,3 +209,35 @@ class TestProperties:
         for i in range(tt.num_vars):
             if i not in support:
                 assert tt.cofactor(i, 0) == tt.cofactor(i, 1)
+
+
+class TestValueSemantics:
+    """Tables key dicts and caches: the cached hash must keep the value
+    the dataclass used to compute, so set and dict orders do not move."""
+
+    @given(tables)
+    def test_hash_is_the_field_tuple_hash(self, tt):
+        assert hash(tt) == hash((tt.num_vars, tt.bits))
+
+    @given(tables, tables)
+    def test_equality_follows_the_fields(self, first, second):
+        same = (first.num_vars, first.bits) == (second.num_vars, second.bits)
+        assert (first == second) is same
+        if same:
+            assert hash(first) == hash(second)
+
+    def test_equal_tables_share_a_dict_slot(self):
+        cache = {TruthTable(2, 0b1000): "and"}
+        assert cache[TruthTable.var(2, 0) & TruthTable.var(2, 1)] == "and"
+        assert TruthTable(2, 0b1000) != TruthTable(3, 0b1000)
+
+    def test_repr_shows_the_fields_only(self):
+        assert repr(TruthTable(2, 6)) == "TruthTable(num_vars=2, bits=6)"
+
+    @given(tables)
+    def test_pickle_round_trip(self, tt):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(tt, protocol))
+            assert copy == tt
+            assert hash(copy) == hash(tt)
+            assert repr(copy) == repr(tt)

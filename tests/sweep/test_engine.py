@@ -253,9 +253,12 @@ class TestEngineVariants:
 #: vectors simulated, sweep signature) of a seed-0 sweep with default
 #: settings.  Recorded when the seed-era code, the reference engines and
 #: the compiled and batch paths were last cross-checked to agree on every
-#: row; each path must keep following these trajectories.
+#: row; each path must keep following these trajectories.  Three rows
+#: moved when the incremental checker began keeping each proof as clauses
+#: (cps RandS x1, cps AI+DC+MFFC x2, b14_C RandS x2): the same proven
+#: equivalences, final classes and final cost, other counterexamples.
 TRAJECTORY_PINS = {
-    ("cps", "RandS", 1): (70, 84, 722, "2ccbee9590032a8a0eff783ef87404dc"),
+    ("cps", "RandS", 1): (71, 84, 723, "11736144f696ce84e48d66559940acd6"),
     ("cps", "AI+DC+MFFC", 1): (69, 87, 99, "60b5b98967f40a6bdb5f1848f30fc7d1"),
     ("b14_C", "RandS", 1): (8, 8, 707, "cd58aa0ba3e8b8ca47f313f3cbb8f09d"),
     ("b14_C", "AI+DC+MFFC", 1): (8, 8, 72, "011ebfedb6672e1ac14fc17e0a2277af"),
@@ -265,8 +268,8 @@ TRAJECTORY_PINS = {
     ("apex2", "AI+DC+MFFC", 1): (0, 0, 100, "ebcdb20bc6597da7fc7edfa0b922cfd3"),
     ("priority", "RevS", 1): (0, 0, 80, "a7521be6b566afb40de2b12fe3b349a9"),
     ("priority", "AI+DC+MFFC", 1): (0, 0, 91, "efeb41cea9f8e13c8bcee57ce27a480f"),
-    ("cps", "AI+DC+MFFC", 2): (261, 278, 118, "22b59cb91906b1feee830b951cb7fa93"),
-    ("b14_C", "RandS", 2): (24, 25, 711, "ae7c46299191e7f2bd4582ecd4225ec1"),
+    ("cps", "AI+DC+MFFC", 2): (257, 278, 114, "eeaf26479df1f7dbc4b006a1318b38d3"),
+    ("b14_C", "RandS", 2): (25, 25, 712, "1561df4af70714e40485184d6b02729c"),
 }
 #: The rows cheap enough to replay on the all-reference path.
 QUICK_ROWS = list(TRAJECTORY_PINS)[:4]

@@ -20,6 +20,16 @@ def blif_file(tmp_path):
     return net, path
 
 
+def _cli_env() -> dict:
+    """The environment for running ``python -m repro.tools`` from this
+    checkout in a subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(
+        Path(__file__).resolve().parents[1] / "src"
+    ) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 class TestLoadSave:
     def test_roundtrip_blif(self, tmp_path):
         net = random_network(seed=1)
@@ -147,15 +157,31 @@ class TestCommands:
             f"error: cannot read {missing}: No such file or directory"
         ]
 
+    def test_unwritable_output_is_one_error_line(self, blif_file, tmp_path):
+        """An ``-o`` path in a missing directory ends the run with one
+        ``error:`` line naming that path, exit status 2 and no traceback."""
+        _, path = blif_file
+        out = tmp_path / "no_such_dir" / "out.bench"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.tools", "sweep", str(path), "-o", str(out)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_cli_env(),
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: cannot write {out}: No such file or directory"
+        ]
+        assert not out.parent.exists()
+
     def test_closed_stdout_pipe_exits_quietly(self, blif_file, tmp_path):
         """A reader that is gone before the summary is printed (as in
         ``sweep ... | head -0``) ends the run with exit status 1 and no
         traceback."""
         _, path = blif_file
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(
-            Path(__file__).resolve().parents[1] / "src"
-        ) + os.pathsep + env.get("PYTHONPATH", "")
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -166,7 +192,7 @@ class TestCommands:
                 ],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
-                env=env,
+                env=_cli_env(),
                 text=True,
                 timeout=120,
             )
