@@ -37,7 +37,6 @@ from repro.core.random_gen import OneDistanceGenerator, RandomGenerator
 from repro.core.reverse import ReverseSimGenerator
 from repro.core.satgen import SatCexGenerator
 from repro.core.strategies import (
-    GENERATOR_BACKENDS,
     SIMGEN,
     STRATEGY_NAMES,
     factory,
@@ -54,7 +53,6 @@ __all__ = [
     "DecisionEngine",
     "DecisionResult",
     "DecisionStrategy",
-    "GENERATOR_BACKENDS",
     "GenerationReport",
     "HybridGenerator",
     "ImplicationEngine",

@@ -29,10 +29,7 @@ from repro.core.random_gen import RandomGenerator
 from repro.core.reverse import ReverseSimGenerator
 from repro.errors import GenerationError
 from repro.network.network import Network
-
-#: SimGen backend names accepted by :func:`make_generator` and
-#: ``--simgen-backend``.
-GENERATOR_BACKENDS = ("batch", "reference")
+from repro.runtime.cbuild import check_backend
 
 #: Canonical order used by Table 1.
 STRATEGY_NAMES = ("RevS", "SI+RD", "AI+RD", "AI+DC", "AI+DC+MFFC")
@@ -54,7 +51,7 @@ def make_generator(
     seed: int = 0,
     vectors_per_iteration: int = 4,
     max_targets: int = 8,
-    simgen_backend: str = "batch",
+    backend: str = "compiled",
 ) -> BaseVectorGenerator:
     """Instantiate a generator by its paper name.
 
@@ -65,7 +62,7 @@ def make_generator(
         seed: RNG seed (deterministic runs).
         vectors_per_iteration: Vectors emitted per guided iteration.
         max_targets: Target-node cap per vector for targeted generators.
-        simgen_backend: ``"batch"`` (default) runs the SimGen variants on
+        backend: ``"compiled"`` (default) runs the SimGen variants on
             :class:`~repro.core.batch.BatchSimGenGenerator` (each
             ``generate()`` is one C core call, verification included, or
             the reference engines where the C core cannot run);
@@ -74,11 +71,7 @@ def make_generator(
             are bit-identical across both; only speed differs.  Ignored
             for non-SimGen generators.
     """
-    if simgen_backend not in GENERATOR_BACKENDS:
-        raise GenerationError(
-            f"unknown simgen backend {simgen_backend!r} "
-            "(use 'batch' or 'reference')"
-        )
+    check_backend(backend, GenerationError)
     key = name.strip().lower()
     if key == "rands":
         # Random simulation covers many patterns per iteration cheaply;
@@ -98,7 +91,7 @@ def make_generator(
         )
     if key == "simgen":
         key = SIMGEN.lower()
-    cls = BatchSimGenGenerator if simgen_backend == "batch" else SimGenGenerator
+    cls = BatchSimGenGenerator if backend == "compiled" else SimGenGenerator
     for config_name, (impl, dec) in _SIMGEN_CONFIGS.items():
         if key == config_name.lower():
             return cls(

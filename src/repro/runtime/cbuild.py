@@ -11,9 +11,10 @@ writable cache directory is available the caller falls back to pure
 Python with identical trajectories: the SAT backend to the reference
 :class:`~repro.sat.solver.CdclSolver` (30-50x fewer propagations per
 second), the SimGen batch generator to the reference engines (about 10x
-slower generation), the compiled simulator to the reference gate
-evaluation.  This module is that contract, shared by every core so each
-corner case has one implementation:
+slower generation), the sweep engine's simulator to the reference
+:class:`~repro.simulation.simulator.Simulator`.  This module is that
+contract, shared by every core so each corner case has one
+implementation:
 
 * **source-hash cache keys** — edits rebuild, stale builds are never
   picked up;
@@ -30,7 +31,12 @@ corner case has one implementation:
   silence is reserved for the explicit opt-out;
 * **one opt-out for every core** — ``REPRO_CCORES=python``
   (:data:`OPT_OUT_VAR`) runs all three on their pure-Python paths, what a
-  host without a C compiler gets.
+  host without a C compiler gets;
+* **one switch in the library** — a ``backend`` value from
+  :data:`BACKENDS` (``SweepConfig.backend``, ``make_generator(backend=)``,
+  ``solver_class``): ``"compiled"`` runs each layer's C core where it
+  loaded and its reference class where it did not, ``"reference"`` the
+  reference classes everywhere.
 """
 
 from __future__ import annotations
@@ -47,6 +53,18 @@ from typing import Callable, Optional
 #: Environment variable whose value ``python`` makes every core fall back
 #: silently.
 OPT_OUT_VAR = "REPRO_CCORES"
+
+#: The values of every ``backend`` switch.  Both give bit-identical
+#: results; only speed differs.
+BACKENDS = ("compiled", "reference")
+
+
+def check_backend(backend: str, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``backend`` is one of :data:`BACKENDS`."""
+    if backend not in BACKENDS:
+        raise error(
+            f"unknown backend {backend!r} (use 'compiled' or 'reference')"
+        )
 
 
 def build_shared_library(source_path: str, cache_name: str) -> Optional[str]:

@@ -119,7 +119,7 @@ def _worker_main(
     tape: Optional["CnfTape"],
     conflict_limit: Optional[int],
     incremental: bool,
-    sat_backend: str,
+    backend: str,
     worker_index: int,
     task_queue,
     result_queue,
@@ -158,7 +158,7 @@ def _worker_main(
                 network,
                 conflict_limit=conflict_limit,
                 incremental=incremental,
-                sat_backend=sat_backend,
+                backend=backend,
                 tape=tape,
             )
             checkers[shard] = checker
@@ -216,7 +216,7 @@ class CheckerPool:
         jobs: int,
         conflict_limit: Optional[int] = 20000,
         incremental: bool = True,
-        sat_backend: str = "compiled",
+        backend: str = "compiled",
         chaos_kill_pair: Optional[tuple[int, int]] = None,
         chaos_kill_limit: Optional[int] = 1,
         retry_policy: Optional[RetryPolicy] = None,
@@ -239,11 +239,11 @@ class CheckerPool:
 
         self._network = network
         self._tape = None
-        if stream_encoding_available(sat_backend):
+        if stream_encoding_available(backend):
             self._tape = CnfTape(network)
         self._conflict_limit = conflict_limit
         self._incremental = incremental
-        self._sat_backend = sat_backend
+        self._backend = backend
         self._chaos_kill_pair = (
             None if chaos_kill_pair is None else tuple(chaos_kill_pair)
         )
@@ -289,7 +289,7 @@ class CheckerPool:
                 self._tape,
                 self._conflict_limit,
                 self._incremental,
-                self._sat_backend,
+                self._backend,
                 index,
                 self._task_queues[index],
                 self._result_queue,

@@ -63,28 +63,19 @@ import time
 from typing import Iterable, Optional, Sequence
 
 from repro.errors import SatError
-from repro.runtime.cbuild import CoreLoader, build_shared_library
+from repro.runtime.cbuild import (
+    CoreLoader,
+    build_shared_library,
+    check_backend,
+)
 from repro.sat.cnf import Cnf
 from repro.sat.solver import CdclSolver, SatResult
 
-#: Backend names accepted by the seam (``SweepConfig.sat_backend``,
-#: ``PairChecker(sat_backend=...)``, ``--sat-backend``).
-SAT_BACKENDS = ("compiled", "reference")
 
-
-def solver_class(sat_backend: str = "compiled"):
+def solver_class(backend: str = "compiled"):
     """The solver class for a backend name (usable as a solver factory)."""
-    if sat_backend not in SAT_BACKENDS:
-        raise SatError(
-            f"unknown sat backend {sat_backend!r} "
-            f"(use one of {', '.join(SAT_BACKENDS)})"
-        )
-    return CompiledCdclSolver if sat_backend == "compiled" else CdclSolver
-
-
-def make_solver(sat_backend: str = "compiled"):
-    """A fresh solver instance for a backend name."""
-    return solver_class(sat_backend)()
+    check_backend(backend, SatError)
+    return CompiledCdclSolver if backend == "compiled" else CdclSolver
 
 
 # ----------------------------------------------------------------------

@@ -82,7 +82,7 @@ class CdclSolver:
         self._ok = True  # False once an empty clause was added
         self._var_inc = 1.0
         self._var_decay = 0.95
-        self.stats = {
+        self._stats = {
             "decisions": 0,
             "conflicts": 0,
             "propagations": 0,
@@ -110,6 +110,11 @@ class CdclSolver:
     def _ensure_vars(self, var: int) -> None:
         while self._num_vars < var:
             self.new_var()
+
+    @property
+    def stats(self) -> dict:
+        """Counter snapshot (the search updates ``_stats`` in place)."""
+        return dict(self._stats)
 
     @property
     def num_vars(self) -> int:
@@ -198,8 +203,8 @@ class CdclSolver:
         for ci in deleted:
             self._clauses[ci] = None
             del self._learnts[ci]
-        self.stats["learnts_deleted"] += len(deleted)
-        self.stats["reductions"] += 1
+        self._stats["learnts_deleted"] += len(deleted)
+        self._stats["reductions"] += 1
         self._learnt_cap = int(self._learnt_cap * self.LEARNT_CAP_GROWTH)
         if deleted:
             self._compact_watches()
@@ -219,7 +224,7 @@ class CdclSolver:
             if len(kept) != len(watch_list):
                 dropped += len(watch_list) - len(kept)
                 self._watches[lit] = kept
-        self.stats["watchers_compacted"] += dropped
+        self._stats["watchers_compacted"] += dropped
 
     # ------------------------------------------------------------------
     # Assignment machinery
@@ -249,7 +254,7 @@ class CdclSolver:
         while self._qhead < len(self._trail):
             ilit = self._trail[self._qhead]
             self._qhead += 1
-            self.stats["propagations"] += 1
+            self._stats["propagations"] += 1
             false_lit = _negate(ilit)
             watch_list = self._watches.get(false_lit)
             if not watch_list:
@@ -406,8 +411,8 @@ class CdclSolver:
         finally:
             # Closed on every exit path (UNKNOWN abort, interrupt) so the
             # per-solve wall clock never leaks an open window.
-            self.stats["solve_calls"] += 1
-            self.stats["solve_seconds"] += time.perf_counter() - start
+            self._stats["solve_calls"] += 1
+            self._stats["solve_seconds"] += time.perf_counter() - start
 
     def _solve(
         self,
@@ -442,7 +447,7 @@ class CdclSolver:
             ):
                 conflict_limit = remaining
         next_time_check = (
-            self.stats["propagations"] + self.BUDGET_CHECK_INTERVAL
+            self._stats["propagations"] + self.BUDGET_CHECK_INTERVAL
             if budget is not None
             else None
         )
@@ -454,17 +459,17 @@ class CdclSolver:
             conflict = self._propagate()
             if (
                 next_time_check is not None
-                and self.stats["propagations"] >= next_time_check
+                and self._stats["propagations"] >= next_time_check
             ):
                 next_time_check = (
-                    self.stats["propagations"] + self.BUDGET_CHECK_INTERVAL
+                    self._stats["propagations"] + self.BUDGET_CHECK_INTERVAL
                 )
                 if budget.time_expired():
                     result = SatResult.UNKNOWN
                     break
             if conflict >= 0:
                 conflicts_seen += 1
-                self.stats["conflicts"] += 1
+                self._stats["conflicts"] += 1
                 level = len(self._trail_lim)
                 if level <= len(assumption_lits):
                     # Conflict depends only on assumptions (or root): UNSAT
@@ -491,7 +496,7 @@ class CdclSolver:
                     break
                 if conflicts_seen >= restart_budget:
                     restart_budget = int(restart_budget * 1.5)
-                    self.stats["restarts"] += 1
+                    self._stats["restarts"] += 1
                     self._cancel_until(self._num_assumption_levels())
                     if len(self._learnts) >= self._learnt_cap:
                         self._reduce_learnts()
@@ -513,7 +518,7 @@ class CdclSolver:
             if decision == -1:
                 result = SatResult.SAT
                 break
-            self.stats["decisions"] += 1
+            self._stats["decisions"] += 1
             self._trail_lim.append(len(self._trail))
             self._enqueue(decision, -1)
 

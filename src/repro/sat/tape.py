@@ -42,11 +42,11 @@ from repro.simulation.patterns import InputVector
 NODE_PI, NODE_FALSE, NODE_TRUE, NODE_GATE = 0, 1, 2, 3
 
 
-def stream_encoding_available(sat_backend: str) -> bool:
-    """True when ``sat_backend`` runs on the C core, which then also
+def stream_encoding_available(backend: str) -> bool:
+    """True when ``backend`` runs on the C core, which then also
     encodes cones (the reference backend and the no-compiler fallback
     keep :class:`~repro.sat.tseitin.TseitinEncoder`)."""
-    return sat_backend == "compiled" and compiled.SAT_CORE == "c"
+    return backend == "compiled" and compiled.SAT_CORE == "c"
 
 
 class CnfTape:

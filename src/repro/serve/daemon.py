@@ -58,14 +58,44 @@ CONFIG_DEFAULTS = {
     "iterations": 20,
     "patterns": 8,
     "strategy": "AI+DC+MFFC",
-    "simgen_backend": "batch",
-    "sat_backend": "compiled",
     "jobs": 1,
     "timeout": None,
     "escalate": False,
 }
 
+
+#: Config field -> (the types its decoded JSON value may have, their name).
+_CONFIG_TYPES = {
+    "seed": ((int,), "an integer"),
+    "iterations": ((int,), "an integer"),
+    "patterns": ((int,), "an integer"),
+    "strategy": ((str,), "a string"),
+    "jobs": ((int,), "an integer"),
+    "timeout": ((int, float, type(None)), "a number or null"),
+    "escalate": ((bool,), "a boolean"),
+}
+
 _FORMATS = {"bench": (parse_bench, bench_text), "blif": (parse_blif, blif_text)}
+
+
+def _job_options(config) -> tuple[Optional[dict], Optional[str]]:
+    """A request's ``config`` over :data:`CONFIG_DEFAULTS`, or ``None`` and
+    the reason the config is refused (not an object, an unknown field, or
+    a value of the wrong type)."""
+    if config is None:
+        config = {}
+    if not isinstance(config, dict):
+        return None, "'config' must be a JSON object"
+    unknown = set(config) - set(CONFIG_DEFAULTS)
+    if unknown:
+        return None, f"unknown config fields {sorted(unknown)!r}"
+    for name, value in config.items():
+        types, expected = _CONFIG_TYPES[name]
+        # bool is a subclass of int, but JSON true and false are no numbers.
+        is_bool = isinstance(value, bool)
+        if is_bool != (bool in types) or not isinstance(value, types):
+            return None, f"config field {name!r} must be {expected}: {value!r}"
+    return {**CONFIG_DEFAULTS, **config}, None
 
 
 class Job:
@@ -76,17 +106,22 @@ class Job:
         "client",
         "kind",
         "request",
+        "options",
         "status",
         "result",
         "error",
         "trace_path",
     )
 
-    def __init__(self, job_id: str, client: str, kind: str, request: dict):
+    def __init__(
+        self, job_id: str, client: str, kind: str, request: dict, options: dict
+    ):
         self.id = job_id
         self.client = client
         self.kind = kind
         self.request = request
+        #: :data:`CONFIG_DEFAULTS` overlaid with the request's config.
+        self.options = options
         self.status = "queued"
         self.result: Optional[dict] = None
         self.error: Optional[str] = None
@@ -174,23 +209,20 @@ class SweepService:
         if kind not in ("sweep", "cec"):
             return {"rejected": f"unknown job kind {kind!r}"}
         fmt = request.get("format", "bench")
-        if fmt not in _FORMATS:
+        if not isinstance(fmt, str) or fmt not in _FORMATS:
             return {"rejected": f"unknown netlist format {fmt!r}"}
         if not isinstance(request.get("netlist"), str):
             return {"rejected": "request needs a 'netlist' text field"}
         if kind == "cec" and not isinstance(request.get("revised"), str):
             return {"rejected": "cec jobs need a 'revised' netlist field"}
-        config = request.get("config") or {}
-        unknown = set(config) - set(CONFIG_DEFAULTS)
-        if unknown:
-            return {
-                "rejected": f"unknown config fields {sorted(unknown)!r}"
-            }
+        options, reason = _job_options(request.get("config"))
+        if reason is not None:
+            return {"rejected": reason}
         client = str(request.get("client", "anonymous"))
         with self._lock:
             job_id = f"j{self._seq:06d}"
             self._seq += 1
-        job = Job(job_id, client, kind, request)
+        job = Job(job_id, client, kind, request, options)
         if request.get("trace"):
             job.trace_path = os.path.join(
                 self._spool, f"{job_id}.trace.jsonl"
@@ -258,28 +290,24 @@ class SweepService:
                 self.queue.finish(job.client)
 
     def _job_config(self, job: Job, tracer, session) -> SweepConfig:
-        options = dict(CONFIG_DEFAULTS)
-        options.update(job.request.get("config") or {})
+        options = job.options
         timeout = options["timeout"]
         clamp = self.queue.budget_for(job.client).max_job_seconds
         if clamp is not None:
             timeout = clamp if timeout is None else min(timeout, clamp)
         return SweepConfig(
-            seed=int(options["seed"]),
-            iterations=int(options["iterations"]),
-            random_width=int(options["patterns"]),
+            seed=options["seed"],
+            iterations=options["iterations"],
+            random_width=options["patterns"],
             budget=None if timeout is None else Budget(seconds=timeout),
             max_escalations=2 if options["escalate"] else 0,
-            jobs=int(options["jobs"]),
-            sat_backend=options["sat_backend"],
+            jobs=options["jobs"],
             tracer=tracer,
             journal=session,
         )
 
     def _execute(self, job: Job) -> dict:
         parse, render = _FORMATS[job.request.get("format", "bench")]
-        options = dict(CONFIG_DEFAULTS)
-        options.update(job.request.get("config") or {})
         tracer = None
         if job.trace_path is not None:
             tracer = Tracer(
@@ -289,11 +317,9 @@ class SweepService:
         session = self.cache.session()
         try:
             if job.kind == "sweep":
-                result = self._run_sweep(
-                    job, parse, render, options, tracer, session
-                )
+                result = self._run_sweep(job, parse, render, tracer, session)
             else:
-                result = self._run_cec(job, parse, options, tracer, session)
+                result = self._run_cec(job, parse, tracer, session)
         finally:
             if tracer is not None:
                 tracer.close()
@@ -305,13 +331,10 @@ class SweepService:
         self.registry.inc_many("cache.verdict", self.cache.consume_stats())
         return result
 
-    def _run_sweep(self, job, parse, render, options, tracer, session):
+    def _run_sweep(self, job, parse, render, tracer, session):
         network = parse(job.request["netlist"])
         generator = make_generator(
-            options["strategy"],
-            network,
-            seed=int(options["seed"]),
-            simgen_backend=options["simgen_backend"],
+            job.options["strategy"], network, seed=job.options["seed"]
         )
         config = self._job_config(job, tracer, session)
         engine = SweepEngine(network, generator, config)
@@ -340,16 +363,14 @@ class SweepService:
             },
         }
 
-    def _run_cec(self, job, parse, options, tracer, session):
+    def _run_cec(self, job, parse, tracer, session):
         golden = parse(job.request["netlist"])
         revised = parse(job.request["revised"])
         config = self._job_config(job, tracer, session)
         result = check_equivalence(
             golden,
             revised,
-            generator_factory=factory(
-                options["strategy"], simgen_backend=options["simgen_backend"]
-            ),
+            generator_factory=factory(job.options["strategy"]),
             config=config,
         )
         metrics = result.metrics
@@ -452,11 +473,24 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/jobs":
             self._send_json({"error": "unknown path"}, status=404)
             return
-        length = int(self.headers.get("Content-Length", "0"))
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's end is unknown: answer, then drop the connection.
+            self.close_connection = True
+            self._send_json({"error": "bad Content-Length"}, status=400)
+            return
         try:
             request = json.loads(self.rfile.read(length) or b"{}")
         except ValueError:
             self._send_json({"error": "bad JSON body"}, status=400)
+            return
+        if not isinstance(request, dict):
+            self._send_json(
+                {"error": "the body must be a JSON object"}, status=400
+            )
             return
         answer = self._service.submit(request)
         if "rejected" in answer:

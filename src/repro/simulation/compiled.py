@@ -24,10 +24,10 @@ engine restricts its counterexample resimulation at every flush for the
 price of one backward pass.
 
 Without the core (no C compiler, or ``REPRO_CCORES=python``; see
-:mod:`repro.runtime.cbuild`) ``run_words`` evaluates the same order with the
-reference :func:`~repro.simulation.simulator._eval_node`: the values and the
-cone contract are identical, only speed differs.  :data:`SIM_CORE` says
-which path this process runs.
+:mod:`repro.runtime.cbuild`) this class cannot be built, and the sweep
+engine simulates on the reference :class:`Simulator` instead: the values are
+identical, only speed differs.  :data:`SIM_CORE` says which path this
+process runs.
 
 Results are bit-identical to :class:`Simulator` on every simulated node
 (``tests/simulation/test_compiled.py`` and ``test_cross_backend.py``).  The
@@ -46,11 +46,10 @@ from typing import Iterable, Mapping, Optional
 
 from repro.errors import SimulationError
 from repro.network.network import Network
-from repro.network.traversal import cone_topological_order
 from repro.runtime.cbuild import CoreLoader
 from repro.simulation.bitvec import width_mask
 from repro.simulation.patterns import PatternBatch
-from repro.simulation.simulator import _eval_node, _eval_plan
+from repro.simulation.simulator import _eval_plan
 
 _SOURCE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_simcore.c")
 
@@ -79,7 +78,7 @@ _LOADER = CoreLoader(
     cache_name="simcore",
     configure=_configure,
     describe="compiled simulator core",
-    fallback="the reference gate evaluation (identical values, slower)",
+    fallback="the reference simulator (identical values, slower)",
 )
 
 _LIB = _LOADER.load()
@@ -124,13 +123,14 @@ def _pick(items, indexes) -> tuple:
 
 
 class _Lowering:
-    """One network lowered for the core; shared by a simulator and its views.
-
-    Without the core the arrays are built but never handed over, and
-    :attr:`handle` stays ``None``.
-    """
+    """One network lowered for the core; shared by a simulator and its views."""
 
     def __init__(self, network: Network):
+        if _LIB is None:
+            raise SimulationError(
+                "the compiled simulator needs its C core; without it "
+                "(SIM_CORE == 'python') simulate with Simulator"
+            )
         order = network.topological_order()
         #: slot -> node id (the topological order).
         self.uids: tuple[int, ...] = tuple(order)
@@ -167,9 +167,6 @@ class _Lowering:
         self.pi_slots = tuple(pi_slots)
         self.pis = _pick(self.uids, self.pi_slots)
         self.num_gates = gates
-        self.handle = None
-        if _LIB is None:
-            return
         handle = _LIB.sim_new(
             len(order),
             offsets.buffer_info()[0],
@@ -249,18 +246,11 @@ class CompiledSimulator:
             roots = sorted(set(targets))
             for uid in roots:
                 network.node(uid)  # existence check
-            if lowering.handle is None:
-                order = cone_topological_order(network, roots)
-                nodes = [network.node(uid) for uid in order]
-                self._uids = tuple(order)
-                self._pis = tuple(n.uid for n in nodes if n.is_pi)
-                self._num_gate_ops = sum(1 for n in nodes if n.fanins)
-            else:
-                active, pi_slots, gates = lowering.cone(roots)
-                self._active = active
-                self._uids = _pick(lowering.uids, active)
-                self._pis = _pick(lowering.uids, pi_slots)
-                self._num_gate_ops = gates
+            active, pi_slots, gates = lowering.cone(roots)
+            self._active = active
+            self._uids = _pick(lowering.uids, active)
+            self._pis = _pick(lowering.uids, pi_slots)
+            self._num_gate_ops = gates
         self._pi_pairs = tuple(zip(self._pis, pi_slots))
 
     def restrict(self, targets: Iterable[int]) -> "CompiledSimulator":
@@ -308,8 +298,6 @@ class CompiledSimulator:
         self.stats["patterns"] += width
         self.stats["node_evals"] += self._num_gate_ops * words
         lowering = self._lowering
-        if lowering.handle is None:
-            return self._run_reference(pi_words, width)
         mask = width_mask(width)
         n = len(lowering.uids)
         values = self._values
@@ -358,28 +346,6 @@ class CompiledSimulator:
             uid: from_bytes(raw[j * size : (j + 1) * size], "little")
             for j, uid in enumerate(uids)
         }
-
-    def _run_reference(
-        self, pi_words: Mapping[int, int], width: int
-    ) -> dict[int, int]:
-        """``run_words`` without the core: the reference gate evaluation
-        over this simulator's order."""
-        mask = width_mask(width)
-        node_of = self.network.node
-        values: dict[int, int] = {}
-        for uid in self._uids:
-            node = node_of(uid)
-            if node.is_pi:
-                if uid not in pi_words:
-                    raise SimulationError(f"missing word for PI {uid}")
-                values[uid] = pi_words[uid] & mask
-            elif not node.fanins:
-                values[uid] = mask if node.table.bits else 0
-            else:
-                values[uid] = _eval_node(
-                    node.table, [values[f] for f in node.fanins], mask
-                )
-        return values
 
     def run_batch(self, batch: PatternBatch) -> dict[int, int]:
         """Simulate a :class:`PatternBatch`."""

@@ -88,7 +88,7 @@ class PairChecker:
         budget: Optional[Budget] = None,
         solver_factory: Optional[Callable[[], CdclSolver]] = None,
         max_retries: int = 2,
-        sat_backend: str = "compiled",
+        backend: str = "compiled",
         tape: Optional[CnfTape] = None,
     ):
         self.network = network
@@ -98,11 +98,11 @@ class PairChecker:
         self.max_retries = max_retries
         # An explicit factory (fault injection, cross-checking) wins; the
         # backend name otherwise picks the compiled or reference solver.
-        self._solver_factory = solver_factory or solver_class(sat_backend)
+        self._solver_factory = solver_factory or solver_class(backend)
         #: Cones are encoded in C only for solvers that take its clause
         #: stream: the C core, built by the backend rather than a factory.
         self._streamed = solver_factory is None and stream_encoding_available(
-            sat_backend
+            backend
         )
         self._tape = tape
         self.stats = CheckerStats()

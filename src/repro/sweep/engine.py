@@ -31,12 +31,12 @@ from repro.errors import SweepError, TransientSimulationError
 from repro.network.network import Network
 from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.runtime.budget import Budget
+from repro.runtime.cbuild import check_backend
 from repro.runtime.journal import config_fingerprint
 from repro.runtime.pool import CheckerPool, PairVerdict
 from repro.runtime.supervise import RetryPolicy
-from repro.sat.compiled import SAT_BACKENDS
 from repro.sat.solver import SatResult
-from repro.simulation.compiled import CompiledSimulator
+from repro.simulation.compiled import SIM_CORE, CompiledSimulator
 from repro.simulation.patterns import InputVector, PatternBatch
 from repro.simulation.simulator import Simulator
 from repro.sweep.checker import PairChecker
@@ -74,24 +74,19 @@ class SweepConfig:
     match_complements: bool = False
     #: CDCL conflict budget per equivalence query (None = unbounded).
     sat_conflict_limit: Optional[int] = 20000
-    #: ``"compiled"`` simulates through the tape-compiled engine, and
-    #: resimulates counterexamples over cone-restricted tapes;
-    #: ``"reference"`` through the original dict-walking simulator.  The
-    #: simulator is all it picks: both produce bit-identical classes, cost
-    #: histories, and SAT-call counts (the pinned trajectories in
-    #: ``tests/sweep/test_engine.py`` check this); reference is the test
-    #: oracle and a debugging aid.
-    engine: str = "compiled"
-    #: SAT solver backend for the equivalence queries: ``"compiled"`` runs
-    #: the C arena-backed CDCL core (:mod:`repro.sat.compiled`, loaded via
-    #: ctypes), ``"reference"`` the original
-    #: :class:`repro.sat.solver.CdclSolver`.  Both follow bit-identical
-    #: solver trajectories (verdicts, models, conflict counts,
-    #: budget-expiry points).  Without a C compiler ``"compiled"`` falls
-    #: back to the reference solver: same results, 30-50x fewer
-    #: propagations per second.  An explicit ``solver_factory`` overrides
-    #: the backend choice.
-    sat_backend: str = "compiled"
+    #: ``"compiled"`` simulates on the C simulator core
+    #: (:class:`~repro.simulation.compiled.CompiledSimulator`, which
+    #: resimulates counterexamples over cone-restricted views) and solves
+    #: on the C CDCL core (:mod:`repro.sat.compiled`), each where it loaded
+    #: and on its reference class where it did not; ``"reference"`` runs
+    #: the reference :class:`~repro.simulation.simulator.Simulator` and
+    #: :class:`~repro.sat.solver.CdclSolver`.  Both follow bit-identical
+    #: trajectories (classes, cost histories, verdicts, models, conflict
+    #: counts; the pinned trajectories in ``tests/sweep/test_engine.py``
+    #: check this); only speed differs.  The generator's backend is
+    #: chosen where it is built (``make_generator(backend=)``), and an
+    #: explicit ``solver_factory`` overrides the solver choice.
+    backend: str = "compiled"
     #: Run-level resource budget (deadline / total conflicts / total SAT
     #: calls).  ``None`` keeps the run unbounded and bit-identical to an
     #: unbudgeted sweep; with a budget, expiry stops the run gracefully
@@ -277,16 +272,7 @@ class SweepEngine:
         self.network = network
         self.config = config or SweepConfig()
         self.generator = generator
-        if self.config.engine not in ("compiled", "reference"):
-            raise SweepError(
-                f"unknown engine {self.config.engine!r} "
-                "(use 'compiled' or 'reference')"
-            )
-        if self.config.sat_backend not in SAT_BACKENDS:
-            raise SweepError(
-                f"unknown sat_backend {self.config.sat_backend!r} "
-                f"(use one of {', '.join(repr(b) for b in SAT_BACKENDS)})"
-            )
+        check_backend(self.config.backend, SweepError)
         if self.config.jobs < 1:
             raise SweepError(f"jobs must be >= 1, got {self.config.jobs}")
         if self.config.jobs > 1 and self.config.solver_factory is not None:
@@ -301,10 +287,10 @@ class SweepEngine:
                 "(their verdicts are not replayable); use one or the other"
             )
         #: The unwrapped compiled simulator, whose views resimulate
-        #: counterexamples (``None`` on the reference engine).
+        #: counterexamples (``None`` on the reference simulator).
         self._compiled_sim = (
             CompiledSimulator(network)
-            if self.config.engine == "compiled"
+            if self.config.backend == "compiled" and SIM_CORE == "c"
             else None
         )
         self.simulator = self._wrap_simulator(
@@ -691,14 +677,14 @@ class SweepEngine:
                 budget=config.budget,
                 solver_factory=config.solver_factory,
                 max_retries=SOLVER_RETRIES,
-                sat_backend=config.sat_backend,
+                backend=config.backend,
             )
         return CheckerPool(
             network,
             config.jobs,
             conflict_limit=config.sat_conflict_limit,
             incremental=incremental,
-            sat_backend=config.sat_backend,
+            backend=config.backend,
             chaos_kill_pair=config.chaos_kill_pair,
             chaos_kill_limit=config.chaos_kill_limit,
             retry_policy=RetryPolicy(
@@ -918,7 +904,7 @@ class SweepEngine:
         """The simulator used for counterexample resimulation.
 
         Only members of classes of size >= 2 can still split, so the
-        compiled engine restricts its simulator to their fanin cones
+        compiled simulator is restricted to their fanin cones
         whenever their count has fallen since the last restriction.  A
         restriction is a view over the same lowering (one backward pass in
         the core), never a recompile.  The reference simulator always runs
@@ -989,7 +975,7 @@ class SweepEngine:
     def run(self) -> SweepResult:
         """Full sweep: simulation phase followed by the SAT phase."""
         tracer = self.tracer
-        with tracer.span("run", kind="sweep", engine=self.config.engine):
+        with tracer.span("run", kind="sweep", backend=self.config.backend):
             classes, metrics = self.run_simulation_phase()
             result = self.run_sat_phase(classes, metrics)
         self.publish_metrics(result.metrics)

@@ -19,7 +19,9 @@ Commands operate on BLIF or .bench files (format chosen by extension):
                                           running ``serve`` daemon
 
 ``sweep`` and ``cec`` accept ``--trace FILE`` to record a structured JSONL
-trace of the run (see docs/OBSERVABILITY.md).
+trace of the run (see docs/OBSERVABILITY.md).  Every command runs on the C
+cores where they load; ``REPRO_CCORES=python`` in the environment runs the
+reference paths instead, with byte-identical results.
 
 Example::
 
@@ -197,12 +199,7 @@ def _report_journal(args: argparse.Namespace, journal) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     network = load_network(args.input)
-    generator = make_generator(
-        args.strategy,
-        network,
-        seed=args.seed,
-        simgen_backend=args.simgen_backend,
-    )
+    generator = make_generator(args.strategy, network, seed=args.seed)
     tracer = _open_tracer(args, "sweep")
     journal = _open_journal(args)
     config = SweepConfig(
@@ -212,7 +209,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         budget=_run_budget(args),
         max_escalations=2 if args.escalate else 0,
         jobs=args.jobs,
-        sat_backend=args.sat_backend,
         tracer=tracer,
         journal=journal,
     )
@@ -266,16 +262,13 @@ def _cmd_cec(args: argparse.Namespace) -> int:
         result = check_equivalence(
             network_a,
             network_b,
-            generator_factory=factory(
-                args.strategy, simgen_backend=args.simgen_backend
-            ),
+            generator_factory=factory(args.strategy),
             config=SweepConfig(
                 seed=args.seed,
                 iterations=args.iterations,
                 budget=_run_budget(args),
                 max_escalations=2 if args.escalate else 0,
                 jobs=args.jobs,
-                sat_backend=args.sat_backend,
                 tracer=tracer,
                 journal=journal,
             ),
@@ -424,8 +417,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         "iterations": args.iterations,
         "patterns": args.patterns,
         "strategy": args.strategy,
-        "simgen_backend": args.simgen_backend,
-        "sat_backend": args.sat_backend,
         "jobs": args.jobs,
         "timeout": args.timeout,
         "escalate": args.escalate,
@@ -522,16 +513,6 @@ def main(argv: list[str] | None = None) -> int:
         help="record a structured JSONL trace of the run",
     )
     p.add_argument(
-        "--simgen-backend", choices=("batch", "reference"),
-        default="batch", dest="simgen_backend",
-        help="guided-vector kernel (trajectories identical; batch is fastest)",
-    )
-    p.add_argument(
-        "--sat-backend", choices=("compiled", "reference"),
-        default="compiled", dest="sat_backend",
-        help="CDCL solver core (trajectories identical; compiled is faster)",
-    )
-    p.add_argument(
         "--journal", metavar="FILE",
         help="write-ahead verdict journal (crash-safe; replay with --resume)",
     )
@@ -566,16 +547,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--trace", metavar="FILE",
         help="record a structured JSONL trace of the run",
-    )
-    p.add_argument(
-        "--simgen-backend", choices=("batch", "reference"),
-        default="batch", dest="simgen_backend",
-        help="guided-vector kernel (trajectories identical; batch is fastest)",
-    )
-    p.add_argument(
-        "--sat-backend", choices=("compiled", "reference"),
-        default="compiled", dest="sat_backend",
-        help="CDCL solver core (trajectories identical; compiled is faster)",
     )
     p.add_argument(
         "--journal", metavar="FILE",
@@ -672,14 +643,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--trace", metavar="FILE",
         help="fetch the job's structured trace into this file",
-    )
-    p.add_argument(
-        "--simgen-backend", choices=("batch", "reference"),
-        default="batch", dest="simgen_backend",
-    )
-    p.add_argument(
-        "--sat-backend", choices=("compiled", "reference"),
-        default="compiled", dest="sat_backend",
     )
     p.add_argument(
         "--wait-timeout", type=float, default=None, dest="wait_timeout",

@@ -90,10 +90,10 @@ def sweep_trace(net, strategy, backend, seed, vpi=4, iterations=6, **config):
         strategy,
         net,
         seed=seed,
-        simgen_backend=backend,
+        backend=backend,
         vectors_per_iteration=vpi,
     )
-    if backend == "batch" and batch_mod._LIB is not None:
+    if backend == "compiled" and batch_mod._LIB is not None:
         # The differential must exercise the C core wherever it loads.
         assert gen.kernel is not None
     return gen, run_trace(net, gen, seed, iterations, **config)
@@ -130,7 +130,7 @@ class TestBatchIdentity:
     @pytest.mark.parametrize("strategy", SIMGEN_STRATEGIES)
     def test_sweep_trajectory_identical(self, strategy):
         net = random_network(seed=21, num_inputs=6, num_gates=24)
-        _, batch = sweep_trace(net, strategy, "batch", seed=5)
+        _, batch = sweep_trace(net, strategy, "compiled", seed=5)
         _, reference = sweep_trace(net, strategy, "reference", seed=5)
         assert batch == reference
 
@@ -142,7 +142,7 @@ class TestBatchIdentity:
         under every strategy)."""
         net = sweep_instance("log2")
         assert max(len(n.fanins) for n in net.gates()) == 6
-        _, batch = sweep_trace(net, strategy, "batch", seed=3)
+        _, batch = sweep_trace(net, strategy, "compiled", seed=3)
         _, reference = sweep_trace(net, strategy, "reference", seed=3)
         assert batch == reference
         assert reference[-1]["rows_committed"] > 0
@@ -161,7 +161,7 @@ class TestBatchIdentity:
             seed=net_seed, num_inputs=num_inputs, num_gates=num_gates
         )
         _, batch = sweep_trace(
-            net, "AI+DC+MFFC", "batch", seed=sweep_seed, iterations=4
+            net, "AI+DC+MFFC", "compiled", seed=sweep_seed, iterations=4
         )
         _, reference = sweep_trace(
             net, "AI+DC+MFFC", "reference", seed=sweep_seed, iterations=4
@@ -178,7 +178,7 @@ class TestBatchIdentity:
 
         def run(backend):
             gen = make_generator(
-                "AI+DC+MFFC", net, seed=8, simgen_backend=backend
+                "AI+DC+MFFC", net, seed=8, backend=backend
             )
             engine = SweepEngine(net, gen, SweepConfig(seed=8, jobs=jobs))
             result = engine.run()
@@ -198,7 +198,7 @@ class TestBatchIdentity:
                 counters,
             )
 
-        assert run("batch") == run("reference")
+        assert run("compiled") == run("reference")
 
     @pytest.mark.parametrize("strategy", ("AI+DC+MFFC", "SI+RD"))
     @pytest.mark.parametrize("circuit", ("cps", "apex2"))
@@ -214,7 +214,7 @@ class TestBatchIdentity:
             net, None, SweepConfig(seed=0, **config)
         ).run_simulation_phase()
         assert max(len(c) for c in classes.splittable()) > 85
-        _, batch = sweep_trace(net, strategy, "batch", seed=0, **config)
+        _, batch = sweep_trace(net, strategy, "compiled", seed=0, **config)
         _, reference = sweep_trace(net, strategy, "reference", seed=0, **config)
         assert batch == reference
 
@@ -247,7 +247,7 @@ class TestBatchIdentity:
         budget; the core must stop where the reference loop stops."""
         for seed in (1, 2, 3, 4):
             net = random_network(seed=seed, num_inputs=5, num_gates=18)
-            gen, batch = sweep_trace(net, "AI+DC+MFFC", "batch", seed=seed)
+            gen, batch = sweep_trace(net, "AI+DC+MFFC", "compiled", seed=seed)
             _, reference = sweep_trace(
                 net, "AI+DC+MFFC", "reference", seed=seed
             )
@@ -351,7 +351,7 @@ class _CountingLib:
 class TestOneCall:
     def test_generate_is_one_core_call(self):
         net = random_network(seed=5, num_inputs=6, num_gates=24)
-        gen = make_generator("AI+DC+MFFC", net, seed=5, simgen_backend="batch")
+        gen = make_generator("AI+DC+MFFC", net, seed=5, backend="compiled")
         counting = gen.kernel._lib = _CountingLib(gen.kernel._lib)
         gates = [node.uid for node in net.gates()]
         vectors = gen.generate([gates[:1], gates[1:]])
@@ -370,7 +370,7 @@ class TestOneCall:
 
         monkeypatch.setattr(sim_compiled.CompiledSimulator, "__init__", refuse)
         net = random_network(seed=6, num_inputs=6, num_gates=24)
-        gen = make_generator("AI+DC+MFFC", net, seed=6, simgen_backend="batch")
+        gen = make_generator("AI+DC+MFFC", net, seed=6, backend="compiled")
         assert gen.kernel is not None
         gen.generate([[node.uid for node in net.gates()]])
         assert gen.kernel.stats["simulated"] > 0
@@ -383,7 +383,7 @@ class TestLoadChecks:
         refuses a row set that leaves a minterm uncovered (each row of an
         irredundant cover is the only one covering some minterm)."""
         net = random_network(seed=7, num_inputs=5, num_gates=12)
-        gen = make_generator("AI+DC+MFFC", net, seed=7, simgen_backend="batch")
+        gen = make_generator("AI+DC+MFFC", net, seed=7, backend="compiled")
         gate_info = gen.implication._gate_info
         for uid, info in gate_info.items():
             if info is not None:
@@ -410,7 +410,7 @@ class TestFallbackPaths:
         net = random_network(seed=17, num_inputs=5, num_gates=20)
         _, reference = sweep_trace(net, "AI+DC+MFFC", "reference", seed=4)
         monkeypatch.setattr(batch_mod, "_LIB", None)
-        gen, fallback = sweep_trace(net, "AI+DC+MFFC", "batch", seed=4)
+        gen, fallback = sweep_trace(net, "AI+DC+MFFC", "compiled", seed=4)
         assert isinstance(gen, BatchSimGenGenerator)
         assert gen.kernel is None
         assert fallback == reference
@@ -421,7 +421,7 @@ class TestFallbackPaths:
         net = random_network(seed=17, num_inputs=5, num_gates=20)
         _, reference = sweep_trace(net, "AI+DC+MFFC", "reference", seed=4)
         monkeypatch.setattr(batch_mod, "SG_MAX_K", 0)
-        gen = make_generator("AI+DC+MFFC", net, seed=4, simgen_backend="batch")
+        gen = make_generator("AI+DC+MFFC", net, seed=4, backend="compiled")
         assert gen.kernel is None
         assert run_trace(net, gen, seed=4) == reference
 

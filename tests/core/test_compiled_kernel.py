@@ -27,6 +27,7 @@ from repro.core import make_generator
 from repro.core.assignment import Assignment
 from repro.core.batch import BatchSimGenGenerator
 from repro.core.decision import DecisionEngine
+from repro.core.generator import SimGenGenerator
 from repro.core.implication import ImplicationEngine
 from repro.errors import GenerationError
 from repro.sweep import SweepConfig, SweepEngine
@@ -58,8 +59,8 @@ class TestGeneratorIdentity:
         trace."""
         net = random_network(seed=21, num_inputs=6, num_gates=24)
         _, reference = sweep_trace(net, strategy, "reference", seed=5)
-        _, first = sweep_trace(net, strategy, "batch", seed=5)
-        _, second = sweep_trace(net, strategy, "batch", seed=5)
+        _, first = sweep_trace(net, strategy, "compiled", seed=5)
+        _, second = sweep_trace(net, strategy, "compiled", seed=5)
         assert first == second == reference
 
     @settings(max_examples=12, deadline=None)
@@ -72,7 +73,7 @@ class TestGeneratorIdentity:
         self, net_seed, run_seed, strategy
     ):
         net = random_network(seed=net_seed, num_inputs=5, num_gates=16)
-        _, batch = sweep_trace(net, strategy, "batch", seed=run_seed)
+        _, batch = sweep_trace(net, strategy, "compiled", seed=run_seed)
         _, reference = sweep_trace(net, strategy, "reference", seed=run_seed)
         assert batch == reference
 
@@ -105,10 +106,18 @@ class TestGeneratorIdentity:
 class TestBackendSelection:
     def test_make_generator_rejects_unknown_backend(self):
         net = random_network(seed=1)
-        # "compiled" named the removed Python kernel.
-        for backend in ("vectorized", "compiled"):
-            with pytest.raises(GenerationError, match="unknown simgen backend"):
-                make_generator("AI+DC+MFFC", net, simgen_backend=backend)
+        # "batch" was the C core's name before one backend value named
+        # every layer's.
+        for backend in ("vectorized", "batch"):
+            with pytest.raises(GenerationError, match="unknown backend"):
+                make_generator("AI+DC+MFFC", net, backend=backend)
+
+    def test_backend_picks_the_generator_class(self):
+        net = random_network(seed=1)
+        compiled = make_generator("AI+DC+MFFC", net, backend="compiled")
+        reference = make_generator("AI+DC+MFFC", net, backend="reference")
+        assert type(compiled) is BatchSimGenGenerator
+        assert type(reference) is SimGenGenerator
 
 
 # ----------------------------------------------------------------------

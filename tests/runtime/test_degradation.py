@@ -17,7 +17,7 @@ def hard_network():
     unbounded sweep takes several seconds (~11k conflicts), so a 1-second
     deadline reliably fires mid-SAT-phase.  The arena-backed compiled core
     clears the same conflicts in tens of milliseconds, so deadline tests
-    pin ``sat_backend="reference"`` to keep the instance slow; the compiled
+    pin ``backend="reference"`` to keep the instance slow; the compiled
     core's budget polling is covered by the expiry-identity fuzz suite in
     ``tests/sat/test_compiled.py``."""
     return parity_pair_network(n=14, pairs=3)
@@ -30,7 +30,7 @@ class TestDeadline:
             seed=3,
             sat_conflict_limit=None,
             budget=Budget(seconds=1.0),
-            sat_backend="reference",
+            backend="reference",
         )
         engine = SweepEngine(net, None, config)
         start = time.perf_counter()

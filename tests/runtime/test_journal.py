@@ -335,11 +335,11 @@ class TestGeneratorLabel:
                 config_fingerprint(
                     config,
                     make_generator(
-                        "RandS", net, seed=3, simgen_backend=backend
+                        "RandS", net, seed=3, backend=backend
                     ),
                 ),
                 sort_keys=True,
             )
-            for backend in ("batch", "reference")
+            for backend in ("compiled", "reference")
         }
         assert len(prints) == 1

@@ -19,11 +19,9 @@ from hypothesis import strategies as st
 from repro.errors import SatError
 from repro.runtime.budget import Budget
 from repro.sat.compiled import (
-    SAT_BACKENDS,
     SAT_CORE,
     CArenaCdclSolver,
     CompiledCdclSolver,
-    make_solver,
     solver_class,
 )
 from repro.sat.solver import CdclSolver, SatResult
@@ -71,15 +69,50 @@ class TestBackendSelection:
     def test_solver_class_names(self):
         assert solver_class("reference") is CdclSolver
         assert solver_class("compiled") is CompiledCdclSolver
-        assert set(SAT_BACKENDS) == {"compiled", "reference"}
 
     def test_solver_class_rejects_unknown(self):
-        with pytest.raises(SatError):
+        with pytest.raises(SatError, match="unknown backend"):
             solver_class("minisat")
 
-    def test_make_solver(self):
-        assert isinstance(make_solver("reference"), CdclSolver)
-        assert isinstance(make_solver("compiled"), CompiledCdclSolver)
+
+class TestStatsSnapshot:
+    """``stats`` is a snapshot on both solvers, so ``before = solver.stats``
+    followed by a solve gives the same deltas on either."""
+
+    @needs_c_core
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solve_deltas_match(self, seed):
+        rng = random.Random(seed)
+        # Random 3-SAT at clause ratio 4.25: some instances SAT, some UNSAT.
+        clauses = [
+            [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 61), 3)]
+            for _ in range(255)
+        ]
+        runs = []
+        for factory in (CdclSolver, CArenaCdclSolver):
+            solver = factory()
+            for clause in clauses:
+                solver.add_clause(clause)
+            deltas = []
+            for assumptions in ((), (1, -2, 3)):
+                before = solver.stats
+                result = solver.solve(assumptions)
+                after = solver.stats
+                deltas.append(
+                    (result, [after[k] - before[k] for k in TRAJECTORY_KEYS])
+                )
+            runs.append(deltas)
+        assert runs[0] == runs[1]
+        assert runs[0][0][1][TRAJECTORY_KEYS.index("propagations")] > 0
+
+    def test_reference_stats_is_a_copy(self):
+        solver = CdclSolver()
+        solver.add_clause([1, 2])
+        stats = solver.stats
+        stats["conflicts"] = 99
+        solver.solve()
+        assert solver.stats["conflicts"] == 0
+        assert stats["solve_calls"] == 0
 
 
 class TestDifferentialFuzz:

@@ -218,8 +218,8 @@ class TestTape:
     def test_checker_encodes_in_c_on_the_c_core(self):
         network = random_network(seed=2)
         gates = [n.uid for n in network.gates()]
-        compiled = PairChecker(network, sat_backend="compiled")
-        reference = PairChecker(network, sat_backend="reference")
+        compiled = PairChecker(network, backend="compiled")
+        reference = PairChecker(network, backend="reference")
         for checker in (compiled, reference):
             checker.check(gates[0], gates[-1])
         assert isinstance(compiled._encoder, ConeEncoder)

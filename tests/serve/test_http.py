@@ -82,6 +82,49 @@ class TestRoutes:
         assert excinfo.value.code == 400
         assert "bad JSON" in json.loads(excinfo.value.read())["error"]
 
+    @pytest.mark.parametrize("body", [b"[]", b"5", b'"sweep"', b"null"])
+    def test_non_object_body_is_400(self, endpoint, body):
+        request = urllib.request.Request(
+            endpoint.base_url + "/jobs", data=body,
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        assert "JSON object" in json.loads(excinfo.value.read())["error"]
+        assert endpoint.health() == {"ok": True}
+
+    @pytest.mark.parametrize(
+        "config, reason",
+        [
+            (5, "'config' must be a JSON object"),
+            ([], "'config' must be a JSON object"),
+            ({"seed": "abc"}, "'seed' must be an integer"),
+            ({"simgen_backend": "batch"}, "unknown config fields"),
+        ],
+    )
+    def test_malformed_config_is_answered(self, endpoint, config, reason):
+        with pytest.raises(ServeError, match=reason):
+            endpoint.submit(
+                {"kind": "sweep", "netlist": "x", "config": config}
+            )
+        assert endpoint.health() == {"ok": True}
+
+    def test_bad_content_length_is_400(self, endpoint):
+        import http.client
+
+        host, port = endpoint.base_url.split("//")[1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.putrequest("POST", "/jobs")
+            conn.putheader("Content-Length", "-1")
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "Content-Length" in json.loads(response.read())["error"]
+        finally:
+            conn.close()
+
     def test_failed_job_surfaces_error(self, endpoint):
         job_id = endpoint.submit({"kind": "sweep", "netlist": "garbage("})
         with pytest.raises(ServeError):

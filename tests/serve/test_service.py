@@ -12,6 +12,7 @@ The acceptance gates of the serving PR live here:
 import pytest
 
 from repro.serve import ClientBudget, SweepService
+from repro.serve.daemon import CONFIG_DEFAULTS
 from tests.serve.conftest import miter_text, run_job
 
 
@@ -121,6 +122,55 @@ class TestValidationAndBudgets:
             {"kind": "sweep", "netlist": "x", "config": {"warp": 9}}
         )
         assert "warp" in answer["rejected"]
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"seed": "abc"}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"iterations": 2.5}, "iterations"),
+            ({"patterns": None}, "patterns"),
+            ({"jobs": "2"}, "jobs"),
+            ({"timeout": "5"}, "timeout"),
+            ({"timeout": False}, "timeout"),
+            ({"escalate": 1}, "escalate"),
+            ({"strategy": 5}, "strategy"),
+        ],
+    )
+    def test_wrongly_typed_config_rejected(self, service, config, field):
+        answer = service.submit(
+            {"kind": "sweep", "netlist": "x", "config": config}
+        )
+        assert f"config field {field!r} must be" in answer["rejected"]
+        assert "id" not in answer
+
+    @pytest.mark.parametrize("config", [5, [], "seed", True])
+    def test_non_object_config_rejected(self, service, config):
+        answer = service.submit(
+            {"kind": "sweep", "netlist": "x", "config": config}
+        )
+        assert answer == {"rejected": "'config' must be a JSON object"}
+
+    @pytest.mark.parametrize("key", ["simgen_backend", "sat_backend"])
+    def test_backend_keys_are_unknown(self, service, key):
+        answer = service.submit(
+            {"kind": "sweep", "netlist": "x", "config": {key: "reference"}}
+        )
+        assert key in answer["rejected"]
+
+    def test_unhashable_format_rejected(self, service):
+        answer = service.submit({"kind": "sweep", "netlist": "x", "format": []})
+        assert "unknown netlist format" in answer["rejected"]
+
+    def test_options_fill_defaults_once(self, service):
+        text = miter_text(num_gates=15)
+        job = run_job(
+            service, sweep_request(text, seed=3, timeout=5, escalate=True)
+        )
+        assert job.options == {
+            **CONFIG_DEFAULTS, "seed": 3, "timeout": 5, "escalate": True
+        }
+        result_of(job)
 
     def test_cec_needs_revised(self, service):
         assert "rejected" in service.submit(

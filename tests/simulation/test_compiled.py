@@ -1,7 +1,11 @@
-"""CompiledSimulator: bit-identical to Simulator, on the C core and without it."""
+"""CompiledSimulator: bit-identical to Simulator on the C core.
+
+Without the core (no C compiler, ``REPRO_CCORES=python``) the class cannot
+be built and the sweep engine runs :class:`Simulator` itself, so every test
+here skips.
+"""
 
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,24 +23,13 @@ from tests.conftest import random_network
 #: Widths straddling the 64-bit word boundary, and the empty batch.
 WIDTHS = (0, 1, 63, 64, 65, 128, 130, 200)
 
-#: Both paths of run_words: the C core (skipped where it did not load) and
-#: the reference gate evaluation a host without a compiler runs.
-CORES = (
-    pytest.param(
-        "c",
-        marks=pytest.mark.skipif(
-            compiled_mod.SIM_CORE != "c", reason="no C compiler available"
-        ),
-    ),
-    "python",
+pytestmark = pytest.mark.skipif(
+    compiled_mod.SIM_CORE != "c", reason="no C compiler available"
 )
 
-
-def on_core(core):
-    """Context in which new simulators lower for ``core``."""
-    if core == "c":
-        return mock.patch.object(compiled_mod, "_LIB", compiled_mod._LIB)
-    return mock.patch.object(compiled_mod, "_LIB", None)
+#: The core in the ids of the tests that also ran a Python evaluator,
+#: which ``CompiledSimulator`` no longer has.
+CORES = ("c",)
 
 
 @st.composite
@@ -79,9 +72,8 @@ class TestDifferential:
             st.one_of(st.none(), st.lists(st.sampled_from(uids), max_size=5))
         )
         reference = Simulator(network).run_words(words, width)
-        with on_core(core):
-            full = CompiledSimulator(network)
-            direct = CompiledSimulator(network, targets=targets)
+        full = CompiledSimulator(network)
+        direct = CompiledSimulator(network, targets=targets)
         before = compiled_mod.tape_cache_info()
         view = full if targets is None else full.restrict(targets)
         after = compiled_mod.tape_cache_info()
@@ -111,8 +103,7 @@ class TestDifferential:
         """One instance runs batches of every width in turn."""
         net = random_network(seed=width, num_inputs=6, num_gates=30)
         rng = random.Random(width)
-        with on_core(core):
-            sim = CompiledSimulator(net)
+        sim = CompiledSimulator(net)
         view = sim.restrict([next(uid for _, uid in net.pos)])
         for w in (width, 200, 1, width):
             words = {pi: rng.getrandbits(w + 64) for pi in net.pis}
@@ -235,11 +226,24 @@ class TestErrorsAndFallback:
     @pytest.mark.parametrize("core", CORES)
     def test_missing_cone_pi_rejected(self, core, fig4_network):
         net, ids = fig4_network
-        with on_core(core):
-            sim = CompiledSimulator(net).restrict([ids["x"]])
+        sim = CompiledSimulator(net).restrict([ids["x"]])
         words = {pi: 1 for pi in sim.compiled_pis[1:]}
         with pytest.raises(SimulationError, match="missing word"):
             sim.run_words(words, 1)
+
+    def test_no_core_falls_back_to_simulator(self, monkeypatch, fig4_network):
+        """Without the core the class refuses to build, and a sweep on the
+        ``compiled`` backend simulates on the reference Simulator."""
+        from repro.sweep import engine as engine_mod
+
+        net, _ = fig4_network
+        monkeypatch.setattr(compiled_mod, "_LIB", None)
+        with pytest.raises(SimulationError, match="needs its C core"):
+            CompiledSimulator(net)
+        monkeypatch.setattr(engine_mod, "SIM_CORE", "python")
+        engine = engine_mod.SweepEngine(net)
+        assert type(engine.simulator) is Simulator
+        assert engine._compiled_sim is None
 
 
 class TestTapeCache:

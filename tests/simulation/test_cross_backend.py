@@ -12,7 +12,12 @@ import pytest
 
 from repro.network import NetworkBuilder
 from repro.simulation import CompiledSimulator, PatternBatch, Simulator
+from repro.simulation.compiled import SIM_CORE
 from tests.conftest import random_network
+
+pytestmark = pytest.mark.skipif(
+    SIM_CORE != "c", reason="CompiledSimulator needs its C core"
+)
 
 #: Widths straddling the 64-bit word boundary (partial top-word masking).
 WIDTHS = (1, 7, 63, 64, 65, 130)

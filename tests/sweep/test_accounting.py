@@ -203,14 +203,14 @@ class TestGenerationAccounting:
         net = duplicated_network()
         config = SweepConfig(seed=11, jobs=jobs)
         generator = make_generator(
-            "AI+DC+MFFC", net, seed=11, simgen_backend=backend
+            "AI+DC+MFFC", net, seed=11, backend=backend
         )
         engine = SweepEngine(net, generator, config)
         return engine, engine.run()
 
     @pytest.mark.parametrize("jobs", (1, 4))
     def test_batch_simgen_time_is_sum_of_generation_windows(self, jobs):
-        _, result = self.run_simgen(jobs, backend="batch")
+        _, result = self.run_simgen(jobs, backend="compiled")
         metrics = result.metrics
         assert metrics.generation_times  # the guided phase ran
         assert metrics.simgen_time == pytest.approx(
@@ -224,7 +224,7 @@ class TestGenerationAccounting:
         ):
             assert 0.0 <= gen_s <= iter_s + 1e-9
 
-    @pytest.mark.parametrize("backend", ("batch", "reference"))
+    @pytest.mark.parametrize("backend", ("compiled", "reference"))
     def test_invariant_holds_on_every_backend(self, backend):
         _, result = self.run_simgen(1, backend=backend)
         metrics = result.metrics
@@ -237,7 +237,7 @@ class TestGenerationAccounting:
         SIMGEN_CORE != "c", reason="kernel counters need the SimGen C core"
     )
     def test_batch_counters_surface_in_registry(self):
-        engine, _ = self.run_simgen(1, backend="batch")
+        engine, _ = self.run_simgen(1, backend="compiled")
         snapshot = engine.registry.as_dict()
         kernel = engine.generator.kernel.stats
         assert snapshot["simgen.kernel.attempts"] == kernel["attempts"] > 0

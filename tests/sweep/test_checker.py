@@ -135,13 +135,13 @@ class TestProofsPersist:
     it.  (Without them, refuting the first three b14_C PO pairs below
     costs 2, 19 and 23 conflicts.)"""
 
-    @pytest.mark.parametrize("sat_backend", ["compiled", "reference"])
+    @pytest.mark.parametrize("backend", ["compiled", "reference"])
     @pytest.mark.parametrize("complement", [False, True])
     def test_proven_pair_refutes_by_propagation(
-        self, b14_rewrite_union, sat_backend, complement
+        self, b14_rewrite_union, backend, complement
     ):
         union, equal, inverted = b14_rewrite_union
-        checker = PairChecker(union, conflict_limit=None, sat_backend=sat_backend)
+        checker = PairChecker(union, conflict_limit=None, backend=backend)
         for node_a, node_b in (inverted if complement else equal)[:3]:
             outcome, _ = checker.check(node_a, node_b, complement)
             assert outcome is SatResult.UNSAT
@@ -219,7 +219,7 @@ class TestIncrementalProofsAreSound:
         queries = candidates[:40]
         compiled = PairChecker(union, conflict_limit=None)
         reference = PairChecker(
-            union, conflict_limit=None, sat_backend="reference"
+            union, conflict_limit=None, backend="reference"
         )
         fresh = PairChecker(union, conflict_limit=None, incremental=False)
         simulator = Simulator(union)

@@ -158,7 +158,7 @@ class TestEngineVariants:
         engine = SweepEngine(
             net,
             make_generator("AI+DC+MFFC", net, seed=seed),
-            SweepConfig(seed=seed, engine=engine_mode),
+            SweepConfig(seed=seed, backend=engine_mode),
         )
         result = engine.run()
         return (
@@ -180,7 +180,7 @@ class TestEngineVariants:
         traces = []
         for mode in ("compiled", "reference"):
             result = SweepEngine(
-                net, None, SweepConfig(seed=1, engine=mode)
+                net, None, SweepConfig(seed=1, backend=mode)
             ).run()
             traces.append(
                 (result.metrics.cost_history, result.classes.all_classes())
@@ -198,7 +198,7 @@ class TestEngineVariants:
             result = SweepEngine(
                 net,
                 make_generator("RandS", net, seed=0),
-                SweepConfig(seed=0, engine=mode),
+                SweepConfig(seed=0, backend=mode),
             ).run()
             traces.append(
                 (
@@ -214,8 +214,8 @@ class TestEngineVariants:
         from repro.errors import SweepError
 
         net, _ = redundant_network()
-        with pytest.raises(SweepError, match="unknown engine"):
-            SweepEngine(net, None, SweepConfig(engine="vectorized"))
+        with pytest.raises(SweepError, match="unknown backend"):
+            SweepEngine(net, None, SweepConfig(backend="vectorized"))
 
     def test_counterexamples_are_batched(self):
         """Disproof counterexamples queue up and flush in one resim pass."""
@@ -284,23 +284,21 @@ class TestTrajectoryPins:
     """Seed-0 sweeps of suite circuits follow the pinned trajectories."""
 
     @staticmethod
-    def _sweep(benchmark, strategy, copies, simgen_backend="batch", **config):
+    def _sweep(benchmark, strategy, copies, backend="compiled", **config):
         from repro.benchgen import sweep_instance
 
         net = sweep_instance(benchmark, copies=copies)
         engine = SweepEngine(
             net,
-            make_generator(
-                strategy, net, seed=0, simgen_backend=simgen_backend
-            ),
-            SweepConfig(seed=0, **config),
+            make_generator(strategy, net, seed=0, backend=backend),
+            SweepConfig(seed=0, backend=backend, **config),
         )
         return net, engine.run()
 
-    def _pin(self, row, simgen_backend="batch", **config):
+    def _pin(self, row, backend="compiled", **config):
         from repro.runtime.journal import sweep_signature
 
-        net, result = self._sweep(*row, simgen_backend=simgen_backend, **config)
+        net, result = self._sweep(*row, backend=backend, **config)
         metrics = result.metrics
         return (
             metrics.sat_calls,
@@ -315,13 +313,7 @@ class TestTrajectoryPins:
 
     @pytest.mark.parametrize("row", QUICK_ROWS, ids=row_id)
     def test_reference_path(self, row):
-        pin = self._pin(
-            row,
-            engine="reference",
-            simgen_backend="reference",
-            sat_backend="reference",
-        )
-        assert pin == TRAJECTORY_PINS[row]
+        assert self._pin(row, backend="reference") == TRAJECTORY_PINS[row]
 
     def test_pooled_path_merges_like_serial(self):
         """The pool visits pairs in waves, so its SAT-call count differs

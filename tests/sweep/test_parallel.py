@@ -69,12 +69,11 @@ class TestDeterministicMerge:
             assert other.classes.all_classes() == reference.classes.all_classes()
 
     def test_reference_engine_pooled_matches_compiled(self):
-        """``engine`` only picks the simulator: the dict-walking reference
-        simulator drives the same pooled waves, merges and resimulation
-        as the compiled one."""
+        """The reference backend's simulator and pooled solvers drive the
+        same waves, merges and resimulation as the compiled ones."""
         net = duplicated_network()
         compiled = run_sweep(net, jobs=2)
-        reference = run_sweep(net, jobs=2, engine="reference")
+        reference = run_sweep(net, jobs=2, backend="reference")
         assert compiled.metrics.sat_calls > 0
         assert merge_projection(reference) == merge_projection(compiled)
         assert (

@@ -153,18 +153,18 @@ class TestCliCrashResume:
 class TestCrossBackendResume:
     """A journal is keyed by trajectory, not by kernel implementation.
 
-    The batch and reference SimGen backends produce bit-identical
+    The batch and reference SimGen generators produce bit-identical
     trajectories, so a journal recorded under one must replay under the
     other.  (The fingerprint's generator label once kept the ``Batch``
     prefix, so journals written under the *default* backend refused to
-    resume under ``--simgen-backend reference``.)
+    resume under the reference one.)
     """
 
     def backend_sweep(self, net, journal_path, backend, resume=False):
         journal = VerdictJournal(journal_path, resume=resume, fsync=False)
         config = SweepConfig(seed=11, journal=journal)
         generator = make_generator(
-            "RandS", net, seed=11, simgen_backend=backend
+            "RandS", net, seed=11, backend=backend
         )
         try:
             return SweepEngine(net, generator, config).run()
@@ -177,7 +177,7 @@ class TestCrossBackendResume:
     ):
         net = workload_network()
         path = tmp_path / "j.jsonl"
-        baseline = self.backend_sweep(net, path, "batch")
+        baseline = self.backend_sweep(net, path, "compiled")
         resumed = self.backend_sweep(
             net, path, resume_backend, resume=True
         )

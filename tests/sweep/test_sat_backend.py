@@ -1,19 +1,17 @@
-"""The ``sat_backend`` seam: compiled and reference solvers, one sweep.
+"""``SweepConfig.backend``: compiled and reference solvers, one sweep.
 
-The seam mirrors ``simgen_backend``: a config string selects the solver
-the SAT phase runs on, and both choices must land on the *same* sweep —
-identical verdicts, counterexamples, cost histories, equivalences, and
-conflict/propagation counts — serially and through the worker pool.
+The backend selects the simulator and the solver the SAT phase runs on,
+and both choices must land on the *same* sweep — identical verdicts,
+counterexamples, cost histories, equivalences, and conflict/propagation
+counts — serially and through the worker pool.
 """
 
 import pytest
 
 from repro.errors import SweepError
-from repro.io import bench_text
 from repro.sweep.cec import union_network
 from repro.sweep.checker import PairChecker
 from repro.sweep.engine import SweepConfig, SweepEngine
-from repro.tools.cli import main
 from tests.conftest import random_network
 
 
@@ -25,11 +23,9 @@ def _redundant_instance(seed: int, num_gates: int = 30):
     return union
 
 
-def _sweep_signature(network_seed: int, sat_backend: str, jobs: int = 1):
+def _sweep_signature(network_seed: int, backend: str, jobs: int = 1):
     network = _redundant_instance(network_seed)
-    config = SweepConfig(
-        seed=7, iterations=4, jobs=jobs, sat_backend=sat_backend
-    )
+    config = SweepConfig(seed=7, iterations=4, jobs=jobs, backend=backend)
     engine = SweepEngine(network, None, config)
     result = engine.run()
     metrics = result.metrics
@@ -62,70 +58,13 @@ class TestSweepIdentity:
 
     def test_unknown_backend_rejected(self):
         network = random_network(seed=0)
-        with pytest.raises(SweepError):
-            SweepEngine(
-                network, None, SweepConfig(sat_backend="picosat")
-            )
+        with pytest.raises(SweepError, match="unknown backend"):
+            SweepEngine(network, None, SweepConfig(backend="picosat"))
 
     def test_checker_counts_propagations(self):
         network = _redundant_instance(1, num_gates=20)
-        checker = PairChecker(network, sat_backend="compiled")
+        checker = PairChecker(network, backend="compiled")
         gates = [n.uid for n in network.gates()]
         checker.check(gates[0], gates[-1])
         assert checker.stats.propagations > 0
         assert checker.stats.calls == 1
-
-
-class TestCliFlag:
-    def _write_instance(self, tmp_path):
-        network = _redundant_instance(9, num_gates=25)
-        path = tmp_path / "inst.bench"
-        path.write_text(bench_text(network), encoding="utf-8")
-        return path
-
-    @pytest.mark.parametrize("backend", ["compiled", "reference"])
-    def test_sweep_flag(self, tmp_path, backend, capsys):
-        path = self._write_instance(tmp_path)
-        out = tmp_path / f"reduced_{backend}.bench"
-        assert (
-            main(
-                [
-                    "sweep",
-                    str(path),
-                    "--iterations",
-                    "3",
-                    "--sat-backend",
-                    backend,
-                    "-o",
-                    str(out),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert out.exists()
-
-    def test_backends_reduce_identically(self, tmp_path, capsys):
-        """The CI smoke contract: byte-identical reduced networks."""
-        path = self._write_instance(tmp_path)
-        outputs = {}
-        for backend in ("compiled", "reference"):
-            out = tmp_path / f"r_{backend}.bench"
-            assert (
-                main(
-                    [
-                        "sweep",
-                        str(path),
-                        "--iterations",
-                        "3",
-                        "--sat-backend",
-                        backend,
-                        "-o",
-                        str(out),
-                    ]
-                )
-                == 0
-            )
-            outputs[backend] = out.read_bytes()
-        capsys.readouterr()
-        assert outputs["compiled"] == outputs["reference"]

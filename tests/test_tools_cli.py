@@ -1,14 +1,17 @@
 """The repro.tools command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.io import blif_text, read_bench, read_blif
+from repro.io import bench_text, blif_text, read_bench, read_blif
+from repro.sweep.cec import union_network
 from repro.tools.cli import load_network, main, save_network
+from repro.transforms.rewrite import rewrite
 from tests.conftest import networks_equal, random_network
 
 
@@ -201,6 +204,43 @@ class TestCommands:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
+
+
+class TestReferencePaths:
+    def test_python_cores_sweep_byte_identically(self, tmp_path):
+        """The CI smoke "C cores == reference paths" in small:
+        ``REPRO_CCORES=python`` runs every layer's reference path, and the
+        reduced network and the summary (timings stripped) must not
+        change."""
+        # A circuit next to a rewritten copy: guided vectors split classes,
+        # SAT proves most pairs and disproves a few.
+        base = random_network(seed=4, num_gates=80)
+        union, _ = union_network(base, rewrite(base, seed=4, intensity=0.5))
+        instance = tmp_path / "inst.bench"
+        instance.write_text(bench_text(union), encoding="utf-8")
+        runs = []
+        for cores in (None, "python"):
+            env = _cli_env()
+            env.pop("REPRO_CCORES", None)
+            if cores is not None:
+                env["REPRO_CCORES"] = cores
+            out = tmp_path / f"reduced_{cores}.bench"
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.tools", "sweep", str(instance),
+                 "--iterations", "3", "-o", str(out)],
+                capture_output=True,
+                env=env,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            summary = [
+                re.sub(r" gen .*", "", line.replace(str(out), "OUT"))
+                for line in proc.stdout.splitlines()
+            ]
+            runs.append((out.read_bytes(), summary))
+        assert runs[0] == runs[1]
+        assert "SAT calls" in runs[0][1][0]
 
 
 class TestAagSupport:
