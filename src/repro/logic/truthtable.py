@@ -34,7 +34,7 @@ _FULL_MASKS = tuple((1 << (1 << n)) - 1 for n in range(MAX_VARS + 1))
 
 
 @lru_cache(maxsize=None)
-def _var_mask(num_vars: int, index: int) -> int:
+def var_mask(num_vars: int, index: int) -> int:
     """Minterm mask of the projection function of input ``index``.
 
     Bit ``m`` is set iff bit ``index`` of the minterm ``m`` is set — the
@@ -49,6 +49,35 @@ def _var_mask(num_vars: int, index: int) -> int:
         bits |= bits << width
         width <<= 1
     return bits
+
+
+def compose_bits(
+    bits: int, num_vars: int, fanin_bits: Sequence[int], full: int
+) -> int:
+    """Minterm mask of ``bits`` (a function of ``num_vars`` inputs) with
+    input ``i`` replaced by the function whose mask is ``fanin_bits[i]``.
+
+    Word-parallel: each onset minterm of the outer function contributes
+    the AND of every fanin mask, or of its complement within ``full``
+    where the minterm's bit is 0, and the terms are ORed.  When the offset
+    is smaller, it is composed instead and the result complemented.
+    """
+    ones = bits.bit_count()
+    complement = ones > (1 << num_vars) - ones
+    if complement:
+        bits ^= _FULL_MASKS[num_vars]
+    pairs = [(f, full ^ f) for f in fanin_bits]
+    result = 0
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        m = low.bit_length() - 1
+        term = full
+        for pos, neg in pairs:
+            term &= pos if m & 1 else neg
+            m >>= 1
+        result |= term
+    return full ^ result if complement else result
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,7 +133,7 @@ class TruthTable:
         _check_num_vars(num_vars)
         if not 0 <= index < num_vars:
             raise LogicError(f"variable index {index} out of range ({num_vars} vars)")
-        return cls(num_vars, _var_mask(num_vars, index))
+        return cls(num_vars, var_mask(num_vars, index))
 
     @classmethod
     def from_minterms(cls, num_vars: int, minterms: Iterable[int]) -> "TruthTable":
@@ -202,12 +231,33 @@ class TruthTable:
         # Compare the two cofactors without materializing them: for every
         # minterm m with bit ``index`` clear, bits[m] vs bits[m + 2**index].
         blk = 1 << index
-        lower = _FULL_MASKS[self.num_vars] & ~_var_mask(self.num_vars, index)
+        lower = _FULL_MASKS[self.num_vars] & ~var_mask(self.num_vars, index)
         return bool((self.bits ^ (self.bits >> blk)) & lower)
 
     def support(self) -> list[int]:
         """Indices of the inputs the function truly depends on."""
         return [i for i in range(self.num_vars) if self.depends_on(i)]
+
+    def shrink_to_support(self) -> tuple["TruthTable", list[int]]:
+        """Drop don't-care inputs; returns (table, kept input positions).
+
+        New input ``j`` is old input ``support[j]``; a function with no
+        support becomes a 0-input constant.
+        """
+        support = self.support()
+        if len(support) == self.num_vars:
+            return self, support
+        if not support:
+            return TruthTable(0, self.bits & 1), []
+        bits = 0
+        for m in range(1 << len(support)):
+            src = 0
+            for j, var in enumerate(support):
+                if (m >> j) & 1:
+                    src |= 1 << var
+            if (self.bits >> src) & 1:
+                bits |= 1 << m
+        return TruthTable(len(support), bits), support
 
     # ------------------------------------------------------------------
     # Algebra
@@ -269,15 +319,15 @@ class TruthTable:
         for table in fanin_tables:
             if table.num_vars != base:
                 raise LogicError("compose fanin tables must share arity")
-        result_bits = 0
-        for m in range(1 << base):
-            local = 0
-            for i, table in enumerate(fanin_tables):
-                if (table.bits >> m) & 1:
-                    local |= 1 << i
-            if (self.bits >> local) & 1:
-                result_bits |= 1 << m
-        return TruthTable(base, result_bits)
+        return TruthTable(
+            base,
+            compose_bits(
+                self.bits,
+                self.num_vars,
+                [table.bits for table in fanin_tables],
+                _FULL_MASKS[base],
+            ),
+        )
 
     def permute(self, order: Sequence[int]) -> "TruthTable":
         """Reorder inputs: new input ``i`` is old input ``order[i]``."""
@@ -335,7 +385,7 @@ def _cofactor_cached(table: TruthTable, index: int, value: int) -> TruthTable:
     reuse few distinct functions, so the cache hit rate is very high.
     """
     blk = 1 << index
-    upper = _var_mask(table.num_vars, index)
+    upper = var_mask(table.num_vars, index)
     if value:
         kept = table.bits & upper
         bits = kept | (kept >> blk)

@@ -5,17 +5,16 @@ the PIs to ``n`` crosses a leaf; a cut with at most K leaves can be
 implemented as one K-input LUT.  Cuts are enumerated bottom-up: a gate's
 cuts are the K-feasible unions of one cut per fanin, plus the trivial cut
 ``{n}``.  Per node only the ``cut_limit`` best cuts are kept (priority
-cuts), ranked by size then average leaf depth.
+cuts, after Mishchenko, Cho, Chatterjee and Brayton, ICCAD 2007), ranked
+by depth (the deepest leaf's level), then size, then leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-
 
 from repro.errors import MappingError
-from repro.logic.truthtable import TruthTable
+from repro.logic.truthtable import TruthTable, compose_bits, var_mask
 from repro.network.network import Network
 
 
@@ -34,15 +33,20 @@ class Cut:
         """The unit cut {root}."""
         return self.leaves == (self.root,)
 
-    def dominates(self, other: "Cut") -> bool:
-        """True if this cut's leaves are a subset of the other's."""
-        return set(self.leaves) <= set(other.leaves)
-
 
 def enumerate_cuts(
     network: Network, k: int = 6, cut_limit: int = 8
 ) -> dict[int, list[Cut]]:
     """All priority cuts for every node.
+
+    A gate's candidates are merged one fanin at a time, as frozensets of
+    leaves each carrying its depth; a union is dropped as soon as it has
+    more than ``k`` leaves or repeats an earlier one.  Of the rest, the
+    cuts with no candidate as a strict subset are kept and ranked by
+    ``(depth, size, leaves)``.  Both steps depend only on the set of
+    K-feasible unions, never on the order they are formed in: a strict
+    subset is smaller, so it is tested first whatever the order, and the
+    ranking key is a total order.
 
     Args:
         k: Maximum leaves per cut (LUT input count).
@@ -54,60 +58,73 @@ def enumerate_cuts(
         raise MappingError(f"cut_limit must be >= 1, got {cut_limit}")
     levels = network.levels()
     cuts: dict[int, list[Cut]] = {}
+    # Per node: its cuts as (leaves, depth), trivial cut included.  A
+    # node's entry is dropped once its last reader has been enumerated.
+    leaf_sets: dict[int, list[tuple[frozenset, int]]] = {}
+    readers = {uid: network.num_fanouts(uid) for uid in network.node_ids()}
     for uid in network.topological_order():
         node = network.node(uid)
         trivial = Cut(uid, (uid,))
+        unit = (frozenset(trivial.leaves), levels[uid])
         if node.is_pi or node.is_const:
             cuts[uid] = [trivial]
+            if readers[uid]:
+                leaf_sets[uid] = [unit]
             continue
-        candidates: dict[tuple[int, ...], Cut] = {}
-        fanin_cut_lists = [cuts[f] for f in node.fanins]
-        for combo in product(*fanin_cut_lists):
-            leaves = set()
-            for cut in combo:
-                leaves.update(cut.leaves)
-                if len(leaves) > k:
+        # A repeated fanin is merged once: a union that takes two of its
+        # cuts contains the union that takes either one twice, so it is
+        # never minimal.
+        fanins = list(dict.fromkeys(node.fanins))
+        merged: dict[frozenset, int] = dict(leaf_sets[fanins[0]])
+        for f in fanins[1:]:
+            grown: dict[frozenset, int] = {}
+            fanin_sets = leaf_sets[f]
+            for leaves, depth in merged.items():
+                for other, other_depth in fanin_sets:
+                    union = leaves | other
+                    if len(union) <= k and union not in grown:
+                        grown[union] = (
+                            depth if depth >= other_depth else other_depth
+                        )
+            merged = grown
+        kept: list[frozenset] = []
+        for leaves in sorted(merged, key=len):
+            for small in kept:
+                if small <= leaves:
                     break
-            if len(leaves) > k:
-                continue
-            key = tuple(sorted(leaves))
-            if key not in candidates:
-                candidates[key] = Cut(uid, key)
-        ranked = _prune(list(candidates.values()), levels, cut_limit)
-        ranked.append(trivial)
-        cuts[uid] = ranked
+            else:
+                kept.append(leaves)
+        ranked = sorted(
+            (merged[leaves], len(leaves), tuple(sorted(leaves)))
+            for leaves in kept
+        )[:cut_limit]
+        cuts[uid] = [Cut(uid, leaves) for _, _, leaves in ranked] + [trivial]
+        if readers[uid]:
+            leaf_sets[uid] = [
+                (frozenset(leaves), depth) for depth, _, leaves in ranked
+            ] + [unit]
+        for f in fanins:
+            readers[f] -= 1
+            if not readers[f]:
+                del leaf_sets[f]
     return cuts
-
-
-def _prune(candidates: list[Cut], levels: dict[int, int], limit: int) -> list[Cut]:
-    """Drop dominated cuts, then keep the ``limit`` best."""
-    kept: list[Cut] = []
-    for cut in sorted(candidates, key=lambda c: c.size):
-        if any(other.dominates(cut) for other in kept):
-            continue
-        kept.append(cut)
-
-    def rank(cut: Cut) -> tuple:
-        depth = max((levels[l] for l in cut.leaves), default=0)
-        return (depth, cut.size, cut.leaves)
-
-    kept.sort(key=rank)
-    return kept[:limit]
 
 
 def cut_function(network: Network, cut: Cut) -> TruthTable:
     """The root's function expressed over the cut leaves.
 
-    Table variable ``i`` corresponds to ``cut.leaves[i]``.
+    Table variable ``i`` corresponds to ``cut.leaves[i]``.  The cone is
+    composed on plain minterm masks; one table is built at the end.
     """
     n = len(cut.leaves)
     if n > 16:
         raise MappingError(f"cut with {n} leaves is too wide for a table")
-    memo: dict[int, TruthTable] = {
-        leaf: TruthTable.var(n, i) for i, leaf in enumerate(cut.leaves)
+    full = TruthTable.full_mask(n)
+    memo: dict[int, int] = {
+        leaf: var_mask(n, i) for i, leaf in enumerate(cut.leaves)
     }
 
-    def table_of(uid: int) -> TruthTable:
+    def bits_of(uid: int) -> int:
         if uid in memo:
             return memo[uid]
         node = network.node(uid)
@@ -115,11 +132,17 @@ def cut_function(network: Network, cut: Cut) -> TruthTable:
             raise MappingError(
                 f"PI {uid} inside cut cone of {cut.root} but not a leaf"
             )
+        table = node.table
         if node.is_const:
-            result = TruthTable.const(n, bool(node.table.bits))
+            result = full if table.bits else 0
         else:
-            result = node.table.compose([table_of(f) for f in node.fanins])
+            result = compose_bits(
+                table.bits,
+                table.num_vars,
+                [bits_of(f) for f in node.fanins],
+                full,
+            )
         memo[uid] = result
         return result
 
-    return table_of(cut.root)
+    return TruthTable(n, bits_of(cut.root))

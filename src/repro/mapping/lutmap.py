@@ -87,28 +87,15 @@ def map_to_luts(
             new_id[uid] = mapped.add_const(bool(node.table.bits), node.name)
             return None
         cut = best[uid]
-        table = cut_function(network, cut)
         # Shrink to true support: mapping can yield degenerate cut inputs.
-        support = table.support()
-        leaves = [cut.leaves[i] for i in support]
+        table, support = cut_function(network, cut).shrink_to_support()
         if not support:
-            new_id[uid] = mapped.add_const(bool(table.bits & 1), node.name)
+            new_id[uid] = mapped.add_const(bool(table.bits), node.name)
             return None
+        leaves = [cut.leaves[i] for i in support]
         missing = [leaf for leaf in leaves if leaf not in new_id]
         if missing:
             return missing
-        if len(support) != table.num_vars:
-            from repro.logic.truthtable import TruthTable
-
-            shrunk_bits = 0
-            for m in range(1 << len(support)):
-                src = 0
-                for j, var in enumerate(support):
-                    if (m >> j) & 1:
-                        src |= 1 << var
-                if (table.bits >> src) & 1:
-                    shrunk_bits |= 1 << m
-            table = TruthTable(len(support), shrunk_bits)
         fanins = [new_id[leaf] for leaf in leaves]
         new_id[uid] = mapped.add_gate(table, fanins, node.name)
         return None

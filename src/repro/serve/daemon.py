@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import threading
 import traceback
@@ -75,13 +76,29 @@ _CONFIG_TYPES = {
     "escalate": ((bool,), "a boolean"),
 }
 
+#: The most SAT worker processes one job may ask for.  Each worker is a
+#: forked process with its own queue, so without a ceiling any client
+#: could make the daemon fork as many processes as it names.
+MAX_JOBS = 64
+
+#: Config field -> (lowest, highest, the rule in words) for values that
+#: have the right type; a null ``timeout`` means no deadline.  The
+#: largest float as ``timeout``'s ceiling refuses infinity, and NaN fails
+#: every comparison.
+_CONFIG_RANGES = {
+    "iterations": (0, float("inf"), ">= 0"),
+    "patterns": (0, float("inf"), ">= 0"),
+    "jobs": (1, MAX_JOBS, f"from 1 to {MAX_JOBS}"),
+    "timeout": (0, sys.float_info.max, "finite and >= 0"),
+}
+
 _FORMATS = {"bench": (parse_bench, bench_text), "blif": (parse_blif, blif_text)}
 
 
 def _job_options(config) -> tuple[Optional[dict], Optional[str]]:
     """A request's ``config`` over :data:`CONFIG_DEFAULTS`, or ``None`` and
-    the reason the config is refused (not an object, an unknown field, or
-    a value of the wrong type)."""
+    the reason the config is refused (not an object, an unknown field, a
+    value of the wrong type, or one out of range)."""
     if config is None:
         config = {}
     if not isinstance(config, dict):
@@ -95,6 +112,10 @@ def _job_options(config) -> tuple[Optional[dict], Optional[str]]:
         is_bool = isinstance(value, bool)
         if is_bool != (bool in types) or not isinstance(value, types):
             return None, f"config field {name!r} must be {expected}: {value!r}"
+        if name in _CONFIG_RANGES and value is not None:
+            low, high, rule = _CONFIG_RANGES[name]
+            if not low <= value <= high:
+                return None, f"config field {name!r} must be {rule}: {value!r}"
     return {**CONFIG_DEFAULTS, **config}, None
 
 
@@ -203,8 +224,9 @@ class SweepService:
     # ------------------------------------------------------------------
     def submit(self, request: dict) -> dict:
         """Validate and enqueue a job; returns ``{"id": ...}`` or a
-        rejection ``{"rejected": reason}`` (over-budget client, bad
-        request, stopping daemon)."""
+        rejection ``{"rejected": reason}``.  A request that fails
+        validation is refused without an id; a valid job that admission
+        refuses (over-budget client, stopping daemon) keeps its id."""
         kind = request.get("kind", "sweep")
         if kind not in ("sweep", "cec"):
             return {"rejected": f"unknown job kind {kind!r}"}
@@ -493,10 +515,13 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         answer = self._service.submit(request)
-        if "rejected" in answer:
-            self._send_json(answer, status=429)
+        if "rejected" not in answer:
+            status = 202
+        elif "id" in answer:
+            status = 429  # admission refused a valid job: retry later
         else:
-            self._send_json(answer, status=202)
+            status = 400  # the request itself is malformed
+        self._send_json(answer, status=status)
 
 
 def build_server(

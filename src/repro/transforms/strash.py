@@ -69,24 +69,6 @@ def network_signature(network: Network) -> str:
     return hasher.hexdigest()
 
 
-def _shrink_to_support(table: TruthTable) -> tuple[TruthTable, list[int]]:
-    """Drop don't-care inputs; returns (table, kept input positions)."""
-    support = table.support()
-    if len(support) == table.num_vars:
-        return table, support
-    if not support:
-        return TruthTable(0, table.bits & 1), []
-    bits = 0
-    for m in range(1 << len(support)):
-        src = 0
-        for j, var in enumerate(support):
-            if (m >> j) & 1:
-                src |= 1 << var
-        if (table.bits >> src) & 1:
-            bits |= 1 << m
-    return TruthTable(len(support), bits), support
-
-
 def _identify_duplicates(
     table: TruthTable, fanins: list[int]
 ) -> tuple[TruthTable, list[int]]:
@@ -151,10 +133,10 @@ def strash(network: Network, name: Optional[str] = None) -> Network:
         ]
         for position, value in const_positions:
             table = table.cofactor(position, value)
-        table, support = _shrink_to_support(table)
+        table, support = table.shrink_to_support()
         fanins = [fanins[i] for i in support]
         table, fanins = _identify_duplicates(table, fanins)
-        table, support = _shrink_to_support(table)
+        table, support = table.shrink_to_support()
         fanins = [fanins[i] for i in support]
         if table.num_vars == 0:
             new_id[uid] = get_const(bool(table.bits))

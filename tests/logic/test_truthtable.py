@@ -210,6 +210,65 @@ class TestProperties:
             if i not in support:
                 assert tt.cofactor(i, 0) == tt.cofactor(i, 1)
 
+    @given(tables)
+    def test_shrink_to_support_round_trips(self, tt):
+        shrunk, support = tt.shrink_to_support()
+        assert support == tt.support()
+        assert shrunk.num_vars == len(support)
+        assert shrunk.support() == list(range(len(support)))
+        assert shrunk.expand(tt.num_vars, support) == tt
+
+
+@st.composite
+def outer_bits(draw, num_vars):
+    """A minterm mask over ``num_vars`` inputs: empty, full, a few onset
+    minterms, a few offset minterms, or any."""
+    full = TruthTable.full_mask(num_vars)
+    few = st.sets(st.integers(0, (1 << num_vars) - 1), max_size=3)
+    return draw(
+        st.one_of(
+            st.just(0),
+            st.just(full),
+            few.map(lambda ms: sum(1 << m for m in ms)),
+            few.map(lambda ms: full ^ sum(1 << m for m in ms)),
+            st.integers(0, full),
+        )
+    )
+
+
+@st.composite
+def compositions(draw):
+    """An outer table of 0-6 inputs and one fanin table per input, all
+    over one arity of 0-8 inputs."""
+    num_vars = draw(st.integers(0, 6))
+    outer = TruthTable(num_vars, draw(outer_bits(num_vars)))
+    base = draw(st.integers(0, 8))
+    fanins = [
+        TruthTable(base, draw(outer_bits(base))) for _ in range(num_vars)
+    ]
+    return outer, fanins
+
+
+class TestCompose:
+    """The word-parallel ``compose`` against per-minterm evaluation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(compositions())
+    def test_matches_per_minterm_evaluation(self, case):
+        outer, fanins = case
+        result = outer.compose(fanins)
+        if outer.num_vars == 0:
+            assert result == outer
+            return
+        base = fanins[0].num_vars
+        expected = 0
+        for m in range(1 << base):
+            local = sum(
+                ((table.bits >> m) & 1) << i for i, table in enumerate(fanins)
+            )
+            expected |= ((outer.bits >> local) & 1) << m
+        assert result == TruthTable(base, expected)
+
 
 class TestValueSemantics:
     """Tables key dicts and caches: the cached hash must keep the value

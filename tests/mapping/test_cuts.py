@@ -1,10 +1,15 @@
 """Cut enumeration invariants and cut functions."""
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MappingError
+from repro.logic.truthtable import TruthTable
 from repro.mapping.cuts import Cut, cut_function, enumerate_cuts
-from repro.network import NetworkBuilder, fanin_cone
+from repro.network import Network, NetworkBuilder, fanin_cone
 from repro.simulation import cone_function
 from tests.conftest import random_network
 
@@ -110,3 +115,76 @@ class TestCutFunction:
         bad = Cut(ids["out"], (ids["a"], ids["c"]))
         with pytest.raises(MappingError):
             cut_function(net, bad)
+
+
+def oracle_cuts(network, k, cut_limit):
+    """Priority cuts by brute force: every combination of one cut per
+    fanin, then drop dominated cuts and keep the best by
+    ``(depth, size, leaves)``."""
+    levels = network.levels()
+    cuts = {}
+    for uid in network.topological_order():
+        node = network.node(uid)
+        trivial = Cut(uid, (uid,))
+        if node.is_pi or node.is_const:
+            cuts[uid] = [trivial]
+            continue
+        candidates = {}
+        for combo in product(*(cuts[f] for f in node.fanins)):
+            leaves = set()
+            for cut in combo:
+                leaves.update(cut.leaves)
+            if len(leaves) <= k:
+                key = tuple(sorted(leaves))
+                candidates.setdefault(key, Cut(uid, key))
+        kept = []
+        for cut in sorted(candidates.values(), key=lambda c: c.size):
+            if not any(set(o.leaves) <= set(cut.leaves) for o in kept):
+                kept.append(cut)
+        kept.sort(
+            key=lambda c: (max(levels[l] for l in c.leaves), c.size, c.leaves)
+        )
+        cuts[uid] = kept[:cut_limit] + [trivial]
+    return cuts
+
+
+#: Upper bound on the fanin-cut combinations the oracle walks per gate.
+ORACLE_COMBOS = 6561
+
+
+@st.composite
+def mapping_cases(draw):
+    """A random network of 1- to 6-input gates (fanins may repeat, and a
+    constant may feed gates), with k in 2..6 and cut_limit in 1..8."""
+    k = draw(st.integers(2, 6))
+    cut_limit = draw(st.integers(1, 8))
+    net = Network("hyp")
+    pis = [net.add_pi() for _ in range(draw(st.integers(1, 6)))]
+    signals = list(pis)
+    if draw(st.booleans()):
+        signals.append(net.add_const(draw(st.booleans())))
+    for _ in range(draw(st.integers(1, 14))):
+        arity = draw(st.integers(1, 6))
+        fanins, combos = [], 1
+        for _ in range(arity):
+            fanin = draw(st.sampled_from(signals))
+            # A gate has at most cut_limit + 1 cuts; keep the oracle's
+            # product small by taking a PI once the bound is reached.
+            if fanin not in pis and combos * (cut_limit + 1) > ORACLE_COMBOS:
+                fanin = draw(st.sampled_from(pis))
+            if fanin not in pis:
+                combos *= cut_limit + 1
+            fanins.append(fanin)
+        bits = draw(st.integers(0, TruthTable.full_mask(arity)))
+        signals.append(net.add_gate(TruthTable(arity, bits), fanins))
+    net.add_po(signals[-1])
+    return net, k, cut_limit
+
+
+class TestAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(mapping_cases())
+    def test_same_cuts_in_the_same_order(self, case):
+        net, k, cut_limit = case
+        expected = oracle_cuts(net, k, cut_limit)
+        assert enumerate_cuts(net, k, cut_limit) == expected

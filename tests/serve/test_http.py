@@ -6,8 +6,26 @@ import urllib.request
 
 import pytest
 
-from repro.serve import ServeClient, ServeError, build_server, run_server
+from repro.serve import (
+    ClientBudget,
+    ServeClient,
+    ServeError,
+    build_server,
+    run_server,
+)
 from tests.serve.conftest import miter_text
+
+
+def post_job(client, request):
+    """POST a job with urllib, so a refusal's HTTP status stays visible."""
+    return urllib.request.urlopen(
+        urllib.request.Request(
+            client.base_url + "/jobs",
+            data=json.dumps(request).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        ),
+        timeout=10,
+    )
 
 
 @pytest.fixture
@@ -68,9 +86,32 @@ class TestRoutes:
         with pytest.raises(ServeError, match="unknown path"):
             endpoint._request("/nope")
 
-    def test_rejected_submission_is_429(self, endpoint):
-        with pytest.raises(ServeError, match="kind"):
-            endpoint.submit({"kind": "frobnicate", "netlist": "x"})
+    def test_malformed_submission_is_400(self, endpoint):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post_job(endpoint, {"kind": "frobnicate", "netlist": "x"})
+        assert excinfo.value.code == 400
+        answer = json.loads(excinfo.value.read())
+        assert "kind" in answer["rejected"]
+        assert "id" not in answer
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"timeout": -1}, "timeout"),
+            # json.dumps writes NaN, which the daemon's json.loads accepts.
+            ({"timeout": float("nan")}, "timeout"),
+            ({"jobs": 100000}, "jobs"),
+        ],
+    )
+    def test_out_of_range_config_is_400(self, endpoint, config, field):
+        # Refused at submit: no job is created, so no worker starts.
+        request = {"kind": "sweep", "netlist": "x", "config": config}
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post_job(endpoint, request)
+        assert excinfo.value.code == 400
+        answer = json.loads(excinfo.value.read())
+        assert f"{field!r} must be" in answer["rejected"]
+        assert endpoint.stats()["jobs"] == {}
 
     def test_bad_json_body_is_400(self, endpoint):
         request = urllib.request.Request(
@@ -134,6 +175,30 @@ class TestRoutes:
         client = ServeClient("http://127.0.0.1:9", timeout=2)
         with pytest.raises(ServeError, match="cannot reach"):
             client.health()
+
+
+class TestAdmission:
+    def test_over_budget_submission_is_429(self):
+        server = build_server(
+            port=0, workers=1, default_budget=ClientBudget(max_pending=0)
+        )
+        thread = threading.Thread(
+            target=run_server, args=(server,), daemon=True
+        )
+        thread.start()
+        client = ServeClient(f"http://127.0.0.1:{server.server_address[1]}")
+        try:
+            request = {"kind": "sweep", "netlist": miter_text(num_gates=15)}
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post_job(client, request)
+            assert excinfo.value.code == 429
+            answer = json.loads(excinfo.value.read())
+            assert "budget" in answer["rejected"]
+            assert client.job(answer["id"])["status"] == "rejected"
+        finally:
+            client.shutdown()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
 
 
 class TestShutdown:

@@ -12,7 +12,7 @@ The acceptance gates of the serving PR live here:
 import pytest
 
 from repro.serve import ClientBudget, SweepService
-from repro.serve.daemon import CONFIG_DEFAULTS
+from repro.serve.daemon import CONFIG_DEFAULTS, MAX_JOBS, _job_options
 from tests.serve.conftest import miter_text, run_job
 
 
@@ -143,6 +143,48 @@ class TestValidationAndBudgets:
         )
         assert f"config field {field!r} must be" in answer["rejected"]
         assert "id" not in answer
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"timeout": -1}, "timeout"),
+            ({"timeout": -0.5}, "timeout"),
+            ({"timeout": float("nan")}, "timeout"),
+            ({"timeout": float("inf")}, "timeout"),
+            ({"timeout": 10**400}, "timeout"),
+            ({"jobs": 0}, "jobs"),
+            ({"jobs": -3}, "jobs"),
+            ({"jobs": MAX_JOBS + 1}, "jobs"),
+            ({"jobs": 100000}, "jobs"),
+            ({"iterations": -1}, "iterations"),
+            ({"patterns": -1}, "patterns"),
+        ],
+    )
+    def test_out_of_range_config_rejected(self, service, config, field):
+        # Refused at submit, with no id: no job exists, no worker starts.
+        answer = service.submit(
+            {"kind": "sweep", "netlist": "x", "config": config}
+        )
+        assert f"config field {field!r} must be" in answer["rejected"]
+        assert "id" not in answer
+        assert service.stats()["jobs"] == {}
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"timeout": 0},
+            {"timeout": None},
+            {"jobs": 1},
+            {"jobs": MAX_JOBS},
+            {"iterations": 0, "patterns": 0},
+        ],
+    )
+    def test_range_edges_accepted(self, config):
+        # Checked on the options alone: a job of MAX_JOBS workers is
+        # never run here.
+        options, reason = _job_options(config)
+        assert reason is None
+        assert options == {**CONFIG_DEFAULTS, **config}
 
     @pytest.mark.parametrize("config", [5, [], "seed", True])
     def test_non_object_config_rejected(self, service, config):
