@@ -80,6 +80,10 @@ def map_to_luts(
     for pi in network.pis:
         new_id[pi] = mapped.add_pi(network.node(pi).name)
 
+    #: uid -> its LUT's (table, support), computed once: the covering
+    #: stack revisits a node whose leaves were missing.
+    functions: dict[int, tuple] = {}
+
     def realize_one(uid: int) -> Optional[list[int]]:
         """Create the LUT for ``uid`` if its leaves exist; else return them."""
         node = network.node(uid)
@@ -87,8 +91,12 @@ def map_to_luts(
             new_id[uid] = mapped.add_const(bool(node.table.bits), node.name)
             return None
         cut = best[uid]
-        # Shrink to true support: mapping can yield degenerate cut inputs.
-        table, support = cut_function(network, cut).shrink_to_support()
+        function = functions.get(uid)
+        if function is None:
+            # Shrink to true support: mapping can yield degenerate cut inputs.
+            function = cut_function(network, cut).shrink_to_support()
+            functions[uid] = function
+        table, support = function
         if not support:
             new_id[uid] = mapped.add_const(bool(table.bits), node.name)
             return None

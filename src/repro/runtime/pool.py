@@ -12,14 +12,20 @@ Determinism contract
 The refinement trajectory of a parallel sweep must be **bit-identical for
 any worker count**.  Two mechanisms guarantee it:
 
-* **Virtual solver shards.**  Pair queries are routed to a fixed number of
-  virtual shards by a stable hash of the pair — *independent of the worker
-  count*.  Each shard owns one incremental :class:`PairChecker` (persistent
-  CDCL solver + Tseitin encoder) and serves its queries in canonical
-  dispatch order, so the query sequence any solver instance observes — and
-  therefore every verdict, counterexample model, and conflict count — is a
-  pure function of the dispatched pairs.  Changing ``jobs`` only changes
-  which *process* hosts a shard, never what a solver sees.
+* **Virtual solver shards, one topological block each.**  Nodes are
+  numbered by their position in ``network.topological_order()`` (the
+  numbering :class:`~repro.sat.tape.CnfTape` uses), the numbering is cut
+  into :data:`DEFAULT_SHARDS` contiguous blocks, and a pair goes to the
+  block of its deeper node.  Each shard owns one incremental
+  :class:`PairChecker` (persistent CDCL solver + cone encoder) and serves
+  its queries in canonical dispatch order, so the query sequence any
+  solver instance observes — and therefore every verdict, counterexample
+  model, and conflict count — is a pure function of the dispatched pairs
+  and the network.  A shard's pairs share the cones of one region of the
+  network, so it encodes, and learns about, that region instead of every
+  shard meeting every cone.  Changing ``jobs`` only changes which
+  *process* hosts a shard (shard ``s`` lives on worker ``s % workers``),
+  never what a solver sees.
 
 * **Canonical merge order.**  :meth:`CheckerPool.check_pairs` returns
   verdicts in dispatch order regardless of completion order; the engine
@@ -30,19 +36,30 @@ any worker count**.  Two mechanisms guarantee it:
 :class:`~repro.sweep.checker.PairChecker`'s interface, so the engine
 answers every pair query through one seam, whichever back end solves it.
 
+Transport
+---------
+
+Each worker talks to the parent over one duplex pipe.  A call sends each
+worker one message holding every task it owns, in dispatch order; the
+worker answers each task, in order, as soon as it is solved.  An answer is
+written to the pipe before the next task starts, so every answer a worker
+sent can still be read after it dies, and each answer doubles as the
+worker's heartbeat.  The parent waits on the pipes and the workers'
+sentinels together.
+
 Fault tolerance and supervision
 -------------------------------
 
-A worker killed mid-query no longer forfeits its pairs.  The parent
-respawns a replacement on the same task queue — queued-but-unread tasks
-survive in the queue and are served by the replacement — and sends a
-*fence* message; any task submitted before the fence that still has no
-answer when the fence returns was lost inside the dead worker.  Lost
-pairs are **re-dispatched** to the respawned worker under a bounded
-:class:`~repro.runtime.supervise.RetryPolicy` (exponential backoff,
-jittered via the seeded RNG — the schedule is a pure function of the pair,
-never of wall clock), and only degrade to ``UNKNOWN`` once the retry
-budget is exhausted.  Degradation is still never a fabricated verdict.
+Answers arrive in batch order, so a dead worker's first unanswered task is
+the one it was solving.  The parent reads every answer the dead worker
+sent, then charges that task one attempt under a bounded
+:class:`~repro.runtime.supervise.RetryPolicy` — re-dispatch after an
+exponential backoff jittered via the seeded RNG (a pure function of the
+pair, never of wall clock), or degrade to ``UNKNOWN`` once the retry budget
+is spent, never a fabricated verdict — and re-sends the worker's other
+unanswered tasks to a replacement at once, uncharged.  A worker is
+respawned only when it next has work, so one that dies at start-up costs
+one charged attempt per death instead of a tight fork loop.
 
 Re-dispatch preserves the determinism contract: verdicts are a pure
 function of the solver state the query meets, and a respawned worker's
@@ -51,22 +68,24 @@ pair's verdict is the one an undisturbed run would have produced whenever
 the queries are state-independent (fresh/query-pure mode, or a respawn
 that re-serves the shard's full sequence).
 
-Workers emit a heartbeat when they pick up a task; a busy worker silent
-past ``heartbeat_interval`` bumps a counter (``pool.heartbeats_missed``)
-for observability — process liveness stays authoritative.  Budget
-deadlines are polled by the parent while collecting; expiry abandons
-outstanding work as ``UNKNOWN``.
+A busy worker silent past ``heartbeat_interval`` bumps a counter
+(``pool.heartbeats_missed``) for observability — process liveness stays
+authoritative.  Budget deadlines are polled by the parent while
+collecting; expiry abandons outstanding work as ``UNKNOWN``, and a worker
+still owing answers is stopped, so no later call sends to a worker busy
+writing answers nobody reads.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_mod
 import signal
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from multiprocessing.connection import wait
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import SweepError
 from repro.network.network import Network
@@ -79,10 +98,11 @@ from repro.simulation.patterns import InputVector
 if TYPE_CHECKING:
     from repro.sat.tape import CnfTape
 
-#: Virtual shard count.  Fixed (never derived from the worker count) so the
-#: trajectory is identical for any ``jobs``; raising it increases available
-#: parallelism but changes which solver serves which pair (a different —
-#: still deterministic — trajectory).
+#: Virtual shard count: the number of topological blocks pairs are routed
+#: to, and the most workers a pool starts.  Fixed (never derived from the
+#: worker count) so the trajectory is identical for any ``jobs``; changing
+#: it changes which solver serves which pair (a different — still
+#: deterministic — trajectory).
 DEFAULT_SHARDS = 16
 
 
@@ -120,12 +140,10 @@ def _worker_main(
     conflict_limit: Optional[int],
     incremental: bool,
     backend: str,
-    worker_index: int,
-    task_queue,
-    result_queue,
+    conn,
     chaos_kill_pair: Optional[tuple[int, int]],
 ) -> None:
-    """Worker loop: route each task to its shard's checker and answer.
+    """Worker loop: take a batch, answer each task in order, repeat.
 
     ``chaos_kill_pair`` is a fault-injection seam (see
     :mod:`repro.runtime.faults`): receiving that exact pair SIGKILLs the
@@ -138,45 +156,40 @@ def _worker_main(
 
     checkers: dict[int, PairChecker] = {}
     while True:
-        message = task_queue.get()
-        if message is None:
+        try:
+            batch = conn.recv()
+        except EOFError:
             break
-        if message[0] == "fence":
-            result_queue.put(("fence", message[1]))
-            continue
-        _, task_id, shard, rep, member, complemented, limit = message
-        # Heartbeat on pickup: the parent learns the worker is alive and
-        # which query it committed to before any solving happens.
-        result_queue.put(("hb", worker_index, task_id))
-        if chaos_kill_pair is not None and (rep, member) == chaos_kill_pair:
-            if hasattr(signal, "SIGKILL"):
-                os.kill(os.getpid(), signal.SIGKILL)
-            os._exit(1)  # pragma: no cover - non-POSIX fallback
-        checker = checkers.get(shard)
-        if checker is None:
-            checker = PairChecker(
-                network,
-                conflict_limit=conflict_limit,
-                incremental=incremental,
-                backend=backend,
-                tape=tape,
+        if batch is None:
+            break
+        for shard, rep, member, complemented, limit in batch:
+            if chaos_kill_pair is not None and (rep, member) == chaos_kill_pair:
+                if hasattr(signal, "SIGKILL"):
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(1)  # pragma: no cover - non-POSIX fallback
+            checker = checkers.get(shard)
+            if checker is None:
+                checker = PairChecker(
+                    network,
+                    conflict_limit=conflict_limit,
+                    incremental=incremental,
+                    backend=backend,
+                    tape=tape,
+                )
+                checkers[shard] = checker
+            (verdict,) = checker.check_pairs(
+                [(rep, member, complemented)], [limit]
             )
-            checkers[shard] = checker
-        (verdict,) = checker.check_pairs(
-            [(rep, member, complemented)], [limit]
-        )
-        vector = verdict.vector
-        result_queue.put(
-            (
-                "done",
-                task_id,
-                verdict.outcome.value,
-                None if vector is None else dict(vector.values),
-                verdict.conflicts,
-                verdict.sat_time,
-                verdict.propagations,
+            vector = verdict.vector
+            conn.send(
+                (
+                    verdict.outcome.value,
+                    None if vector is None else vector.values,
+                    verdict.conflicts,
+                    verdict.sat_time,
+                    verdict.propagations,
+                )
             )
-        )
 
 
 class CheckerPool:
@@ -188,7 +201,9 @@ class CheckerPool:
     the C core, the parent lowers the network into its
     :class:`~repro.sat.tape.CnfTape` once, before starting any worker, and
     the workers share that tape (and the ISOP covers behind it) instead of
-    each lowering the network again.
+    each lowering the network again.  The pool starts ``min(jobs,
+    DEFAULT_SHARDS)`` workers: a worker past the last shard would never get
+    a task.
 
     Args:
         budget: The run's budget (parent-side only, never shipped to a
@@ -206,9 +221,6 @@ class CheckerPool:
             retried pair can succeed).  ``None`` keeps every respawn armed
             — the retry budget then exhausts and the pair degrades.
     """
-
-    #: Seconds between liveness/deadline polls while collecting.
-    POLL_INTERVAL = 0.05
 
     def __init__(
         self,
@@ -241,6 +253,11 @@ class CheckerPool:
         self._tape = None
         if stream_encoding_available(backend):
             self._tape = CnfTape(network)
+            self._number = self._tape.number
+        else:
+            self._number = {
+                uid: d for d, uid in enumerate(network.topological_order())
+            }
         self._conflict_limit = conflict_limit
         self._incremental = incremental
         self._backend = backend
@@ -260,15 +277,15 @@ class CheckerPool:
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
         )
-        self._result_queue = self._ctx.Queue()
-        self._task_queues = [self._ctx.Queue() for _ in range(jobs)]
-        self._processes: list = [None] * jobs
-        self._task_seq = 0
-        self._fence_seq = 0
+        workers = min(jobs, self.shards)
+        #: Per worker: its process and the parent's end of its pipe, or
+        #: ``None`` for both while the slot waits for work to respawn.
+        self._processes: list = [None] * workers
+        self._conns: list = [None] * workers
         #: Worker deaths absorbed by respawning (chaos metric).
         self.worker_failures = 0
         self._closed = False
-        for index in range(jobs):
+        for index in range(workers):
             self._spawn(index)
 
     # ------------------------------------------------------------------
@@ -282,6 +299,7 @@ class CheckerPool:
             # The seam already killed its quota; respawns run disarmed so
             # the re-dispatched pair can actually be solved.
             chaos = None
+        conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
             args=(
@@ -290,21 +308,36 @@ class CheckerPool:
                 self._conflict_limit,
                 self._incremental,
                 self._backend,
-                index,
-                self._task_queues[index],
-                self._result_queue,
+                child_conn,
                 chaos,
             ),
             daemon=True,
         )
         process.start()
+        # The worker holds the only other end, so its death closes the pipe.
+        child_conn.close()
         self._processes[index] = process
+        self._conns[index] = conn
         self._supervisor.on_spawn(index)
 
+    def _stop(self, index: int, grace: float = 0.0) -> None:
+        """Join worker ``index`` (terminating it after ``grace`` seconds)
+        and close its pipe; the slot respawns when it next has work."""
+        process = self._processes[index]
+        process.join(timeout=grace)
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=0.5)
+        self._conns[index].close()
+        self._processes[index] = self._conns[index] = None
+
     def shard_of(self, rep: int, member: int) -> int:
-        """Stable shard routing: a pure function of the pair (never of
-        ``jobs``), so retries and escalations hit the same solver state."""
-        return ((rep * 0x9E3779B1) ^ (member * 0x85EBCA6B)) % self.shards
+        """The topological block of the pair's deeper node: a pure function
+        of the pair and the network (never of ``jobs``), so retries and
+        escalations hit the same solver state."""
+        number = self._number
+        deeper = max(number[rep], number[member])
+        return deeper * self.shards // len(number)
 
     @property
     def supervision_stats(self) -> dict:
@@ -326,12 +359,12 @@ class CheckerPool:
     ) -> list[PairVerdict]:
         """Check ``(rep, member, complemented)`` pairs concurrently.
 
-        Verdicts come back **in dispatch order** regardless of completion
-        order.  Pairs lost to a dead worker are re-dispatched under the
-        retry policy; a pair whose answer never arrives — retry budget
-        exhausted, or the run's deadline — is returned as degraded
-        ``UNKNOWN``.  Each answered pair is charged to the budget once the
-        call's answers are all in.
+        Each worker gets its tasks in one message.  Verdicts come back
+        **in dispatch order** regardless of completion order.  Pairs lost
+        to a dead worker are re-dispatched under the retry policy; a pair
+        whose answer never arrives — retry budget exhausted, or the run's
+        deadline — is returned as degraded ``UNKNOWN``.  Each answered
+        pair is charged to the budget once the call's answers are all in.
 
         Args:
             limits: Optional per-pair conflict-limit overrides (escalation
@@ -341,15 +374,15 @@ class CheckerPool:
         if self._closed:
             raise SweepError("pool is closed")
         budget = self._budget
+        supervisor = self._supervisor
+        workers = len(self._processes)
         count = len(pairs)
         if self._tracer.enabled:
             self._tracer.event("pool.dispatch", count=count)
         verdicts: list[Optional[PairVerdict]] = [None] * count
-        position: dict[int, int] = {}
-        owner: dict[int, int] = {}
-        message_of: dict[int, tuple] = {}
-        applied_limit: dict[int, Optional[int]] = {}
-        attempts: dict[int, int] = {}
+        #: Per offset: the task a worker receives.
+        tasks: list[tuple] = []
+        batches: dict[int, list[int]] = {}
         remaining = (
             budget.remaining_conflicts() if budget is not None else None
         )
@@ -359,104 +392,117 @@ class CheckerPool:
                 limit = limits[offset]
             if remaining is not None and (limit is None or remaining < limit):
                 limit = remaining
-            task_id = self._task_seq
-            self._task_seq += 1
-            position[task_id] = offset
             shard = self.shard_of(rep, member)
-            worker = shard % self.jobs
-            owner[task_id] = worker
-            applied_limit[task_id] = limit
-            attempts[task_id] = 0
-            message = (
-                "check", task_id, shard, rep, member, complemented, limit
-            )
-            message_of[task_id] = message
-            self._task_queues[worker].put(message)
-        #: fence id -> (worker index, tasks in flight when it was sent).
-        pending_fences: dict[int, tuple[int, list[int]]] = {}
-        outstanding = set(position)
-        #: Lost tasks awaiting their backoff: (due monotonic time, task_id).
+            tasks.append((shard, rep, member, complemented, limit))
+            batches.setdefault(shard % workers, []).append(offset)
+        #: Per worker: offsets sent and not yet answered, in send order.
+        inflight = [deque() for _ in range(workers)]
+        attempts = [0] * count
+        #: Lost tasks awaiting their backoff: (due monotonic time, offset).
         deferred: list[tuple[float, int]] = []
-        deferred_ids: set[int] = set()
 
-        def charge_lost(lost: Sequence[int]) -> None:
-            """Charge one attempt to each task lost inside a dead worker:
-            re-dispatch it after its backoff, or degrade it to UNKNOWN (below,
-            never fabricated) once the retry budget is spent."""
-            for task_id in lost:
-                if task_id not in outstanding or task_id in deferred_ids:
-                    continue
-                attempts[task_id] += 1
-                check = message_of[task_id]
-                delay = self._supervisor.should_retry(
-                    (check[3], check[4]), attempts[task_id]
-                )
-                if delay is None:
-                    outstanding.discard(task_id)
-                    continue
-                deferred.append((time.monotonic() + delay, task_id))
-                deferred_ids.add(task_id)
+        def send(worker: int, offsets: list[int]) -> None:
+            if self._processes[worker] is None:
+                self._spawn(worker)
                 if self._tracer.enabled:
-                    self._tracer.event(
-                        "pool.redispatch",
-                        rep=check[3],
-                        member=check[4],
-                        attempt=attempts[task_id],
-                    )
-
-        while outstanding:
-            if budget is not None and budget.time_expired():
-                break  # outstanding work is abandoned, degraded to UNKNOWN
-            if deferred:
-                now = time.monotonic()
-                due = [t for d, t in deferred if d <= now]
-                if due:
-                    deferred[:] = [(d, t) for d, t in deferred if t not in due]
-                    for task_id in due:
-                        if task_id not in outstanding:
-                            continue
-                        deferred_ids.discard(task_id)
-                        self._task_queues[owner[task_id]].put(
-                            message_of[task_id]
-                        )
+                    self._tracer.event("pool.respawn", worker=worker)
+            if not inflight[worker]:
+                supervisor.heartbeat(worker)  # a busy spell starts now
+            inflight[worker].extend(offsets)
             try:
-                message = self._result_queue.get(timeout=self.POLL_INTERVAL)
-            except queue_mod.Empty:
-                self._reap_dead(
-                    owner, outstanding, pending_fences, deferred_ids,
-                    charge_lost,
-                )
-                self._supervisor.check_heartbeats(
-                    {
-                        owner[t]
-                        for t in outstanding
-                        if t not in deferred_ids
-                    }
-                )
-                continue
-            kind = message[0]
-            if kind == "hb":
-                self._supervisor.heartbeat(message[1])
-                continue
-            if kind == "fence":
-                # Submitted before the fence, no answer by the time the
-                # replacement reached it: lost inside the dead worker.
-                _, lost = pending_fences.pop(message[1], (None, ()))
-                charge_lost(lost)
-                continue
-            _, task_id, outcome, values, conflicts, sat_time, props = message
-            if task_id not in outstanding:
-                continue  # straggler from an abandoned earlier call
-            outstanding.discard(task_id)
-            deferred_ids.discard(task_id)
-            verdicts[position[task_id]] = PairVerdict(
+                self._conns[worker].send([tasks[o] for o in offsets])
+            except OSError:
+                pass  # the worker died; its sentinel reports it
+
+        def accept(worker: int, answer: tuple) -> None:
+            offset = inflight[worker].popleft()
+            outcome, values, conflicts, sat_time, props = answer
+            verdicts[offset] = PairVerdict(
                 SatResult(outcome),
-                None if values is None else InputVector(dict(values)),
+                None if values is None else InputVector(values),
                 conflicts,
                 sat_time,
                 propagations=props,
-                limit=applied_limit[task_id],
+                limit=tasks[offset][4],
             )
+            supervisor.heartbeat(worker)
+
+        def drain(worker: int) -> bool:
+            """Accept every answer waiting on the worker's pipe; False once
+            the pipe reports the worker gone."""
+            conn = self._conns[worker]
+            try:
+                while conn.poll():
+                    accept(worker, conn.recv())
+            except (EOFError, OSError):
+                return False
+            return True
+
+        def bury(worker: int) -> None:
+            """Read what a dead worker sent, then apply the loss rule: its
+            first unanswered task is charged one attempt (re-dispatched
+            after its backoff, or left unanswered to degrade), and the rest
+            go to its replacement at once, uncharged."""
+            drain(worker)
+            self._stop(worker)
+            self.worker_failures += 1
+            if self._chaos_kill_pair is not None:
+                self._chaos_deaths += 1
+            lost = inflight[worker]
+            if not lost:
+                return
+            first = lost.popleft()
+            rest = list(lost)
+            lost.clear()
+            attempts[first] += 1
+            _, rep, member, _, _ = tasks[first]
+            delay = supervisor.should_retry((rep, member), attempts[first])
+            if delay is not None:
+                deferred.append((time.monotonic() + delay, first))
+                if self._tracer.enabled:
+                    self._tracer.event(
+                        "pool.redispatch",
+                        rep=rep,
+                        member=member,
+                        attempt=attempts[first],
+                    )
+            if rest:
+                send(worker, rest)
+
+        try:
+            for worker in sorted(batches):
+                send(worker, batches[worker])
+            while deferred or any(inflight):
+                if budget is not None and budget.time_expired():
+                    break  # outstanding work is abandoned, degraded below
+                now = time.monotonic()
+                timeout = supervisor.heartbeat_interval
+                if deferred:
+                    due = sorted(o for d, o in deferred if d <= now)
+                    deferred[:] = [(d, o) for d, o in deferred if d > now]
+                    for offset in due:
+                        send(tasks[offset][0] % workers, [offset])
+                    if deferred:
+                        timeout = min(timeout, min(deferred)[0] - now)
+                if budget is not None:
+                    left = budget.remaining_seconds()
+                    if left is not None:
+                        timeout = min(timeout, left)
+                busy = [w for w in range(workers) if inflight[w]]
+                owner = {self._conns[w]: w for w in busy}
+                owner.update((self._processes[w].sentinel, w) for w in busy)
+                dead = set()
+                for ready in wait(list(owner), max(0.0, timeout)):
+                    worker = owner[ready]
+                    if ready is not self._conns[worker] or not drain(worker):
+                        dead.add(worker)
+                for worker in sorted(dead):
+                    bury(worker)
+                supervisor.check_heartbeats(busy)
+        finally:
+            for worker in range(workers):
+                if inflight[worker]:
+                    self._stop(worker)
         for offset, verdict in enumerate(verdicts):
             if verdict is None:
                 verdicts[offset] = PairVerdict(
@@ -471,72 +517,22 @@ class CheckerPool:
                 budget.charge_conflicts(verdict.conflicts)
         return verdicts  # type: ignore[return-value]
 
-    def _reap_dead(
-        self,
-        owner: dict[int, int],
-        outstanding: set[int],
-        pending_fences: dict[int, tuple[int, list[int]]],
-        deferred_ids: set[int],
-        charge_lost: Callable[[Sequence[int]], None],
-    ) -> None:
-        """Respawn dead workers; fence to find which tasks died with them.
-
-        Tasks already sitting in the backoff queue are excluded from the
-        fence candidates — they are not in flight, so the fence cannot
-        prove anything about them (and must not double-charge a retry).
-        A worker that died with one of its fences unanswered (a
-        replacement that died before reading it) never will answer it, so
-        the tasks that fence covers are charged as lost right away;
-        otherwise a worker dying at startup would be respawned forever.
-        """
-        for index, process in enumerate(self._processes):
-            if process.is_alive():
-                continue
-            unanswered = [
-                fence_id
-                for fence_id, (worker, _) in pending_fences.items()
-                if worker == index
-            ]
-            for fence_id in unanswered:
-                charge_lost(pending_fences.pop(fence_id)[1])
-            self.worker_failures += 1
-            if self._chaos_kill_pair is not None:
-                self._chaos_deaths += 1
-            if self._tracer.enabled:
-                self._tracer.event("pool.respawn", worker=index)
-            self._spawn(index)
-            fence_id = self._fence_seq
-            self._fence_seq += 1
-            pending_fences[fence_id] = (
-                index,
-                [
-                    task_id
-                    for task_id in outstanding
-                    if owner.get(task_id) == index
-                    and task_id not in deferred_ids
-                ],
-            )
-            self._task_queues[index].put(("fence", fence_id))
-
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Stop all workers (terminating any still mid-query)."""
         if self._closed:
             return
         self._closed = True
-        for task_queue in self._task_queues:
+        for conn in self._conns:
+            if conn is None:
+                continue
             try:
-                task_queue.put(None)
-            except (OSError, ValueError):  # pragma: no cover - teardown race
+                conn.send(None)
+            except OSError:  # pragma: no cover - worker already gone
                 pass
-        for process in self._processes:
-            process.join(timeout=0.5)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=0.5)
-        self._result_queue.close()
-        for task_queue in self._task_queues:
-            task_queue.close()
+        for index, process in enumerate(self._processes):
+            if process is not None:
+                self._stop(index, grace=0.5)
 
     def __enter__(self) -> "CheckerPool":
         return self

@@ -1,9 +1,8 @@
 """Worker-pool supervision policy: heartbeats, bounded retry, backoff.
 
-PR 3's :class:`~repro.runtime.pool.CheckerPool` already detects a dead
-worker (liveness poll + fence-respawn protocol) but degraded every pair
-lost inside it straight to UNKNOWN.  This module holds the *policy* side
-of doing better:
+:class:`~repro.runtime.pool.CheckerPool` detects a dead worker by its
+sentinel and, since answers arrive in batch order, knows the one task it
+was solving.  This module holds the *policy* for that task:
 
 * :class:`RetryPolicy` — how many times a lost pair is re-dispatched and
   how long to wait before each attempt.  Backoff is exponential and
@@ -15,9 +14,9 @@ of doing better:
   the metrics registry (``heartbeats_missed`` / ``retries`` / ``respawns``
   / ``pairs_redispatched``).
 
-The pool remains the *mechanism* owner (queues, fences, processes); the
-supervisor never touches a process handle, which keeps the policy unit-
-testable with a fake clock.
+The pool remains the *mechanism* owner (pipes, processes, the loss rule);
+the supervisor never touches a process handle, which keeps the policy
+unit-testable with a fake clock.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from typing import Callable, Optional
 class RetryPolicy:
     """Bounded, deterministically-jittered exponential backoff.
 
-    ``max_retries=0`` restores the PR 3 behaviour (first loss degrades to
-    UNKNOWN); the default gives a lost pair two more chances.
+    ``max_retries=0`` makes the first loss degrade to UNKNOWN; the
+    default gives a lost pair two more chances.
     """
 
     #: Re-dispatches allowed per pair after the first loss.

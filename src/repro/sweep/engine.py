@@ -108,10 +108,12 @@ class SweepConfig:
     #: Worker processes for the SAT phase.  1 (default) checks one pair at
     #: a time in process, greedily from the largest class.  >1 dispatches
     #: independent pairs in level-ordered waves to a
-    #: :class:`~repro.runtime.pool.CheckerPool` and merges verdicts in
-    #: canonical dispatch order; the trajectory is then bit-identical for
-    #: *any* worker count (final merges, classes, and cost also match the
-    #: serial path — see docs/PERFORMANCE.md).
+    #: :class:`~repro.runtime.pool.CheckerPool`, which routes each pair to
+    #: one of 16 solver shards by the topological block of its deeper node
+    #: and starts at most one worker per shard; verdicts merge in canonical
+    #: dispatch order.  The trajectory is then bit-identical for *any*
+    #: worker count, and the final merges, classes, and cost match the
+    #: serial path — see docs/PERFORMANCE.md.
     jobs: int = 1
     #: Fault-injection seam of the parallel path: a worker receiving this
     #: exact ``(rep, member)`` pair SIGKILLs itself mid-query; chaos tests

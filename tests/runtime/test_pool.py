@@ -1,14 +1,16 @@
 """CheckerPool: canonical-order verdicts, supervised retry, budgets."""
 
+import multiprocessing
 import os
 import random
 import time
+from multiprocessing.connection import Connection
 
 import pytest
 
 from repro.errors import SweepError
 from repro.network import NetworkBuilder
-from repro.runtime import Budget, CheckerPool, RetryPolicy
+from repro.runtime import Budget, CheckerPool, Deadline, RetryPolicy
 from repro.runtime import pool as pool_module
 from repro.sat.solver import SatResult
 from repro.simulation.simulator import Simulator
@@ -141,11 +143,43 @@ class TestFaults:
         assert sat.outcome is SatResult.SAT and not sat.degraded
         assert comp.outcome is SatResult.UNSAT and not comp.degraded
 
+    def test_loss_rule_charges_only_the_task_being_solved(self):
+        """Three pairs on one worker, the poisoned one second: the first
+        keeps the answer the worker sent before dying, only the poisoned
+        pair is charged (and degrades with no retries), and the
+        replacement answers the third."""
+        net, (g1, g2, g3, g4) = triple_network()
+        candidates = [
+            (g1, g2, False), (g1, g3, False), (g1, g4, True),
+            (g2, g3, False), (g2, g4, True), (g3, g4, False),
+        ]
+        with CheckerPool(net, 2) as clean:
+            by_worker: dict = {}
+            for pair in candidates:
+                worker = clean.shard_of(pair[0], pair[1]) % clean.jobs
+                by_worker.setdefault(worker, []).append(pair)
+            pairs = max(by_worker.values(), key=len)[:3]
+            assert len(pairs) == 3, "triple_network routes three together"
+            expected = clean.check_pairs(pairs)
+        with CheckerPool(
+            net, 2, chaos_kill_pair=pairs[1][:2],
+            retry_policy=RetryPolicy(max_retries=0),
+        ) as pool:
+            first, lost, third = pool.check_pairs(pairs)
+            assert pool.worker_failures == 1
+            stats = pool.supervision_stats
+        assert lost.degraded and lost.outcome is SatResult.UNKNOWN
+        assert not first.degraded and not third.degraded
+        assert first.outcome is expected[0].outcome
+        assert third.outcome is expected[2].outcome
+        assert stats["retries"] == 0
+        assert stats["respawns"] == 1
+
     def test_workers_dying_at_startup_degrade_instead_of_hanging(
         self, monkeypatch
     ):
-        """Every replacement dies before reading its fence: the fenced
-        tasks are charged as lost at the next reap, so the call returns
+        """Every replacement dies before reading its batch: each death
+        charges the first unanswered task, so the call returns
         all-degraded once the retry budget is spent (it used to respawn
         forever)."""
         if "fork" not in pool_module.multiprocessing.get_all_start_methods():
@@ -179,6 +213,25 @@ class TestFaults:
         assert all(v.degraded for v in verdicts)
         assert all(v.outcome is SatResult.UNKNOWN for v in verdicts)
 
+    def test_call_after_an_abandoned_call_gets_fresh_workers(self):
+        """Workers still owing answers to a call abandoned at the deadline
+        are stopped, and the next call respawns them instead of reading
+        the abandoned call's answers as its own."""
+        net, nodes = triple_network()
+        budget = Budget(seconds=0)
+        with CheckerPool(net, 2, budget=budget) as pool:
+            abandoned = pool.check_pairs(standard_pairs(nodes))
+            budget.deadline = Deadline(None)
+            answered = pool.check_pairs(standard_pairs(nodes))
+            assert pool.worker_failures == 0
+        assert all(v.degraded for v in abandoned)
+        assert [v.outcome for v in answered] == [
+            SatResult.UNSAT,
+            SatResult.SAT,
+            SatResult.UNSAT,
+        ]
+        assert not any(v.degraded for v in answered)
+
     def test_closed_pool_rejects_work(self):
         net, nodes = triple_network()
         pool = CheckerPool(net, 1)
@@ -194,11 +247,58 @@ class TestFaults:
 
 class TestRouting:
     def test_shard_routing_is_stable_and_jobs_independent(self):
-        net, _ = triple_network()
+        """A pair goes to the topological block of its deeper node, for
+        any worker count."""
+        net, (g1, g2, g3, g4) = triple_network()
+        number = {uid: d for d, uid in enumerate(net.topological_order())}
+        pairs = [(g1, g2), (g2, g3), (g1, g4), (g3, g4), (g4, g1)]
         with CheckerPool(net, 1) as one, CheckerPool(net, 4) as four:
-            for rep, member in [(3, 4), (3, 5), (10, 99)]:
-                assert one.shard_of(rep, member) == four.shard_of(rep, member)
-                assert 0 <= one.shard_of(rep, member) < one.shards
+            for rep, member in pairs:
+                shard = one.shard_of(rep, member)
+                assert shard == four.shard_of(rep, member)
+                assert 0 <= shard < one.shards
+                deeper = max(number[rep], number[member])
+                assert shard == deeper * one.shards // len(number)
+
+    def test_workers_past_the_last_shard_are_not_started(self, monkeypatch):
+        """A task goes to worker ``shard % jobs``, so ``jobs`` beyond the
+        shard count would only start idle processes."""
+        monkeypatch.setattr(pool_module, "DEFAULT_SHARDS", 2)
+        net, nodes = triple_network()
+        runs = {}
+        for jobs in (2, 3):
+            before = len(multiprocessing.active_children())
+            with CheckerPool(net, jobs) as pool:
+                started = len(multiprocessing.active_children()) - before
+                runs[jobs] = [
+                    (v.outcome, v.conflicts, v.propagations, v.degraded)
+                    for v in pool.check_pairs(standard_pairs(nodes))
+                ]
+            assert started == 2
+        assert runs[3] == runs[2]
+
+    def test_one_message_per_worker_per_call(self, monkeypatch):
+        net, _ = union_network(*[random_network(seed=5, num_gates=40)] * 2)
+        gates = [n.uid for n in net.gates()]
+        rng = random.Random(3)
+        pairs = [
+            (*sorted(rng.sample(gates, 2)), False) for _ in range(40)
+        ]
+        sent = []
+        original = Connection.send
+
+        def counting_send(conn, obj):
+            sent.append(conn)
+            return original(conn, obj)
+
+        with CheckerPool(net, 2) as pool:
+            owners = {pool.shard_of(r, m) % 2 for r, m, _ in pairs}
+            assert owners == {0, 1}
+            monkeypatch.setattr(Connection, "send", counting_send)
+            verdicts = pool.check_pairs(pairs)
+            monkeypatch.undo()
+        assert not any(v.degraded for v in verdicts)
+        assert len(sent) == len(set(sent)) == len(owners)
 
 
 class TestStartMethods:
