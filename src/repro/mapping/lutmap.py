@@ -6,16 +6,22 @@ cover the network from the POs — every chosen cut becomes one LUT whose
 truth table is the cut-cone function.  The result is a fresh network whose
 gates are K-input LUTs, which is what the sweeping experiments operate on
 (paper §6.1).
+
+For ``k`` up to 6 the first pass and the cut functions run in the C core
+of :mod:`repro.mapping.compiled`; the Python path below is the reference
+it reproduces, and runs where the core does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.errors import MappingError
-from repro.network.network import Network
+from repro.logic.truthtable import MAX_VARS
+from repro.mapping import compiled
 from repro.mapping.cuts import Cut, cut_function, enumerate_cuts
+from repro.network.network import Network
 
 
 @dataclass(slots=True)
@@ -27,24 +33,14 @@ class MappingStats:
     k: int
 
 
-def map_to_luts(
-    network: Network,
-    k: int = 6,
-    cut_limit: int = 8,
-    name: Optional[str] = None,
-) -> tuple[Network, MappingStats]:
-    """Map a gate network to a K-LUT network.
+def reference_luts(
+    network: Network, k: int, cut_limit: int
+) -> Callable[[int], compiled.Lut]:
+    """Every gate's LUT on the Python path, as ``uid -> (table, inputs)``.
 
-    Returns the LUT network (PIs/POs preserved by name and position) and
-    mapping statistics.  Constants are copied through unmapped.  Gates wider
-    than ``k`` are Shannon-decomposed first (a gate must fit inside a cut).
+    Best cuts are chosen here, for every gate; a LUT's function is
+    computed when it is asked for.
     """
-    if any(
-        node.num_fanins > k for node in network.gates()
-    ):
-        from repro.transforms.decompose import decompose_to_arity
-
-        network = decompose_to_arity(network, max(2, k), name=network.name)
     cuts = enumerate_cuts(network, k, cut_limit)
     best: dict[int, Cut] = {}
     depth: dict[int, int] = {}
@@ -74,15 +70,52 @@ def map_to_luts(
         fanout = max(1, network.num_fanouts(uid))
         area_flow[uid] = best_key[1] / fanout
 
+    def lut(uid: int) -> compiled.Lut:
+        cut = best[uid]
+        # Shrink to true support: mapping can yield degenerate cut inputs.
+        table, support = cut_function(network, cut).shrink_to_support()
+        return table, [cut.leaves[i] for i in support]
+
+    return lut
+
+
+def map_to_luts(
+    network: Network,
+    k: int = 6,
+    cut_limit: int = 8,
+    name: Optional[str] = None,
+) -> tuple[Network, MappingStats]:
+    """Map a gate network to a K-LUT network.
+
+    Returns the LUT network (PIs/POs preserved by name and position) and
+    mapping statistics.  Constants are copied through unmapped.  Gates wider
+    than ``k`` are Shannon-decomposed first (a gate must fit inside a cut).
+    ``k`` outside ``[1, 16]`` raises :class:`MappingError` before any work:
+    a LUT's truth table has at most 16 inputs.
+    """
+    if not 1 <= k <= MAX_VARS:
+        raise MappingError(f"k must be in [1, {MAX_VARS}], got {k}")
+    if cut_limit < 1:
+        raise MappingError(f"cut_limit must be >= 1, got {cut_limit}")
+    if any(
+        node.num_fanins > k for node in network.gates()
+    ):
+        from repro.transforms.decompose import decompose_to_arity
+
+        network = decompose_to_arity(network, max(2, k), name=network.name)
+    lut_of = compiled.best_luts(network, k, cut_limit) or reference_luts(
+        network, k, cut_limit
+    )
+
     # Cover from the POs.
     mapped = Network(name or f"{network.name}_lut{k}")
     new_id: dict[int, int] = {}
     for pi in network.pis:
         new_id[pi] = mapped.add_pi(network.node(pi).name)
 
-    #: uid -> its LUT's (table, support), computed once: the covering
-    #: stack revisits a node whose leaves were missing.
-    functions: dict[int, tuple] = {}
+    #: uid -> its LUT's (table, inputs), read once: the covering stack
+    #: revisits a node whose leaves were missing.
+    functions: dict[int, compiled.Lut] = {}
 
     def realize_one(uid: int) -> Optional[list[int]]:
         """Create the LUT for ``uid`` if its leaves exist; else return them."""
@@ -90,17 +123,13 @@ def map_to_luts(
         if node.is_const:
             new_id[uid] = mapped.add_const(bool(node.table.bits), node.name)
             return None
-        cut = best[uid]
         function = functions.get(uid)
         if function is None:
-            # Shrink to true support: mapping can yield degenerate cut inputs.
-            function = cut_function(network, cut).shrink_to_support()
-            functions[uid] = function
-        table, support = function
-        if not support:
+            function = functions[uid] = lut_of(uid)
+        table, leaves = function
+        if not leaves:
             new_id[uid] = mapped.add_const(bool(table.bits), node.name)
             return None
-        leaves = [cut.leaves[i] for i in support]
         missing = [leaf for leaf in leaves if leaf not in new_id]
         if missing:
             return missing

@@ -1,20 +1,23 @@
 """Build-and-load machinery for optional C accelerator cores.
 
-The three compiled cores in this codebase — the SAT clause arena
+The four compiled cores in this codebase — the SAT clause arena
 (``repro/sat/_satcore.c``), the SimGen lane kernel
-(``repro/core/_simgencore.c``) and the bit-parallel simulator
-(``repro/simulation/_simcore.c``) — follow the same contract: a single
+(``repro/core/_simgencore.c``), the bit-parallel simulator
+(``repro/simulation/_simcore.c``) and the LUT mapper
+(``repro/mapping/_mapcore.c``) — follow the same contract: a single
 portable C99 source file compiled into a shared object with whatever
-system compiler exists, cached by source hash so the build runs once per
-machine, loaded through ``ctypes``, and *optional* — when no compiler or
-writable cache directory is available the caller falls back to pure
-Python with identical trajectories: the SAT backend to the reference
-:class:`~repro.sat.solver.CdclSolver` (30-50x fewer propagations per
-second), the SimGen batch generator to the reference engines (about 10x
-slower generation), the sweep engine's simulator to the reference
-:class:`~repro.simulation.simulator.Simulator`.  This module is that
-contract, shared by every core so each corner case has one
-implementation:
+system compiler exists when its module is imported, cached by source
+hash so the build runs once per machine, loaded through ``ctypes``, and
+*optional* — when no compiler or writable cache directory is available
+the caller falls back to pure Python with identical trajectories: the
+SAT backend to the reference :class:`~repro.sat.solver.CdclSolver`
+(30-50x fewer propagations per second), the SimGen batch generator to
+the reference engines (about 10x slower generation), the sweep engine's
+simulator to the reference
+:class:`~repro.simulation.simulator.Simulator`, and
+:func:`~repro.mapping.lutmap.map_to_luts` to its Python path (the same
+netlists, about 7x slower).  This module is that contract, shared by
+every core so each corner case has one implementation:
 
 * **source-hash cache keys** — edits rebuild, stale builds are never
   picked up;
@@ -30,7 +33,7 @@ implementation:
   speed, never results, and should be visible exactly once per process;
   silence is reserved for the explicit opt-out;
 * **one opt-out for every core** — ``REPRO_CCORES=python``
-  (:data:`OPT_OUT_VAR`) runs all three on their pure-Python paths, what a
+  (:data:`OPT_OUT_VAR`) runs all four on their pure-Python paths, what a
   host without a C compiler gets;
 * **one switch in the library** — a ``backend`` value from
   :data:`BACKENDS` (``SweepConfig.backend``, ``make_generator(backend=)``,

@@ -293,7 +293,8 @@ class VerdictJournal:
         determining configuration) and decodes every loaded verdict
         against the network's signature map.
         """
-        net_sig = network_signature(network)
+        signatures = node_signatures(network)
+        net_sig = network_signature(network, signatures)
         if self._header is not None:
             if self._header.get("network") != net_sig:
                 raise JournalError(
@@ -308,7 +309,7 @@ class VerdictJournal:
                     f"(journal {self._header.get('fingerprint')}, "
                     f"run {_jsonify(fingerprint)})"
                 )
-        self._signature = node_signatures(network)
+        self._signature = signatures
         self._pis = list(network.pis)
         self._pi_index = {pi: idx for idx, pi in enumerate(self._pis)}
         if self._header is None:
@@ -493,15 +494,20 @@ def _jsonify(value):
     return json.loads(json.dumps(value, sort_keys=True))
 
 
-def sweep_signature(network: Network, result) -> str:
+def sweep_signature(
+    network: Network, result, signatures: Optional[dict[int, int]] = None
+) -> str:
     """Structural fingerprint of a sweep *outcome* (hex string).
 
     Hashes the proven equivalences (as signature triples), the final
     class partition, the cost history, and the verdict counts — everything
     the resume-identity acceptance gate compares.  Two runs with equal
     sweep signatures merged the same pairs along the same trajectory.
+    ``signatures`` is the network's ``node_signatures`` map when the
+    caller has it (a bound journal or cache session does).
     """
-    signatures = node_signatures(network)
+    if signatures is None:
+        signatures = node_signatures(network)
     hasher = hashlib.blake2b(digest_size=16)
     for sig_a, sig_b, comp in sorted(
         (signatures[a], signatures[b], int(c))

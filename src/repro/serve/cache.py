@@ -342,6 +342,12 @@ class CacheSession:
         if not self._bound:
             raise JournalError("cache session is not bound to a network yet")
 
+    @property
+    def signatures(self) -> dict[int, int]:
+        """The bound network's ``node_signatures`` map (its pair keys)."""
+        self._require_bound()
+        return self._signature
+
     def _key(
         self, rep: int, member: int, complemented: bool, limit
     ) -> tuple:

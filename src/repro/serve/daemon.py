@@ -371,7 +371,9 @@ class SweepService:
             "gates_before": stats.gates_before,
             "gates_after": stats.gates_after,
             "merged": stats.merged,
-            "sweep_signature": sweep_signature(network, result),
+            "sweep_signature": sweep_signature(
+                network, result, session.signatures
+            ),
             "metrics": {
                 "sat_calls": metrics.sat_calls,
                 "proven": metrics.proven,

@@ -53,15 +53,19 @@ def node_signatures(network: Network) -> dict[int, int]:
     return signatures
 
 
-def network_signature(network: Network) -> str:
+def network_signature(
+    network: Network, signatures: Optional[dict[int, int]] = None
+) -> str:
     """Structural fingerprint of a whole network (hex string).
 
     Hashes the PI count and the PO-ordered node signatures (with PO
     names), so two networks agree iff their interface and PO cone
     structures agree.  The verdict journal stores this in its header and
-    refuses to resume against a different network.
+    refuses to resume against a different network.  ``signatures`` is
+    the network's :func:`node_signatures` map when the caller has it.
     """
-    signatures = node_signatures(network)
+    if signatures is None:
+        signatures = node_signatures(network)
     hasher = hashlib.blake2b(digest_size=16)
     hasher.update(f"pis={len(network.pis)}".encode("ascii"))
     for name, uid in network.pos:

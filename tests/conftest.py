@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -9,6 +10,27 @@ import pytest
 from repro.logic import TruthTable, gate
 from repro.network import NetworkBuilder
 from repro.simulation import PatternBatch, Simulator
+
+
+@pytest.fixture
+def node_signature_calls(monkeypatch) -> list:
+    """Every ``node_signatures`` call of the test, wherever the function
+    was imported: the networks it hashed, in order."""
+    from repro.runtime import journal
+    from repro.serve import cache
+
+    # ``repro.transforms.strash`` is also the name of a function there.
+    strash = importlib.import_module("repro.transforms.strash")
+    calls = []
+    original = strash.node_signatures
+
+    def counted(network):
+        calls.append(network)
+        return original(network)
+
+    for module in (strash, journal, cache):
+        monkeypatch.setattr(module, "node_signatures", counted)
+    return calls
 
 
 @pytest.fixture

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.mapping import map_to_luts
+from repro.errors import MappingError
+from repro.mapping import compiled, lutmap, map_to_luts
 from repro.network import NetworkBuilder, validate
 from repro.simulation import cone_function
 from tests.conftest import networks_equal, random_network
@@ -86,3 +87,26 @@ class TestStructure:
         net = random_network(seed=11, num_inputs=6, num_gates=30)
         mapped, stats = map_to_luts(net, k=6)
         assert stats.depth <= net.depth()
+
+
+class TestParameters:
+    @pytest.mark.parametrize("k", [0, 17])
+    def test_unbuildable_k_refused_before_any_work(self, k, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("mapping work started")
+
+        monkeypatch.setattr(lutmap, "enumerate_cuts", no_work)
+        monkeypatch.setattr(compiled, "best_luts", no_work)
+        net = random_network(seed=12)
+        with pytest.raises(MappingError, match=r"k must be in \[1, 16\]"):
+            map_to_luts(net, k=k)
+
+    def test_cut_limit_below_one_refused(self):
+        with pytest.raises(MappingError, match="cut_limit must be >= 1"):
+            map_to_luts(random_network(seed=12), cut_limit=0)
+
+    def test_widest_table_maps_on_the_python_path(self):
+        net = random_network(seed=13, num_inputs=6, num_gates=20)
+        mapped, stats = map_to_luts(net, k=16)
+        assert stats.k == 16
+        assert networks_equal(net, mapped)

@@ -228,6 +228,21 @@ class TestStats:
             assert journal.consume_stats() == {"appends": 1}
 
 
+class TestHashing:
+    def test_bind_hashes_the_network_once(self, tmp_path, node_signature_calls):
+        """A fresh bind and a resumed bind each hash every node once."""
+        net, (_, _, g1, g2, _) = small_network()
+        path = tmp_path / "j.jsonl"
+        calls = node_signature_calls
+        with fresh_journal(path, net) as journal:
+            journal.record(g1, g2, False, 100, SatResult.UNSAT, None, 1, 1)
+        assert calls == [net]
+        with VerdictJournal(path, resume=True, fsync=False) as journal:
+            journal.bind(net, FP)
+            assert journal.stats["loaded_verdicts"] == 1
+        assert calls == [net, net]
+
+
 class TestCreationDurability:
     """The crash drill for journal *creation*.
 

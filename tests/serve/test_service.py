@@ -277,3 +277,12 @@ class TestObservability:
         assert stats["cache"]["verdict"]["inserts"] > 0
         # Verdict-cache traffic folds into the shared metrics registry.
         assert stats["registry"].get("cache.verdict.inserts", 0) > 0
+
+
+class TestHashing:
+    def test_served_sweep_hashes_the_network_once(self, node_signature_calls):
+        """The cache session's bind and the result's sweep signature share
+        one ``node_signatures`` map."""
+        with SweepService(workers=1) as svc:
+            result_of(run_job(svc, sweep_request(miter_text())))
+        assert len(node_signature_calls) == 1

@@ -180,6 +180,25 @@ class TestCommands:
         ]
         assert not out.parent.exists()
 
+    def test_unbuildable_k_is_one_error_line(self, blif_file, tmp_path):
+        """A LUT wider than a truth table can hold is refused before any
+        mapping work: one ``error:`` line naming the range, exit 2."""
+        _, path = blif_file
+        out = tmp_path / "mapped.bench"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.tools", "map", str(path), "-k", "17",
+             "-o", str(out)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_cli_env(),
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == ["error: k must be in [1, 16], got 17"]
+        assert not out.exists()
+
     def test_closed_stdout_pipe_exits_quietly(self, blif_file, tmp_path):
         """A reader that is gone before the summary is printed (as in
         ``sweep ... | head -0``) ends the run with exit status 1 and no
