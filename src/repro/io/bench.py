@@ -14,6 +14,7 @@ from typing import TextIO
 
 from repro.errors import LogicError, NetworkError, ParseError
 from repro.io._names import gate_names
+from repro.io._resolve import Definitions, resolve_signal
 from repro.logic import gates
 from repro.logic.truthtable import TruthTable
 from repro.network.network import Network
@@ -47,7 +48,8 @@ def parse_bench(text: str) -> Network:
     """
     inputs: list[tuple[str, int]] = []
     outputs: list[tuple[str, int]] = []
-    defs: dict[str, tuple[int, str, str | None, list[str]]] = {}
+    #: Gate output -> (line, fanin names, (kind, hex table or None)).
+    defs: Definitions = {}
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -68,7 +70,7 @@ def parse_bench(text: str) -> Network:
         args = [
             a.strip() for a in gate_match.group("args").split(",") if a.strip()
         ]
-        defs[out] = (number, kind, gate_match.group("hex"), args)
+        defs[out] = (number, args, (kind, gate_match.group("hex")))
 
     network = Network("bench")
     node_of: dict[str, int] = {}
@@ -78,20 +80,8 @@ def parse_bench(text: str) -> Network:
         if name not in node_of:
             node_of[name] = network.add_pi(name)
 
-    resolving: set[str] = set()
-
-    def resolve(name: str, ref_line: int) -> int:
-        if name in node_of:
-            return node_of[name]
-        if name not in defs:
-            raise ParseError(f"undefined signal {name!r}", ref_line)
-        if name in resolving:
-            raise ParseError(
-                f"combinational cycle through {name!r}", defs[name][0]
-            )
-        resolving.add(name)
-        number, kind, hex_tt, args = defs[name]
-        fanins = [resolve(a, number) for a in args]
+    def build(name: str, fanins: list[int]) -> int:
+        number, _, (kind, hex_tt) = defs[name]
         try:
             if kind == "LUT":
                 if hex_tt is None:
@@ -104,15 +94,14 @@ def parse_bench(text: str) -> Network:
                 table = gates.gate(_KINDS[kind], max(1, len(fanins)))
             else:
                 raise ParseError(f"unknown gate kind {kind!r}", number)
-            node_of[name] = network.add_gate(table, fanins, name)
+            return network.add_gate(table, fanins, name)
         except (LogicError, NetworkError) as exc:
             raise ParseError(str(exc), number) from exc
-        resolving.discard(name)
-        return node_of[name]
 
     for name, number in outputs:
         try:
-            network.add_po(resolve(name, number), name)
+            uid = resolve_signal(name, number, node_of, defs, build)
+            network.add_po(uid, name)
         except (LogicError, NetworkError) as exc:
             raise ParseError(str(exc), number) from exc
     return network

@@ -12,6 +12,7 @@ from typing import Optional, TextIO
 
 from repro.errors import LogicError, NetworkError, ParseError
 from repro.io._names import gate_names
+from repro.io._resolve import Definitions, resolve_signal
 from repro.logic.cubes import Cube, isop
 from repro.logic.truthtable import TruthTable
 from repro.network.network import Network
@@ -126,39 +127,24 @@ def parse_blif(text: str) -> Network:
             except (LogicError, NetworkError) as exc:
                 raise ParseError(str(exc), number) from exc
 
-    # Resolve .names blocks in dependency order.
-    block_of_output = {}
-    for block in names_blocks:
-        number, signals, rows = block
-        block_of_output[signals[-1]] = block
+    #: .names output -> (line, fanin names, cover rows).
+    defs: Definitions = {
+        signals[-1]: (number, signals[:-1], rows)
+        for number, signals, rows in names_blocks
+    }
 
-    resolving: set[str] = set()
-
-    def resolve(name: str, ref_line: int) -> int:
-        if name in node_of:
-            return node_of[name]
-        if name not in block_of_output:
-            raise ParseError(f"undefined signal {name!r}", ref_line)
-        if name in resolving:
-            raise ParseError(
-                f"combinational cycle through {name!r}",
-                block_of_output[name][0],
-            )
-        resolving.add(name)
-        number, signals, rows = block_of_output[name]
-        fanin_names = signals[:-1]
-        fanins = [resolve(f, number) for f in fanin_names]
+    def build(name: str, fanins: list[int]) -> int:
+        number, _, rows = defs[name]
         try:
-            table = _cover_to_table(rows, len(fanin_names), number)
-            node_of[name] = network.add_gate(table, fanins, name)
+            table = _cover_to_table(rows, len(fanins), number)
+            return network.add_gate(table, fanins, name)
         except (LogicError, NetworkError) as exc:
             raise ParseError(str(exc), number) from exc
-        resolving.discard(name)
-        return node_of[name]
 
     for name, number in outputs:
         try:
-            network.add_po(resolve(name, number), name)
+            uid = resolve_signal(name, number, node_of, defs, build)
+            network.add_po(uid, name)
         except (LogicError, NetworkError) as exc:
             raise ParseError(str(exc), number) from exc
     return network

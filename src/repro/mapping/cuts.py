@@ -114,7 +114,9 @@ def cut_function(network: Network, cut: Cut) -> TruthTable:
     """The root's function expressed over the cut leaves.
 
     Table variable ``i`` corresponds to ``cut.leaves[i]``.  The cone is
-    composed on plain minterm masks; one table is built at the end.
+    composed on plain minterm masks, in post-order on an explicit stack
+    (a cone may be a chain deeper than the recursion limit); one table is
+    built at the end.
     """
     n = len(cut.leaves)
     if n > 16:
@@ -123,26 +125,31 @@ def cut_function(network: Network, cut: Cut) -> TruthTable:
     memo: dict[int, int] = {
         leaf: var_mask(n, i) for i, leaf in enumerate(cut.leaves)
     }
-
-    def bits_of(uid: int) -> int:
+    stack = [cut.root]
+    while stack:
+        uid = stack[-1]
         if uid in memo:
-            return memo[uid]
+            stack.pop()
+            continue
         node = network.node(uid)
         if node.is_pi:
             raise MappingError(
                 f"PI {uid} inside cut cone of {cut.root} but not a leaf"
             )
+        # Fanins left to right, as a recursive walk would visit them.
+        missing = [fanin for fanin in node.fanins if fanin not in memo]
+        if missing:
+            stack.extend(reversed(missing))
+            continue
+        stack.pop()
         table = node.table
         if node.is_const:
-            result = full if table.bits else 0
+            memo[uid] = full if table.bits else 0
         else:
-            result = compose_bits(
+            memo[uid] = compose_bits(
                 table.bits,
                 table.num_vars,
-                [bits_of(f) for f in node.fanins],
+                [memo[fanin] for fanin in node.fanins],
                 full,
             )
-        memo[uid] = result
-        return result
-
-    return TruthTable(n, bits_of(cut.root))
+    return TruthTable(n, memo[cut.root])

@@ -16,7 +16,9 @@ Two layers:
   (stdlib ``ThreadingHTTPServer``; no new dependencies) exposing::
 
       POST /jobs            submit a job (netlist text + config)
-      GET  /jobs/<id>       job status / result
+      GET  /jobs/<id>       job status / result (``?wait=S`` holds the
+                            answer until the job is final, at most
+                            ``min(S, MAX_WAIT)`` seconds)
       GET  /jobs/<id>/trace per-job ``repro.obs`` JSONL trace (supports
                             ``?offset=`` so clients can stream increments)
       GET  /stats           cache / admission / registry snapshot
@@ -81,6 +83,13 @@ _CONFIG_TYPES = {
 #: could make the daemon fork as many processes as it names.
 MAX_JOBS = 64
 
+#: The longest ``GET /jobs/<id>?wait=S`` holds its answer back, in seconds.
+MAX_WAIT = 20.0
+
+#: Seconds a kept-alive connection may sit idle between requests before
+#: the daemon closes it, so no client can pin a handler thread forever.
+IDLE_TIMEOUT = 60.0
+
 #: Config field -> (lowest, highest, the rule in words) for values that
 #: have the right type; a null ``timeout`` means no deadline.  The
 #: largest float as ``timeout``'s ceiling refuses infinity, and NaN fails
@@ -132,6 +141,7 @@ class Job:
         "result",
         "error",
         "trace_path",
+        "finished",
     )
 
     def __init__(
@@ -147,6 +157,8 @@ class Job:
         self.result: Optional[dict] = None
         self.error: Optional[str] = None
         self.trace_path: Optional[str] = None
+        #: Set once the job is final: done, failed or rejected.
+        self.finished = threading.Event()
 
     def describe(self) -> dict:
         payload = {
@@ -184,6 +196,11 @@ class SweepService:
         self._jobs: dict[str, Job] = {}
         self._lock = threading.Lock()
         self._seq = 0
+        #: The front end's HTTP traffic, listed in ``/stats``.
+        self._http = {
+            name: self.registry.counter(f"serve.http.{name}")
+            for name in ("requests", "connections")
+        }
         self._threads = [
             threading.Thread(
                 target=self._worker_loop, name=f"serve-worker-{i}", daemon=True
@@ -254,12 +271,24 @@ class SweepService:
         if not self.queue.submit(client, job):
             job.status = "rejected"
             job.error = "client pending budget exhausted or daemon stopping"
+            job.finished.set()
             return {"rejected": job.error, "id": job_id}
         return {"id": job_id}
 
-    def job(self, job_id: str) -> Optional[Job]:
+    def job(self, job_id: str, wait: float = 0.0) -> Optional[Job]:
+        """The job, or ``None`` for an unknown id.  With ``wait``, first
+        block until the job is final or ``min(wait, MAX_WAIT)`` seconds
+        have passed."""
         with self._lock:
-            return self._jobs.get(job_id)
+            job = self._jobs.get(job_id)
+        if job is not None and wait > 0:
+            job.finished.wait(min(wait, MAX_WAIT))
+        return job
+
+    def count_http(self, name: str) -> None:
+        """Count one HTTP ``requests`` or ``connections`` event."""
+        with self._lock:
+            self._http[name].inc()
 
     def trace_bytes(self, job_id: str, offset: int = 0) -> Optional[bytes]:
         job = self.job(job_id)
@@ -310,6 +339,7 @@ class SweepService:
                 job.status = "failed"
             finally:
                 self.queue.finish(job.client)
+                job.finished.set()
 
     def _job_config(self, job: Job, tracer, session) -> SweepConfig:
         options = job.options
@@ -426,26 +456,58 @@ class SweepService:
 # ----------------------------------------------------------------------
 # HTTP front end
 # ----------------------------------------------------------------------
+def _query(query: str) -> dict[str, str]:
+    """``name=value&...`` as a dict; a repeated name keeps its last value."""
+    return dict(pair.partition("=")[::2] for pair in query.split("&"))
+
+
+def _wait_seconds(value: str) -> float:
+    """A ``wait`` query value as seconds: 0 (answer at once) unless it is
+    a number >= 0."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        return 0.0
+    return seconds if seconds >= 0 else 0.0  # NaN fails the test too
+
+
 class _Handler(BaseHTTPRequestHandler):
+    """One connection: HTTP/1.1, kept alive between requests."""
+
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # A response goes out as two writes (headers, body); with Nagle's
+    # algorithm on, the body waits for the client's delayed ACK of the
+    # headers, about 40 ms on every request of a kept-alive connection.
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # the daemon's stdout is for the operator, not per-request spam
 
+    def setup(self) -> None:
+        super().setup()
+        self._service.count_http("connections")
+
+    def parse_request(self) -> bool:
+        self._service.count_http("requests")
+        return super().parse_request()
+
     # -- helpers -------------------------------------------------------
     def _send_json(self, payload: dict, status: int = 200) -> None:
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(body, "application/json", status)
 
     def _send_text(self, body: bytes, status: int = 200) -> None:
+        self._send(body, "application/jsonl", status)
+
+    def _send(self, body: bytes, content_type: str, status: int) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/jsonl")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            # Tell the client, so it does not send its next request here.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -465,19 +527,20 @@ class _Handler(BaseHTTPRequestHandler):
         if path.startswith("/jobs/"):
             parts = path.split("/")
             job_id = parts[2] if len(parts) > 2 else ""
+            params = _query(query)
             if len(parts) == 4 and parts[3] == "trace":
-                offset = 0
-                for pair in query.split("&"):
-                    name, _, value = pair.partition("=")
-                    if name == "offset" and value.isdigit():
-                        offset = int(value)
-                body = self._service.trace_bytes(job_id, offset)
+                offset = params.get("offset", "")
+                body = self._service.trace_bytes(
+                    job_id, int(offset) if offset.isdigit() else 0
+                )
                 if body is None:
                     self._send_json({"error": "no trace"}, status=404)
                 else:
                     self._send_text(body)
                 return
-            job = self._service.job(job_id)
+            job = self._service.job(
+                job_id, wait=_wait_seconds(params.get("wait", ""))
+            )
             if job is None:
                 self._send_json({"error": "unknown job"}, status=404)
             else:
@@ -487,6 +550,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         if self.path == "/shutdown":
+            self.close_connection = True
             self._send_json({"stopping": True})
             # Shut down from another thread: this handler must finish its
             # response before the server loop exits.

@@ -432,21 +432,21 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     }
     if args.revised:
         request["revised"] = _bench_text(load_network(args.revised))
-    client = ServeClient(args.url)
-    job_id = client.submit(request)
-    print(f"job {job_id} submitted to {args.url}")
-    state = client.wait(job_id, timeout=args.wait_timeout)
-    result = state["result"]
-    cache_stats = result["cache"]
-    print(
-        f"cache: {cache_stats['hits']} replayed, "
-        f"{cache_stats['misses']} missed, "
-        f"{cache_stats['appends']} appended"
-    )
-    if args.trace:
-        trace = client.trace(job_id)
-        atomic_write_text(args.trace, trace.decode("utf-8"))
-        print(f"trace -> {args.trace}")
+    with ServeClient(args.url) as client:
+        job_id = client.submit(request)
+        print(f"job {job_id} submitted to {args.url}")
+        state = client.wait(job_id, timeout=args.wait_timeout)
+        result = state["result"]
+        cache_stats = result["cache"]
+        print(
+            f"cache: {cache_stats['hits']} replayed, "
+            f"{cache_stats['misses']} missed, "
+            f"{cache_stats['appends']} appended"
+        )
+        if args.trace:
+            trace = client.trace(job_id)
+            atomic_write_text(args.trace, trace.decode("utf-8"))
+            print(f"trace -> {args.trace}")
     if result["kind"] == "sweep":
         metrics = result["metrics"]
         print(

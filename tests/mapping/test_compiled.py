@@ -115,6 +115,23 @@ class TestAgainstPythonPath:
 
 
 @needs_core
+class TestDeepCones:
+    def test_chain_deeper_than_the_recursion_limit(self):
+        """A best cut whose cone is a chain of 5,000 inverters maps to the
+        same bytes on the Python path as on the core; k = 7 runs the
+        Python path's cut functions either way."""
+        net = Network("chain")
+        signal = net.add_pi()
+        for _ in range(5000):
+            signal = net.add_gate(TruthTable(1, 0b01), (signal,))
+        net.add_po(signal)
+        core = mapped_text(net, 6, 8)
+        with python_path():
+            assert mapped_text(net, 6, 8) == core
+        assert mapped_text(net, 7, 8) == core
+
+
+@needs_core
 class TestFlowSum:
     """The core's area-flow sum is this interpreter's ``sum()`` of floats,
     compensated or not, to the last bit."""

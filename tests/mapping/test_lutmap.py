@@ -88,6 +88,18 @@ class TestStructure:
         mapped, stats = map_to_luts(net, k=6)
         assert stats.depth <= net.depth()
 
+    def test_chain_deeper_than_the_recursion_limit(self):
+        """k = 7 computes cut functions on the Python path: a best cut
+        whose cone is a chain of 5,000 inverters is one LUT."""
+        chain = NetworkBuilder("chain")
+        signal = chain.pi("a")
+        for _ in range(5000):
+            signal = chain.not_(signal)
+        chain.po(signal, "f")
+        mapped, stats = map_to_luts(chain.network, k=7)
+        assert (stats.luts, stats.depth) == (1, 1)
+        assert networks_equal(chain.network, mapped)
+
 
 class TestParameters:
     @pytest.mark.parametrize("k", [0, 17])

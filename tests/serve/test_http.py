@@ -1,46 +1,13 @@
 """The JSON-over-HTTP front end and its stdlib client."""
 
 import json
-import threading
+import time
 import urllib.request
 
 import pytest
 
-from repro.serve import (
-    ClientBudget,
-    ServeClient,
-    ServeError,
-    build_server,
-    run_server,
-)
-from tests.serve.conftest import miter_text
-
-
-def post_job(client, request):
-    """POST a job with urllib, so a refusal's HTTP status stays visible."""
-    return urllib.request.urlopen(
-        urllib.request.Request(
-            client.base_url + "/jobs",
-            data=json.dumps(request).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        ),
-        timeout=10,
-    )
-
-
-@pytest.fixture
-def endpoint():
-    server = build_server(port=0, workers=2)
-    thread = threading.Thread(target=run_server, args=(server,), daemon=True)
-    thread.start()
-    client = ServeClient(f"http://127.0.0.1:{server.server_address[1]}")
-    yield client
-    try:
-        client.shutdown()
-    except ServeError:
-        pass  # already shut down by the test
-    thread.join(timeout=30)
-    assert not thread.is_alive()
+from repro.serve import ClientBudget, ServeClient, ServeError, SweepService
+from tests.serve.conftest import miter_text, post_job, serving
 
 
 class TestRoutes:
@@ -179,15 +146,11 @@ class TestRoutes:
 
 class TestAdmission:
     def test_over_budget_submission_is_429(self):
-        server = build_server(
-            port=0, workers=1, default_budget=ClientBudget(max_pending=0)
-        )
-        thread = threading.Thread(
-            target=run_server, args=(server,), daemon=True
-        )
-        thread.start()
-        client = ServeClient(f"http://127.0.0.1:{server.server_address[1]}")
-        try:
+        budget = ClientBudget(max_pending=0)
+        with serving(SweepService(workers=1, default_budget=budget)) as (
+            client,
+            _,
+        ):
             request = {"kind": "sweep", "netlist": miter_text(num_gates=15)}
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 post_job(client, request)
@@ -195,20 +158,16 @@ class TestAdmission:
             answer = json.loads(excinfo.value.read())
             assert "budget" in answer["rejected"]
             assert client.job(answer["id"])["status"] == "rejected"
-        finally:
-            client.shutdown()
-            thread.join(timeout=30)
-        assert not thread.is_alive()
+            # Final at submission: a long-poll on it answers at once.
+            started = time.monotonic()
+            state = client._request(f"/jobs/{answer['id']}?wait=5")
+            assert state["status"] == "rejected"
+            assert time.monotonic() - started < 1
 
 
 class TestShutdown:
     def test_shutdown_route_stops_server(self):
-        server = build_server(port=0, workers=1)
-        thread = threading.Thread(
-            target=run_server, args=(server,), daemon=True
-        )
-        thread.start()
-        client = ServeClient(f"http://127.0.0.1:{server.server_address[1]}")
-        assert client.shutdown() == {"stopping": True}
-        thread.join(timeout=30)
-        assert not thread.is_alive()
+        with serving(SweepService(workers=1)) as (client, thread):
+            assert client.shutdown() == {"stopping": True}
+            thread.join(timeout=30)
+            assert not thread.is_alive()

@@ -252,6 +252,21 @@ class TestValidationAndBudgets:
             assert result["metrics"]["deadline_expired"] is True
 
 
+class TestDeepNetlists:
+    def test_chain_deeper_than_the_recursion_limit_completes(self, service):
+        """5,000 inverters in a chain: parsing, sweeping, reduction and the
+        cache's signatures all run without recursion.  The deadline keeps
+        the SAT phase short; the job still ends ``done``."""
+        chain = "\n".join(
+            ["INPUT(g0)", "OUTPUT(g5000)"]
+            + [f"g{i + 1} = NOT(g{i})" for i in range(5000)]
+        )
+        request = sweep_request(chain, strategy="AI+DC", timeout=0.5)
+        result = result_of(run_job(service, request))
+        assert result["gates_before"] == 5000
+        assert result["netlist"].count("LUT") == result["gates_after"]
+
+
 class TestObservability:
     def test_trace_records_stream(self, service):
         job = run_job(
