@@ -1,15 +1,17 @@
 /* SimGen core: one whole TargetedVectorGenerator.generate() per call, in C.
  *
- * repro/core/batch.py lowers a network into this core with one sg_load call
- * from flat buffers: per slot (topological order) its kind, level, table
- * id, fanins and examiners (the node, then its fanouts: the reference
- * worklist order); each distinct gate function's rows once; the network's
- * PIs in order; the node id of every slot; and the MFFC depth of every
- * slot.  sg_load derives from these each row's Equation-4 priority and
- * each table's truth table.  The assignment is a flat value array and a
- * trail; each gate's pin state is one packed index, (output + 1) * 4**k +
- * (known_mask << k) + known_values, kept up to date incrementally, so an
- * examination is a single table lookup.
+ * repro/core/batch.py hands a network's lowering (repro/network/lowering.py)
+ * to this core with one sg_load call: per slot (topological order) its
+ * kind, level, function id, fanins and fanouts (a slot's examiners are the
+ * slot, then its fanouts: the reference worklist order); each distinct
+ * gate function's rows once; the network's PIs in order; the node id of
+ * every slot; and the MFFC depth of every slot, which sg_mffc_depths
+ * computes for a whole lowering in one call.  sg_load derives from these each row's Equation-4
+ * priority and each table's truth table.  The assignment is a flat value
+ * array and a trail; each gate's pin state is one base-3 index (a digit
+ * per fanin pin, then the output digit at 3**k: 0 unknown, 1 a known 0,
+ * 2 a known 1), with the count of unassigned fanin pins above it, kept up
+ * to date incrementally, so an examination is a single table lookup.
  *
  * sg_generate runs the reference generate() loop: the class rotation, the
  * attempt budget and every attempt — select_targets, the OUTgold values,
@@ -53,11 +55,11 @@
 #define SG_MAX_K 8
 #define TT_WORDS 4
 
-/* Node kinds (NODE_* in batch.py). */
-#define NODE_GATE 0
-#define NODE_PI 1
-#define NODE_FALSE 2
-#define NODE_TRUE 3
+/* Node kinds (NODE_* in repro/network/lowering.py). */
+#define NODE_PI 0
+#define NODE_FALSE 1
+#define NODE_TRUE 2
+#define NODE_GATE 3
 
 /* Decision scoring (DecisionStrategy). */
 #define SCORE_RANDOM 0 /* choice among the rows, no roulette  */
@@ -83,9 +85,22 @@
  * conflicts, then (slot, flags) per target in OUTgold order. */
 #define REC_HEAD 5
 
-/* Transition-table entry markers (fref/dref). */
-#define REF_UNRESOLVED (-1)
-#define REF_CONFLICT (-2)
+/* A pin state: the base-3 index below PIN_SHIFT, the number of unassigned
+ * fanin pins above it (3**9 < 2**16). */
+#define PIN_SHIFT 16
+#define INDEX_MASK ((1 << PIN_SHIFT) - 1)
+
+/* Transition tables hold 0 for a state not resolved yet.  A forced entry
+ * (fref) packs what ImplicationEngine._examine_state returns: the forced
+ * fanin pins and their values, the forced output, or a conflict. */
+#define FX_RESOLVED 1
+#define FX_CONFLICT 2
+#define FX_OUT 4       /* the output is forced ...          */
+#define FX_OUT_ONE 8   /* ... to 1                          */
+#define FX_PINS 4      /* forced fanin pins: bits 4..11     */
+#define FX_VALUES 12   /* their values: bits 12..19         */
+/* A decision entry (dref) is its candidate rows' dpool offset + 1, or: */
+#define REF_CONFLICT (-1)
 
 /* Counter indices (the per-call counts sg_generate writes out). */
 #define C_PROP_CALLS 0
@@ -117,13 +132,13 @@ typedef struct {
 typedef struct {
     int32_t k;
     int32_t n_rows;
-    int64_t stride; /* 1 << (2k); index space is 3 * stride */
+    int32_t span; /* 3**(k + 1) pin states */
     int64_t *row_mask;
     int64_t *row_vals;
     int8_t *row_out;
-    /* NULL until first used (sg_table_refs). */
-    int32_t *fref; /* forced-pin pool offsets, REF_* markers */
-    int32_t *dref; /* decision-row pool offsets, REF_* markers */
+    /* NULL until first used (sg_table_refs); 0 = unresolved. */
+    int32_t *fref; /* packed forced entries (FX_*) */
+    int32_t *dref; /* decision-row pool offsets + 1, or REF_CONFLICT */
     uint64_t tt[TT_WORDS]; /* bit m: the output on minterm m */
 } SgTable;
 
@@ -134,16 +149,15 @@ typedef struct {
     int8_t *kind;
     int32_t *table_of; /* table id, -1 for PI/const */
     int32_t *level;
-    int64_t *full_bits;
-    int64_t *out_delta;
+    int32_t *out_delta; /* 3**k: the output digit's unit, 0 off gates */
     int32_t *fi_off; /* fanin CSR */
     int32_t *fi;
     int32_t *exam_off; /* examiner CSR */
     int32_t *exam;
     int32_t *pin_off; /* pin-position CSR: (gate, delta0, delta1) */
     int32_t *pin_g;
-    int64_t *pin_d0;
-    int64_t *pin_d1;
+    int32_t *pin_d0;
+    int32_t *pin_d1;
     int32_t *pis; /* network.pis order */
     int32_t n_pis;
     int32_t *uid_slot; /* node id -> slot, -1 for none */
@@ -155,9 +169,7 @@ typedef struct {
     int32_t n_tables;
     int32_t advanced; /* ImplicationStrategy.ADVANCED (multi-row meet) */
 
-    /* Shared pools behind fref/dref (offset -> [count, payload...]). */
-    int32_t *fpool;
-    int32_t fpool_len, fpool_cap;
+    /* The pool behind dref (offset -> [count, row indices...]). */
     int32_t *dpool;
     int32_t dpool_len, dpool_cap;
     int32_t *scratch; /* decision-resolution row buffer (max table rows) */
@@ -174,7 +186,7 @@ typedef struct {
 
     /* Assignment state (reused across attempts). */
     int8_t *values; /* -1 unassigned */
-    int64_t *state;
+    int32_t *state;
     int32_t *trail;
     int32_t trail_len;
     uint8_t *queued;
@@ -329,7 +341,6 @@ void sg_free(void *hp) {
     free(h->kind);
     free(h->table_of);
     free(h->level);
-    free(h->full_bits);
     free(h->out_delta);
     free(h->fi_off);
     free(h->fi);
@@ -343,7 +354,6 @@ void sg_free(void *hp) {
     free(h->uid_slot);
     free(h->prio);
     free(h->prio_off);
-    free(h->fpool);
     free(h->dpool);
     free(h->scratch);
     free(h->weights);
@@ -392,14 +402,13 @@ static SgCore *sg_alloc(int32_t n) {
     h->kind = (int8_t *)calloc(m, 1);
     h->table_of = (int32_t *)xalloc(m * sizeof(int32_t));
     h->level = (int32_t *)calloc(m, sizeof(int32_t));
-    h->full_bits = (int64_t *)calloc(m, sizeof(int64_t));
-    h->out_delta = (int64_t *)calloc(m, sizeof(int64_t));
+    h->out_delta = (int32_t *)calloc(m, sizeof(int32_t));
     h->fi_off = (int32_t *)calloc(m + 1, sizeof(int32_t));
     h->exam_off = (int32_t *)calloc(m + 1, sizeof(int32_t));
     h->pin_off = (int32_t *)calloc(m + 1, sizeof(int32_t));
     h->prio_off = (int64_t *)calloc(m, sizeof(int64_t));
     h->values = (int8_t *)xalloc(m);
-    h->state = (int64_t *)calloc(m, sizeof(int64_t));
+    h->state = (int32_t *)calloc(m, sizeof(int32_t));
     h->trail = (int32_t *)xalloc(m * sizeof(int32_t));
     h->queued = (uint8_t *)calloc(m, 1);
     h->q_cap = n + 1;
@@ -423,8 +432,8 @@ static SgCore *sg_alloc(int32_t n) {
     h->keys = (int64_t *)xalloc(m * sizeof(int64_t));
     h->unseen_lo = (int32_t *)xalloc(m * sizeof(int32_t));
     h->unseen_hi = (int32_t *)xalloc(m * sizeof(int32_t));
-    if (!h->kind || !h->table_of || !h->level || !h->full_bits ||
-        !h->out_delta || !h->fi_off || !h->exam_off || !h->pin_off ||
+    if (!h->kind || !h->table_of || !h->level || !h->out_delta ||
+        !h->fi_off || !h->exam_off || !h->pin_off ||
         !h->prio_off || !h->values || !h->state || !h->trail ||
         !h->queued || !h->queue || !h->exh_epoch || !h->cone_epoch ||
         !h->cone_mem || !h->cone_mem_n || !h->cone_pi || !h->cone_pi_n ||
@@ -443,14 +452,15 @@ static SgCore *sg_alloc(int32_t n) {
  * minterm covered, by rows that agree).  Returns 0, or -1 on a bad row
  * set or allocation failure. */
 static int sg_add_table(SgTable *t, int32_t k, int32_t n_rows,
-                        const int32_t *mask, const int32_t *vals,
-                        const int32_t *out) {
+                        const int32_t *rows) {
     memset(t, 0, sizeof(*t));
     if (k < 0 || k > SG_MAX_K || n_rows < 0)
         return -1;
     t->k = k;
     t->n_rows = n_rows;
-    t->stride = (int64_t)1 << (2 * k);
+    t->span = 3;
+    for (int32_t i = 0; i < k; i++)
+        t->span *= 3;
     t->row_mask = (int64_t *)xalloc((size_t)n_rows * sizeof(int64_t));
     t->row_vals = (int64_t *)xalloc((size_t)n_rows * sizeof(int64_t));
     t->row_out = (int8_t *)xalloc((size_t)n_rows);
@@ -459,21 +469,23 @@ static int sg_add_table(SgTable *t, int32_t k, int32_t n_rows,
     int32_t size = 1 << k;
     uint64_t covered[TT_WORDS] = {0, 0, 0, 0};
     for (int32_t r = 0; r < n_rows; r++) {
-        if (mask[r] < 0 || mask[r] >= size || vals[r] < 0 ||
-            vals[r] >= size || (out[r] != 0 && out[r] != 1))
+        int32_t mask = rows[3 * r], vals = rows[3 * r + 1];
+        int32_t out = rows[3 * r + 2];
+        if (mask < 0 || mask >= size || vals < 0 || vals >= size ||
+            (out != 0 && out != 1))
             return -1;
-        t->row_mask[r] = mask[r];
-        t->row_vals[r] = vals[r];
-        t->row_out[r] = (int8_t)out[r];
+        t->row_mask[r] = mask;
+        t->row_vals[r] = vals;
+        t->row_out[r] = (int8_t)out;
         for (int32_t m = 0; m < size; m++) {
-            if ((m ^ vals[r]) & mask[r])
+            if ((m ^ vals) & mask)
                 continue;
             uint64_t bit = (uint64_t)1 << (m & 63);
             int32_t w = m >> 6;
-            if ((covered[w] & bit) && ((t->tt[w] & bit) != 0) != (out[r] != 0))
+            if ((covered[w] & bit) && ((t->tt[w] & bit) != 0) != (out != 0))
                 return -1; /* two rows disagree on a minterm */
             covered[w] |= bit;
-            if (out[r])
+            if (out)
                 t->tt[w] |= bit;
         }
     }
@@ -483,40 +495,53 @@ static int sg_add_table(SgTable *t, int32_t k, int32_t n_rows,
     return 0;
 }
 
-/* A function's transition tables, all REF_UNRESOLVED, allocated when a
- * gate of it is first examined or decided: the 3 * 4**k entries each
- * are most of a lowering's memory, and many functions are never reached
- * from a target.  Returns 0, or -1 on allocation failure. */
+/* A function's transition tables, all unresolved (zero), allocated when
+ * a gate of it is first examined or decided: many functions are never
+ * reached from a target.  Returns 0, or -1 on allocation failure. */
 static int sg_table_refs(SgTable *t) {
-    size_t span = (size_t)(3 * t->stride);
-    t->fref = (int32_t *)xalloc(span * sizeof(int32_t));
-    t->dref = (int32_t *)xalloc(span * sizeof(int32_t));
+    t->fref = (int32_t *)calloc((size_t)t->span, sizeof(int32_t));
+    t->dref = (int32_t *)calloc((size_t)t->span, sizeof(int32_t));
     if (!t->fref || !t->dref) {
         free(t->fref);
         free(t->dref);
         t->fref = t->dref = NULL;
         return -1;
     }
-    /* 0xff bytes == REF_UNRESOLVED (-1) in every int32. */
-    memset(t->fref, 0xff, span * sizeof(int32_t));
-    memset(t->dref, 0xff, span * sizeof(int32_t));
     return 0;
 }
 
+/* A base-3 pin state as the reference engines key it: known fanin pins,
+ * their values, and the output (-1 unknown). */
+static int32_t sg_decode_state(const SgTable *t, int32_t index,
+                               int64_t *known_mask, int64_t *known_values) {
+    int64_t mask = 0, values = 0;
+    for (int32_t i = 0; i < t->k; i++, index /= 3) {
+        int32_t digit = index % 3;
+        if (digit) {
+            mask |= (int64_t)1 << i;
+            if (digit == 2)
+                values |= (int64_t)1 << i;
+        }
+    }
+    *known_mask = mask;
+    *known_values = values;
+    return index - 1;
+}
+
 /* One slot: its kind, level, table, fanins (all earlier slots) and
- * examiners.  Returns 0, or -1 on an inconsistent record. */
+ * fanouts.  Returns 0, or -1 on an inconsistent record. */
 static int sg_set_node(SgCore *h, int32_t slot, int32_t kind, int32_t level,
                        int32_t table_id, const int32_t *fanins, int32_t k,
-                       const int32_t *examiners, int32_t n_exam) {
-    if (kind < NODE_GATE || kind > NODE_TRUE || level < 0 || k < 0 ||
-        n_exam < 0)
+                       const int32_t *fanouts, int32_t n_fo) {
+    if (kind < NODE_PI || kind > NODE_GATE || level < 0 || k < 0 ||
+        n_fo < 0)
         return -1;
     if (kind == NODE_GATE) {
         if (table_id < 0 || table_id >= h->n_tables ||
             h->tables[table_id].k != k)
             return -1;
-        h->full_bits[slot] = (((int64_t)1 << k) - 1) << k;
-        h->out_delta[slot] = (int64_t)1 << (2 * k);
+        h->out_delta[slot] = h->tables[table_id].span / 3;
+        h->state[slot] = k << PIN_SHIFT; /* every fanin pin unassigned */
     } else if (table_id != -1 || k != 0) {
         return -1;
     }
@@ -526,9 +551,9 @@ static int sg_set_node(SgCore *h, int32_t slot, int32_t kind, int32_t level,
     for (int32_t i = 0; i < k; i++)
         if (fanins[i] < 0 || fanins[i] >= slot)
             return -1; /* slots are in topological order */
-    for (int32_t i = 0; i < n_exam; i++)
-        if (examiners[i] < 0 || examiners[i] >= h->n)
-            return -1;
+    for (int32_t i = 0; i < n_fo; i++)
+        if (fanouts[i] <= slot || fanouts[i] >= h->n)
+            return -1; /* readers come later in topological order */
     return 0;
 }
 
@@ -619,8 +644,8 @@ static int sg_finalize(SgCore *h, const int32_t *pis, int32_t n_pis,
         h->pin_off[s + 1] += h->pin_off[s];
     int32_t total = h->pin_off[n];
     h->pin_g = (int32_t *)xalloc((size_t)total * sizeof(int32_t));
-    h->pin_d0 = (int64_t *)xalloc((size_t)total * sizeof(int64_t));
-    h->pin_d1 = (int64_t *)xalloc((size_t)total * sizeof(int64_t));
+    h->pin_d0 = (int32_t *)xalloc((size_t)total * sizeof(int32_t));
+    h->pin_d1 = (int32_t *)xalloc((size_t)total * sizeof(int32_t));
     int32_t *cursor = (int32_t *)xalloc((size_t)(n + 1) * sizeof(int32_t));
     if (!h->pin_g || !h->pin_d0 || !h->pin_d1 || !cursor) {
         free(cursor);
@@ -629,43 +654,44 @@ static int sg_finalize(SgCore *h, const int32_t *pis, int32_t n_pis,
     memcpy(cursor, h->pin_off, (size_t)n * sizeof(int32_t));
     for (int32_t g = 0; g < n; g++) {
         int32_t k = h->fi_off[g + 1] - h->fi_off[g];
-        for (int32_t i = 0; i < k; i++) {
+        int32_t unit = 1; /* 3**i: pin i's digit */
+        for (int32_t i = 0; i < k; i++, unit *= 3) {
             int32_t driver = h->fi[h->fi_off[g] + i];
             int32_t at = cursor[driver]++;
-            int64_t mask_delta = (int64_t)1 << (i + k);
+            /* The digit becomes 1 or 2, one fewer pin is unassigned. */
             h->pin_g[at] = g;
-            h->pin_d0[at] = mask_delta;
-            h->pin_d1[at] = mask_delta + ((int64_t)1 << i);
+            h->pin_d0[at] = unit - (1 << PIN_SHIFT);
+            h->pin_d1[at] = 2 * unit - (1 << PIN_SHIFT);
         }
     }
     free(cursor);
     return 0;
 }
 
-/* Lower a network in one call.  Per slot (topological order): kind
- * (NODE_*), level, table id (-1 for PIs and constants), fanin slots
- * (CSR fi_off/fi) and examiner slots (CSR exam_off/exam).  Per table:
- * arity tab_k and rows row_off[t] .. row_off[t + 1] - 1 as (mask, values,
- * output).  Then the PI slots in network.pis order, every slot's node id,
- * the decision scoring (SCORE_*) with alpha, beta and every slot's MFFC
- * depth (read only for SCORE_DC_MFFC), and the target policy:
+/* Load a network's lowering in one call.  Per slot (topological order):
+ * kind (NODE_*), level, table id (-1 for PIs and constants), fanin slots
+ * (CSR fi_off/fi) and fanout slots (CSR fo_off/fo).  Per table: arity
+ * tab_k and rows row_off[t] .. row_off[t + 1] - 1, row r being the (mask,
+ * values, output) triple at rows[3 * r].  Then the PI slots in
+ * network.pis order, every slot's node id, the decision scoring (SCORE_*)
+ * with alpha, beta and every slot's MFFC depth (read only for
+ * SCORE_DC_MFFC), and the target policy:
  * select_targets' cap before its clamp to 2 (INT32_MAX for None), the
  * clamped sample size, and random.sample's set threshold for it.
  * Returns a handle, or NULL when the buffers are inconsistent. */
 void *sg_load(int32_t n, const int32_t *kind, const int32_t *level,
               const int32_t *table_of, const int32_t *fi_off,
-              const int32_t *fi, const int32_t *exam_off,
-              const int32_t *exam, int32_t n_tables, const int32_t *tab_k,
-              const int32_t *row_off, const int32_t *row_mask,
-              const int32_t *row_vals, const int32_t *row_out,
-              int32_t advanced, const int32_t *pis, int32_t n_pis,
+              const int32_t *fi, const int32_t *fo_off,
+              const int32_t *fo, int32_t n_tables, const int32_t *tab_k,
+              const int32_t *row_off, const int32_t *rows, int32_t advanced,
+              const int32_t *pis, int32_t n_pis,
               const int32_t *uids, int32_t score, double alpha, double beta,
               const double *depth, int32_t level_outgold,
               int32_t max_targets, int32_t sample_k, int64_t setsize) {
     if (n < 0 || n_tables < 0 || n_pis < 0 || sample_k < 2 ||
         score < SCORE_RANDOM || score > SCORE_DC_MFFC ||
         (score == SCORE_DC_MFFC && !depth) || fi_off[0] != 0 ||
-        exam_off[0] != 0 || row_off[0] != 0)
+        fo_off[0] != 0 || row_off[0] != 0)
         return NULL;
     SgCore *h = sg_alloc(n);
     if (!h)
@@ -684,34 +710,125 @@ void *sg_load(int32_t n, const int32_t *kind, const int32_t *level,
         h->n_tables = t + 1; /* so sg_free releases a partial table */
         if (row_off[t + 1] < row_off[t] ||
             sg_add_table(&h->tables[t], tab_k[t], row_off[t + 1] - row_off[t],
-                         row_mask + row_off[t], row_vals + row_off[t],
-                         row_out + row_off[t]))
+                         rows + 3 * (int64_t)row_off[t]))
             goto fail;
     }
-    int32_t n_fi = fi_off[n], n_exam = exam_off[n];
-    h->fi = (int32_t *)xalloc((size_t)(n_fi > 0 ? n_fi : 0) * sizeof(int32_t));
-    h->exam =
-        (int32_t *)xalloc((size_t)(n_exam > 0 ? n_exam : 0) * sizeof(int32_t));
+    int32_t n_fi = fi_off[n], n_fo = fo_off[n];
+    if (n_fi < 0 || n_fo < 0)
+        goto fail;
+    int64_t n_exam = (int64_t)n_fo + n;
+    h->fi = (int32_t *)xalloc((size_t)n_fi * sizeof(int32_t));
+    h->exam = (int32_t *)xalloc((size_t)n_exam * sizeof(int32_t));
     if (!h->fi || !h->exam)
         goto fail;
     for (int32_t s = 0; s < n; s++) {
         int32_t k = fi_off[s + 1] - fi_off[s];
-        int32_t e = exam_off[s + 1] - exam_off[s];
-        if (fi_off[s + 1] > n_fi || exam_off[s + 1] > n_exam ||
+        int32_t e = fo_off[s + 1] - fo_off[s];
+        if (fi_off[s + 1] > n_fi || fo_off[s + 1] > n_fo ||
             sg_set_node(h, s, kind[s], level[s], table_of[s], fi + fi_off[s],
-                        k, exam + exam_off[s], e))
+                        k, fo + fo_off[s], e))
             goto fail;
+        /* The examiner row: the slot itself, then its fanouts. */
+        int32_t at = fo_off[s] + s;
+        h->exam_off[s] = at;
+        h->exam[at] = s;
+        memcpy(h->exam + at + 1, fo + fo_off[s], (size_t)e * sizeof(int32_t));
     }
+    h->exam_off[n] = (int32_t)n_exam;
     memcpy(h->fi_off, fi_off, ((size_t)n + 1) * sizeof(int32_t));
     memcpy(h->fi, fi, (size_t)n_fi * sizeof(int32_t));
-    memcpy(h->exam_off, exam_off, ((size_t)n + 1) * sizeof(int32_t));
-    memcpy(h->exam, exam, (size_t)n_exam * sizeof(int32_t));
     if (sg_finalize(h, pis, n_pis, uids, score, alpha, beta, depth))
         goto fail;
     return h;
 fail:
     sg_free(h);
     return NULL;
+}
+
+/* The nearest common ancestor of two slots in the post-dominator tree:
+ * an ancestor is a later slot, the virtual root is slot n. */
+static int32_t pdom_meet(const int32_t *ipdom, int32_t a, int32_t b) {
+    while (a != b) {
+        while (a < b)
+            a = ipdom[a];
+        while (b < a)
+            b = ipdom[b];
+    }
+    return a;
+}
+
+/* Equation 2 for every slot of a lowering in one pass: the mean, over the
+ * leaves of the slot's MFFC, of level(slot) - level(leaf), bit for bit as
+ * repro.network.cones.mffc_depth computes it one root at a time.
+ *
+ * A non-PI node u lies in the MFFC of v exactly when v post-dominates u
+ * (every path from u to a node without fanouts passes v), so the MFFCs are
+ * the subtrees of the post-dominator tree, PIs left out.  u is a leaf of
+ * MFFC(v) for the v on its tree path from u up to, not including, the
+ * lowest meet of u with any non-PI fanin (above that meet the fanin is in
+ * the cone too).  Adding level(u) and 1 at u, subtracting them at that
+ * meet, and summing subtrees gives every MFFC's leaf-level sum and leaf
+ * count at once.  Reads the fanin and fanout CSRs of a lowering.  Writes
+ * n depths; returns 0, or -1 on allocation failure. */
+int sg_mffc_depths(int32_t n, const int32_t *kind, const int32_t *fi_off,
+                   const int32_t *fi, const int32_t *fo_off,
+                   const int32_t *fo, const int32_t *level, double *depth) {
+    size_t m = (size_t)n + 1;
+    int32_t *ipdom = (int32_t *)xalloc(m * sizeof(int32_t));
+    int64_t *sum = (int64_t *)calloc(m, sizeof(int64_t));
+    int64_t *cnt = (int64_t *)calloc(m, sizeof(int64_t));
+    if (!ipdom || !sum || !cnt) {
+        free(ipdom);
+        free(sum);
+        free(cnt);
+        return -1;
+    }
+    for (int32_t s = n - 1; s >= 0; s--) {
+        int32_t lo = fo_off[s], hi = fo_off[s + 1];
+        int32_t a = lo < hi ? fo[lo] : n;
+        for (int32_t e = lo + 1; e < hi; e++)
+            a = pdom_meet(ipdom, a, fo[e]);
+        ipdom[s] = a;
+    }
+    for (int32_t s = 0; s < n; s++) {
+        if (kind[s] == NODE_PI)
+            continue;
+        int32_t low = n;
+        for (int32_t p = fi_off[s]; p < fi_off[s + 1]; p++) {
+            if (kind[fi[p]] == NODE_PI)
+                continue;
+            int32_t meet = pdom_meet(ipdom, fi[p], s);
+            if (meet < low)
+                low = meet;
+        }
+        if (low == s)
+            continue; /* a fanin sits in every MFFC that holds s */
+        sum[s] += level[s];
+        cnt[s] += 1;
+        if (low < n) {
+            sum[low] -= level[s];
+            cnt[low] -= 1;
+        }
+    }
+    for (int32_t s = 0; s < n; s++) {
+        int32_t up = ipdom[s];
+        if (up < n) {
+            sum[up] += sum[s];
+            cnt[up] += cnt[s];
+        }
+    }
+    for (int32_t s = 0; s < n; s++) {
+        if (kind[s] == NODE_PI || cnt[s] < 1) {
+            depth[s] = 0.0; /* a PI's MFFC is itself */
+            continue;
+        }
+        int64_t total = cnt[s] * level[s] - sum[s];
+        depth[s] = (double)total / (double)cnt[s];
+    }
+    free(ipdom);
+    free(sum);
+    free(cnt);
+    return 0;
 }
 
 static int32_t pool_append(int32_t **pool, int32_t *len, int32_t *cap,
@@ -725,26 +842,17 @@ static int32_t pool_append(int32_t **pool, int32_t *len, int32_t *cap,
     return off;
 }
 
-/* Lazily resolve one packed implication state: what
- * ImplicationEngine._examine_state forces, in one fused pass over the
- * rows (same row order, same single-match and "nothing forced" results,
- * same advanced-mode meet of Definition 4.1).  Stores into fref; returns
- * 0, or -1 on allocation failure. */
-static int sg_resolve_forced(SgCore *h, SgTable *t, int64_t index) {
-    int32_t k = t->k;
-    int32_t output = (int32_t)(index / t->stride) - 1;
-    int64_t rem = index - (int64_t)(output + 1) * t->stride;
-    int64_t known_mask = rem >> k;
-    int64_t known_values = rem & (((int64_t)1 << k) - 1);
-    int32_t pairs[2 * (SG_MAX_K + 1)]; /* k pins + output */
-    int32_t n_pairs = 0;
+/* Lazily resolve one pin state: what ImplicationEngine._examine_state
+ * forces, in one fused pass over the rows (same row order, same
+ * single-match and "nothing forced" results, same advanced-mode meet of
+ * Definition 4.1), packed into one FX_* entry, stored and returned. */
+static int32_t sg_resolve_forced(SgCore *h, SgTable *t, int32_t index) {
+    int64_t known_mask, known_values;
+    int32_t output = sg_decode_state(t, index, &known_mask, &known_values);
+    int32_t entry = FX_RESOLVED;
     if (output < 0 && !known_mask) {
-        int32_t off =
-            pool_append(&h->fpool, &h->fpool_len, &h->fpool_cap, pairs, 0);
-        if (off < 0)
-            return -1;
-        t->fref[index] = off;
-        return 0;
+        t->fref[index] = entry; /* nothing known at this node yet */
+        return entry;
     }
     int advanced = h->advanced;
     int32_t count = 0;
@@ -780,45 +888,26 @@ static int sg_resolve_forced(SgCore *h, SgTable *t, int64_t index) {
         count++;
     }
     if (count == 0) {
-        t->fref[index] = REF_CONFLICT;
-        return 0;
+        entry |= FX_CONFLICT;
+    } else if (!dead) {
+        entry |= (int32_t)(forced_mask << FX_PINS);
+        entry |= (int32_t)((base_vals & forced_mask) << FX_VALUES);
+        /* Single match: iff the output was unassigned; multi match: iff
+         * every matching row agrees on the output. */
+        if (out_agree)
+            entry |= FX_OUT | (base_out ? FX_OUT_ONE : 0);
     }
-    if (!dead) {
-        for (int32_t i = 0; i < k; i++) {
-            if ((forced_mask >> i) & 1) {
-                pairs[2 * n_pairs] = i;
-                pairs[2 * n_pairs + 1] = (int32_t)((base_vals >> i) & 1);
-                n_pairs++;
-            }
-        }
-        if (out_agree) {
-            /* Single match: iff the output was unassigned; multi match:
-             * iff every matching row agrees on the output. */
-            pairs[2 * n_pairs] = k;
-            pairs[2 * n_pairs + 1] = base_out;
-            n_pairs++;
-        }
-    }
-    int32_t off = pool_append(&h->fpool, &h->fpool_len, &h->fpool_cap, pairs,
-                              2 * n_pairs);
-    if (off < 0)
-        return -1;
-    /* The count slot stores the PAIR count. */
-    h->fpool[off] = n_pairs;
-    t->fref[index] = off;
-    return 0;
+    t->fref[index] = entry;
+    return entry;
 }
 
-/* Lazily resolve one packed decision state: the candidate rows of
+/* Lazily resolve one pin state's decision: the candidate rows of
  * DecisionEngine.candidate_rows as row indices, in one pass (the early
  * break only trims the useful list; the conflict test needs just "any
  * match").  Stores into dref; returns 0, or -1 on allocation failure. */
-static int sg_resolve_decision(SgCore *h, SgTable *t, int64_t index) {
-    int32_t k = t->k;
-    int32_t output = (int32_t)(index / t->stride) - 1;
-    int64_t rem = index - (int64_t)(output + 1) * t->stride;
-    int64_t known_mask = rem >> k;
-    int64_t known_values = rem & (((int64_t)1 << k) - 1);
+static int sg_resolve_decision(SgCore *h, SgTable *t, int32_t index) {
+    int64_t known_mask, known_values;
+    int32_t output = sg_decode_state(t, index, &known_mask, &known_values);
     int32_t n_match = 0;
     int32_t n_useful = 0;
     for (int32_t r = 0; r < t->n_rows; r++) {
@@ -845,7 +934,7 @@ static int sg_resolve_decision(SgCore *h, SgTable *t, int64_t index) {
                               h->scratch, n_useful);
     if (off < 0)
         return -1;
-    t->dref[index] = off;
+    t->dref[index] = off + 1;
     return 0;
 }
 
@@ -972,24 +1061,23 @@ static int sg_examine(SgCore *h, int32_t slot) {
     SgTable *t = &h->tables[h->table_of[slot]];
     if (!t->fref && sg_table_refs(t))
         return -1;
-    int64_t index = h->state[slot];
-    int32_t fr = t->fref[index];
-    if (fr == REF_UNRESOLVED) {
-        if (sg_resolve_forced(h, t, index))
-            return -1;
-        fr = t->fref[index];
-    }
-    if (fr == REF_CONFLICT)
+    int32_t index = h->state[slot] & INDEX_MASK;
+    int32_t entry = t->fref[index];
+    if (!entry)
+        entry = sg_resolve_forced(h, t, index);
+    if (entry & FX_CONFLICT)
         return 1;
-    int32_t n_pairs = h->fpool[fr];
-    const int32_t *pairs = h->fpool + fr + 1;
-    int32_t k = t->k;
+    int32_t pins = (entry >> FX_PINS) & 0xff;
+    int32_t vals = entry >> FX_VALUES;
     const int32_t *fanins = h->fi + h->fi_off[slot];
-    for (int32_t i = 0; i < n_pairs; i++) {
-        int32_t pin = pairs[2 * i];
-        int32_t val = pairs[2 * i + 1];
-        int32_t target = (pin == k) ? slot : fanins[pin];
-        int8_t cur = h->values[target];
+    int8_t *values = h->values;
+    /* Forced pins in pin order, then the output (pin k). */
+    for (int32_t i = 0; pins; i++, pins >>= 1, vals >>= 1) {
+        if (!(pins & 1))
+            continue;
+        int32_t target = fanins[i];
+        int8_t val = (int8_t)(vals & 1);
+        int8_t cur = values[target];
         if (cur >= 0) {
             if (cur != val)
                 return 1; /* clash with another implication path */
@@ -998,6 +1086,15 @@ static int sg_examine(SgCore *h, int32_t slot) {
         sg_assign_slot(h, target, val);
         h->prop_assigned++;
         sg_push_examiners(h, target);
+    }
+    if (entry & FX_OUT) {
+        int8_t val = (entry & FX_OUT_ONE) ? 1 : 0;
+        int8_t cur = values[slot];
+        if (cur >= 0)
+            return cur != val;
+        sg_assign_slot(h, slot, val);
+        h->prop_assigned++;
+        sg_push_examiners(h, slot);
     }
     return 0;
 }
@@ -1043,8 +1140,7 @@ static int32_t sg_pick_candidate(SgCore *h) {
             int32_t slot = h->trail[t];
             if (h->cone_epoch[slot] != h->epoch)
                 continue;
-            int64_t full = h->full_bits[slot];
-            if ((h->state[slot] & full) != full &&
+            if ((h->state[slot] >> PIN_SHIFT) &&
                 h->exh_epoch[slot] != h->epoch) {
                 h->unseen_hi[top] = t;
                 return slot;
@@ -1157,9 +1253,9 @@ static int32_t sg_run_target(SgCore *h, int32_t target, int32_t gold) {
         SgTable *t = &h->tables[h->table_of[slot]];
         if (!t->dref && sg_table_refs(t))
             return SG_ERROR;
-        int64_t index = h->state[slot];
+        int32_t index = h->state[slot] & INDEX_MASK;
         int32_t dr = t->dref[index];
-        if (dr == REF_UNRESOLVED) {
+        if (!dr) {
             if (sg_resolve_decision(h, t, index))
                 return SG_ERROR;
             dr = t->dref[index];
@@ -1168,6 +1264,7 @@ static int32_t sg_run_target(SgCore *h, int32_t target, int32_t gold) {
             h->counters[C_DEC_CONFLICTS]++;
             return sg_conflict_out(h);
         }
+        dr--; /* the pool offset */
         int32_t count = h->dpool[dr];
         if (count == 0) {
             /* decide() returned (False, []): candidate exhausted. */

@@ -36,9 +36,14 @@ exactly.  The core's counters fold into the published
 ``generate()`` call; ``simgen.kernel.*`` adds the core's own.
 
 The network goes into the core in one ``sg_load`` call (:class:`_SgCore`):
-flat ``array`` buffers with every slot's kind, level, table, fanins and
-examiners, each distinct gate function's rows once, and every slot's MFFC
-depth, from which the core computes each row's Equation-4 priority.  The
+its lowering (:meth:`Network.lowering
+<repro.network.network.Network.lowering>`) gives every slot's kind, level,
+function id, fanins and examiners; the lowering's SimGen section gives each
+distinct gate function's rows once (:func:`~repro.logic.cubes.packed_rows`)
+and its MFFC section every slot's MFFC depth (:func:`mffc_depths`, one C
+pass over the whole lowering), from which the core computes each row's
+Equation-4 priority.  Both sections are built once per lowering, so the
+four SimGen variants of one network share them, across sweeps too.  The
 core returns one record per attempt; :attr:`BatchSimGenGenerator.reports`
 decodes them into :class:`~repro.core.generator.GenerationReport` objects
 only when it is read.
@@ -55,6 +60,7 @@ import ctypes
 import math
 import os
 from array import array
+from functools import lru_cache
 from itertools import accumulate, chain
 from typing import Optional, Sequence
 
@@ -73,17 +79,17 @@ from repro.core.outgold import (
     level_alternating_outgold,
 )
 from repro.errors import GenerationError
+from repro.logic.cubes import packed_rows
+from repro.logic.truthtable import TruthTable
+from repro.network.lowering import Lowering
 from repro.network.network import Network
 from repro.runtime.cbuild import CoreLoader
 from repro.simulation.patterns import InputVector
 
-#: Largest gate arity the C core lowers (its transition tables take
-#: ``3 * 4**k`` ints per distinct function, its truth tables ``2**k`` bits).
-#: Networks above it run the reference Algorithm 1.
+#: Largest gate arity the C core takes (its transition tables take
+#: ``3**(k + 1)`` ints per distinct function, its truth tables ``2**k``
+#: bits).  Networks above it run the reference Algorithm 1.
 SG_MAX_K = 8
-
-#: Node kinds of a lowered slot (``NODE_*`` in ``_simgencore.c``).
-NODE_GATE, NODE_PI, NODE_FALSE, NODE_TRUE = 0, 1, 2, 3
 
 #: Decision scoring per strategy (``SCORE_*`` in ``_simgencore.c``).
 _SCORE = {
@@ -115,12 +121,14 @@ def _configure(lib: ctypes.CDLL) -> None:
     handle = ctypes.c_void_p
     lib.sg_load.argtypes = [
         i32, address, address, address, address, address, address,
-        address, i32, address, address, address, address, address, i32,
+        address, i32, address, address, address, i32,
         address, i32, address, i32, f64, f64, address, i32, i32, i32, i64,
     ]
     lib.sg_load.restype = handle
     lib.sg_free.argtypes = [handle]
     lib.sg_free.restype = None
+    lib.sg_mffc_depths.argtypes = [i32] + [address] * 7
+    lib.sg_mffc_depths.restype = ctypes.c_int
     lib.sg_generate.argtypes = [
         handle, address, address, i32, i32, address, address, address,
         address, i64, address,
@@ -164,16 +172,53 @@ def _address(buffer: array) -> int:
     return buffer.buffer_info()[0]
 
 
-class _SgCore:
-    """One network lowered into a ``_simgencore`` instance by ``sg_load``.
+@lru_cache(maxsize=16384)
+def _row_words(table: TruthTable) -> bytes:
+    """A function's :func:`~repro.logic.cubes.packed_rows` as ``sg_load``
+    reads them: ``(mask, values, output)`` int32 triples."""
+    return array("i", chain.from_iterable(packed_rows(table))).tobytes()
 
-    A single pass over ``network.topological_order()`` gives every node a
-    dense slot and fills flat buffers: the slot's kind, level and table,
-    its fanin slots and its examiners — the node itself, then its
-    fanouts, the reference worklist order.  Each distinct gate function's
-    rows go in once.  The fanins, rows and examiners come from the
-    implication engine, which has already lowered them per gate.
-    :attr:`stats` is published as ``simgen.kernel.*``.
+
+def _simgen_rows(lowering: Lowering) -> tuple[array, array, array, array]:
+    """The lowering's ``"simgen"`` section: per function id its arity and
+    the index of its first row (one more entry: the row count), the rows
+    as ``(mask, values, output)`` triples, and every slot's node id."""
+    arity = array("i", [table.num_vars for table in lowering.tables])
+    row_off, rows = lowering.per_function(_row_words, item=3)
+    return arity, row_off, rows, array("i", lowering.uids)
+
+
+def mffc_depths(lowering: Lowering) -> array:
+    """Equation 2 for every slot of a lowering, in one C call: the
+    ``"mffc"`` section, equal bit for bit to
+    :func:`~repro.network.cones.mffc_depth` of each slot's node."""
+    if _LIB is None:
+        raise GenerationError("MFFC depths in one pass need the SimGen core")
+    n = lowering.num_nodes
+    depth = array("d", bytes(8 * max(1, n)))
+    if _LIB.sg_mffc_depths(
+        n,
+        _address(lowering.kinds),
+        _address(lowering.fanin_off),
+        _address(lowering.fanins),
+        _address(lowering.fanout_off),
+        _address(lowering.fanouts),
+        _address(lowering.levels),
+        _address(depth),
+    ):
+        raise MemoryError("MFFC depth allocation failed")
+    return depth
+
+
+class _SgCore:
+    """A network's lowering loaded into a ``_simgencore`` instance by
+    ``sg_load``.
+
+    The slots, kinds, levels, fanins and fanouts are the lowering's own
+    buffers (the core's examiner rows are a slot, then its fanouts); the
+    rows and MFFC depths are its ``"simgen"`` and ``"mffc"`` sections,
+    built by the first core of a lowering and shared by every later one.  Each core keeps its own assignment state and transition
+    tables.  :attr:`stats` is published as ``simgen.kernel.*``.
     """
 
     __slots__ = ("_lib", "_handle", "uids", "pis", "policy", "stats")
@@ -189,84 +234,36 @@ class _SgCore:
     ):
         self._lib = lib
         self._handle = None
-        order = network.topological_order()
-        slot = {uid: s for s, uid in enumerate(order)}.__getitem__
-        levels = network.levels()
-        node = network.node
-        gate_info = implication._gate_info
-        examiners = implication._examiners
-        kinds, tables = array("i"), array("i")
-        fanins, fanin_off = array("i"), array("i", [0])
-        exams, exam_off = array("i"), array("i", [0])
-        table_at: dict = {}
-        table_k, row_off = array("i"), array("i", [0])
-        masks, values, outputs = array("i"), array("i"), array("i")
-        for uid in order:
-            exams.extend(map(slot, examiners[uid]))
-            exam_off.append(len(exams))
-            info = gate_info[uid]
-            if info is None:  # PI or constant
-                leaf = node(uid)
-                kinds.append(
-                    NODE_PI if leaf.is_pi
-                    else NODE_TRUE if leaf.table.bits else NODE_FALSE
-                )
-                tables.append(-1)
-            else:
-                gate_fanins, rows, _ = info
-                k = len(gate_fanins)
-                if k > SG_MAX_K:
-                    raise GenerationError(
-                        f"gate arity {k} exceeds the core's {SG_MAX_K}"
-                    )
-                table = node(uid).table
-                tid = table_at.get(table)
-                if tid is None:
-                    tid = table_at[table] = len(table_k)
-                    table_k.append(k)
-                    for mask, vals, out in rows:
-                        masks.append(mask)
-                        values.append(vals)
-                        outputs.append(out)
-                    row_off.append(len(masks))
-                kinds.append(NODE_GATE)
-                tables.append(tid)
-                fanins.extend(map(slot, gate_fanins))
-            fanin_off.append(len(fanins))
+        lowering = network.lowering()
+        if lowering.max_arity > SG_MAX_K:
+            raise GenerationError(
+                f"gate arity {lowering.max_arity} exceeds the core's {SG_MAX_K}"
+            )
+        arity, row_off, rows, uid_of = lowering.section("simgen", _simgen_rows)
         depth = None
         if decision.strategy is DecisionStrategy.DC_MFFC:
-            mffc, num_fanouts = decision._mffc, network.num_fanouts
-            depth = array(
-                "d",
-                [mffc.depth(uid) if num_fanouts(uid) else 0.0 for uid in order],
-            )
+            depth = lowering.section("mffc", mffc_depths)
         #: The policy ``sg_load`` got: cap, sample size, set threshold.
         self.policy = _target_policy(max_targets)
         #: Slot -> uid (topological order).
-        self.uids = order
+        self.uids = lowering.uids
         #: The network's PIs, in the order of a kept vector's bits.
-        self.pis = tuple(network.pis)
-        # Named, so each buffer outlives the call that reads it.
-        level_of = array("i", [levels[uid] for uid in order])
-        pi_slots = array("i", map(slot, self.pis))
-        uid_of = array("i", order)
+        self.pis = lowering.pis
         handle = lib.sg_load(
-            len(order),
-            _address(kinds),
-            _address(level_of),
-            _address(tables),
-            _address(fanin_off),
-            _address(fanins),
-            _address(exam_off),
-            _address(exams),
-            len(table_k),
-            _address(table_k),
+            lowering.num_nodes,
+            _address(lowering.kinds),
+            _address(lowering.levels),
+            _address(lowering.funcs),
+            _address(lowering.fanin_off),
+            _address(lowering.fanins),
+            _address(lowering.fanout_off),
+            _address(lowering.fanouts),
+            len(arity),
+            _address(arity),
             _address(row_off),
-            _address(masks),
-            _address(values),
-            _address(outputs),
+            _address(rows),
             int(implication.strategy is ImplicationStrategy.ADVANCED),
-            _address(pi_slots),
+            _address(lowering.pi_slots),
             len(self.pis),
             _address(uid_of),
             _SCORE[decision.strategy],
@@ -280,12 +277,12 @@ class _SgCore:
             raise GenerationError("simgen core rejected the lowering")
         self._handle = handle
         count_tables(
-            hits=kinds.count(NODE_GATE) - len(table_k), misses=len(table_k)
+            hits=lowering.num_gates - len(arity), misses=len(arity)
         )
         #: Published as ``simgen.kernel.*``.
         self.stats = {
-            "compiled_nodes": len(order),
-            "transition_tables": len(table_k),
+            "compiled_nodes": lowering.num_nodes,
+            "transition_tables": len(arity),
             "reverted_assignments": 0,
             "attempts": 0,
             "simulated": 0,

@@ -1,11 +1,12 @@
 """How many gate functions the SimGen C cores were handed.
 
-Each :class:`~repro.core.batch.BatchSimGenGenerator` lowers its network
-into its own core in one call, with every distinct gate function's rows
-once; nothing is cached across cores.  The benchmark harness
-(``bench/run.py``) reads these lifetime counters for its
-``core.transition_hit_rate``: the share of gates whose function their
-core already had.
+Each :class:`~repro.core.batch.BatchSimGenGenerator` loads its
+network's lowering into its own core in one call, with every distinct
+gate function's rows once; the rows are the lowering's, shared by every
+core of that network, while each core keeps its own transition tables.
+The benchmark harness (``bench/run.py``) reads these lifetime counters
+for its ``core.transition_hit_rate``: the share of gates whose function
+their core already had.
 """
 
 from __future__ import annotations

@@ -107,7 +107,7 @@ class DecisionEngine:
                 f"rows_cache_cap must be >= 1, got {rows_cache_cap}"
             )
         self._rows_cache_cap = rows_cache_cap
-        self._mffc = MffcCache(network)
+        self._mffc_cache: Optional[MffcCache] = None
         #: uid -> (fanins, rows); None for PIs/constants.  Lazily resolved
         #: so row lookups skip re-hashing the truth table per decision.
         self._node_rows: dict[
@@ -120,6 +120,14 @@ class DecisionEngine:
             "rows_committed": 0,
             "cache_evictions": 0,
         }
+
+    @property
+    def _mffc(self) -> MffcCache:
+        """MFFC depths of the reference path, memoized from first use (a
+        generator on the SimGen C core reads its lowering's instead)."""
+        if self._mffc_cache is None:
+            self._mffc_cache = MffcCache(self.network)
+        return self._mffc_cache
 
     def _rows_at(
         self, uid: int

@@ -108,12 +108,13 @@ def _forced_pins(
 class ImplicationEngine:
     """Runs implication fixpoints over one network + assignment.
 
-    The network is lowered once at construction (same contract as the
-    compiled simulator: don't mutate it afterwards): every gate gets its
-    fanin tuple and packed truth-table rows resolved ahead of time, and
-    every node its *examiners* (itself plus its fanouts), so the fixpoint
-    loop never touches ``Network.node`` / ``fanouts`` or hashes a
-    ``TruthTable`` for an ``lru_cache`` probe.
+    The network is lowered once, on the first examination (don't mutate it
+    afterwards): every gate gets its fanin tuple and packed truth-table
+    rows resolved ahead of time, and every node its *examiners* (itself
+    plus its fanouts), so the fixpoint loop never touches ``Network.node``
+    / ``fanouts`` or hashes a ``TruthTable`` for an ``lru_cache`` probe.
+    An engine whose generator runs on the SimGen C core never examines,
+    and so never builds these per-gate dicts.
 
     Examination results are memoized per gate: what a gate's rows force is
     a pure function of its (known_mask, known_values, output) pin state —
@@ -134,18 +135,7 @@ class ImplicationEngine:
             raise ValueError(f"memo_cap must be >= 1, got {memo_cap}")
         self._memo_cap = memo_cap
         self._memo_entries = 0
-        #: uid -> (fanins, packed rows, memo); None for PIs and constants.
-        #: memo: (known_mask, known_values, output) -> forced pins as
-        #: ((pin_index, value), ...) with pin index n = the output, or None
-        #: on contradiction.
-        self._gate_info: dict[
-            int,
-            Optional[
-                tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], dict]
-            ],
-        ] = {}
-        #: uid -> (uid, *fanouts): nodes to re-examine when uid changes.
-        self._examiners: dict[int, tuple[int, ...]] = {}
+        self._lowered: Optional[tuple[dict, dict]] = None
         #: Work counters for the metrics registry (``simgen.implication.*``).
         #: Updated once per :meth:`propagate` call (never inside the inner
         #: fixpoint loop, which is the generator's hottest path).
@@ -156,14 +146,35 @@ class ImplicationEngine:
             "conflicts": 0,
             "memo_evictions": 0,
         }
-        for node in network.nodes():
-            uid = node.uid
-            self._gate_info[uid] = (
-                None
-                if node.is_pi or node.is_const
-                else (tuple(node.fanins), packed_rows(node.table), {})
-            )
-            self._examiners[uid] = (uid, *network.fanouts(uid))
+
+    def _lower(self) -> tuple[dict, dict]:
+        """The per-gate dicts, built on first use: uid -> (fanins, packed
+        rows, memo), None for PIs and constants (memo: (known_mask,
+        known_values, output) -> forced pins as ((pin_index, value), ...)
+        with pin index n = the output, or None on contradiction); and uid
+        -> (uid, *fanouts), the nodes to re-examine when uid changes."""
+        if self._lowered is None:
+            network = self.network
+            gate_info: dict[int, Optional[tuple]] = {}
+            examiners: dict[int, tuple[int, ...]] = {}
+            for node in network.nodes():
+                uid = node.uid
+                gate_info[uid] = (
+                    None
+                    if node.is_pi or node.is_const
+                    else (tuple(node.fanins), packed_rows(node.table), {})
+                )
+                examiners[uid] = (uid, *network.fanouts(uid))
+            self._lowered = (gate_info, examiners)
+        return self._lowered
+
+    @property
+    def _gate_info(self) -> dict:
+        return self._lower()[0]
+
+    @property
+    def _examiners(self) -> dict:
+        return self._lower()[1]
 
     def examine(
         self, assignment: Assignment, uid: int
@@ -285,8 +296,7 @@ class ImplicationEngine:
         outcome = ImplicationOutcome()
         queue: deque[int] = deque()
         queued: set[int] = set()
-        examiners = self._examiners
-        gate_info = self._gate_info
+        gate_info, examiners = self._lower()
         values = assignment._values
         changed = outcome.changed_nodes
         examined = 0  # folded into self.stats once, on any exit path

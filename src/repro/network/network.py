@@ -12,6 +12,7 @@ from typing import Iterable, Iterator, Optional
 
 from repro.errors import NetworkError
 from repro.logic.truthtable import TruthTable
+from repro.network.lowering import Lowering, count_access
 from repro.network.node import Node, NodeKind
 
 
@@ -20,7 +21,8 @@ class Network:
 
     Nodes are created through :meth:`add_pi` / :meth:`add_gate` and receive
     increasing unique ids.  Fanouts and levels are maintained by the network;
-    levels are computed lazily and invalidated by any structural mutation.
+    levels, the topological order and the :meth:`lowering` are computed
+    lazily and invalidated by any structural mutation.
     """
 
     def __init__(self, name: str = "network"):
@@ -32,6 +34,7 @@ class Network:
         self._next_uid = 0
         self._levels: Optional[dict[int, int]] = None
         self._topo: Optional[list[int]] = None
+        self._lowering: Optional[Lowering] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -87,6 +90,7 @@ class Network:
     def _invalidate(self) -> None:
         self._levels = None
         self._topo = None
+        self._lowering = None
 
     # ------------------------------------------------------------------
     # Access
@@ -209,6 +213,26 @@ class Network:
         """Maximum level over all nodes (0 for an empty/PI-only network)."""
         levels = self.levels()
         return max(levels.values(), default=0)
+
+    def lowering(self) -> Lowering:
+        """The network as the flat buffers the C cores read, built on first
+        use and kept until the network changes
+        (:mod:`repro.network.lowering`).
+
+        A node edited in place (``node.table = ...``) is noticed here: the
+        kept lowering is checked against every node's table and fanins on
+        each call, and the network lowers again when one differs.
+        """
+        lowering = self._lowering
+        if lowering is not None:
+            if lowering.describes(self._nodes):
+                count_access(built=False)
+                return lowering
+            # Edited in place: the cached order and levels may be stale too.
+            self._invalidate()
+        lowering = Lowering(self)
+        self._lowering = lowering
+        return lowering
 
     # ------------------------------------------------------------------
     # Mutation

@@ -13,8 +13,9 @@ The refinement trajectory of a parallel sweep must be **bit-identical for
 any worker count**.  Two mechanisms guarantee it:
 
 * **Virtual solver shards, one topological block each.**  Nodes are
-  numbered by their position in ``network.topological_order()`` (the
-  numbering :class:`~repro.sat.tape.CnfTape` uses), the numbering is cut
+  numbered by their position in ``network.topological_order()`` (their
+  slot in the network's lowering, which :class:`~repro.sat.tape.CnfTape`
+  also uses), the numbering is cut
   into :data:`DEFAULT_SHARDS` contiguous blocks, and a pair goes to the
   block of its deeper node.  Each shard owns one incremental
   :class:`PairChecker` (persistent CDCL solver + cone encoder) and serves
@@ -197,13 +198,15 @@ class CheckerPool:
 
     Each worker holds the incremental checkers of the shards routed to it
     over a read-only copy of the network (inherited copy-on-write under
-    ``fork``, pickled under ``spawn``).  When the checkers encode cones in
-    the C core, the parent lowers the network into its
-    :class:`~repro.sat.tape.CnfTape` once, before starting any worker, and
-    the workers share that tape (and the ISOP covers behind it) instead of
-    each lowering the network again.  The pool starts ``min(jobs,
-    DEFAULT_SHARDS)`` workers: a worker past the last shard would never get
-    a task.
+    ``fork``, pickled under ``spawn``).  The parent takes the network's
+    lowering before starting any worker — built once, or kept from an
+    earlier sweep of the same network — and the workers inherit it with
+    the network (a pickled lowering leaves its C handles behind), so no
+    worker lowers the network again.  When the checkers encode cones in
+    the C core, the lowering's :class:`~repro.sat.tape.CnfTape` view (and
+    the clause templates behind it) goes along too.  The pool starts
+    ``min(jobs, DEFAULT_SHARDS)`` workers: a worker past the last shard
+    would never get a task.
 
     Args:
         budget: The run's budget (parent-side only, never shipped to a
@@ -253,11 +256,7 @@ class CheckerPool:
         self._tape = None
         if stream_encoding_available(backend):
             self._tape = CnfTape(network)
-            self._number = self._tape.number
-        else:
-            self._number = {
-                uid: d for d, uid in enumerate(network.topological_order())
-            }
+        self._number = network.lowering().slot_of
         self._conflict_limit = conflict_limit
         self._incremental = incremental
         self._backend = backend

@@ -977,13 +977,11 @@ void sat_get_stats(Solver *s, int64_t *out) {
 /* Cone encoder over a lowered network tape                            */
 /* ------------------------------------------------------------------ */
 /* A C rendering of TseitinEncoder.encode_cone (src/repro/sat/tseitin.py)
- * over the flat tape repro.sat.tape.CnfTape lowers a network into.  Nodes
- * are numbered 0..n-1 in the network's topological order; node d's
- * record, at records[offsets[d]], is
- *
- *     kind, template offset, fanin count, fanins (node numbers)...
- *
- * and a table's clause template, at templates[offset], is
+ * over a network's lowering (repro/network/lowering.py), whose SAT view
+ * is repro.sat.tape.CnfTape.  Nodes are numbered 0..n-1 in the network's
+ * topological order (the slots); per slot the lowering gives its kind,
+ * its function id and its fanin slots (the CSR fanin_off/fanins), and a
+ * function's clause template, at templates[tmpl_off[function]], is
  *
  *     clause count, then per clause: literal count, literal codes
  *     (fanin position << 1 | cube value), output sign.
@@ -999,8 +997,11 @@ void sat_get_stats(Solver *s, int64_t *out) {
 #define NODE_GATE 3
 
 typedef struct {
-    const int32_t *offsets;
-    const int32_t *records;
+    const int32_t *kinds;
+    const int32_t *funcs;
+    const int32_t *fanin_off;
+    const int32_t *fanins;
+    const int32_t *tmpl_off;
     const int32_t *templates;
     int32_t *node_var;  /* per node: its variable, 0 = not encoded */
     int32_t num_vars;
@@ -1009,14 +1010,19 @@ typedef struct {
     veci stack;         /* cone walk scratch */
 } Encoder;
 
-/* The tape buffers and node_var (one zeroed int32 per node) stay owned by
- * the caller and must outlive the encoder. */
-Encoder *enc_new(const int32_t *offsets, const int32_t *records,
-                 const int32_t *templates, int32_t *node_var) {
+/* The lowering's buffers and node_var (one zeroed int32 per node) stay
+ * owned by the caller and must outlive the encoder. */
+Encoder *enc_new(const int32_t *kinds, const int32_t *funcs,
+                 const int32_t *fanin_off, const int32_t *fanins,
+                 const int32_t *tmpl_off, const int32_t *templates,
+                 int32_t *node_var) {
     Encoder *e = (Encoder *)calloc(1, sizeof(Encoder));
     if (!e) return NULL;
-    e->offsets = offsets;
-    e->records = records;
+    e->kinds = kinds;
+    e->funcs = funcs;
+    e->fanin_off = fanin_off;
+    e->fanins = fanins;
+    e->tmpl_off = tmpl_off;
     e->templates = templates;
     e->node_var = node_var;
     return e;
@@ -1043,8 +1049,7 @@ static int cmp_int32(const void *pa, const void *pb) {
 int32_t enc_encode_cone(Encoder *e, int32_t root) {
     int32_t *node_var = e->node_var;
     if (node_var[root] > 0) return node_var[root];
-    const int32_t *offsets = e->offsets;
-    const int32_t *records = e->records;
+    const int32_t *fanin_off = e->fanin_off;
     int64_t first = e->encoded.len;
     veci *stack = &e->stack;
     stack->len = 0;
@@ -1054,10 +1059,10 @@ int32_t enc_encode_cone(Encoder *e, int32_t root) {
         if (node_var[node]) continue;
         node_var[node] = -1;
         if (!veci_push(&e->encoded, node)) return -1;
-        const int32_t *rec = records + offsets[node];
-        int32_t fanins = rec[2];
+        int32_t fanins = fanin_off[node + 1] - fanin_off[node];
         if (!veci_reserve(stack, stack->len + fanins)) return -1;
-        memcpy(stack->data + stack->len, rec + 3, (size_t)fanins * sizeof(int32_t));
+        memcpy(stack->data + stack->len, e->fanins + fanin_off[node],
+               (size_t)fanins * sizeof(int32_t));
         stack->len += fanins;
     }
     int32_t *fresh = e->encoded.data + first;
@@ -1068,15 +1073,14 @@ int32_t enc_encode_cone(Encoder *e, int32_t root) {
         int32_t node = fresh[i];
         int32_t var = ++e->num_vars;
         node_var[node] = var;
-        const int32_t *rec = records + offsets[node];
-        int32_t kind = rec[0];
+        int32_t kind = e->kinds[node];
         if (kind == NODE_PI) continue;
         if (kind != NODE_GATE) {
             if (!veci_push2(out, kind == NODE_TRUE ? var : -var, 0)) return -1;
             continue;
         }
-        const int32_t *fanin = rec + 3;
-        const int32_t *t = e->templates + rec[1];
+        const int32_t *fanin = e->fanins + fanin_off[node];
+        const int32_t *t = e->templates + e->tmpl_off[e->funcs[node]];
         int32_t clauses = *t++;
         for (int32_t c = 0; c < clauses; c++) {
             int32_t lits = *t++;

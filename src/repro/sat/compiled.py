@@ -34,8 +34,8 @@ explicit):
 The core itself is ``_satcore.c``, compiled on first import with the
 system C compiler (result cached by source hash, so the build runs once
 per machine) and driven through ``ctypes``.  The same library also
-encodes the cones the solver checks: :mod:`repro.sat.tape` lowers a
-network into a flat tape, the C cone encoder turns a root's new cone
+encodes the cones the solver checks: :mod:`repro.sat.tape` reads a
+network's lowering as a flat tape, the C cone encoder turns a root's new cone
 into a stream of clauses (the reference
 :class:`~repro.sat.tseitin.TseitinEncoder`'s variables and clauses, in
 its order), and the solver takes a whole stream in one
@@ -128,7 +128,9 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.sat_get_stats.restype = None
     # Cone encoder (driven by repro.sat.tape.ConeEncoder).
     address = ctypes.c_void_p
-    lib.enc_new.argtypes = [address, address, address, i32p]
+    lib.enc_new.argtypes = [
+        address, address, address, address, address, address, i32p,
+    ]
     lib.enc_new.restype = handle
     lib.enc_free.argtypes = [handle]
     lib.enc_free.restype = None

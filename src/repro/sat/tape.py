@@ -1,18 +1,19 @@
-"""Cone encoding in the C core: a network lowered once into a flat tape.
+"""Cone encoding in the C core, over the network's lowering.
 
 :class:`~repro.sat.tseitin.TseitinEncoder` encodes a cone node by node in
 Python and leaves its clauses as tuples that the solver then takes one
 ``add_clause`` call at a time.  When the compiled backend runs on the C
 core, the same work moves into ``_satcore.c``:
 
-* :class:`CnfTape` lowers a network **once** into flat ``int32`` buffers:
-  for each node in topological order its kind, its fanins as dense node
-  numbers, and the clause template of its table
-  (:func:`~repro.sat.tseitin.gate_clause_templates`, deduplicated per
-  table).  The buffers are ``array('i')``, so a tape pickles (``spawn``
-  workers) as well as it is inherited (``fork`` workers); a
-  :class:`~repro.runtime.pool.CheckerPool` lowers it in the parent before
-  starting its workers.
+* :class:`CnfTape` is the SAT view of a network's lowering
+  (:meth:`Network.lowering <repro.network.network.Network.lowering>`): the
+  lowering's per-slot kinds, function ids and fanin CSR, plus the clause
+  template of each distinct function
+  (:func:`~repro.sat.tseitin.gate_clause_templates`).  The templates are
+  the lowering's ``"cnf"`` section, built once per lowering, so every
+  checker of a network shares them, across sweeps too.  The buffers are
+  ``array('i')``, so a tape pickles with its lowering (``spawn`` workers)
+  as well as it is inherited (``fork`` workers).
 * :class:`ConeEncoder` drives the C cone encoder over a tape.  It numbers
   a root's not-yet-encoded cone in topological order and appends the new
   clauses to a stream of 0-terminated clauses, which the solver takes in
@@ -22,24 +23,24 @@ The C encoder is the reference encoder, transcribed: each node gets the
 same variable, clauses and their literals come in the same order, and
 shipping a stream creates solver variables exactly as per-clause
 ``add_clause`` calls do.  So every compiled-vs-reference identity gate
-also tests this path.  A tape lives as long as the checker or pool that
-lowered it; nothing here is cached process-wide.
+also tests this path.  A tape lives as long as its lowering, which the
+network keeps until it changes.
 """
 
 from __future__ import annotations
 
 import ctypes
 from array import array
+from functools import lru_cache
 from typing import Optional
 
 from repro.errors import SatError
+from repro.logic.truthtable import TruthTable
+from repro.network.lowering import Lowering
 from repro.network.network import Network
 from repro.sat import compiled
 from repro.sat.tseitin import gate_clause_templates
 from repro.simulation.patterns import InputVector
-
-#: Node kinds of a tape record (``NODE_*`` in ``_satcore.c``).
-NODE_PI, NODE_FALSE, NODE_TRUE, NODE_GATE = 0, 1, 2, 3
 
 
 def stream_encoding_available(backend: str) -> bool:
@@ -49,58 +50,52 @@ def stream_encoding_available(backend: str) -> bool:
     return backend == "compiled" and compiled.SAT_CORE == "c"
 
 
-class CnfTape:
-    """A network lowered into the flat buffers the C cone encoder reads.
+@lru_cache(maxsize=16384)
+def _template_words(table: TruthTable) -> bytes:
+    """A function's :func:`~repro.sat.tseitin.gate_clause_templates` as the
+    C encoder reads it, as int32 words (see :class:`CnfTape`)."""
+    clauses = gate_clause_templates(table)
+    words = array("i", [len(clauses)])
+    for pairs, sign in clauses:
+        words.append(len(pairs))
+        words.extend([(i << 1) | value for i, value in pairs])
+        words.append(sign)
+    return words.tobytes()
 
-    Nodes are numbered by their position in
+
+def _templates(lowering: Lowering) -> tuple[array, array]:
+    """The lowering's ``"cnf"`` section: per function id the offset of its
+    clause template (one more entry: the total), and the templates."""
+    return lowering.per_function(_template_words)
+
+
+class CnfTape:
+    """The SAT view of a network's lowering: what the C cone encoder reads.
+
+    Nodes are numbered by their lowering slot, their position in
     ``network.topological_order()`` — the order the reference encoder
-    sorts each cone by.  ``records[offsets[d]]`` holds node ``d``'s kind,
-    its template offset, its fanin count and its fanins;
-    ``templates[t]`` holds a table's clause count, then per clause its
-    literal count, the literal codes (fanin position << 1 | cube value)
-    and the output sign.
+    sorts each cone by.  ``kinds``, ``funcs``, ``fanin_off`` and
+    ``fanins`` are the lowering's own buffers; ``templates[template_off[f]]``
+    holds function ``f``'s clause count, then per clause its literal count,
+    the literal codes (fanin position << 1 | cube value) and the output
+    sign.  Building a tape lowers the network only if nothing has yet.
     """
 
     def __init__(self, network: Network):
-        order = network.topological_order()
-        number = {uid: d for d, uid in enumerate(order)}
-        offsets: list[int] = []
-        records: list[int] = []
-        templates: list[int] = []
-        template_at: dict = {}
-        for uid in order:
-            node = network.node(uid)
-            offsets.append(len(records))
-            fanins = node.fanins
-            if node.is_pi:
-                records += (NODE_PI, -1, 0)
-            elif not fanins:
-                kind = NODE_TRUE if node.table.bits else NODE_FALSE
-                records += (kind, -1, 0)
-            else:
-                table = node.table
-                at = template_at.get(table)
-                if at is None:
-                    at = template_at[table] = len(templates)
-                    clauses = gate_clause_templates(table)
-                    templates.append(len(clauses))
-                    for pairs, sign in clauses:
-                        templates.append(len(pairs))
-                        templates += [(i << 1) | value for i, value in pairs]
-                        templates.append(sign)
-                records += (NODE_GATE, at, len(fanins))
-                records += [number[f] for f in fanins]
+        lowering = network.lowering()
+        self.template_off, self.templates = lowering.section("cnf", _templates)
         #: node id -> dense node number (topological position).
-        self.number = number
+        self.number = lowering.slot_of
         #: ``(pi id, node number)`` in ``network.pis`` order (model decode).
-        self.pis = tuple((pi, number[pi]) for pi in network.pis)
-        self.offsets = array("i", offsets)
-        self.records = array("i", records)
-        self.templates = array("i", templates)
+        self.pis = tuple(zip(lowering.pis, lowering.pi_slots))
+        self.kinds = lowering.kinds
+        self.funcs = lowering.funcs
+        self.fanin_off = lowering.fanin_off
+        self.fanins = lowering.fanins
 
     @property
     def num_nodes(self) -> int:
-        return len(self.offsets)
+        return len(self.kinds)
 
 
 class ConeEncoder:
@@ -122,8 +117,11 @@ class ConeEncoder:
         self._number = tape.number
         self._node_var = (ctypes.c_int32 * max(1, tape.num_nodes))()
         self._handle = lib.enc_new(
-            tape.offsets.buffer_info()[0],
-            tape.records.buffer_info()[0],
+            tape.kinds.buffer_info()[0],
+            tape.funcs.buffer_info()[0],
+            tape.fanin_off.buffer_info()[0],
+            tape.fanins.buffer_info()[0],
+            tape.template_off.buffer_info()[0],
             tape.templates.buffer_info()[0],
             self._node_var,
         )

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import sys
 import tempfile
 import threading
@@ -176,7 +177,13 @@ class Job:
 
 
 class SweepService:
-    """Thread-pooled job runner over a shared verdict/artifact cache."""
+    """Thread-pooled job runner over a shared verdict/artifact cache.
+
+    Job traces go to ``spool_dir``; without one the service makes a
+    ``repro-serve-*`` temporary directory for the first traced job and
+    removes it, traces and all, at :meth:`shutdown`.  A caller's
+    ``spool_dir`` is never removed.
+    """
 
     def __init__(
         self,
@@ -191,8 +198,12 @@ class SweepService:
         self.cache = cache if cache is not None else VerdictCache()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.queue = AdmissionQueue(default_budget=default_budget)
-        self._spool = spool_dir or tempfile.mkdtemp(prefix="repro-serve-")
-        os.makedirs(self._spool, exist_ok=True)
+        #: The trace directory: the caller's, or the service's own once a
+        #: traced job needs one (:meth:`_spool_dir`).
+        self._spool = spool_dir
+        self._own_spool = False
+        if spool_dir is not None:
+            os.makedirs(spool_dir, exist_ok=True)
         self._jobs: dict[str, Job] = {}
         self._lock = threading.Lock()
         self._seq = 0
@@ -221,7 +232,11 @@ class SweepService:
         return self
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting jobs; optionally drain running ones."""
+        """Stop accepting jobs; optionally drain running ones.
+
+        Once no worker runs any more, a spool directory the service made
+        itself is removed (so are the job traces in it).
+        """
         self._stopping = True
         self.queue.close()
         if wait:
@@ -229,6 +244,12 @@ class SweepService:
                 if thread.is_alive():
                     thread.join(timeout=60)
         self.cache.close()
+        with self._lock:
+            remove = self._own_spool and not any(
+                t.is_alive() for t in self._threads
+            )
+        if remove:
+            shutil.rmtree(self._spool, ignore_errors=True)
 
     def __enter__(self) -> "SweepService":
         return self.start()
@@ -262,11 +283,11 @@ class SweepService:
             job_id = f"j{self._seq:06d}"
             self._seq += 1
         job = Job(job_id, client, kind, request, options)
-        if request.get("trace"):
-            job.trace_path = os.path.join(
-                self._spool, f"{job_id}.trace.jsonl"
-            )
         with self._lock:
+            if request.get("trace") and not self._stopping:
+                job.trace_path = os.path.join(
+                    self._spool_dir(), f"{job_id}.trace.jsonl"
+                )
             self._jobs[job_id] = job
         if not self.queue.submit(client, job):
             job.status = "rejected"
@@ -274,6 +295,14 @@ class SweepService:
             job.finished.set()
             return {"rejected": job.error, "id": job_id}
         return {"id": job_id}
+
+    def _spool_dir(self) -> str:
+        """The trace directory, made on first use when the caller gave
+        none (call with the lock held)."""
+        if self._spool is None:
+            self._spool = tempfile.mkdtemp(prefix="repro-serve-")
+            self._own_spool = True
+        return self._spool
 
     def job(self, job_id: str, wait: float = 0.0) -> Optional[Job]:
         """The job, or ``None`` for an unknown id.  With ``wait``, first

@@ -1,14 +1,11 @@
 /* Bit-parallel simulation core: a network lowered once, run over 64-bit
  * pattern words.
  *
- * repro/simulation/compiled.py lowers a network into flat int32 arrays
- * that sim_new copies.  Nodes are numbered 0..n-1 in the network's
- * topological order (the slots); node d's record, at records[offsets[d]],
- * is
- *
- *     kind, plan offset, fanin count, fanins (slots)...
- *
- * and a gate function's plan, at plans[offset], is
+ * sim_new takes a network's lowering (repro/network/lowering.py) as flat
+ * int32 arrays and copies what it reads.  Nodes are numbered 0..n-1 in the
+ * network's topological order (the slots).  Per slot: its kind, its
+ * function id (-1 for PIs and constants) and its fanin slots, as the CSR
+ * fanin_off/fanins.  A function's plan, at plans[plan_off[function]], is
  *
  *     complement flag, cube count, then per cube: mask, values
  *
@@ -44,15 +41,19 @@
 
 typedef struct {
     int32_t n;
-    int32_t *offsets;
-    int32_t *records;
+    int32_t *kinds;
+    int32_t *fanin_off;
+    int32_t *fanins;
+    int32_t *plan_of; /* per slot: its plan's offset, -1 for non-gates */
     int32_t *plans;
 } Sim;
 
 void sim_free(Sim *s) {
     if (!s) return;
-    free(s->offsets);
-    free(s->records);
+    free(s->kinds);
+    free(s->fanin_off);
+    free(s->fanins);
+    free(s->plan_of);
     free(s->plans);
     free(s);
 }
@@ -63,21 +64,27 @@ static int32_t *copy_i32(const int32_t *src, int32_t len) {
     return dst;
 }
 
-/* Every record and plan the run loop will read lies inside its array,
- * every fanin precedes its reader, and every cube binds only fanins the
- * gate has. */
-static int lowering_ok(const Sim *s, int32_t n_records, int32_t n_plans) {
+/* Every fanin and plan the run loop will read lies inside its array,
+ * every fanin precedes its reader, only gates have fanins, and every
+ * cube binds only fanins the gate has.  Fills plan_of. */
+static int lowering_ok(Sim *s, const int32_t *funcs, const int32_t *plan_off,
+                       int32_t n_funcs, int32_t n_plans) {
+    if (s->fanin_off[0] != 0) return 0;
     for (int32_t d = 0; d < s->n; d++) {
-        int32_t at = s->offsets[d];
-        if (at < 0 || at > n_records - 3) return 0;
-        const int32_t *r = s->records + at;
-        int32_t kind = r[0], k = r[2];
-        if (kind < NODE_PI || kind > NODE_GATE) return 0;
-        if (kind != NODE_GATE) continue;
-        if (k < 1 || k > 31 || k > n_records - at - 3) return 0;
+        int32_t kind = s->kinds[d];
+        int32_t lo = s->fanin_off[d], k = s->fanin_off[d + 1] - lo;
+        if (kind < NODE_PI || kind > NODE_GATE || k < 0) return 0;
+        s->plan_of[d] = -1;
+        if (kind != NODE_GATE) {
+            if (k) return 0;
+            continue;
+        }
+        if (k < 1 || k > 31) return 0;
         for (int32_t i = 0; i < k; i++)
-            if (r[3 + i] < 0 || r[3 + i] >= d) return 0;
-        int32_t p = r[1];
+            if (s->fanins[lo + i] < 0 || s->fanins[lo + i] >= d) return 0;
+        int32_t f = funcs[d];
+        if (f < 0 || f >= n_funcs) return 0;
+        int32_t p = plan_off[f];
         if (p < 0 || p > n_plans - 2) return 0;
         int32_t cubes = s->plans[p + 1];
         if (cubes < 0 || cubes > (n_plans - p - 2) / 2) return 0;
@@ -86,22 +93,27 @@ static int lowering_ok(const Sim *s, int32_t n_records, int32_t n_plans) {
             uint32_t mask = (uint32_t)c[2 * j];
             if (mask >> k) return 0;
         }
+        s->plan_of[d] = p;
     }
     return 1;
 }
 
 /* Copy a lowering; NULL on allocation failure or a malformed lowering. */
-Sim *sim_new(int32_t n, const int32_t *offsets, const int32_t *records,
-             int32_t n_records, const int32_t *plans, int32_t n_plans) {
-    if (n < 0 || n_records < 0 || n_plans < 0) return NULL;
+Sim *sim_new(int32_t n, const int32_t *kinds, const int32_t *funcs,
+             const int32_t *fanin_off, const int32_t *fanins,
+             const int32_t *plan_off, int32_t n_funcs, const int32_t *plans,
+             int32_t n_plans) {
+    if (n < 0 || n_funcs < 0 || n_plans < 0) return NULL;
     Sim *s = (Sim *)calloc(1, sizeof(Sim));
     if (!s) return NULL;
     s->n = n;
-    s->offsets = copy_i32(offsets, n);
-    s->records = copy_i32(records, n_records);
+    s->kinds = copy_i32(kinds, n);
+    s->fanin_off = copy_i32(fanin_off, n + 1);
+    s->fanins = s->fanin_off ? copy_i32(fanins, fanin_off[n]) : NULL;
+    s->plan_of = (int32_t *)malloc((size_t)(n > 0 ? n : 1) * sizeof(int32_t));
     s->plans = copy_i32(plans, n_plans);
-    if (!s->offsets || !s->records || !s->plans
-        || !lowering_ok(s, n_records, n_plans)) {
+    if (!s->kinds || !s->fanin_off || !s->fanins || !s->plan_of || !s->plans
+        || !lowering_ok(s, funcs, plan_off, n_funcs, n_plans)) {
         sim_free(s);
         return NULL;
     }
@@ -122,15 +134,14 @@ int32_t sim_restrict(const Sim *s, const int32_t *targets, int32_t n_targets,
     for (int32_t t = 0; t < n_targets; t++) mark[targets[t]] = 1;
     for (int32_t d = n - 1; d >= 0; d--) {
         if (!mark[d]) continue;
-        const int32_t *r = s->records + s->offsets[d];
-        if (r[0] != NODE_GATE) continue;
-        for (int32_t i = 0; i < r[2]; i++) mark[r[3 + i]] = 1;
+        for (int32_t p = s->fanin_off[d]; p < s->fanin_off[d + 1]; p++)
+            mark[s->fanins[p]] = 1;
     }
     int32_t n_active = 0, n_pis = 0, n_gates = 0;
     for (int32_t d = 0; d < n; d++) {
         if (!mark[d]) continue;
         active[n_active++] = d;
-        int32_t kind = s->records[s->offsets[d]];
+        int32_t kind = s->kinds[d];
         if (kind == NODE_PI) pis[n_pis++] = d;
         else if (kind == NODE_GATE) n_gates++;
     }
@@ -143,10 +154,9 @@ int32_t sim_restrict(const Sim *s, const int32_t *targets, int32_t n_targets,
 
 static void eval_slot(const Sim *s, uint64_t *values, int32_t words,
                       uint64_t last_mask, int32_t d) {
-    const int32_t *r = s->records + s->offsets[d];
     uint64_t *out = values + (int64_t)d * words;
     int32_t last = words - 1;
-    switch (r[0]) {
+    switch (s->kinds[d]) {
     case NODE_PI:
         out[last] &= last_mask;
         return;
@@ -160,8 +170,8 @@ static void eval_slot(const Sim *s, uint64_t *values, int32_t words,
     default:
         break;
     }
-    const int32_t *fanins = r + 3;
-    const int32_t *plan = s->plans + r[1];
+    const int32_t *fanins = s->fanins + s->fanin_off[d];
+    const int32_t *plan = s->plans + s->plan_of[d];
     int32_t complement = plan[0], cubes = plan[1];
     const int32_t *cube = plan + 2;
     for (int32_t w = 0; w < words; w++) {

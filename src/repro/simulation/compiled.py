@@ -2,14 +2,19 @@
 
 :class:`~repro.simulation.simulator.Simulator` walks a uid-keyed dict and
 re-derives each node's evaluation plan (an ``lru_cache`` hit on the truth
-table) on every batch.  :class:`CompiledSimulator` lowers the network once
-instead, into the flat ``int32`` arrays that ``_simcore.c`` reads:
+table) on every batch.  :class:`CompiledSimulator` runs the network's
+lowering (:meth:`Network.lowering <repro.network.network.Network.lowering>`)
+in ``_simcore.c`` instead:
 
-* nodes get **dense slots** in topological order; each slot holds its kind
-  (PI, FALSE, TRUE or GATE), its fanins as slots and its plan offset;
+* nodes are the lowering's **slots** in topological order, each with its
+  kind, its fanins as slots (the fanin CSR) and its function id;
 * a **plan** is :func:`~repro.simulation.simulator._eval_plan`'s cover of a
   gate function — the complement flag, then one ``(mask, values)`` pair
   per cube — stored once per distinct function.
+
+The plans and the core's C handle are the lowering's simulator section:
+built by the first simulator of a lowering, shared by every later one, so
+the network is handed to the core once however often it is swept.
 
 :meth:`CompiledSimulator.run_words` writes the PI words into a ``uint64``
 buffer, runs the whole tape in one C call over ⌈width/64⌉ words and reads
@@ -30,9 +35,9 @@ identical, only speed differs.  :data:`SIM_CORE` says which path this
 process runs.
 
 Results are bit-identical to :class:`Simulator` on every simulated node
-(``tests/simulation/test_compiled.py`` and ``test_cross_backend.py``).  The
-network must not be mutated after lowering, the same implicit contract as
-``Simulator``'s cached topological order.
+(``tests/simulation/test_compiled.py`` and ``test_cross_backend.py``).  A
+simulator reads the lowering it was built on: a network changed afterwards
+gets a new lowering, which only simulators built after the change see.
 """
 
 from __future__ import annotations
@@ -41,10 +46,14 @@ import ctypes
 import os
 import threading
 from array import array
+from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from repro.errors import SimulationError
+from repro.logic.truthtable import TruthTable
+from repro.network.lowering import Lowering
 from repro.network.network import Network
 from repro.runtime.cbuild import CoreLoader
 from repro.simulation.bitvec import width_mask
@@ -53,15 +62,14 @@ from repro.simulation.simulator import _eval_plan
 
 _SOURCE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_simcore.c")
 
-#: Node kinds of a lowered record (``NODE_*`` in ``_simcore.c``).
-NODE_PI, NODE_FALSE, NODE_TRUE, NODE_GATE = 0, 1, 2, 3
-
 def _configure(lib: ctypes.CDLL) -> None:
     """Set argument/return types on the loaded core."""
     i32 = ctypes.c_int32
     handle = ctypes.c_void_p
     address = ctypes.c_void_p
-    lib.sim_new.argtypes = [i32, address, address, i32, address, i32]
+    lib.sim_new.argtypes = [
+        i32, address, address, address, address, address, i32, address, i32,
+    ]
     lib.sim_new.restype = handle
     lib.sim_free.argtypes = [handle]
     lib.sim_free.restype = None
@@ -87,30 +95,31 @@ _LIB = _LOADER.load()
 SIM_CORE = "c" if _LIB is not None else "python"
 
 _COUNT_LOCK = threading.Lock()
-_LOWERINGS = 0
-_VIEWS = 0
+_SIMULATORS = 0
+_CORES = 0
 
 
 def tape_cache_info() -> dict:
-    """Lifetime counts: simulators built by :meth:`CompiledSimulator.restrict`,
-    which reuse a lowering (``hits``), and lowerings (``misses``).
+    """Lifetime counts: simulators built over a lowering's existing
+    simulator core — :meth:`CompiledSimulator.restrict` views, and every
+    simulator of a network simulated before — (``hits``), and simulator
+    cores built (``misses``, one per lowering).
 
-    Nothing is cached process-wide any more.  The benchmark harness
-    (``bench/run.py``) still reads these two counters for its
-    ``simulation.tape_hit_rate``, which now reads as the share of
-    simulators built without lowering.
+    The benchmark harness (``bench/run.py``) reads these two counters for
+    its ``simulation.tape_hit_rate``: the share of simulators built
+    without handing the network to the core.
     """
     with _COUNT_LOCK:
-        return {"hits": _VIEWS, "misses": _LOWERINGS}
+        return {"hits": _SIMULATORS - _CORES, "misses": _CORES}
 
 
-def _count(lowered: bool) -> None:
-    global _LOWERINGS, _VIEWS
+def _count(core: bool) -> None:
+    global _SIMULATORS, _CORES
     with _COUNT_LOCK:
-        if lowered:
-            _LOWERINGS += 1
+        if core:
+            _CORES += 1
         else:
-            _VIEWS += 1
+            _SIMULATORS += 1
 
 
 def _pick(items, indexes) -> tuple:
@@ -122,63 +131,55 @@ def _pick(items, indexes) -> tuple:
     return itemgetter(*indexes)(items)
 
 
-class _Lowering:
-    """One network lowered for the core; shared by a simulator and its views."""
+def _address(buffer: array) -> int:
+    return buffer.buffer_info()[0]
 
-    def __init__(self, network: Network):
+
+@lru_cache(maxsize=16384)
+def _plan_words(table: TruthTable) -> bytes:
+    """A function's :func:`_eval_plan` as ``_simcore.c`` reads it: the
+    complement flag, the cube count, then each cube's mask and values, as
+    int32 words."""
+    complement, cubes = _eval_plan(table)
+    words = array("i", (int(complement), len(cubes)))
+    words.extend(chain.from_iterable(cubes))
+    return words.tobytes()
+
+
+class _SimCore:
+    """A lowering's simulator section: its plans in ``_simcore.c``.
+
+    Built once per lowering (see :meth:`CompiledSimulator.__init__`) and
+    shared by every simulator of it; the core is read-only after
+    ``sim_new``, so simulators in several threads may run it at once.
+    """
+
+    def __init__(self, lowering: Lowering):
         if _LIB is None:
             raise SimulationError(
                 "the compiled simulator needs its C core; without it "
                 "(SIM_CORE == 'python') simulate with Simulator"
             )
-        order = network.topological_order()
-        #: slot -> node id (the topological order).
-        self.uids: tuple[int, ...] = tuple(order)
-        #: node id -> slot.
-        self.slot_of = slot_of = {uid: slot for slot, uid in enumerate(order)}
-        offsets = array("i")
-        records = array("i")
-        plans = array("i")
-        plan_at: dict = {}
-        pi_slots: list[int] = []
-        gates = 0
-        for slot, uid in enumerate(order):
-            node = network.node(uid)
-            offsets.append(len(records))
-            fanins = node.fanins
-            if node.is_pi:
-                records.extend((NODE_PI, -1, 0))
-                pi_slots.append(slot)
-            elif not fanins:
-                records.extend((NODE_TRUE if node.table.bits else NODE_FALSE, -1, 0))
-            else:
-                table = node.table
-                at = plan_at.get(table)
-                if at is None:
-                    at = plan_at[table] = len(plans)
-                    complement, cubes = _eval_plan(table)
-                    plans.extend((int(complement), len(cubes)))
-                    for cube in cubes:
-                        plans.extend(cube)
-                records.extend((NODE_GATE, at, len(fanins)))
-                records.extend([slot_of[f] for f in fanins])
-                gates += 1
-        #: PI slots, and their node ids, in topological order.
-        self.pi_slots = tuple(pi_slots)
-        self.pis = _pick(self.uids, self.pi_slots)
-        self.num_gates = gates
+        plan_off, plans = lowering.per_function(_plan_words)
+        #: PI slots in topological order, and their node ids.
+        self.pi_slots = tuple(sorted(lowering.pi_slots))
+        self.pis = _pick(lowering.uids, self.pi_slots)
         handle = _LIB.sim_new(
-            len(order),
-            offsets.buffer_info()[0],
-            records.buffer_info()[0],
-            len(records),
-            plans.buffer_info()[0],
+            lowering.num_nodes,
+            _address(lowering.kinds),
+            _address(lowering.funcs),
+            _address(lowering.fanin_off),
+            _address(lowering.fanins),
+            _address(plan_off),
+            len(lowering.tables),
+            _address(plans),
             len(plans),
         )
         if not handle:
             raise SimulationError("simulator core rejected the lowering")
         self.lib = _LIB
         self.handle = handle
+        _count(True)
 
     def __del__(self) -> None:
         handle = getattr(self, "handle", None)
@@ -186,11 +187,13 @@ class _Lowering:
             self.lib.sim_free(handle)
             self.handle = None
 
-    def cone(self, roots: list[int]) -> tuple[array, tuple[int, ...], int]:
+    def cone(
+        self, lowering: Lowering, roots: list[int]
+    ) -> tuple[array, tuple[int, ...], int]:
         """The core's cone of ``roots``: (active slots, PI slots, gates)."""
-        slot_of = self.slot_of
+        slot_of = lowering.slot_of
         targets = array("i", [slot_of[uid] for uid in roots])
-        active = array("i", bytes(4 * max(1, len(self.uids))))
+        active = array("i", bytes(4 * max(1, lowering.num_nodes)))
         pis = array("i", bytes(4 * max(1, len(self.pi_slots))))
         counts = array("i", (0, 0, 0))
         got = self.lib.sim_restrict(
@@ -208,10 +211,11 @@ class _Lowering:
 
 
 class CompiledSimulator:
-    """Simulates a fixed network on the ``_simcore.c`` tape.
+    """Simulates a network on the ``_simcore.c`` tape of its lowering.
 
     Args:
-        network: The network to lower.
+        network: The network to simulate; its lowering is built here if
+            no earlier simulator (or other core) has built it.
         targets: Optional node ids; when given, only the union of their
             fanin cones is simulated (and returned).
     """
@@ -225,28 +229,31 @@ class CompiledSimulator:
     ):
         self.network = network
         if _base is None:
-            lowering = _Lowering(network)
+            lowering = network.lowering()
+            core = lowering.section("sim", _SimCore, native=True)
             #: Work counters for the metrics registry (published as
             #: ``sim.*``); shared with every view :meth:`restrict` makes.
             self.stats = {"batches": 0, "patterns": 0, "node_evals": 0}
         else:
             lowering = _base._lowering
+            core = _base._core
             self.stats = _base.stats
-        _count(_base is None)
+        _count(False)
         self._lowering = lowering
+        self._core = core
         self._values = None  # uint64 value buffer, grown on demand
         self._out = None  # a view's values, gathered in its order
         self._active = None  # a view's slots in the core
-        pi_slots = lowering.pi_slots
+        pi_slots = core.pi_slots
         if targets is None:
             self._uids = lowering.uids
-            self._pis = lowering.pis
+            self._pis = core.pis
             self._num_gate_ops = lowering.num_gates
         else:
             roots = sorted(set(targets))
             for uid in roots:
                 network.node(uid)  # existence check
-            active, pi_slots, gates = lowering.cone(roots)
+            active, pi_slots, gates = core.cone(lowering, roots)
             self._active = active
             self._uids = _pick(lowering.uids, active)
             self._pis = _pick(lowering.uids, pi_slots)
@@ -297,9 +304,9 @@ class CompiledSimulator:
         self.stats["batches"] += 1
         self.stats["patterns"] += width
         self.stats["node_evals"] += self._num_gate_ops * words
-        lowering = self._lowering
+        core = self._core
         mask = width_mask(width)
-        n = len(lowering.uids)
+        n = self._lowering.num_nodes
         values = self._values
         if values is None or len(values) < n * words:
             values = self._values = (ctypes.c_uint64 * max(1, n * words))()
@@ -327,8 +334,8 @@ class CompiledSimulator:
                     )
         except KeyError as exc:
             raise SimulationError(f"missing word for PI {exc.args[0]}") from exc
-        lowering.lib.sim_run(
-            lowering.handle,
+        core.lib.sim_run(
+            core.handle,
             ctypes.addressof(values),
             words,
             mask >> (64 * (words - 1)),  # the last word's mask

@@ -15,9 +15,9 @@ Two modes:
   verdict depends on the pair alone; journaled and served runs use it.
 
 On the C core (the ``compiled`` backend with ``SAT_CORE == "c"`` and no
-explicit solver factory) both modes encode cones in C from a
-:class:`~repro.sat.tape.CnfTape` and ship each query's new clauses to the
-solver in one bulk call; otherwise the Python
+explicit solver factory) both modes encode cones in C from the network
+lowering's :class:`~repro.sat.tape.CnfTape` view and ship each query's
+new clauses to the solver in one bulk call; otherwise the Python
 :class:`~repro.sat.tseitin.TseitinEncoder` encodes and clauses are added
 one at a time.  Both give the same variables, clauses and verdicts.
 
@@ -74,10 +74,10 @@ class PairChecker:
     """Answers "are these two nodes equivalent?" queries.
 
     Args:
-        tape: The network already lowered for the C cone encoder (a
-            :class:`~repro.runtime.pool.CheckerPool` lowers it once before
-            starting its workers); lowered on the first query otherwise.
-            Ignored when the Python encoder runs.
+        tape: The SAT view of the network's lowering (a
+            :class:`~repro.runtime.pool.CheckerPool` takes it once before
+            starting its workers); taken from the network on the first
+            query otherwise.  Ignored when the Python encoder runs.
     """
 
     def __init__(
@@ -270,7 +270,8 @@ class PairChecker:
             self._shipped += 1
 
     def _cone_encoder(self) -> ConeEncoder:
-        """The C encoder, created (and the network lowered) on first use."""
+        """The C encoder, created on first use (over the network's
+        lowering, built then if no core has built it yet)."""
         if self._encoder is None:
             if self._tape is None:
                 self._tape = CnfTape(self.network)

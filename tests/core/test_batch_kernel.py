@@ -15,6 +15,7 @@ path; the fallback tests pin that it stays identical.
 """
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -384,11 +385,23 @@ class TestLoadChecks:
         irredundant cover is the only one covering some minterm)."""
         net = random_network(seed=7, num_inputs=5, num_gates=12)
         gen = make_generator("AI+DC+MFFC", net, seed=7, backend="compiled")
-        gate_info = gen.implication._gate_info
-        for uid, info in gate_info.items():
-            if info is not None:
-                fanins, rows, memo = info
-                gate_info[uid] = (fanins, rows[1:], memo)
+        lowering = net.lowering()
+        arity, row_off, rows, uid_of = lowering.section(
+            "simgen", batch_mod._simgen_rows
+        )
+        # Every function loses its first (mask, values, output) row.
+        kept = [
+            rows[3 * r + i]
+            for f in range(len(arity))
+            for r in range(row_off[f] + 1, row_off[f + 1])
+            for i in range(3)
+        ]
+        lowering._sections["simgen"] = (
+            arity,
+            array("i", [off - f for f, off in enumerate(row_off)]),
+            array("i", kept),
+            uid_of,
+        )
         with pytest.raises(GenerationError, match="rejected the lowering"):
             batch_mod._SgCore(
                 batch_mod._LIB, net, gen.implication, gen.decision, 8, False

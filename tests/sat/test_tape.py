@@ -194,8 +194,11 @@ class TestTape:
         network = random_network(seed=1)
         tape = CnfTape(network)
         copy = pickle.loads(pickle.dumps(tape))
-        assert copy.offsets == tape.offsets
-        assert copy.records == tape.records
+        assert copy.kinds == tape.kinds
+        assert copy.funcs == tape.funcs
+        assert copy.fanin_off == tape.fanin_off
+        assert copy.fanins == tape.fanins
+        assert copy.template_off == tape.template_off
         assert copy.templates == tape.templates
         assert copy.number == tape.number
         assert copy.pis == tape.pis

@@ -9,6 +9,8 @@ The acceptance gates of the serving PR live here:
   ``jobs=1`` and ``jobs=4``.
 """
 
+import tempfile
+
 import pytest
 
 from repro.serve import ClientBudget, SweepService
@@ -255,16 +257,43 @@ class TestValidationAndBudgets:
 class TestDeepNetlists:
     def test_chain_deeper_than_the_recursion_limit_completes(self, service):
         """5,000 inverters in a chain: parsing, sweeping, reduction and the
-        cache's signatures all run without recursion.  The deadline keeps
-        the SAT phase short; the job still ends ``done``."""
+        cache's signatures all run without recursion, and the MFFC depths
+        of AI+DC+MFFC take one pass, not one walk per node.  The deadline
+        keeps the SAT phase short; each job still ends ``done``."""
         chain = "\n".join(
             ["INPUT(g0)", "OUTPUT(g5000)"]
             + [f"g{i + 1} = NOT(g{i})" for i in range(5000)]
         )
-        request = sweep_request(chain, strategy="AI+DC", timeout=0.5)
-        result = result_of(run_job(service, request))
-        assert result["gates_before"] == 5000
-        assert result["netlist"].count("LUT") == result["gates_after"]
+        for strategy in ("AI+DC", "AI+DC+MFFC"):
+            request = sweep_request(chain, strategy=strategy, timeout=0.5)
+            result = result_of(run_job(service, request))
+            assert result["gates_before"] == 5000
+            assert result["netlist"].count("LUT") == result["gates_after"]
+
+
+class TestSpool:
+    def test_own_spool_is_removed_and_a_callers_survives(
+        self, tmp_path, monkeypatch
+    ):
+        """A service without ``spool_dir`` leaves no ``repro-serve-*``
+        directory behind; a caller's directory, and its traces, stay."""
+        private = tmp_path / "tmp"
+        private.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(private))
+        request = {"kind": "sweep", "netlist": miter_text(), "trace": True}
+        svc = SweepService(workers=1).start()
+        job = run_job(svc, request)
+        assert [p.name[:12] for p in private.iterdir()] == ["repro-serve-"]
+        assert svc.trace_bytes(job.id)
+        svc.shutdown()
+        assert list(private.iterdir()) == []
+
+        callers = tmp_path / "spool"
+        svc = SweepService(workers=1, spool_dir=str(callers)).start()
+        job = run_job(svc, request)
+        svc.shutdown()
+        assert (callers / f"{job.id}.trace.jsonl").stat().st_size > 0
+        assert list(private.iterdir()) == []
 
 
 class TestObservability:

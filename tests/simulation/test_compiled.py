@@ -6,6 +6,7 @@ here skips.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.logic import TruthTable
 from repro.network import NetworkBuilder
+from repro.network.lowering import Lowering
 from repro.network.network import Network
 from repro.network.traversal import cone_topological_order
 from repro.simulation import CompiledSimulator, PatternBatch, Simulator
@@ -272,16 +274,33 @@ class TestTapeCache:
         batch = PatternBatch.random_for(net, 64, random.Random(25))
         expected = Simulator(net).run_batch(batch)
         results = []
+        lowerings = []
         barrier = threading.Barrier(6)
 
         def worker():
             barrier.wait()
+            # Six threads lower the network at once, then simulate on the
+            # lowering the network kept.
+            lowerings.append(Lowering(net))
             results.append(CompiledSimulator(net).run_batch(batch))
 
         pool = [threading.Thread(target=worker) for _ in range(6)]
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the six lowerings
+        try:
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
         assert len(results) == 6
         assert all(r == expected for r in results)
+        kept = net.lowering()
+        for lowering in lowerings:
+            for name in (
+                "uids", "kinds", "funcs", "fanin_off", "fanins",
+                "fanout_off", "fanouts", "levels", "pis", "pi_slots", "tables",
+            ):
+                assert getattr(lowering, name) == getattr(kept, name)
