@@ -7,10 +7,12 @@ Two layers:
   aging, per-client pending budgets) and runs each one through the
   existing engines — :class:`~repro.sweep.engine.SweepEngine` for sweep
   jobs, :func:`~repro.sweep.cec.check_equivalence` for CEC jobs — with a
-  :class:`~repro.serve.cache.CacheSession` plugged in as the run's
-  verdict journal.  Every job therefore runs query-pure and replays any
-  verdict the daemon has proven before (for this or any other client)
-  whose cone signatures and configuration fingerprint match.
+  session of the daemon's :class:`~repro.serve.cache.VerdictCache` (the
+  cache spill of the one verdict store, :mod:`repro.runtime.journal`)
+  plugged in as the run's verdict journal.  Every job therefore runs
+  query-pure and replays any verdict the daemon has proven before (for
+  this or any other client) whose cone signatures and configuration
+  fingerprint match.
 
 * :func:`build_server` / :func:`run_server` — a JSON-over-HTTP front end
   (stdlib ``ThreadingHTTPServer``; no new dependencies) exposing::
@@ -26,9 +28,9 @@ Two layers:
       POST /shutdown        graceful stop (drains running jobs)
 
 Determinism contract: a job's result is byte-identical to the same
-command-line run cold — cache hits replay through the same paths PR 7
-proved byte-identical for ``--resume``, and execution shape (workers,
-concurrency, cache state) never leaks into verdicts.
+command-line run cold — cache hits replay through the same paths
+``--resume`` replays through, pinned byte-identical, and execution shape
+(workers, concurrency, cache state) never leaks into verdicts.
 """
 
 from __future__ import annotations

@@ -128,9 +128,10 @@ class SweepConfig:
     #: :class:`repro.runtime.supervise.RetryPolicy`); backoff jitter is
     #: seeded from :attr:`seed`, never wall clock.
     pair_retry_limit: int = 2
-    #: Write-ahead verdict journal
-    #: (:class:`repro.runtime.journal.VerdictJournal`); ``None`` disables
-    #: durable sessions.  A journal forces *query-pure* SAT checking (a
+    #: A session of the verdict store (:mod:`repro.runtime.journal`): a
+    #: :class:`~repro.runtime.journal.VerdictJournal` (the write-ahead
+    #: journal spill) or a daemon cache's session (the cache spill);
+    #: ``None`` disables both.  Either forces *query-pure* SAT checking (a
     #: fresh solver per query instead of one incremental solver) so every
     #: verdict is a pure function of the pair and replaying a prefix
     #: reproduces the uninterrupted trajectory bit-for-bit.

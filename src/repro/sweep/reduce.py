@@ -59,20 +59,24 @@ def reduce_network(
         parent[uid] = resolved
         return resolved
 
+    # The merge loop reads the swept network: the clone has its ids and
+    # fanins until the loop ends, and its levels are cached when the
+    # sweep lowered it (the fresh clone would rebuild them).
+    level = network.level
     merged = 0
     for rep, member, complemented in equivalences:
         root_a, phase_a = find(rep)
         root_b, phase_b = find(member)
         if root_a == root_b:
             continue
-        if work.node(root_a).is_pi and work.node(root_b).is_pi:
+        if network.node(root_a).is_pi and network.node(root_b).is_pi:
             continue  # interface nodes cannot be merged into each other
         # Keep the shallower node as the canonical representative; a PI
         # always wins (it can never be substituted away).
-        swap = (work.level(root_b), root_b) < (work.level(root_a), root_a)
-        if work.node(root_b).is_pi:
+        swap = (level(root_b), root_b) < (level(root_a), root_a)
+        if network.node(root_b).is_pi:
             swap = True
-        elif work.node(root_a).is_pi:
+        elif network.node(root_a).is_pi:
             swap = False
         if swap:
             root_a, root_b = root_b, root_a

@@ -17,7 +17,6 @@ def node_signature_calls(monkeypatch) -> list:
     """Every ``node_signatures`` call of the test, wherever the function
     was imported: the networks it hashed, in order."""
     from repro.runtime import journal
-    from repro.serve import cache
 
     # ``repro.transforms.strash`` is also the name of a function there.
     strash = importlib.import_module("repro.transforms.strash")
@@ -28,7 +27,7 @@ def node_signature_calls(monkeypatch) -> list:
         calls.append(network)
         return original(network)
 
-    for module in (strash, journal, cache):
+    for module in (strash, journal):
         monkeypatch.setattr(module, "node_signatures", counted)
     return calls
 

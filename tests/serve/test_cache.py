@@ -201,6 +201,10 @@ class TestSessionTransfer:
             "misses": 1,
             "torn_tail_truncations": 0,
         }
+        # The store counts the rejected entry once, as a miss, like the
+        # session that rejected it.
+        store = cache.stats
+        assert (store["hits"], store["misses"]) == (0, 1)
 
     def test_fingerprint_partitions_verdicts(self):
         net = random_network(seed=4, num_inputs=5, num_gates=18)

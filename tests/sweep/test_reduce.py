@@ -93,3 +93,35 @@ class TestSweepAndReduce:
         reduced, _ = sweep_and_reduce(net, result)
         validate(reduced)
         assert networks_equal(net, reduced)
+
+
+class TestLevels:
+    def test_reducing_a_swept_network_builds_no_clone_levels(
+        self, monkeypatch
+    ):
+        """The merge loop ranks nodes by the swept network's levels; the
+        fresh clone (same ids and fanins until the loop ends) never
+        rebuilds its own."""
+        from repro.network.network import Network
+
+        net = random_network(seed=11, num_inputs=5, num_gates=18)
+        engine = SweepEngine(
+            net,
+            make_generator("AI+DC+MFFC", net, seed=1),
+            SweepConfig(seed=3, iterations=5),
+        )
+        result = engine.run()
+        assert result.equivalences
+        builds = []
+        original = Network.levels
+
+        def counted(network):
+            if network._levels is None:
+                builds.append(network)
+            return original(network)
+
+        monkeypatch.setattr(Network, "levels", counted)
+        reduced, stats = sweep_and_reduce(net, result)
+        assert stats.merged
+        assert all(network is net for network in builds)
+        assert networks_equal(net, reduced)

@@ -371,6 +371,41 @@ class TestResumeGuards:
         assert len(err.strip().splitlines()) == 1
         assert "different sweep configuration" in err
 
+    def test_record_of_the_wrong_shape_is_one_error_line(self, tmp_path):
+        """A CRC-valid verdict without its ``a`` field, followed by valid
+        records, is corruption: one ``error:`` line, exit 2."""
+        import json
+
+        from repro.runtime.journal import _encode_line
+
+        path = tmp_path / "cps.bench"
+        journal = tmp_path / "j.jsonl"
+        assert main(["gen", "cps", "-o", str(path)]) == 0
+        assert main(
+            ["sweep", str(path), "--journal", str(journal),
+             "--iterations", "2"]
+        ) == 0
+        lines = journal.read_bytes().splitlines(keepends=True)
+        assert len(lines) >= 3
+        payload = json.loads(lines[1].partition(b"\t")[2])
+        del payload["a"]
+        lines[1] = _encode_line(payload)
+        journal.write_bytes(b"".join(lines))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.tools", "sweep", str(path),
+             "--journal", str(journal), "--resume"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_cli_env(),
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: journal ")
+        assert "corrupt record at byte" in line
+
     def test_existing_journal_without_resume_refused(
         self, blif_file, tmp_path, capsys
     ):
