@@ -38,12 +38,14 @@ exactly.  The core's counters fold into the published
 The network goes into the core in one ``sg_load`` call (:class:`_SgCore`):
 its lowering (:meth:`Network.lowering
 <repro.network.network.Network.lowering>`) gives every slot's kind, level,
-function id, fanins and examiners; the lowering's SimGen section gives each
-distinct gate function's rows once (:func:`~repro.logic.cubes.packed_rows`)
-and its MFFC section every slot's MFFC depth (:func:`mffc_depths`, one C
-pass over the whole lowering), from which the core computes each row's
-Equation-4 priority.  Both sections are built once per lowering, so the
-four SimGen variants of one network share them, across sweeps too.  The
+function id, node id, fanins and examiners; the lowering's rows section
+(:meth:`Lowering.rows <repro.network.lowering.Lowering.rows>`, shared with
+the simulator core and the cone encoder) gives each distinct gate
+function's rows once (:func:`~repro.logic.cubes.packed_rows`) and its MFFC
+section every slot's MFFC depth (:func:`mffc_depths`, one C pass over the
+whole lowering), from which the core computes each row's Equation-4
+priority.  Both sections are built once per lowering, so the four SimGen
+variants of one network share them, across sweeps too.  The
 core returns one record per attempt; :attr:`BatchSimGenGenerator.reports`
 decodes them into :class:`~repro.core.generator.GenerationReport` objects
 only when it is read.
@@ -60,7 +62,6 @@ import ctypes
 import math
 import os
 from array import array
-from functools import lru_cache
 from itertools import accumulate, chain
 from typing import Optional, Sequence
 
@@ -79,8 +80,6 @@ from repro.core.outgold import (
     level_alternating_outgold,
 )
 from repro.errors import GenerationError
-from repro.logic.cubes import packed_rows
-from repro.logic.truthtable import TruthTable
 from repro.network.lowering import Lowering
 from repro.network.network import Network
 from repro.runtime.cbuild import CoreLoader
@@ -172,22 +171,6 @@ def _address(buffer: array) -> int:
     return buffer.buffer_info()[0]
 
 
-@lru_cache(maxsize=16384)
-def _row_words(table: TruthTable) -> bytes:
-    """A function's :func:`~repro.logic.cubes.packed_rows` as ``sg_load``
-    reads them: ``(mask, values, output)`` int32 triples."""
-    return array("i", chain.from_iterable(packed_rows(table))).tobytes()
-
-
-def _simgen_rows(lowering: Lowering) -> tuple[array, array, array, array]:
-    """The lowering's ``"simgen"`` section: per function id its arity and
-    the index of its first row (one more entry: the row count), the rows
-    as ``(mask, values, output)`` triples, and every slot's node id."""
-    arity = array("i", [table.num_vars for table in lowering.tables])
-    row_off, rows = lowering.per_function(_row_words, item=3)
-    return arity, row_off, rows, array("i", lowering.uids)
-
-
 def mffc_depths(lowering: Lowering) -> array:
     """Equation 2 for every slot of a lowering, in one C call: the
     ``"mffc"`` section, equal bit for bit to
@@ -214,10 +197,11 @@ class _SgCore:
     """A network's lowering loaded into a ``_simgencore`` instance by
     ``sg_load``.
 
-    The slots, kinds, levels, fanins and fanouts are the lowering's own
-    buffers (the core's examiner rows are a slot, then its fanouts); the
-    rows and MFFC depths are its ``"simgen"`` and ``"mffc"`` sections,
-    built by the first core of a lowering and shared by every later one.  Each core keeps its own assignment state and transition
+    The slots, kinds, levels, node ids, fanins and fanouts are the
+    lowering's own buffers (the core's examiner rows are a slot, then its
+    fanouts); the rows and MFFC depths are its rows and ``"mffc"``
+    sections, built by the first reader of a lowering and shared by every
+    later one.  Each core keeps its own assignment state and transition
     tables.  :attr:`stats` is published as ``simgen.kernel.*``.
     """
 
@@ -239,7 +223,7 @@ class _SgCore:
             raise GenerationError(
                 f"gate arity {lowering.max_arity} exceeds the core's {SG_MAX_K}"
             )
-        arity, row_off, rows, uid_of = lowering.section("simgen", _simgen_rows)
+        arity, row_off, rows = lowering.rows()
         depth = None
         if decision.strategy is DecisionStrategy.DC_MFFC:
             depth = lowering.section("mffc", mffc_depths)
@@ -265,7 +249,7 @@ class _SgCore:
             int(implication.strategy is ImplicationStrategy.ADVANCED),
             _address(lowering.pi_slots),
             len(self.pis),
-            _address(uid_of),
+            _address(lowering.uid_words),
             _SCORE[decision.strategy],
             float(decision.alpha),
             float(decision.beta),

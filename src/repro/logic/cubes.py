@@ -264,8 +264,8 @@ def isop(table: TruthTable) -> list[Cube]:
 def isop_cover(table: TruthTable) -> tuple[Cube, ...]:
     """Cached, immutable :func:`isop` — LUT networks reuse few functions,
     so repeated lowerings hit this instead of re-deriving the cover.  The
-    one source of covers for the simulator's evaluation plans, SimGen's
-    rows and the SAT clause templates."""
+    one source of covers for the rows (:func:`rows_of`) and the reference
+    simulator's evaluation plans."""
     return tuple(isop(table))
 
 
@@ -276,8 +276,8 @@ def rows_of(table: TruthTable) -> tuple[Row, ...]:
     Every minterm of the input space is contained in at least one row, and
     every row produces the function's value on all its minterms.  Rows are
     cached per function since LUT networks reuse few distinct functions;
-    the covers come from :func:`isop_cover`, which the simulator's plans
-    and the SAT clause templates share, so each runs ISOP once.
+    the covers come from :func:`isop_cover`, which the reference
+    simulator's plans share, so each runs ISOP once.
     """
     onset = tuple(Row(c, 1) for c in isop_cover(table))
     offset = tuple(Row(c, 0) for c in isop_cover(~table))
@@ -291,7 +291,10 @@ def packed_rows(table: TruthTable) -> tuple[tuple[int, int, int], ...]:
     The packed form supports O(1) matching against a partial pin assignment
     expressed as ``(known_mask, known_values)``: a row matches iff
     ``(values ^ known_values) & (mask & known_mask) == 0`` and the output
-    agrees — the hot path of the implication engine.
+    agrees — the hot path of the implication engine.  It is also the one
+    packed form of a gate function the C cores read (the rows section of
+    :meth:`Lowering.rows <repro.network.lowering.Lowering.rows>`), and
+    each row is one Tseitin clause.
     """
     return tuple(
         (row.cube.mask, row.cube.values, row.output) for row in rows_of(table)

@@ -1,13 +1,16 @@
 /* LUT mapping core: the priority cuts of every gate, its best cut and
  * that cut's function, in one call.
  *
- * repro/mapping/compiled.py lowers a network into flat buffers over slots
- * 0..n-1 in topological order.  Slot s carries its node id uids[s], its
- * level, its distinct-reader count (num_fanouts), its fanins as slots in
- * fanin order (fanins[offsets[s]] .. fanins[offsets[s + 1] - 1], repeats
- * included) and its truth table as one 64-bit word.  A slot without
- * fanins is a source: a PI (word 0) or a constant (word 0 or 1).  The
- * roots are the POs' slots, where covering starts.
+ * repro/mapping/compiled.py hands over the network's lowering
+ * (repro/network/lowering.py) over slots 0..n-1 in topological order.
+ * Slot s carries its node id uids[s], its level, its kind, its fanins as
+ * slots in fanin order (fanins[fanin_off[s]] .. fanins[fanin_off[s + 1] -
+ * 1], repeats included), its readers as the fanout CSR (a row's length is
+ * the slot's distinct-reader count, num_fanouts) and, for a gate, its
+ * function id.  A function's truth table is one 64-bit word,
+ * func_words[function].  A slot that is not a gate (a PI or a constant)
+ * has no fanins and is a source.  The roots are the POs' slots, where
+ * covering starts.
  *
  * map_best_cuts reproduces repro.mapping.cuts.enumerate_cuts and the
  * best-cut loop of repro.mapping.lutmap.map_to_luts exactly:
@@ -44,6 +47,10 @@
 
 /* Widest cut: a 6-input table fills one 64-bit word. */
 #define MAX_K 6
+
+/* Node kinds (NODE_* in repro/network/lowering.py). */
+#define NODE_PI 0
+#define NODE_GATE 3
 
 #define MAP_OK 0
 #define MAP_MALFORMED -1
@@ -194,7 +201,7 @@ static uint64_t compose(uint64_t table, int arity, const uint64_t *in,
 }
 
 typedef struct {
-    int64_t uid;
+    int32_t uid;
     int32_t slot;
 } UidSlot;
 
@@ -203,22 +210,32 @@ static int by_uid(const void *x, const void *y) {
     return a->uid < b->uid ? -1 : a->uid > b->uid;
 }
 
-/* The buffers describe a network the mapper can read: every fanin comes
- * earlier in the order, no gate is wider than MAX_K, every table fits its
- * arity, every root is a slot, and k and cut_limit are in range. */
-static int lowering_ok(int32_t n, const int32_t *fanouts,
-                       const int32_t *offsets, const int32_t *fanins,
-                       const uint64_t *words, int32_t n_roots,
+/* The buffers describe a network the mapper can read: every slot has a
+ * known kind, exactly the gates have fanins and a function, every fanin
+ * comes earlier in the order, no gate is wider than MAX_K, every table
+ * fits its gate's arity, the fanout CSR is ascending, every root is a
+ * slot, and k and cut_limit are in range. */
+static int lowering_ok(int32_t n, const int32_t *kinds, const int32_t *funcs,
+                       const int32_t *fanin_off, const int32_t *fanins,
+                       const int32_t *fanout_off, int32_t n_funcs,
+                       const uint64_t *func_words, int32_t n_roots,
                        const int32_t *roots, int32_t k, int32_t cut_limit) {
-    if (n < 0 || n_roots < 0 || k < 1 || k > MAX_K || cut_limit < 1)
+    if (n < 0 || n_funcs < 0 || n_roots < 0 || k < 1 || k > MAX_K ||
+        cut_limit < 1)
         return 0;
-    if (offsets[0] != 0) return 0;
+    if (fanin_off[0] != 0 || fanout_off[0] != 0) return 0;
     for (int32_t s = 0; s < n; s++) {
-        int32_t arity = offsets[s + 1] - offsets[s];
-        if (arity < 0 || arity > MAX_K || fanouts[s] < 0) return 0;
-        for (int32_t i = offsets[s]; i < offsets[s + 1]; i++)
+        int32_t arity = fanin_off[s + 1] - fanin_off[s];
+        if (kinds[s] < NODE_PI || kinds[s] > NODE_GATE || arity < 0 ||
+            arity > MAX_K || fanout_off[s + 1] < fanout_off[s])
+            return 0;
+        if ((kinds[s] == NODE_GATE) != (arity > 0)) return 0;
+        for (int32_t i = fanin_off[s]; i < fanin_off[s + 1]; i++)
             if (fanins[i] < 0 || fanins[i] >= s) return 0;
-        if (arity < MAX_K && (words[s] >> (1 << arity)) != 0) return 0;
+        if (!arity) continue;
+        if (funcs[s] < 0 || funcs[s] >= n_funcs) return 0;
+        if (arity < MAX_K && (func_words[funcs[s]] >> (1 << arity)) != 0)
+            return 0;
     }
     for (int32_t r = 0; r < n_roots; r++)
         if (roots[r] < 0 || roots[r] >= n) return 0;
@@ -231,11 +248,11 @@ static int lowering_ok(int32_t n, const int32_t *fanouts,
  * table to the outputs.  `mark`, `value` and `stack` are scratch: marks
  * below *stamp are stale, and the stack holds one entry per fanin. */
 static void lut_function(int32_t s, const int32_t *leaf, int size,
-                         const int32_t *offsets, const int32_t *fanins,
-                         const uint64_t *words, int32_t *mark,
-                         int32_t *stamp, uint64_t *value, int32_t *stack,
-                         int32_t *out_size, int32_t *out_leaves,
-                         uint64_t *out_words) {
+                         const int32_t *fanin_off, const int32_t *fanins,
+                         const int32_t *funcs, const uint64_t *func_words,
+                         int32_t *mark, int32_t *stamp, uint64_t *value,
+                         int32_t *stack, int32_t *out_size,
+                         int32_t *out_leaves, uint64_t *out_words) {
     uint64_t full = full_word(size);
     int32_t now = ++*stamp;
     for (int i = 0; i < size; i++) {
@@ -251,7 +268,7 @@ static void lut_function(int32_t s, const int32_t *leaf, int size,
             continue;
         }
         int pending = 0;
-        for (int32_t i = offsets[x]; i < offsets[x + 1]; i++) {
+        for (int32_t i = fanin_off[x]; i < fanin_off[x + 1]; i++) {
             if (mark[fanins[i]] != now) {
                 stack[top++] = fanins[i];
                 pending = 1;
@@ -259,9 +276,9 @@ static void lut_function(int32_t s, const int32_t *leaf, int size,
         }
         if (pending) continue;
         uint64_t in[MAX_K];
-        int arity = offsets[x + 1] - offsets[x];
-        for (int i = 0; i < arity; i++) in[i] = value[fanins[offsets[x] + i]];
-        value[x] = compose(words[x], arity, in, full);
+        int arity = fanin_off[x + 1] - fanin_off[x];
+        for (int i = 0; i < arity; i++) in[i] = value[fanins[fanin_off[x] + i]];
+        value[x] = compose(func_words[funcs[x]], arity, in, full);
         mark[x] = now;
         top--;
     }
@@ -298,14 +315,16 @@ static void lut_function(int32_t s, const int32_t *leaf, int size,
  * Returns MAP_OK; MAP_MALFORMED when the buffers are refused (nothing is
  * written); MAP_NO_CUT, with *out_slot the first gate in the order that
  * has no cut besides its trivial one; or MAP_NO_MEMORY. */
-int map_best_cuts(int32_t n, const int64_t *uids, const int32_t *levels,
-                  const int32_t *fanouts, const int32_t *offsets,
-                  const int32_t *fanins, const uint64_t *words,
-                  int32_t n_roots, const int32_t *roots, int32_t k,
-                  int32_t cut_limit, int32_t compensated, int32_t *out_size,
+int map_best_cuts(int32_t n, const int32_t *uids, const int32_t *levels,
+                  const int32_t *kinds, const int32_t *funcs,
+                  const int32_t *fanin_off, const int32_t *fanins,
+                  const int32_t *fanout_off, int32_t n_funcs,
+                  const uint64_t *func_words, int32_t n_roots,
+                  const int32_t *roots, int32_t k, int32_t cut_limit,
+                  int32_t compensated, int32_t *out_size,
                   int32_t *out_leaves, uint64_t *out_words, int32_t *out_slot) {
-    if (!lowering_ok(n, fanouts, offsets, fanins, words, n_roots, roots, k,
-                     cut_limit))
+    if (!lowering_ok(n, kinds, funcs, fanin_off, fanins, fanout_off, n_funcs,
+                     func_words, n_roots, roots, k, cut_limit))
         return MAP_MALFORMED;
     size_t slots = (size_t)(n > 0 ? n : 1);
     UidSlot *order = (UidSlot *)malloc(slots * sizeof(UidSlot));
@@ -320,7 +339,8 @@ int map_best_cuts(int32_t n, const int64_t *uids, const int32_t *levels,
     char *reached = (char *)calloc(slots, 1);
     int32_t *mark = (int32_t *)calloc(slots, sizeof(int32_t));
     uint64_t *value = (uint64_t *)malloc(slots * sizeof(uint64_t));
-    int32_t *stack = (int32_t *)malloc(((size_t)offsets[n] + 1) * sizeof(int32_t));
+    int32_t *stack =
+        (int32_t *)malloc(((size_t)fanin_off[n] + 1) * sizeof(int32_t));
     CutVec all = {0}, cur = {0}, next = {0};
     int rc = MAP_NO_MEMORY;
     if (!order || !rank || !slot_of_rank || !first || !count || !depth ||
@@ -343,7 +363,7 @@ int map_best_cuts(int32_t n, const int64_t *uids, const int32_t *levels,
     }
 
     for (int32_t s = 0; s < n; s++) {
-        int32_t lo = offsets[s], hi = offsets[s + 1];
+        int32_t lo = fanin_off[s], hi = fanin_off[s + 1];
         Cut unit;
         memset(&unit, 0, sizeof unit);
         unit.depth = levels[s];
@@ -434,7 +454,8 @@ int map_best_cuts(int32_t n, const int64_t *uids, const int32_t *levels,
             }
         }
         depth[s] = best_depth;
-        flow[s] = best_flow / (double)(fanouts[s] > 1 ? fanouts[s] : 1);
+        int32_t readers = fanout_off[s + 1] - fanout_off[s];
+        flow[s] = best_flow / (double)(readers > 1 ? readers : 1);
         best_size[s] = cur.cuts[best].size;
         for (int i = 0; i < best_size[s]; i++)
             best_leaf[(size_t)s * MAX_K + i] = slot_of_rank[cur.cuts[best].leaf[i]];
@@ -452,10 +473,10 @@ int map_best_cuts(int32_t n, const int64_t *uids, const int32_t *levels,
     for (int32_t r = 0; r < n_roots; r++) reached[roots[r]] = 1;
     int32_t stamp = 0;
     for (int32_t s = n - 1; s >= 0; s--) {
-        if (!reached[s] || offsets[s] == offsets[s + 1]) continue;
-        lut_function(s, best_leaf + (size_t)s * MAX_K, best_size[s], offsets,
-                     fanins, words, mark, &stamp, value, stack, out_size,
-                     out_leaves, out_words);
+        if (!reached[s] || fanin_off[s] == fanin_off[s + 1]) continue;
+        lut_function(s, best_leaf + (size_t)s * MAX_K, best_size[s],
+                     fanin_off, fanins, funcs, func_words, mark, &stamp,
+                     value, stack, out_size, out_leaves, out_words);
         for (int j = 0; j < out_size[s]; j++)
             reached[out_leaves[(size_t)s * MAX_K + j]] = 1;
     }

@@ -3,11 +3,15 @@
 :func:`~repro.mapping.lutmap.map_to_luts` spends nearly all its time in
 three loops: enumerating every gate's priority cuts, picking its best cut
 and composing that cut's function.  ``_mapcore.c`` runs the three in one
-``map_best_cuts`` call over the network lowered to flat buffers:
+``map_best_cuts`` call over the network's lowering (:meth:`Network.lowering
+<repro.network.network.Network.lowering>`, the flat form every core reads,
+kept on the network):
 
-* nodes get **slots** in topological order; per slot the buffers hold its
-  uid, level, distinct-reader count, fanins as slots (CSR, in fanin order)
-  and its truth table as one 64-bit word, and the POs' slots follow;
+* nodes are the lowering's **slots** in topological order; the core reads
+  each slot's node id, level, kind, function id, fanins (the fanin CSR)
+  and distinct-reader count (a row length of the fanout CSR), each
+  function's truth table as one 64-bit word (:func:`table_words`) and the
+  POs' slots;
 * the core returns the LUT of every gate that covering from the POs
   reaches: the best cut's support leaves and the table shrunk to that
   support.
@@ -21,9 +25,9 @@ Python path's (``tests/mapping/test_compiled.py``).  ``map_to_luts`` keeps
 its covering walk in Python and reads each covered gate's LUT from here.
 
 The core maps cuts of up to :data:`MAX_K` leaves (a 6-input table fills
-one word).  For wider ``k``, without the core (no C compiler, or
-``REPRO_CCORES=python``; see :mod:`repro.runtime.cbuild`), or when the
-core refuses the buffers, :func:`best_luts` returns ``None`` and
+one word).  For wider ``k`` or wider gates, without the core (no C
+compiler, or ``REPRO_CCORES=python``; see :mod:`repro.runtime.cbuild`), or
+when the core refuses the buffers, :func:`best_luts` returns ``None`` and
 ``map_to_luts`` runs its Python path, which stays the reference.
 :data:`MAP_CORE` says which path this process runs.
 """
@@ -33,12 +37,15 @@ from __future__ import annotations
 import ctypes
 import os
 from array import array
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import MappingError
 from repro.logic.truthtable import TruthTable
 from repro.network.network import Network
 from repro.runtime.cbuild import CoreLoader
+
+if TYPE_CHECKING:
+    from repro.network.lowering import Lowering
 
 _SOURCE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_mapcore.c")
 
@@ -56,26 +63,13 @@ COMPENSATED_SUM = sum((1.0, 1e100, 1.0, -1e100)) == 2.0
 Lut = tuple[TruthTable, list[int]]
 
 
-class Lowering(NamedTuple):
-    """A network as ``map_best_cuts`` reads it, one entry per slot (the
-    topological order) except ``fanins`` (CSR, delimited by ``offsets``)
-    and ``roots`` (the POs' slots, where covering starts)."""
-
-    uids: array
-    levels: array
-    fanouts: array
-    offsets: array
-    fanins: array
-    words: array
-    roots: array
-
-
 def _configure(lib: ctypes.CDLL) -> None:
     """Set argument/return types on the loaded core."""
     i32 = ctypes.c_int32
     address = ctypes.c_void_p
     lib.map_best_cuts.argtypes = (
-        [i32] + [address] * 6 + [i32, address] + [i32] * 3 + [address] * 4
+        [i32] + [address] * 7 + [i32, address, i32, address] + [i32] * 3
+        + [address] * 4
     )
     lib.map_best_cuts.restype = ctypes.c_int
     lib.map_flow_sum.argtypes = [address, i32, i32]
@@ -96,71 +90,51 @@ _LIB = _LOADER.load()
 MAP_CORE = "c" if _LIB is not None else "python"
 
 
-def lower(network: Network) -> tuple[list[int], dict[int, int], Lowering]:
-    """The topological order (slot -> uid), its inverse and the core's
-    buffers for ``network``.
+def _address(buffer: array) -> int:
+    return buffer.buffer_info()[0]
 
-    A table too wide for one word raises :class:`OverflowError`.
-    """
-    order = network.topological_order()
-    slot_of = {uid: slot for slot, uid in enumerate(order)}
-    levels = network.levels()
-    offsets = array("i", [0])
-    fanins = array("i")
-    words = array("Q")
-    for uid in order:
-        node = network.node(uid)
-        if node.is_pi:
-            words.append(0)
-        else:
-            fanins.extend([slot_of[f] for f in node.fanins])
-            words.append(node.table.bits)
-        offsets.append(len(fanins))
-    lowering = Lowering(
-        uids=array("q", order),
-        levels=array("i", [levels[uid] for uid in order]),
-        fanouts=array("i", [network.num_fanouts(uid) for uid in order]),
-        offsets=offsets,
-        fanins=fanins,
-        words=words,
-        roots=array("i", [slot_of[uid] for _, uid in network.pos]),
-    )
-    return order, slot_of, lowering
+
+def table_words(lowering: Lowering) -> Optional[array]:
+    """Each function of ``lowering`` as one 64-bit word (its truth table's
+    bits), by function id; ``None`` when a table is wider than one word."""
+    if lowering.max_arity > MAX_K:
+        return None
+    return array("Q", [table.bits for table in lowering.tables])
 
 
 def run_core(
-    lowering: Lowering, k: int, cut_limit: int
+    lowering: Lowering, words: array, roots: array, k: int, cut_limit: int
 ) -> tuple[int, array, array, array, int]:
-    """One ``map_best_cuts`` call: (result, LUT widths, LUT inputs as
-    slots, LUT tables, failing slot)."""
-    n = len(lowering.uids)
+    """One ``map_best_cuts`` call over ``lowering``, with its functions'
+    ``words`` and covering from the slots ``roots``: (result, LUT widths,
+    LUT inputs as slots, LUT tables, failing slot)."""
+    n = lowering.num_nodes
     # The core trusts the lengths; it checks the values.
-    if not (
-        len(lowering.levels) == len(lowering.fanouts) == len(lowering.words) == n
-        and len(lowering.offsets) == n + 1
-        and len(lowering.fanins) == lowering.offsets[n]
-    ):
-        raise ValueError("mapping buffers of inconsistent lengths")
+    if len(words) != len(lowering.tables):
+        raise ValueError("one table word per function expected")
     sizes = array("i", bytes(4 * max(1, n)))
     leaves = array("i", bytes(4 * MAX_K * max(1, n)))
     tables = array("Q", bytes(8 * max(1, n)))
     failed = ctypes.c_int32(-1)
     result = _LIB.map_best_cuts(
         n,
-        lowering.uids.buffer_info()[0],
-        lowering.levels.buffer_info()[0],
-        lowering.fanouts.buffer_info()[0],
-        lowering.offsets.buffer_info()[0],
-        lowering.fanins.buffer_info()[0],
-        lowering.words.buffer_info()[0],
-        len(lowering.roots),
-        lowering.roots.buffer_info()[0],
+        _address(lowering.uid_words),
+        _address(lowering.levels),
+        _address(lowering.kinds),
+        _address(lowering.funcs),
+        _address(lowering.fanin_off),
+        _address(lowering.fanins),
+        _address(lowering.fanout_off),
+        len(words),
+        _address(words),
+        len(roots),
+        _address(roots),
         k,
         cut_limit,
         int(COMPENSATED_SUM),
-        sizes.buffer_info()[0],
-        leaves.buffer_info()[0],
-        tables.buffer_info()[0],
+        _address(sizes),
+        _address(leaves),
+        _address(tables),
         ctypes.byref(failed),
     )
     return result, sizes, leaves, tables, failed.value
@@ -178,17 +152,20 @@ def best_luts(
     """
     if _LIB is None or not 1 <= k <= MAX_K:
         return None
-    try:
-        order, slot_of, lowering = lower(network)
-    except OverflowError:
+    lowering = network.lowering()
+    words = table_words(lowering)
+    if words is None:
         return None
+    slot_of = lowering.slot_of
+    roots = array("i", [slot_of[uid] for _, uid in network.pos])
     # No gate keeps more than 2**30 cuts, so a wider limit keeps them all.
     result, sizes, leaves, tables, failed = run_core(
-        lowering, k, min(cut_limit, 1 << 30)
+        lowering, words, roots, k, min(cut_limit, 1 << 30)
     )
+    uids = lowering.uids
     if result == MAP_NO_CUT:
         raise MappingError(
-            f"node {order[failed]} has no non-trivial K-feasible cut"
+            f"node {uids[failed]} has no non-trivial K-feasible cut"
         )
     if result != MAP_OK:
         return None
@@ -199,7 +176,7 @@ def best_luts(
         at = slot * MAX_K
         return (
             TruthTable(size, tables[slot]),
-            [order[leaf] for leaf in leaves[at : at + size]],
+            [uids[leaf] for leaf in leaves[at : at + size]],
         )
 
     return lut

@@ -1,34 +1,45 @@
 """One lowering per network: the flat form every C core reads.
 
-The simulator core, the SAT cone encoder and the SimGen core all read a
-network as flat ``int32`` buffers indexed by **slot**, a node's position in
-``network.topological_order()``.  :class:`Lowering` builds those buffers in
-one pass, the first time something needs them, and the network keeps it
-next to its cached topological order (:meth:`Network.lowering
-<repro.network.network.Network.lowering>`), so every sweep of one network
-reads the same lowering:
+The simulator core, the SAT cone encoder, the SimGen core and the mapping
+core all read a network as flat ``int32`` buffers indexed by **slot**, a
+node's position in ``network.topological_order()``.  :class:`Lowering`
+builds those buffers in one pass, the first time something needs them, and
+the network keeps it next to its cached topological order
+(:meth:`Network.lowering <repro.network.network.Network.lowering>`), so
+every sweep of one network reads the same lowering:
 
-* ``uids`` and ``slot_of``: slot -> node id and back;
-* ``kinds``: one node-kind numbering for all three cores, :data:`NODE_PI`,
+* ``uids`` and ``slot_of``: slot -> node id and back (``uid_words``: the
+  node ids as ``int32`` words, for the cores that order by node id);
+* ``kinds``: one node-kind numbering for all four cores, :data:`NODE_PI`,
   :data:`NODE_FALSE`, :data:`NODE_TRUE` (zero-fanin constants) and
   :data:`NODE_GATE`;
 * ``fanin_off`` / ``fanins``: the fanin CSR (compressed sparse rows), a
   gate's fanin slots in table-variable order, repeats kept;
-* ``fanout_off`` / ``fanouts``: the fanout CSR, a node's readers in
-  ``network.fanouts`` order (SimGen's examiner row is the node, then this
-  row: the reference worklist order);
+* ``fanout_off`` / ``fanouts``: the fanout CSR, a node's distinct readers
+  in ``network.fanouts`` order, so a row's length is ``num_fanouts``
+  (SimGen's examiner row is the node, then this row: the reference
+  worklist order);
 * ``levels``, ``pis`` (node ids in ``network.pis`` order) and ``pi_slots``
   (their slots, in the same order);
 * ``funcs``: a gate's function id, -1 for PIs and constants, into
   ``tables``, the distinct gate functions in first-seen slot order.
 
-Each core keeps its own view of a lowering in a **section**
-(:meth:`Lowering.section`), built from ``tables`` once per lowering: the
-simulator's covers and C handle (:mod:`repro.simulation.compiled`), the
-clause templates (:mod:`repro.sat.tape`), and the SimGen rows and MFFC
-depths (:mod:`repro.core.batch`).  A section that holds a C handle is
-*native*: a pickled lowering (the network a ``spawn`` pool worker gets)
-leaves its native sections behind, and whoever needs one there builds it.
+A gate function has one packed form, its **rows**
+(:func:`~repro.logic.cubes.packed_rows`: the ISOP cubes of its onset, then
+of its offset, as ``(mask, values, output)`` triples).  :meth:`Lowering.rows`
+packs every function's rows once per lowering, into one section that the
+three cores which evaluate gates share: the simulator core picks each
+function's cheaper cover from it (:mod:`repro.simulation.compiled`), the
+cone encoder emits each row as one clause (:mod:`repro.sat.tape`) and the
+SimGen core derives its transition tables from it (:mod:`repro.core.batch`).
+The mapping core reads each function's truth table as one 64-bit word
+instead (:mod:`repro.mapping.compiled`).
+
+Other derived data is kept in further **sections** (:meth:`Lowering.section`):
+the simulator's C handle and SimGen's MFFC depths.  A section that holds a
+C handle is *native*: a pickled lowering (the network a ``spawn`` pool
+worker gets) leaves its native sections behind, and whoever needs one there
+builds it.
 
 Invalidation: every mutating :class:`~repro.network.network.Network`
 method drops the lowering.  A node edited in place (``node.table = ...``,
@@ -44,12 +55,16 @@ from __future__ import annotations
 
 import threading
 from array import array
+from functools import lru_cache
 from itertools import accumulate, chain
 from operator import attrgetter
 from typing import Callable, TypeVar
 
-#: Node kinds of a slot, shared by ``_simcore.c``, ``_satcore.c`` and
-#: ``_simgencore.c``.
+from repro.logic.cubes import packed_rows
+from repro.logic.truthtable import TruthTable
+
+#: Node kinds of a slot, shared by ``_simcore.c``, ``_satcore.c``,
+#: ``_simgencore.c`` and ``_mapcore.c``.
 NODE_PI, NODE_FALSE, NODE_TRUE, NODE_GATE = 0, 1, 2, 3
 
 _TABLE = attrgetter("table")
@@ -94,6 +109,8 @@ class Lowering:
         fanin_tuples = list(map(_FANINS, nodes))
         #: Slot -> node id.
         self.uids: tuple[int, ...] = tuple(order)
+        #: Slot -> node id, as int32 words.
+        self.uid_words = array("i", order)
         #: Node id -> slot.
         self.slot_of: dict[int, int] = {uid: s for s, uid in enumerate(order)}
         to_slot = self.slot_of.__getitem__
@@ -157,19 +174,12 @@ class Lowering:
             and tuple(map(_TABLE, current)) == self._built_tables
         )
 
-    def per_function(
-        self, words_of: Callable[[object], bytes], item: int = 1
-    ) -> tuple[array, array]:
-        """``words_of(table)`` (packed int32 words) concatenated over the
-        functions, in function-id order: returns per function id the index
-        of its first ``item``-word entry (one more index: the total), and
-        the words."""
-        chunks = list(map(words_of, self.tables))
-        offsets = array("i", [0])
-        offsets.extend(accumulate(len(chunk) // (4 * item) for chunk in chunks))
-        words = array("i")
-        words.frombytes(b"".join(chunks))
-        return offsets, words
+    def rows(self) -> tuple[array, array, array]:
+        """The rows section, built on first use: per function id its arity
+        and the index of its first row (one more entry: the row count),
+        and every function's :func:`~repro.logic.cubes.packed_rows` as
+        ``(mask, values, output)`` int32 triples."""
+        return self.section("rows", _pack_rows)
 
     def section(
         self, key: str, build: Callable[["Lowering"], T], native: bool = False
@@ -190,3 +200,22 @@ class Lowering:
         state = self.__dict__.copy()
         state["_native"] = {}
         return state
+
+
+@lru_cache(maxsize=16384)
+def _row_words(table: TruthTable) -> bytes:
+    """A function's :func:`~repro.logic.cubes.packed_rows` as int32
+    ``(mask, values, output)`` triples."""
+    return array("i", chain.from_iterable(packed_rows(table))).tobytes()
+
+
+def _pack_rows(lowering: Lowering) -> tuple[array, array, array]:
+    """The rows section of ``lowering`` (see :meth:`Lowering.rows`)."""
+    chunks = list(map(_row_words, lowering.tables))
+    arity = array("i", [table.num_vars for table in lowering.tables])
+    row_off = array("i", [0])
+    # A row is three 4-byte words.
+    row_off.extend(accumulate(len(chunk) // 12 for chunk in chunks))
+    rows = array("i")
+    rows.frombytes(b"".join(chunks))
+    return arity, row_off, rows

@@ -1,19 +1,22 @@
 """Build-and-load machinery for optional C accelerator cores.
 
-The four compiled cores in this codebase — the SAT clause arena
-(``repro/sat/_satcore.c``), the SimGen lane kernel
+The four compiled cores in this codebase — the SAT clause arena and cone
+encoder (``repro/sat/_satcore.c``), the SimGen generator
 (``repro/core/_simgencore.c``), the bit-parallel simulator
 (``repro/simulation/_simcore.c``) and the LUT mapper
-(``repro/mapping/_mapcore.c``) — follow the same contract: a single
-portable C99 source file compiled into a shared object with whatever
-system compiler exists when its module is imported, cached by source
-hash so the build runs once per machine, loaded through ``ctypes``, and
-*optional* — when no compiler or writable cache directory is available
-the caller falls back to pure Python with identical trajectories: the
-SAT backend to the reference :class:`~repro.sat.solver.CdclSolver`
-(30-50x fewer propagations per second), the SimGen batch generator to
-the reference engines (about 10x slower generation), the sweep engine's
-simulator to the reference
+(``repro/mapping/_mapcore.c``) — all read a network through its one
+lowering (:mod:`repro.network.lowering`), and the first three read each
+gate function through its rows section.  Each module drives its core
+through one :class:`CoreLoader` (``_LOADER``), and all four follow the
+same contract: a single portable C99 source file compiled into a shared
+object with whatever system compiler exists when its module is imported,
+cached by source hash so the build runs once per machine, loaded through
+``ctypes``, and *optional* — when no compiler or writable cache directory
+is available the caller falls back to pure Python with identical
+trajectories: the SAT backend to the reference
+:class:`~repro.sat.solver.CdclSolver` (30-50x fewer propagations per
+second), the SimGen batch generator to the reference engines (about 10x
+slower generation), the sweep engine's simulator to the reference
 :class:`~repro.simulation.simulator.Simulator`, and
 :func:`~repro.mapping.lutmap.map_to_luts` to its Python path (the same
 netlists, about 7x slower).  This module is that contract, shared by

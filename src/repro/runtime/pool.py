@@ -14,10 +14,9 @@ any worker count**.  Two mechanisms guarantee it:
 
 * **Virtual solver shards, one topological block each.**  Nodes are
   numbered by their position in ``network.topological_order()`` (their
-  slot in the network's lowering, which :class:`~repro.sat.tape.CnfTape`
-  also uses), the numbering is cut
-  into :data:`DEFAULT_SHARDS` contiguous blocks, and a pair goes to the
-  block of its deeper node.  Each shard owns one incremental
+  slot in the network's lowering, which the cone encoder also uses), the
+  numbering is cut into :data:`DEFAULT_SHARDS` contiguous blocks, and a
+  pair goes to the block of its deeper node.  Each shard owns one incremental
   :class:`PairChecker` (persistent CDCL solver + cone encoder) and serves
   its queries in canonical dispatch order, so the query sequence any
   solver instance observes — and therefore every verdict, counterexample
@@ -86,7 +85,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import SweepError
 from repro.network.network import Network
@@ -95,9 +94,6 @@ from repro.runtime.budget import Budget
 from repro.runtime.supervise import RetryPolicy, WorkerSupervisor
 from repro.sat.solver import SatResult
 from repro.simulation.patterns import InputVector
-
-if TYPE_CHECKING:
-    from repro.sat.tape import CnfTape
 
 #: Virtual shard count: the number of topological blocks pairs are routed
 #: to, and the most workers a pool starts.  Fixed (never derived from the
@@ -137,7 +133,6 @@ class PairVerdict:
 
 def _worker_main(
     network: Network,
-    tape: Optional["CnfTape"],
     conflict_limit: Optional[int],
     incremental: bool,
     backend: str,
@@ -175,7 +170,6 @@ def _worker_main(
                     conflict_limit=conflict_limit,
                     incremental=incremental,
                     backend=backend,
-                    tape=tape,
                 )
                 checkers[shard] = checker
             (verdict,) = checker.check_pairs(
@@ -202,9 +196,9 @@ class CheckerPool:
     lowering before starting any worker — built once, or kept from an
     earlier sweep of the same network — and the workers inherit it with
     the network (a pickled lowering leaves its C handles behind), so no
-    worker lowers the network again.  When the checkers encode cones in
-    the C core, the lowering's :class:`~repro.sat.tape.CnfTape` view (and
-    the clause templates behind it) goes along too.  The pool starts
+    worker lowers the network again.  The parent also builds the
+    lowering's rows section (what a C cone encoder reads) before starting
+    the workers, so it goes along too.  The pool starts
     ``min(jobs, DEFAULT_SHARDS)`` workers: a worker past the last shard
     would never get a task.
 
@@ -248,15 +242,10 @@ class CheckerPool:
         #: folded once by whoever closes the pool.
         self.worker_sat_time = 0.0
         self._solver_stats = {"conflicts": 0, "propagations": 0}
-        # Imported here: repro.sat.tape loads the SAT core, whose build
-        # machinery lives in this package.
-        from repro.sat.tape import CnfTape, stream_encoding_available
-
         self._network = network
-        self._tape = None
-        if stream_encoding_available(backend):
-            self._tape = CnfTape(network)
-        self._number = network.lowering().slot_of
+        lowering = network.lowering()
+        lowering.rows()  # what the workers' cone encoders read
+        self._number = lowering.slot_of
         self._conflict_limit = conflict_limit
         self._incremental = incremental
         self._backend = backend
@@ -303,7 +292,6 @@ class CheckerPool:
             target=_worker_main,
             args=(
                 self._network,
-                self._tape,
                 self._conflict_limit,
                 self._incremental,
                 self._backend,

@@ -974,17 +974,22 @@ void sat_get_stats(Solver *s, int64_t *out) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Cone encoder over a lowered network tape                            */
+/* Cone encoder over a network's lowering                              */
 /* ------------------------------------------------------------------ */
 /* A C rendering of TseitinEncoder.encode_cone (src/repro/sat/tseitin.py)
- * over a network's lowering (repro/network/lowering.py), whose SAT view
- * is repro.sat.tape.CnfTape.  Nodes are numbered 0..n-1 in the network's
- * topological order (the slots); per slot the lowering gives its kind,
- * its function id and its fanin slots (the CSR fanin_off/fanins), and a
- * function's clause template, at templates[tmpl_off[function]], is
+ * over a network's lowering (repro/network/lowering.py).  Nodes are
+ * numbered 0..n-1 in the network's topological order (the slots); per
+ * slot the lowering gives its kind, its function id and its fanin slots
+ * (the CSR fanin_off/fanins), and a function's rows, at
+ * rows[3 * row_off[function]] up to rows[3 * row_off[function + 1]], are
+ * the lowering's rows section:
  *
- *     clause count, then per clause: literal count, literal codes
- *     (fanin position << 1 | cube value), output sign.
+ *     per row: mask, values, output
+ *
+ * the ISOP cubes of the onset (output 1), then of the offset (output 0).
+ * Each row of a gate is one clause: per bound fanin position i, in
+ * ascending order, the fanin's variable negated when the row's value is
+ * 1, then the gate's variable, negated when the output is 0.
  *
  * Encoding a root walks its not-yet-encoded cone, numbers the new nodes
  * in topological order and appends their clauses to a stream of
@@ -1001,8 +1006,8 @@ typedef struct {
     const int32_t *funcs;
     const int32_t *fanin_off;
     const int32_t *fanins;
-    const int32_t *tmpl_off;
-    const int32_t *templates;
+    const int32_t *row_off;
+    const int32_t *rows;
     int32_t *node_var;  /* per node: its variable, 0 = not encoded */
     int32_t num_vars;
     veci stream;        /* every clause encoded since the last reset */
@@ -1014,7 +1019,7 @@ typedef struct {
  * owned by the caller and must outlive the encoder. */
 Encoder *enc_new(const int32_t *kinds, const int32_t *funcs,
                  const int32_t *fanin_off, const int32_t *fanins,
-                 const int32_t *tmpl_off, const int32_t *templates,
+                 const int32_t *row_off, const int32_t *rows,
                  int32_t *node_var) {
     Encoder *e = (Encoder *)calloc(1, sizeof(Encoder));
     if (!e) return NULL;
@@ -1022,8 +1027,8 @@ Encoder *enc_new(const int32_t *kinds, const int32_t *funcs,
     e->funcs = funcs;
     e->fanin_off = fanin_off;
     e->fanins = fanins;
-    e->tmpl_off = tmpl_off;
-    e->templates = templates;
+    e->row_off = row_off;
+    e->rows = rows;
     e->node_var = node_var;
     return e;
 }
@@ -1080,20 +1085,24 @@ int32_t enc_encode_cone(Encoder *e, int32_t root) {
             continue;
         }
         const int32_t *fanin = e->fanins + fanin_off[node];
-        const int32_t *t = e->templates + e->tmpl_off[e->funcs[node]];
-        int32_t clauses = *t++;
-        for (int32_t c = 0; c < clauses; c++) {
-            int32_t lits = *t++;
-            if (!veci_reserve(out, out->len + lits + 2)) return -1;
+        int32_t arity = fanin_off[node + 1] - fanin_off[node];
+        int32_t f = e->funcs[node];
+        const int32_t *row = e->rows + 3 * (int64_t)e->row_off[f];
+        const int32_t *end = e->rows + 3 * (int64_t)e->row_off[f + 1];
+        for (; row < end; row += 3) {
+            uint32_t mask = (uint32_t)row[0], values = (uint32_t)row[1];
+            if (!veci_reserve(out, out->len + arity + 2)) return -1;
             int32_t *dst = out->data + out->len;
-            for (int32_t k = 0; k < lits; k++) {
-                int32_t code = *t++;
-                int32_t v = node_var[fanin[code >> 1]];
-                *dst++ = (code & 1) ? -v : v;
+            /* Every position up to the last bound one is written; only
+             * a bound one is kept (the room reserved covers them all). */
+            for (int32_t k = 0; mask; k++, mask >>= 1, values >>= 1) {
+                int32_t v = node_var[fanin[k]];
+                *dst = (values & 1) ? -v : v;
+                dst += mask & 1;
             }
-            *dst++ = *t++ ? var : -var;
-            *dst = 0;
-            out->len += lits + 2;
+            *dst++ = row[2] ? var : -var;
+            *dst++ = 0;
+            out->len = dst - out->data;
         }
     }
     return node_var[root];

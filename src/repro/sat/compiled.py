@@ -34,9 +34,9 @@ explicit):
 The core itself is ``_satcore.c``, compiled on first import with the
 system C compiler (result cached by source hash, so the build runs once
 per machine) and driven through ``ctypes``.  The same library also
-encodes the cones the solver checks: :mod:`repro.sat.tape` reads a
-network's lowering as a flat tape, the C cone encoder turns a root's new cone
-into a stream of clauses (the reference
+encodes the cones the solver checks: :mod:`repro.sat.tape` hands it a
+network's lowering, the C cone encoder turns a root's new cone into a
+stream of clauses, one per row of each gate's function (the reference
 :class:`~repro.sat.tseitin.TseitinEncoder`'s variables and clauses, in
 its order), and the solver takes a whole stream in one
 ``sat_add_clauses`` call; ``sat_ensure_vars`` creates a batch of
@@ -63,11 +63,7 @@ import time
 from typing import Iterable, Optional, Sequence
 
 from repro.errors import SatError
-from repro.runtime.cbuild import (
-    CoreLoader,
-    build_shared_library,
-    check_backend,
-)
+from repro.runtime.cbuild import CoreLoader, check_backend
 from repro.sat.cnf import Cnf
 from repro.sat.solver import CdclSolver, SatResult
 
@@ -159,21 +155,7 @@ _LOADER = CoreLoader(
     "propagations per second)",
 )
 
-
-def _build_library() -> Optional[str]:
-    """Compile ``_satcore.c`` into a cached shared object; path or None."""
-    return build_shared_library(_SOURCE_PATH, "satcore")
-
-
-def _try_load(lib_path: str) -> Optional[ctypes.CDLL]:
-    return _LOADER._try_load(lib_path)
-
-
-def _load_satcore() -> Optional[ctypes.CDLL]:
-    return _LOADER.load()
-
-
-_LIB = _load_satcore()
+_LIB = _LOADER.load()
 
 #: Which core backs :class:`CompiledCdclSolver` in this process: ``"c"``
 #: when ``_satcore.c`` compiled and loaded, ``"python"`` otherwise.

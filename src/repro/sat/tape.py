@@ -3,43 +3,33 @@
 :class:`~repro.sat.tseitin.TseitinEncoder` encodes a cone node by node in
 Python and leaves its clauses as tuples that the solver then takes one
 ``add_clause`` call at a time.  When the compiled backend runs on the C
-core, the same work moves into ``_satcore.c``:
-
-* :class:`CnfTape` is the SAT view of a network's lowering
-  (:meth:`Network.lowering <repro.network.network.Network.lowering>`): the
-  lowering's per-slot kinds, function ids and fanin CSR, plus the clause
-  template of each distinct function
-  (:func:`~repro.sat.tseitin.gate_clause_templates`).  The templates are
-  the lowering's ``"cnf"`` section, built once per lowering, so every
-  checker of a network shares them, across sweeps too.  The buffers are
-  ``array('i')``, so a tape pickles with its lowering (``spawn`` workers)
-  as well as it is inherited (``fork`` workers).
-* :class:`ConeEncoder` drives the C cone encoder over a tape.  It numbers
-  a root's not-yet-encoded cone in topological order and appends the new
-  clauses to a stream of 0-terminated clauses, which the solver takes in
-  one ``sat_add_clauses`` call (:meth:`ConeEncoder.ship`).
+core, the same work moves into ``_satcore.c``: :class:`ConeEncoder` drives
+the C cone encoder over a network's lowering (:meth:`Network.lowering
+<repro.network.network.Network.lowering>`), its per-slot kinds, function
+ids and fanin CSR and its rows section (:meth:`Lowering.rows
+<repro.network.lowering.Lowering.rows>`), which the simulator and SimGen
+cores share.  Each row of a gate's function is one clause.  The encoder
+numbers a root's not-yet-encoded cone in topological order and appends the
+new clauses to a stream of 0-terminated clauses, which the solver takes in
+one ``sat_add_clauses`` call (:meth:`ConeEncoder.ship`).
 
 The C encoder is the reference encoder, transcribed: each node gets the
 same variable, clauses and their literals come in the same order, and
 shipping a stream creates solver variables exactly as per-clause
 ``add_clause`` calls do.  So every compiled-vs-reference identity gate
-also tests this path.  A tape lives as long as its lowering, which the
-network keeps until it changes.
+also tests this path.  The buffers are ``array('i')``, so they pickle with
+the lowering (``spawn`` workers) as well as they are inherited (``fork``
+workers).
 """
 
 from __future__ import annotations
 
 import ctypes
-from array import array
-from functools import lru_cache
 from typing import Optional
 
 from repro.errors import SatError
-from repro.logic.truthtable import TruthTable
 from repro.network.lowering import Lowering
-from repro.network.network import Network
 from repro.sat import compiled
-from repro.sat.tseitin import gate_clause_templates
 from repro.simulation.patterns import InputVector
 
 
@@ -50,79 +40,37 @@ def stream_encoding_available(backend: str) -> bool:
     return backend == "compiled" and compiled.SAT_CORE == "c"
 
 
-@lru_cache(maxsize=16384)
-def _template_words(table: TruthTable) -> bytes:
-    """A function's :func:`~repro.sat.tseitin.gate_clause_templates` as the
-    C encoder reads it, as int32 words (see :class:`CnfTape`)."""
-    clauses = gate_clause_templates(table)
-    words = array("i", [len(clauses)])
-    for pairs, sign in clauses:
-        words.append(len(pairs))
-        words.extend([(i << 1) | value for i, value in pairs])
-        words.append(sign)
-    return words.tobytes()
-
-
-def _templates(lowering: Lowering) -> tuple[array, array]:
-    """The lowering's ``"cnf"`` section: per function id the offset of its
-    clause template (one more entry: the total), and the templates."""
-    return lowering.per_function(_template_words)
-
-
-class CnfTape:
-    """The SAT view of a network's lowering: what the C cone encoder reads.
-
-    Nodes are numbered by their lowering slot, their position in
-    ``network.topological_order()`` — the order the reference encoder
-    sorts each cone by.  ``kinds``, ``funcs``, ``fanin_off`` and
-    ``fanins`` are the lowering's own buffers; ``templates[template_off[f]]``
-    holds function ``f``'s clause count, then per clause its literal count,
-    the literal codes (fanin position << 1 | cube value) and the output
-    sign.  Building a tape lowers the network only if nothing has yet.
-    """
-
-    def __init__(self, network: Network):
-        lowering = network.lowering()
-        self.template_off, self.templates = lowering.section("cnf", _templates)
-        #: node id -> dense node number (topological position).
-        self.number = lowering.slot_of
-        #: ``(pi id, node number)`` in ``network.pis`` order (model decode).
-        self.pis = tuple(zip(lowering.pis, lowering.pi_slots))
-        self.kinds = lowering.kinds
-        self.funcs = lowering.funcs
-        self.fanin_off = lowering.fanin_off
-        self.fanins = lowering.fanins
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.kinds)
-
-
 class ConeEncoder:
-    """Incremental cone encoder over a :class:`CnfTape`, run in C.
+    """Incremental cone encoder over a network's lowering, run in C.
 
     The counterpart of :class:`~repro.sat.tseitin.TseitinEncoder`:
     :meth:`encode_cone`, :meth:`var_of` and :meth:`model_to_vector` keep
     its contract, :meth:`new_var` stands in for ``encoder.cnf.new_var()``,
     and the clauses live in a C-side stream rather than a
-    :class:`~repro.sat.cnf.Cnf` (:meth:`stream` copies it out).
+    :class:`~repro.sat.cnf.Cnf` (:meth:`stream` copies it out).  Nodes are
+    numbered by their lowering slot, their position in
+    ``network.topological_order()``: the order the reference encoder
+    sorts each cone by.
     """
 
-    def __init__(self, tape: CnfTape):
+    def __init__(self, lowering: Lowering):
         lib = compiled._LIB
         if lib is None:
             raise SatError("cone encoding needs the compiled SAT core")
         self._lib = lib
-        self.tape = tape
-        self._number = tape.number
-        self._node_var = (ctypes.c_int32 * max(1, tape.num_nodes))()
+        # The C encoder reads these buffers in place.
+        self._lowering = lowering
+        self._rows = lowering.rows()
+        _, row_off, rows = self._rows
+        self._number = lowering.slot_of
+        self._node_var = (ctypes.c_int32 * max(1, lowering.num_nodes))()
         self._handle = lib.enc_new(
-            tape.kinds.buffer_info()[0],
-            tape.funcs.buffer_info()[0],
-            tape.fanin_off.buffer_info()[0],
-            tape.fanins.buffer_info()[0],
-            tape.template_off.buffer_info()[0],
-            tape.templates.buffer_info()[0],
+            lowering.kinds.buffer_info()[0],
+            lowering.funcs.buffer_info()[0],
+            lowering.fanin_off.buffer_info()[0],
+            lowering.fanins.buffer_info()[0],
+            row_off.buffer_info()[0],
+            rows.buffer_info()[0],
             self._node_var,
         )
         if not self._handle:
@@ -204,7 +152,8 @@ class ConeEncoder:
         """Extract PI values from a SAT model (encoded PIs only)."""
         vector = InputVector()
         node_var = self._node_var
-        for pi, number in self.tape.pis:
+        lowering = self._lowering
+        for pi, number in zip(lowering.pis, lowering.pi_slots):
             var = node_var[number]
             if var and var in model:
                 vector.set(pi, int(model[var]))

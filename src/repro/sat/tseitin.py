@@ -1,9 +1,10 @@
 """Tseitin-style encoding of Boolean networks into CNF, and miters.
 
 Each node gets a SAT variable; a gate's relation to its fanins is encoded
-from its onset/offset cube covers: an onset cube implies the output true, an
-offset cube implies it false.  Because the two covers jointly contain every
-minterm, the clauses define the output exactly.
+from its rows (:func:`~repro.logic.cubes.packed_rows`, the onset and offset
+ISOP cubes): an onset row implies the output true, an offset row implies it
+false.  Because the two covers jointly contain every minterm, the clauses
+define the output exactly.
 
 The :func:`pair_miter` helper builds the equivalence-check instance the
 sweeping engine solves: SAT means the two nodes differ and the model is a
@@ -12,40 +13,13 @@ counterexample input vector; UNSAT proves them equivalent.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional
 
 from repro.errors import SatError
-from repro.logic.cubes import isop_cover
+from repro.logic.cubes import packed_rows
 from repro.network.network import Network
 from repro.sat.cnf import Cnf
 from repro.simulation.patterns import InputVector
-
-
-@lru_cache(maxsize=16384)
-def gate_clause_templates(table) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
-    """Per-table clause templates: one entry per onset/offset ISOP cube.
-
-    Each entry is ``(pairs, sign)``: ``pairs`` lists the bound inputs as
-    ``(fanin index, literal value)`` in ascending index order, and ``sign``
-    is 1 when the clause implies the output true (onset cube) and 0 when it
-    implies it false (offset cube).  LUT networks reuse few distinct
-    functions, so caching the compiled template turns per-gate encoding
-    into a literal-substitution loop (no cube objects, no per-literal
-    method calls on the hot cone-encoding path).
-    """
-    templates = []
-    for sign, cover in ((1, isop_cover(table)), (0, isop_cover(~table))):
-        for cube in cover:
-            mask = cube.mask
-            values = cube.values
-            pairs = tuple(
-                (i, (values >> i) & 1)
-                for i in range(table.num_vars)
-                if (mask >> i) & 1
-            )
-            templates.append((pairs, sign))
-    return tuple(templates)
 
 
 class TseitinEncoder:
@@ -106,28 +80,19 @@ class TseitinEncoder:
                 cnf.add_clause([var if node.table.bits else -var])
                 continue
             fanin_vars = [node_var[f] for f in node.fanins]
-            # Inline gate encoding: substitute this gate's fanin variables
-            # into the cached per-table clause templates.  Appending to the
+            # One clause per row: each bound fanin's variable, negated
+            # where the row holds a 1, then the output's.  Appending to the
             # clause list directly is safe because every literal's variable
             # was allocated through ``cnf.new_var()`` above.
-            for pairs, sign in gate_clause_templates(node.table):
+            for mask, values, output in packed_rows(node.table):
                 clause = [
-                    (-fanin_vars[i] if lit else fanin_vars[i])
-                    for i, lit in pairs
+                    -v if (values >> i) & 1 else v
+                    for i, v in enumerate(fanin_vars)
+                    if (mask >> i) & 1
                 ]
-                clause.append(var if sign else -var)
+                clause.append(var if output else -var)
                 clauses.append(tuple(clause))
         return node_var[root]
-
-    def _encode_gate(self, out_var: int, table, fanin_vars: list[int]) -> None:
-        """Encode one gate (template substitution; kept for direct use)."""
-        clauses = self.cnf.clauses
-        for pairs, sign in gate_clause_templates(table):
-            clause = [
-                (-fanin_vars[i] if lit else fanin_vars[i]) for i, lit in pairs
-            ]
-            clause.append(out_var if sign else -out_var)
-            clauses.append(tuple(clause))
 
     def model_to_vector(self, model: dict[int, bool]) -> InputVector:
         """Extract PI values from a SAT model (encoded PIs only)."""

@@ -5,13 +5,21 @@
  * int32 arrays and copies what it reads.  Nodes are numbered 0..n-1 in the
  * network's topological order (the slots).  Per slot: its kind, its
  * function id (-1 for PIs and constants) and its fanin slots, as the CSR
- * fanin_off/fanins.  A function's plan, at plans[plan_off[function]], is
+ * fanin_off/fanins.  A function's rows, rows[3 * row_off[function]] up to
+ * rows[3 * row_off[function + 1]], are the lowering's rows section:
+ *
+ *     per row: mask, values, output
+ *
+ * the ISOP cubes of the function's onset (output 1), then of its offset
+ * (output 0).  sim_new turns each function's rows into its plan,
  *
  *     complement flag, cube count, then per cube: mask, values
  *
- * exactly repro.simulation.simulator._eval_plan(table): the OR of the
- * cubes is the function (complement 0) or its inverse (complement 1).
- * There is one plan per distinct function.
+ * exactly repro.simulation.simulator._eval_plan(table): the offset cubes
+ * with the complement flag set when there are fewer of them than onset
+ * cubes, else the onset cubes; the OR of the cubes is the function
+ * (complement 0) or its inverse (complement 1).  There is one plan per
+ * distinct function.
  *
  * A value buffer holds `words` uint64 words per slot, node-major.  The
  * caller writes the PI words; sim_run evaluates every gate, in slot
@@ -64,11 +72,43 @@ static int32_t *copy_i32(const int32_t *src, int32_t len) {
     return dst;
 }
 
+/* Each function's plan from its rows (see the top of the file): s->plans
+ * receives the plans, plan_off[f] the offset of function f's.  Returns 1,
+ * or 0 when row_off is not an ascending list inside the n_rows rows or an
+ * output is neither 0 nor 1. */
+static int build_plans(Sim *s, int32_t n_funcs, const int32_t *row_off,
+                       const int32_t *rows, int32_t n_rows,
+                       int32_t *plan_off) {
+    if (row_off[0] != 0) return 0;
+    int32_t at = 0;
+    for (int32_t f = 0; f < n_funcs; f++) {
+        int32_t lo = row_off[f], hi = row_off[f + 1];
+        if (hi < lo || hi > n_rows) return 0;
+        int32_t onset = 0;
+        for (int32_t r = lo; r < hi; r++) {
+            int32_t output = rows[3 * r + 2];
+            if (output != 0 && output != 1) return 0;
+            onset += output;
+        }
+        int32_t complement = hi - lo - onset < onset;
+        int32_t want = complement ? 0 : 1;
+        plan_off[f] = at;
+        s->plans[at++] = complement;
+        s->plans[at++] = complement ? hi - lo - onset : onset;
+        for (int32_t r = lo; r < hi; r++) {
+            if (rows[3 * r + 2] != want) continue;
+            s->plans[at++] = rows[3 * r];
+            s->plans[at++] = rows[3 * r + 1];
+        }
+    }
+    return 1;
+}
+
 /* Every fanin and plan the run loop will read lies inside its array,
  * every fanin precedes its reader, only gates have fanins, and every
  * cube binds only fanins the gate has.  Fills plan_of. */
 static int lowering_ok(Sim *s, const int32_t *funcs, const int32_t *plan_off,
-                       int32_t n_funcs, int32_t n_plans) {
+                       int32_t n_funcs) {
     if (s->fanin_off[0] != 0) return 0;
     for (int32_t d = 0; d < s->n; d++) {
         int32_t kind = s->kinds[d];
@@ -85,9 +125,7 @@ static int lowering_ok(Sim *s, const int32_t *funcs, const int32_t *plan_off,
         int32_t f = funcs[d];
         if (f < 0 || f >= n_funcs) return 0;
         int32_t p = plan_off[f];
-        if (p < 0 || p > n_plans - 2) return 0;
         int32_t cubes = s->plans[p + 1];
-        if (cubes < 0 || cubes > (n_plans - p - 2) / 2) return 0;
         const int32_t *c = s->plans + p + 2;
         for (int32_t j = 0; j < cubes; j++) {
             uint32_t mask = (uint32_t)c[2 * j];
@@ -98,12 +136,13 @@ static int lowering_ok(Sim *s, const int32_t *funcs, const int32_t *plan_off,
     return 1;
 }
 
-/* Copy a lowering; NULL on allocation failure or a malformed lowering. */
+/* Copy a lowering and plan its functions from their rows; NULL on
+ * allocation failure or a malformed lowering. */
 Sim *sim_new(int32_t n, const int32_t *kinds, const int32_t *funcs,
              const int32_t *fanin_off, const int32_t *fanins,
-             const int32_t *plan_off, int32_t n_funcs, const int32_t *plans,
-             int32_t n_plans) {
-    if (n < 0 || n_funcs < 0 || n_plans < 0) return NULL;
+             int32_t n_funcs, const int32_t *row_off, const int32_t *rows,
+             int32_t n_rows) {
+    if (n < 0 || n_funcs < 0 || n_rows < 0) return NULL;
     Sim *s = (Sim *)calloc(1, sizeof(Sim));
     if (!s) return NULL;
     s->n = n;
@@ -111,9 +150,16 @@ Sim *sim_new(int32_t n, const int32_t *kinds, const int32_t *funcs,
     s->fanin_off = copy_i32(fanin_off, n + 1);
     s->fanins = s->fanin_off ? copy_i32(fanins, fanin_off[n]) : NULL;
     s->plan_of = (int32_t *)malloc((size_t)(n > 0 ? n : 1) * sizeof(int32_t));
-    s->plans = copy_i32(plans, n_plans);
-    if (!s->kinds || !s->fanin_off || !s->fanins || !s->plan_of || !s->plans
-        || !lowering_ok(s, funcs, plan_off, n_funcs, n_plans)) {
+    /* A plan takes two words, then two per cube: at most one per row. */
+    s->plans = (int32_t *)malloc(
+        ((size_t)2 * n_funcs + (size_t)2 * n_rows + 1) * sizeof(int32_t));
+    int32_t *plan_off = (int32_t *)malloc(
+        (size_t)(n_funcs > 0 ? n_funcs : 1) * sizeof(int32_t));
+    int ok = s->kinds && s->fanin_off && s->fanins && s->plan_of && s->plans
+        && plan_off && build_plans(s, n_funcs, row_off, rows, n_rows, plan_off)
+        && lowering_ok(s, funcs, plan_off, n_funcs);
+    free(plan_off);
+    if (!ok) {
         sim_free(s);
         return NULL;
     }

@@ -10,11 +10,14 @@ in ``_simcore.c`` instead:
   kind, its fanins as slots (the fanin CSR) and its function id;
 * a **plan** is :func:`~repro.simulation.simulator._eval_plan`'s cover of a
   gate function — the complement flag, then one ``(mask, values)`` pair
-  per cube — stored once per distinct function.
+  per cube — which the core picks, once per distinct function, from the
+  lowering's rows section (:meth:`Lowering.rows
+  <repro.network.lowering.Lowering.rows>`): the offset cubes when there
+  are fewer of them than onset cubes, else the onset cubes.
 
-The plans and the core's C handle are the lowering's simulator section:
-built by the first simulator of a lowering, shared by every later one, so
-the network is handed to the core once however often it is swept.
+The core's C handle is the lowering's simulator section: built by the
+first simulator of a lowering, shared by every later one, so the network
+is handed to the core once however often it is swept.
 
 :meth:`CompiledSimulator.run_words` writes the PI words into a ``uint64``
 buffer, runs the whole tape in one C call over ⌈width/64⌉ words and reads
@@ -46,19 +49,15 @@ import ctypes
 import os
 import threading
 from array import array
-from functools import lru_cache
-from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from repro.errors import SimulationError
-from repro.logic.truthtable import TruthTable
 from repro.network.lowering import Lowering
 from repro.network.network import Network
 from repro.runtime.cbuild import CoreLoader
 from repro.simulation.bitvec import width_mask
 from repro.simulation.patterns import PatternBatch
-from repro.simulation.simulator import _eval_plan
 
 _SOURCE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_simcore.c")
 
@@ -68,7 +67,7 @@ def _configure(lib: ctypes.CDLL) -> None:
     handle = ctypes.c_void_p
     address = ctypes.c_void_p
     lib.sim_new.argtypes = [
-        i32, address, address, address, address, address, i32, address, i32,
+        i32, address, address, address, address, i32, address, address, i32,
     ]
     lib.sim_new.restype = handle
     lib.sim_free.argtypes = [handle]
@@ -135,17 +134,6 @@ def _address(buffer: array) -> int:
     return buffer.buffer_info()[0]
 
 
-@lru_cache(maxsize=16384)
-def _plan_words(table: TruthTable) -> bytes:
-    """A function's :func:`_eval_plan` as ``_simcore.c`` reads it: the
-    complement flag, the cube count, then each cube's mask and values, as
-    int32 words."""
-    complement, cubes = _eval_plan(table)
-    words = array("i", (int(complement), len(cubes)))
-    words.extend(chain.from_iterable(cubes))
-    return words.tobytes()
-
-
 class _SimCore:
     """A lowering's simulator section: its plans in ``_simcore.c``.
 
@@ -160,7 +148,7 @@ class _SimCore:
                 "the compiled simulator needs its C core; without it "
                 "(SIM_CORE == 'python') simulate with Simulator"
             )
-        plan_off, plans = lowering.per_function(_plan_words)
+        _, row_off, rows = lowering.rows()
         #: PI slots in topological order, and their node ids.
         self.pi_slots = tuple(sorted(lowering.pi_slots))
         self.pis = _pick(lowering.uids, self.pi_slots)
@@ -170,10 +158,10 @@ class _SimCore:
             _address(lowering.funcs),
             _address(lowering.fanin_off),
             _address(lowering.fanins),
-            _address(plan_off),
             len(lowering.tables),
-            _address(plans),
-            len(plans),
+            _address(row_off),
+            _address(rows),
+            len(rows) // 3,
         )
         if not handle:
             raise SimulationError("simulator core rejected the lowering")

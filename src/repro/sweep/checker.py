@@ -15,8 +15,8 @@ Two modes:
   verdict depends on the pair alone; journaled and served runs use it.
 
 On the C core (the ``compiled`` backend with ``SAT_CORE == "c"`` and no
-explicit solver factory) both modes encode cones in C from the network
-lowering's :class:`~repro.sat.tape.CnfTape` view and ship each query's
+explicit solver factory) both modes encode cones in C from the network's
+lowering (:class:`~repro.sat.tape.ConeEncoder`) and ship each query's
 new clauses to the solver in one bulk call; otherwise the Python
 :class:`~repro.sat.tseitin.TseitinEncoder` encodes and clauses are added
 one at a time.  Both give the same variables, clauses and verdicts.
@@ -43,7 +43,7 @@ from repro.runtime.budget import Budget
 from repro.runtime.pool import PairVerdict
 from repro.sat.compiled import solver_class
 from repro.sat.solver import CdclSolver, SatResult
-from repro.sat.tape import CnfTape, ConeEncoder, stream_encoding_available
+from repro.sat.tape import ConeEncoder, stream_encoding_available
 from repro.sat.tseitin import TseitinEncoder, pair_miter
 from repro.simulation.patterns import InputVector
 
@@ -71,14 +71,7 @@ class CheckerStats:
 
 
 class PairChecker:
-    """Answers "are these two nodes equivalent?" queries.
-
-    Args:
-        tape: The SAT view of the network's lowering (a
-            :class:`~repro.runtime.pool.CheckerPool` takes it once before
-            starting its workers); taken from the network on the first
-            query otherwise.  Ignored when the Python encoder runs.
-    """
+    """Answers "are these two nodes equivalent?" queries."""
 
     def __init__(
         self,
@@ -89,7 +82,6 @@ class PairChecker:
         solver_factory: Optional[Callable[[], CdclSolver]] = None,
         max_retries: int = 2,
         backend: str = "compiled",
-        tape: Optional[CnfTape] = None,
     ):
         self.network = network
         self.conflict_limit = conflict_limit
@@ -104,7 +96,6 @@ class PairChecker:
         self._streamed = solver_factory is None and stream_encoding_available(
             backend
         )
-        self._tape = tape
         self.stats = CheckerStats()
         #: Solver counters accumulated across fresh-mode queries (the
         #: per-query solvers are otherwise discarded with their stats).
@@ -273,9 +264,7 @@ class PairChecker:
         """The C encoder, created on first use (over the network's
         lowering, built then if no core has built it yet)."""
         if self._encoder is None:
-            if self._tape is None:
-                self._tape = CnfTape(self.network)
-            self._encoder = ConeEncoder(self._tape)
+            self._encoder = ConeEncoder(self.network.lowering())
         return self._encoder
 
     # ------------------------------------------------------------------

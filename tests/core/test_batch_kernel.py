@@ -386,9 +386,7 @@ class TestLoadChecks:
         net = random_network(seed=7, num_inputs=5, num_gates=12)
         gen = make_generator("AI+DC+MFFC", net, seed=7, backend="compiled")
         lowering = net.lowering()
-        arity, row_off, rows, uid_of = lowering.section(
-            "simgen", batch_mod._simgen_rows
-        )
+        arity, row_off, rows = lowering.rows()
         # Every function loses its first (mask, values, output) row.
         kept = [
             rows[3 * r + i]
@@ -396,11 +394,10 @@ class TestLoadChecks:
             for r in range(row_off[f] + 1, row_off[f + 1])
             for i in range(3)
         ]
-        lowering._sections["simgen"] = (
+        lowering._sections["rows"] = (
             arity,
             array("i", [off - f for f, off in enumerate(row_off)]),
             array("i", kept),
-            uid_of,
         )
         with pytest.raises(GenerationError, match="rejected the lowering"):
             batch_mod._SgCore(

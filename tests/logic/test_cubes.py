@@ -200,22 +200,45 @@ class TestMatchingRows:
         assert matching_rows(tt, [0, None], 1) == []
 
 
+def packing_caches() -> list:
+    """Every per-function cache in ``repro`` whose value is ``bytes``: a
+    gate function packed into words for a C core."""
+    import sys
+
+    probe = and_gate(2)
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("repro."):
+            continue
+        for value in list(vars(module).values()):
+            wrapped = getattr(value, "__wrapped__", None)
+            if wrapped is None or not hasattr(value, "cache_clear"):
+                continue
+            try:
+                packed = wrapped(probe)
+            except Exception:
+                continue
+            if isinstance(packed, bytes):
+                found[id(value)] = value
+    return list(found.values())
+
+
 class TestOneCoverPerFunction:
     def test_cold_sweep_runs_isop_once_per_function(self, monkeypatch):
-        """The simulator's plans, SimGen's rows and the SAT clause
-        templates all take their covers from ``isop_cover``: with the ISOP
-        caches cleared, a sweep passes no function to ``isop`` twice."""
+        """The simulator's plans, SimGen's decisions and the SAT clauses
+        all take their covers from ``isop_cover``: with the ISOP caches
+        cleared, a sweep passes no function to ``isop`` twice."""
         import sys
         from collections import Counter
 
         from repro.benchgen import sweep_instance
         from repro.core.strategies import make_generator
         from repro.logic import cubes
-        from repro.sat import tseitin
         from repro.simulation import simulator
         from repro.sweep import SweepConfig, SweepEngine
 
         net = sweep_instance("cps", copies=1)
+        packers = packing_caches()
         original = cubes.isop
         calls = Counter()
 
@@ -231,7 +254,7 @@ class TestOneCoverPerFunction:
             cubes.rows_of,
             cubes.packed_rows,
             simulator._eval_plan,
-            tseitin.gate_clause_templates,
+            *packers,
         ):
             cache.cache_clear()
         result = SweepEngine(
@@ -242,3 +265,41 @@ class TestOneCoverPerFunction:
         assert result.metrics.sat_calls > 0
         assert calls
         assert max(calls.values()) == 1
+
+    def test_cold_sweep_packs_each_function_once(self):
+        """The simulator core, the cone encoder and the SimGen core read
+        one packed form of a gate function, its rows: with every packing
+        cache cleared, a cold sweep of cps, serial and then with two
+        workers, packs each distinct gate function exactly once."""
+        from repro.benchgen import sweep_instance
+        from repro.core import batch
+        from repro.core.strategies import make_generator
+        from repro.io import bench_text, parse_bench
+        from repro.sat.tape import stream_encoding_available
+        from repro.simulation import compiled as sim_compiled
+        from repro.sweep import SweepConfig, SweepEngine
+
+        if not (
+            batch.SIMGEN_CORE == sim_compiled.SIM_CORE == "c"
+            and stream_encoding_available("compiled")
+        ):
+            pytest.skip("the C cores are not available")
+        text = bench_text(sweep_instance("cps", copies=1))
+        serial, pooled = parse_bench(text), parse_bench(text)
+        functions = {node.table for node in serial.gates() if node.num_fanins}
+        caches = packing_caches()
+        assert caches
+        for cache in caches:
+            cache.cache_clear()
+        simulators = sim_compiled.tape_cache_info()["misses"]
+        for network, jobs in ((serial, 1), (pooled, 2)):
+            result = SweepEngine(
+                network,
+                make_generator("AI+DC+MFFC", network, seed=0),
+                SweepConfig(seed=0, jobs=jobs),
+            ).run()
+            assert result.metrics.sat_calls > 0
+        # Both networks were simulated on the core.
+        assert sim_compiled.tape_cache_info()["misses"] == simulators + 2
+        packed = sum(cache.cache_info().misses for cache in caches)
+        assert packed == len(functions)

@@ -16,6 +16,7 @@ from repro.io import bench_text
 from repro.logic.truthtable import TruthTable
 from repro.mapping import compiled, lutmap, map_to_luts
 from repro.network import Network
+from repro.network.lowering import lowering_cache_info
 from repro.transforms.decompose import decompose_to_arity
 from tests.conftest import random_network
 from tests.mapping.test_cuts import mapping_cases
@@ -57,9 +58,12 @@ def mapped_text(net, k, cut_limit):
 
 def core_luts(network, k, cut_limit):
     """The core's LUT of every gate, as if each were a PO."""
-    order, _, lowering = compiled.lower(network)
-    every = lowering._replace(roots=array("i", range(len(order))))
-    result, sizes, leaves, tables, _ = compiled.run_core(every, k, cut_limit)
+    lowering = network.lowering()
+    order = lowering.uids
+    every = array("i", range(len(order)))
+    result, sizes, leaves, tables, _ = compiled.run_core(
+        lowering, compiled.table_words(lowering), every, k, cut_limit
+    )
     assert result == compiled.MAP_OK
     luts = {}
     for slot, uid in enumerate(order):
@@ -166,51 +170,56 @@ class TestLoadChecks:
 
     @staticmethod
     def lowered():
+        """A fresh network's lowering, its table words and its POs' slots
+        (the lowering is the test's own, free to corrupt)."""
         net = random_network(seed=5, num_inputs=4, num_gates=10)
-        return compiled.lower(net)
+        lowering = net.lowering()
+        roots = array("i", [lowering.slot_of[uid] for _, uid in net.pos])
+        return lowering, compiled.table_words(lowering), roots
 
     @staticmethod
     def first_gate(lowering):
-        offsets = lowering.offsets
+        offsets = lowering.fanin_off
         return next(s for s in range(len(offsets) - 1) if offsets[s + 1] > offsets[s])
 
     def test_well_formed_buffers_map(self):
-        _, _, lowering = self.lowered()
-        assert compiled.run_core(lowering, 6, 8)[0] == compiled.MAP_OK
+        lowering, words, roots = self.lowered()
+        result = compiled.run_core(lowering, words, roots, 6, 8)[0]
+        assert result == compiled.MAP_OK
 
     def test_fanin_not_earlier_in_the_order_is_refused(self):
-        _, _, lowering = self.lowered()
+        lowering, words, roots = self.lowered()
         slot = self.first_gate(lowering)
-        lowering.fanins[lowering.offsets[slot]] = slot
-        assert compiled.run_core(lowering, 6, 8)[0] == compiled.MAP_MALFORMED
+        lowering.fanins[lowering.fanin_off[slot]] = slot
+        result = compiled.run_core(lowering, words, roots, 6, 8)[0]
+        assert result == compiled.MAP_MALFORMED
 
     @pytest.mark.parametrize("k", [0, compiled.MAX_K + 1])
     def test_k_out_of_range_is_refused(self, k):
-        _, _, lowering = self.lowered()
-        assert compiled.run_core(lowering, k, 8)[0] == compiled.MAP_MALFORMED
+        lowering, words, roots = self.lowered()
+        result = compiled.run_core(lowering, words, roots, k, 8)[0]
+        assert result == compiled.MAP_MALFORMED
 
     def test_table_wider_than_its_arity_is_refused(self):
-        _, _, lowering = self.lowered()
+        lowering, words, roots = self.lowered()
         slot = self.first_gate(lowering)
-        arity = lowering.offsets[slot + 1] - lowering.offsets[slot]
-        lowering.words[slot] |= 1 << (1 << arity)
-        assert compiled.run_core(lowering, 6, 8)[0] == compiled.MAP_MALFORMED
+        arity = lowering.fanin_off[slot + 1] - lowering.fanin_off[slot]
+        words[lowering.funcs[slot]] |= 1 << (1 << arity)
+        result = compiled.run_core(lowering, words, roots, 6, 8)[0]
+        assert result == compiled.MAP_MALFORMED
 
     def test_map_to_luts_falls_back(self, monkeypatch):
         net = random_network(seed=6, num_inputs=5, num_gates=30)
         with python_path():
             reference = mapped_text(net, 6, 8)
-        lower = compiled.lower
 
-        def forward_fanins(network):
-            order, slot_of, lowering = lower(network)
-            for i in range(len(lowering.fanins)):
-                lowering.fanins[i] = len(order) - 1
-            return order, slot_of, lowering
+        def overfull_words(lowering):
+            # Every bit set: wider than any table of fewer than 6 inputs.
+            return array("Q", [(1 << 64) - 1] * len(lowering.tables))
 
         ran = []
         reference_luts = lutmap.reference_luts
-        monkeypatch.setattr(compiled, "lower", forward_fanins)
+        monkeypatch.setattr(compiled, "table_words", overfull_words)
         monkeypatch.setattr(
             lutmap,
             "reference_luts",
@@ -218,6 +227,21 @@ class TestLoadChecks:
         )
         assert mapped_text(net, 6, 8) == reference
         assert ran
+
+
+@needs_core
+class TestOneLowering:
+    def test_mapper_reads_the_network_lowering(self):
+        """The core maps the network's own lowering: after mapping, the
+        network answers ``lowering()`` with the kept one."""
+        net = random_network(seed=8, num_inputs=6, num_gates=40)
+        map_to_luts(net)
+        before = lowering_cache_info()
+        lowering = net.lowering()
+        after = lowering_cache_info()
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+        assert net.lowering() is lowering
 
 
 class TestPythonOptOut:

@@ -20,6 +20,13 @@ import repro.runtime.cbuild as cbuild
 import repro.sat.compiled as compiled
 
 
+def build_library():
+    """Compile the SAT core into its cache, as its loader does; path or
+    None."""
+    loader = compiled._LOADER
+    return cbuild.build_shared_library(loader.source_path, loader.cache_name)
+
+
 @pytest.fixture
 def clean_warn_flag(monkeypatch):
     monkeypatch.setattr(compiled._LOADER, "_warned", False)
@@ -33,8 +40,8 @@ class TestCompilerMissing:
         monkeypatch.setattr(cbuild.shutil, "which", lambda name: None)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert compiled._load_satcore() is None
-            assert compiled._load_satcore() is None  # second call: silent
+            assert compiled._LOADER.load() is None
+            assert compiled._LOADER.load() is None  # second call: silent
         fallback = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert len(fallback) == 1
         assert "falling back" in str(fallback[0].message)
@@ -46,7 +53,7 @@ class TestCompilerMissing:
         monkeypatch.setenv("REPRO_CCORES", "python")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert compiled._load_satcore() is None
+            assert compiled._LOADER.load() is None
         assert not [
             w for w in caught if issubclass(w.category, RuntimeWarning)
         ]
@@ -55,7 +62,7 @@ class TestCompilerMissing:
 class TestPythonOptOut:
     def test_compiled_backend_is_the_reference_solver(self):
         """``REPRO_CCORES=python`` binds "compiled" to ``CdclSolver``, and
-        the one variable turns the other two C cores off as well."""
+        the one variable turns the other three C cores off as well."""
         env = dict(os.environ, REPRO_CCORES="python")
         env["PYTHONPATH"] = str(
             Path(__file__).resolve().parents[2] / "src"
@@ -65,8 +72,9 @@ class TestPythonOptOut:
             "from repro.sat.solver import CdclSolver\n"
             "from repro.core.batch import SIMGEN_CORE\n"
             "from repro.simulation.compiled import SIM_CORE\n"
+            "from repro.mapping.compiled import MAP_CORE\n"
             "print(SAT_CORE, solver_class('compiled') is CdclSolver,\n"
-            "      SIMGEN_CORE, SIM_CORE)\n"
+            "      SIMGEN_CORE, SIM_CORE, MAP_CORE)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe],
@@ -76,7 +84,9 @@ class TestPythonOptOut:
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["python", "True", "python", "python"]
+        assert proc.stdout.split() == [
+            "python", "True", "python", "python", "python"
+        ]
 
 
 @pytest.mark.skipif(
@@ -87,17 +97,18 @@ class TestCorruptCache:
         self, monkeypatch, tmp_path, clean_warn_flag
     ):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        lib_path = compiled._build_library()
+        lib_path = build_library()
         assert lib_path is not None and lib_path.startswith(str(tmp_path))
         with open(lib_path, "wb") as handle:
             handle.write(b"\x7fELF not really a shared object\n")
-        assert compiled._try_load(lib_path) is None, "corruption must bite"
+        loader = compiled._LOADER
+        assert loader._try_load(lib_path) is None, "corruption must bite"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            lib = compiled._load_satcore()
+            lib = loader.load()
         assert lib is not None, "rebuild should recover the compiled core"
         # The repaired cache loads directly again.
-        assert compiled._try_load(lib_path) is not None
+        assert loader._try_load(lib_path) is not None
         assert not [
             w for w in caught if issubclass(w.category, RuntimeWarning)
         ]
@@ -106,7 +117,7 @@ class TestCorruptCache:
         self, monkeypatch, tmp_path, clean_warn_flag
     ):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        lib_path = compiled._build_library()
+        lib_path = build_library()
         assert lib_path is not None
         with open(lib_path, "wb") as handle:
             handle.write(b"junk")
@@ -115,7 +126,7 @@ class TestCorruptCache:
         monkeypatch.setattr(compiled._LOADER, "_try_load", lambda path: None)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert compiled._load_satcore() is None
+            assert compiled._LOADER.load() is None
         fallback = [
             w for w in caught if issubclass(w.category, RuntimeWarning)
         ]

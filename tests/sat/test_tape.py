@@ -1,4 +1,5 @@
-"""The C cone encoder over a lowered tape vs the reference Tseitin encoder.
+"""The C cone encoder over a network's lowering vs the reference Tseitin
+encoder.
 
 :class:`~repro.sat.tape.ConeEncoder` must be a transcription of
 :class:`~repro.sat.tseitin.TseitinEncoder`: the same variable for every
@@ -24,7 +25,7 @@ from repro.logic import TruthTable
 from repro.network.network import Network
 from repro.sat.compiled import SAT_CORE, CArenaCdclSolver
 from repro.sat.solver import SatResult
-from repro.sat.tape import CnfTape, ConeEncoder, stream_encoding_available
+from repro.sat.tape import ConeEncoder, stream_encoding_available
 from repro.sat.tseitin import TseitinEncoder, pair_miter
 from repro.sweep.checker import PairChecker
 from tests.conftest import random_network
@@ -69,7 +70,7 @@ class TestDifferential:
         network = data.draw(networks())
         uids = network.node_ids()
         reference = TseitinEncoder(network)
-        encoder = ConeEncoder(CnfTape(network))
+        encoder = ConeEncoder(network.lowering())
         # Roots repeat and land inside already-encoded cones; selector
         # allocations interleave with the encodings.
         queries = data.draw(
@@ -105,7 +106,7 @@ class TestDifferential:
     def test_miter_matches_pair_miter(self, data):
         network = data.draw(networks())
         uids = network.node_ids()
-        encoder = ConeEncoder(CnfTape(network))
+        encoder = ConeEncoder(network.lowering())
         for _ in range(3):
             node_a = data.draw(st.sampled_from(uids))
             others = [u for u in uids if u != node_a]
@@ -120,7 +121,7 @@ class TestDifferential:
 
     def test_miter_of_a_node_with_itself_rejected(self):
         network = random_network(seed=0)
-        encoder = ConeEncoder(CnfTape(network))
+        encoder = ConeEncoder(network.lowering())
         gate = network.node_ids()[-1]
         with pytest.raises(SatError):
             encoder.miter(gate, gate)
@@ -136,7 +137,7 @@ class TestShipping:
         gates = [n.uid for n in network.gates()]
         rng = random.Random(seed)
         reference = TseitinEncoder(network)
-        encoder = ConeEncoder(CnfTape(network))
+        encoder = ConeEncoder(network.lowering())
         bulk, single = CArenaCdclSolver(), CArenaCdclSolver()
         shipped = loaded = 0
         for _ in range(8):
@@ -170,7 +171,7 @@ class TestShipping:
     def test_load_into_equals_add_cnf(self):
         network = random_network(seed=3, num_inputs=6, num_gates=40)
         gates = [n.uid for n in network.gates()]
-        encoder = ConeEncoder(CnfTape(network))
+        encoder = ConeEncoder(network.lowering())
         encoder.miter(gates[0], gates[-1])
         cnf, _ = pair_miter(network, gates[0], gates[-1])
         bulk, single = CArenaCdclSolver(), CArenaCdclSolver()
@@ -191,27 +192,34 @@ class TestShipping:
 
 class TestTape:
     def test_tape_pickles(self):
+        """The encoder's tape is the lowering: its buffers and its rows
+        section pickle with it."""
         network = random_network(seed=1)
-        tape = CnfTape(network)
-        copy = pickle.loads(pickle.dumps(tape))
-        assert copy.kinds == tape.kinds
-        assert copy.funcs == tape.funcs
-        assert copy.fanin_off == tape.fanin_off
-        assert copy.fanins == tape.fanins
-        assert copy.template_off == tape.template_off
-        assert copy.templates == tape.templates
-        assert copy.number == tape.number
-        assert copy.pis == tape.pis
+        lowering = network.lowering()
+        rows = lowering.rows()
+        copy = pickle.loads(pickle.dumps(lowering))
+        assert copy.kinds == lowering.kinds
+        assert copy.funcs == lowering.funcs
+        assert copy.fanin_off == lowering.fanin_off
+        assert copy.fanins == lowering.fanins
+        assert copy.slot_of == lowering.slot_of
+        assert copy.pis == lowering.pis
+        assert copy.pi_slots == lowering.pi_slots
+        assert copy._sections["rows"] == rows
+        assert copy.rows() == rows
 
     def test_templates_shared_per_table(self):
+        """Five AND gates share one function's rows: one onset row and two
+        offset rows, three clauses each gate."""
         network = Network("shared")
         a, b = network.add_pi(), network.add_pi()
         and2 = TruthTable(2, 0b1000)
         for _ in range(5):
             network.add_gate(and2, (a, b))
-        tape = CnfTape(network)
-        # One AND template: 3 clauses of 2, 1 and 1 literals.
-        assert len(tape.templates) == 1 + (2 + 2) + (2 + 1) + (2 + 1)
+        arity, row_off, rows = network.lowering().rows()
+        assert list(arity) == [2]
+        assert list(row_off) == [0, 3]
+        assert len(rows) == 3 * 3
 
     def test_stream_encoding_follows_the_backend(self):
         assert not stream_encoding_available("reference")
